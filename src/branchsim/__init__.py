@@ -33,10 +33,11 @@ from .schedule import (                                          # noqa: F401
 )
 from .analysis import (                                          # noqa: F401
     AnalysisError, Branch, BranchClusters, BranchDecomposition, BRANCH_TOL,
-    ChshScanResult, Cluster, DensityMatrix, MeasurementSetting, branch_decompose,
-    change_basis, chsh, chsh_grid_max, coherence, correlation,
-    entanglement_entropy, entropy_of, extended_branch_clusters, is_decohered,
-    mutual_information, purity, reduced_density_matrix, sample_measurement,
+    ChshScanResult, Cluster, DensityMatrix, MeasurementSetting, SiteMarginals,
+    StateAnalysis, branch_decompose, change_basis, chsh, chsh_grid_max, coherence,
+    correlation, entanglement_entropy, entropy_of, extended_branch_clusters,
+    is_decohered, mutual_information, purity, reduced_density_matrix,
+    sample_measurement, site_marginals,
 )
 from .bell import RecordScanResult, record_chsh_scan, record_correlation  # noqa: F401
 from .oracle import (                                            # noqa: F401

@@ -28,6 +28,9 @@ BRANCH_TOL = 1e-9
 #: Largest region an exact reduced density matrix is built for (2^12 dim).
 MAX_RDM_SITES = 12
 
+#: Matrix entries of group outer products held at once by a partial trace.
+_OUTER_CHUNK = 2 ** 16
+
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -78,31 +81,62 @@ def _positions(state: PureState, region: Iterable) -> tuple:
     return sites, tuple(state.lattice.position(s) for s in sites)
 
 
+def _region_marginals(state: PureState, regions) -> np.ndarray:
+    """Reduced density matrices of equal-size regions, shape (R, d, d).
+
+    `regions` lists R tuples of k lattice positions each; d = 2^k.  For
+    every region the terms are grouped by their bits *outside* it, and
+    each group contributes the outer product of its amplitude vector.
+    Groups are numbered by first appearance in the state's term order
+    and summed in that order, so a region's matrix does not depend on
+    which other regions share the call.
+    """
+    regions = np.asarray(regions, dtype=np.intp)
+    n_regions, k = regions.shape
+    n, dim = state.lattice.n_sites, 2 ** k
+    n_terms = state.n_terms
+    amps = np.fromiter(state.amplitudes.values(), dtype=complex, count=n_terms)
+    bits = np.array(list(state.amplitudes), dtype=np.uint8).reshape(n_terms, n)
+
+    inside = bits[:, regions]                                  # (T, R, k)
+    index = (inside.astype(np.intp) << np.arange(k - 1, -1, -1)).sum(-1)
+    outside = np.repeat(bits[None], n_regions, axis=0)        # (R, T, n)
+    outside[np.arange(n_regions)[:, None], :, regions] = 0
+    # one byte string per (region, term): the region id, then the outside bits
+    tag = np.arange(n_regions, dtype=">u4").view(np.uint8).reshape(n_regions, 1, 4)
+    rows = np.concatenate([np.repeat(tag, n_terms, axis=1),
+                           np.packbits(outside, axis=-1)], axis=-1)
+    rows = np.ascontiguousarray(rows.reshape(n_regions * n_terms, -1))
+    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+
+    order = np.argsort(first)                  # region-major, then first appearance
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    vectors = np.zeros((order.size, dim), dtype=complex)
+    vectors[rank[inverse.ravel()], index.T.ravel()] += np.tile(amps, n_regions)
+    owner = first[order] // n_terms            # region of each group
+    rho = np.zeros((n_regions, dim, dim), dtype=complex)
+    step = max(1, _OUTER_CHUNK // (dim * dim))  # bounds the outer-product buffer
+    for lo in range(0, order.size, step):
+        v = vectors[lo:lo + step]
+        np.add.at(rho, owner[lo:lo + step], v[:, :, None] * v.conj()[:, None, :])
+    return rho
+
+
 def reduced_density_matrix(state: PureState, keep: Iterable) -> DensityMatrix:
     """Partial trace onto `keep` (ordered; first site = most significant bit).
 
     Works directly on the sparse amplitude map: terms are grouped by
     their bits *outside* the region, and each group contributes one
-    outer product.  Cost is linear in the number of terms for the
-    branchy states this model produces.
+    outer product.  Cost follows the number of terms, not 2^n, for the
+    branchy states this model produces.  Reports do not call this per
+    site: `site_marginals` builds every one-site matrix of a state in
+    one pass, bit for bit equal to this function's, and `StateAnalysis`
+    shares them between all per-state analyses.
     """
     sites, kpos = _positions(state, keep)
-    rest = tuple(p for p in range(state.lattice.n_sites) if p not in kpos)
-    groups: dict = {}
-    for bits, amp in state.amplitudes.items():
-        idx = 0
-        for p in kpos:
-            idx = (idx << 1) | bits[p]
-        groups.setdefault(tuple(bits[p] for p in rest), []).append((idx, amp))
-
-    dim = 2 ** len(sites)
-    rho = np.zeros((dim, dim), dtype=complex)
-    for entries in groups.values():
-        v = np.zeros(dim, dtype=complex)
-        for idx, amp in entries:
-            v[idx] += amp
-        rho += v[:, None] * v.conj()
-    return DensityMatrix(sites, rho)
+    return DensityMatrix(sites, _region_marginals(state, [kpos])[0])
 
 
 def change_basis(rho: DensityMatrix, rotations: Mapping) -> DensityMatrix:
@@ -151,6 +185,10 @@ def mutual_information(state: PureState, region_a: Iterable, region_b: Iterable)
             - entanglement_entropy(state, a + b))
 
 
+def _is_mixture(coherence_value, purity_value, tol):
+    return (coherence_value <= tol) & (purity_value < 1.0 - tol)
+
+
 def is_decohered(state: PureState, site: int, tol: float = BRANCH_TOL) -> bool:
     """True when the site carries a proper mixture in the bit basis.
 
@@ -160,7 +198,92 @@ def is_decohered(state: PureState, site: int, tol: float = BRANCH_TOL) -> bool:
     "decohered", it is untouched.
     """
     rho = reduced_density_matrix(state, [site])
-    return coherence(rho) <= tol and purity(rho) < 1.0 - tol
+    return bool(_is_mixture(coherence(rho), purity(rho), tol))
+
+
+# ---------------------------------------------------------------------------
+# per-state analysis: every one-site marginal once, shared by all consumers
+# ---------------------------------------------------------------------------
+
+def _stack_entropies(matrices: np.ndarray) -> np.ndarray:
+    """`entropy_of` for each matrix of a (..., d, d) stack, by one eigvalsh.
+
+    Bit for bit equal to `entropy_of` for d = 2; for larger d the sum
+    runs in another order, which changes only round-off.
+    """
+    w = np.linalg.eigvalsh(matrices)
+    positive = w > 0.0
+    terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
+    return np.where(positive.any(-1), -terms.sum(-1), 0.0)
+
+
+@dataclass(frozen=True)
+class SiteMarginals:
+    """Every one-site reduced density matrix of a state, with its scalars.
+
+    Entry i belongs to ``sites[i]`` (lattice order).  Each matrix equals
+    ``reduced_density_matrix(state, [site]).matrix`` bit for bit, and
+    each scalar equals `coherence`, `purity` or `entropy_of` of it.
+    """
+
+    sites: tuple
+    matrices: np.ndarray   # (n, 2, 2)
+    coherence: np.ndarray  # (n,)
+    purity: np.ndarray     # (n,)
+    entropy: np.ndarray    # (n,)
+
+
+def site_marginals(state: PureState) -> SiteMarginals:
+    """All one-site marginals of a state in one pass over its terms."""
+    n = state.lattice.n_sites
+    rho = _region_marginals(state, [(p,) for p in range(n)])
+    a = np.abs(rho)
+    return SiteMarginals(
+        state.lattice.indices, rho,
+        a.sum((-2, -1)) - np.trace(a, axis1=-2, axis2=-1),
+        np.trace(rho @ rho, axis1=-2, axis2=-1).real,
+        _stack_entropies(rho),
+    )
+
+
+class StateAnalysis:
+    """One state's analysis inputs, each built on first use and then kept.
+
+    The site marginals feed the decohered flags and the branch
+    decomposition; the decomposition and the one-site entropies feed
+    the clusters.  Nothing is computed until a result is asked for.
+    """
+
+    def __init__(self, state: PureState, tol: float = BRANCH_TOL):
+        self.state = state
+        self.tol = tol
+        self._marginals = None
+        self._branches = None
+        self._clusters = None
+
+    @property
+    def marginals(self) -> SiteMarginals:
+        if self._marginals is None:
+            self._marginals = site_marginals(self.state)
+        return self._marginals
+
+    @property
+    def decohered(self) -> np.ndarray:
+        """`is_decohered` of every site, in lattice order."""
+        m = self.marginals
+        return _is_mixture(m.coherence, m.purity, self.tol)
+
+    @property
+    def branches(self) -> "BranchDecomposition":
+        if self._branches is None:
+            self._branches = _decompose(self.state, self.marginals, self.tol)
+        return self._branches
+
+    @property
+    def clusters(self) -> "BranchClusters":
+        if self._clusters is None:
+            self._clusters = _cluster(self.state, self.marginals, self.branches, self.tol)
+        return self._clusters
 
 
 # ---------------------------------------------------------------------------
@@ -198,23 +321,27 @@ def branch_decompose(state: PureState, tol: float = BRANCH_TOL) -> BranchDecompo
     """Decompose a state into bit-basis branches on its branched sites.
 
     A site is *unbranched* when its one-site reduced density matrix is
-    pure within `tol` — it factors out and belongs to no branch.  Each
-    surviving bit pattern on the branched sites with weight > `tol` is a
-    branch; patterns differing only on unbranched sites are the same
-    branch and their weights merge.  Weights are renormalised to sum to
-    one, and equal the Born probabilities of the corresponding records.
+    pure within `tol` — it factors out and belongs to no branch.  Bit
+    patterns on the branched sites are branches; patterns differing
+    only on unbranched sites are the same branch and their weights
+    merge.  A merged weight above `tol` makes a branch, so a branch
+    spread over many small terms is kept.  Weights are renormalised to
+    sum to one, and equal the Born probabilities of the corresponding
+    records.
     """
+    return StateAnalysis(state, tol).branches
+
+
+def _decompose(state: PureState, marginals: SiteMarginals, tol: float) -> BranchDecomposition:
     lattice = state.lattice
-    branched = [s for s in lattice.indices
-                if purity(reduced_density_matrix(state, [s])) < 1.0 - tol]
+    branched = [s for s, p in zip(marginals.sites, marginals.purity) if p < 1.0 - tol]
     bpos = [lattice.position(s) for s in branched]
 
     merged: dict = {}
     for bits, amp in state.amplitudes.items():
-        w = amp.real * amp.real + amp.imag * amp.imag
-        if w > tol:
-            key = tuple(bits[p] for p in bpos)
-            merged[key] = merged.get(key, 0.0) + w
+        key = tuple(bits[p] for p in bpos)
+        merged[key] = merged.get(key, 0.0) + (amp.real * amp.real + amp.imag * amp.imag)
+    merged = {key: w for key, w in merged.items() if w > tol}
     total = sum(merged.values())
     support = frozenset(branched)
     branches = tuple(
@@ -257,30 +384,42 @@ def extended_branch_clusters(state: PureState, tol: float = BRANCH_TOL) -> Branc
     sites, so independently-branching regions are reported separately
     with their local branch counts and weights.
     """
-    decomp = branch_decompose(state, tol)
-    branched = sorted({s for b in decomp.branches for s in b.support})
+    return StateAnalysis(state, tol).clusters
 
-    adjacency: dict = {s: set() for s in branched}
-    for i, a in enumerate(branched):
-        for b in branched[i + 1:]:
-            if mutual_information(state, [a], [b]) > tol:
-                adjacency[a].add(b)
-                adjacency[b].add(a)
+
+def _pair_mutual_information(state: PureState, marginals: SiteMarginals,
+                             pairs: np.ndarray) -> np.ndarray:
+    """I(a:b) for each row (a, b) of lattice positions: one-site entropies
+    from `marginals`, two-site entropies from one (P, 4, 4) stack."""
+    return (marginals.entropy[pairs[:, 0]] + marginals.entropy[pairs[:, 1]]
+            - _stack_entropies(_region_marginals(state, pairs)))
+
+
+def _cluster(state: PureState, marginals: SiteMarginals, decomp: BranchDecomposition,
+             tol: float) -> BranchClusters:
+    branched = sorted({s for b in decomp.branches for s in b.support})
+    k = len(branched)
+    positions = np.array([state.lattice.position(s) for s in branched], dtype=np.intp)
+    a, b = np.triu_indices(k, 1)
+    linked = np.zeros((k, k), dtype=bool)
+    if a.size:
+        pairs = np.stack([positions[a], positions[b]], axis=1)
+        linked[a, b] = _pair_mutual_information(state, marginals, pairs) > tol
+        linked |= linked.T
 
     clusters = []
-    seen: set = set()
-    for start in branched:
-        if start in seen:
+    unseen = np.ones(k, dtype=bool)
+    for start in range(k):
+        if not unseen[start]:
             continue
-        component, queue = set(), [start]
-        while queue:
-            s = queue.pop()
-            if s in component:
-                continue
-            component.add(s)
-            queue.extend(adjacency[s] - component)
-        seen |= component
-        sites = tuple(sorted(component))
+        component = np.zeros(k, dtype=bool)
+        component[start] = True
+        frontier = component
+        while frontier.any():
+            frontier = linked[frontier].any(axis=0) & ~component
+            component |= frontier
+        unseen &= ~component
+        sites = tuple(branched[i] for i in np.flatnonzero(component))
         local: dict = {}
         for br in decomp.branches:
             key = tuple((s, br.assignment[s]) for s in sites)

@@ -23,9 +23,10 @@ import numpy as np
 
 from . import __version__, analysis, oracle, verify
 from .bell import record_chsh_scan
-from .lattice import LatticeError
+from .gates import GateError
+from .lattice import LatticeError, StateError
 from .reporting import build_report, write_report
-from .schedule import SCENARIOS, ConfigError, load_config
+from .schedule import SCENARIOS, ConfigError, ScheduleError, load_config
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -184,7 +185,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (ConfigError, LatticeError, analysis.AnalysisError, OSError) as exc:
+    except (ConfigError, ScheduleError, GateError, LatticeError, StateError,
+            analysis.AnalysisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

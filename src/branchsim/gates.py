@@ -133,7 +133,7 @@ _ROT_RE = re.compile(r"rot\(([^)]+)\)\Z")
 def gate_by_name(name: str) -> Gate:
     """Resolve a gate name as used in schedules and scenario configs.
 
-    Recognised: ``U_si``, ``U_copy``, ``U_swap``, ``I``, ``rot(<float>)``.
+    Recognised: ``U_si``, ``U_copy``, ``U_swap``, ``H``, ``I``, ``rot(<float>)``.
     """
     builtin = {
         "U_si": system_field_gate,

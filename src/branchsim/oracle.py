@@ -131,8 +131,9 @@ def dense_branch_weights(dense: DenseState, tol: float = 1e-9) -> dict:
 
     Mirrors `branch_decompose`: sites whose one-site density matrix is
     pure within `tol` are dropped from the keys, weights merge over
-    them, and the result is renormalised.  Returns assignment -> weight
-    with assignments as ((site, bit), ...) tuples.
+    them, merged weights above `tol` are kept, and the result is
+    renormalised.  Returns assignment -> weight with assignments as
+    ((site, bit), ...) tuples.
     """
     n = dense.lattice.n_sites
     branched_pos = []
@@ -143,11 +144,12 @@ def dense_branch_weights(dense: DenseState, tol: float = 1e-9) -> dict:
 
     probs = np.abs(dense.vector) ** 2
     merged: dict = {}
-    for idx in np.flatnonzero(probs > tol):
+    for idx in np.flatnonzero(probs):
         key = tuple(
             (site, (int(idx) >> (n - 1 - p)) & 1) for p, site in branched_pos
         )
         merged[key] = merged.get(key, 0.0) + float(probs[idx])
+    merged = {key: w for key, w in merged.items() if w > tol}
     total = sum(merged.values())
     return {key: w / total for key, w in merged.items()}
 

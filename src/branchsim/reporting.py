@@ -25,9 +25,9 @@ def _g12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _rdm_entries(rho) -> list:
+def _rdm_entries(matrix) -> list:
     """Row-major [re, im] pairs."""
-    return [[_g12(z.real), _g12(z.imag)] for z in rho.matrix.reshape(-1)]
+    return [[_g12(z.real), _g12(z.imag)] for z in matrix.reshape(-1)]
 
 
 def _branch_item(branch) -> dict:
@@ -57,21 +57,24 @@ def build_report(config: ScenarioConfig, states: list, tolerance: float) -> dict
         if state.n_terms <= EMBED_TERMS_LIMIT:
             record["state"] = json.loads(state_to_document(state))
 
+        # built lazily: a run that requests none of these does no RDM work
+        summary = analysis.StateAnalysis(state, tolerance)
         if "sites" in names:
-            sites = {}
-            for site in state.lattice.indices:
-                rho = analysis.reduced_density_matrix(state, [site])
-                sites[str(site)] = {
-                    "rdm": _rdm_entries(rho),
-                    "coherence": _g12(analysis.coherence(rho)),
-                    "purity": _g12(analysis.purity(rho)),
-                    "entropy": _g12(analysis.entropy_of(rho)),
-                    "decohered": analysis.is_decohered(state, site, tolerance),
+            m = summary.marginals
+            decohered = summary.decohered
+            record["sites"] = {
+                str(site): {
+                    "rdm": _rdm_entries(m.matrices[i]),
+                    "coherence": _g12(m.coherence[i]),
+                    "purity": _g12(m.purity[i]),
+                    "entropy": _g12(m.entropy[i]),
+                    "decohered": bool(decohered[i]),
                 }
-            record["sites"] = sites
+                for i, site in enumerate(m.sites)
+            }
 
         if "branches" in names:
-            decomp = analysis.branch_decompose(state, tolerance)
+            decomp = summary.branches
             record["branches"] = {
                 "count": decomp.n_branches,
                 "unbranched": sorted(decomp.unbranched),
@@ -79,7 +82,7 @@ def build_report(config: ScenarioConfig, states: list, tolerance: float) -> dict
             }
 
         if "clusters" in names:
-            clusters = analysis.extended_branch_clusters(state, tolerance)
+            clusters = summary.clusters
             record["clusters"] = {
                 "count": clusters.n_clusters,
                 "items": [

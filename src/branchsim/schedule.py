@@ -340,6 +340,37 @@ def _initial_from_config(entry, lattice: Lattice) -> PureState:
     raise ConfigError("'initial' needs a 'product' or 'terms' key")
 
 
+#: Per-step analyses a config may name; correlations are mappings.
+ANALYSIS_NAMES = ("sites", "branches", "clusters")
+
+
+def _analyses_from_config(entry, lattice: Lattice) -> tuple:
+    """Validate an ``analyses`` list: names from ANALYSIS_NAMES, or
+    ``{"type": "correlation", "site_a": A, "site_b": B}`` with integer
+    lattice sites and optional numeric ``theta_a`` / ``theta_b``."""
+    if not isinstance(entry, list):
+        raise ConfigError(f"'analyses' must be a list, got {entry!r}")
+    for item in entry:
+        if isinstance(item, str):
+            if item not in ANALYSIS_NAMES:
+                raise ConfigError(f"unknown analysis {item!r}; "
+                                  f"available: {', '.join(ANALYSIS_NAMES)}, correlation")
+            continue
+        if not isinstance(item, Mapping) or item.get("type") != "correlation":
+            raise ConfigError(f"bad analysis {item!r}: want a name or a correlation object")
+        for key in ("site_a", "site_b"):
+            site = item.get(key)
+            if isinstance(site, bool) or not isinstance(site, int) \
+                    or site not in lattice.indices:
+                raise ConfigError(f"correlation {key} must be an integer lattice site, "
+                                  f"got {site!r}")
+        for key in ("theta_a", "theta_b"):
+            theta = item.get(key, 0.0)
+            if isinstance(theta, bool) or not isinstance(theta, (int, float)):
+                raise ConfigError(f"correlation {key} must be a number, got {theta!r}")
+    return tuple(entry)
+
+
 def config_from_document(text: str) -> ScenarioConfig:
     """Parse a scenario configuration document (JSON text)."""
     try:
@@ -365,7 +396,7 @@ def config_from_document(text: str) -> ScenarioConfig:
         if "analyses" in doc:
             config = ScenarioConfig(config.name, config.lattice, config.initial,
                                     config.schedule, config.horizon,
-                                    tuple(doc["analyses"]))
+                                    _analyses_from_config(doc["analyses"], config.lattice))
         return config
 
     try:
@@ -377,7 +408,8 @@ def config_from_document(text: str) -> ScenarioConfig:
         )
         sched = Schedule(apps)
         horizon = int(doc.get("horizon", sched.horizon))
-        analyses = tuple(doc.get("analyses", DEFAULT_ANALYSES))
+        analyses = (_analyses_from_config(doc["analyses"], lattice)
+                    if "analyses" in doc else DEFAULT_ANALYSES)
     except ConfigError:
         raise
     except (KeyError, TypeError, ValueError, LatticeError, ScheduleError, GateError) as exc:

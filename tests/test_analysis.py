@@ -23,6 +23,20 @@ def _dense_expectation(state, obs, region):
     return complex(np.vdot(psi.reshape(-1), acted.reshape(-1))).real
 
 
+def plus_product(n_sites):
+    """Every site of an n-site chain in |+>."""
+    return bs.product_state(bs.chain_lattice([0], range(1, n_sites)),
+                            {s: [R2, R2] for s in range(n_sites)})
+
+
+def bell_pair_with_spectators(n_plus):
+    """(|00> + |11>)/sqrt(2) on sites 0, 1, then n_plus sites in |+>."""
+    lat = bs.chain_lattice([0], range(1, n_plus + 2))
+    terms = [(pair + format(k, f"0{n_plus}b"), 1.0)
+             for pair in ("00", "11") for k in range(2 ** n_plus)]
+    return bs.entangled_state(lat, terms)
+
+
 def bell_pair_with_spectator():
     """(|0.0> + |1.1>)/sqrt(2) on sites 0,2 with |+> parked at site 1."""
     lat = bs.chain_lattice([0], [1, 2])
@@ -229,6 +243,21 @@ class TestBranchDecompose:
     def test_weights_renormalised(self, epr_states):
         assert sum(bs.branch_decompose(epr_states[-1]).weights) == pytest.approx(
             1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n_sites, tol", [(11, 1e-3), (3, 0.2)])
+    def test_small_terms_merge_before_threshold(self, n_sites, tol):
+        # every term weighs 2^-n_sites <= tol; the merged branch does not
+        state = plus_product(n_sites)
+        decomp = bs.branch_decompose(state, tol)
+        assert decomp.weights == (1.0,)
+        assert decomp.unbranched == frozenset(state.lattice.indices)
+
+    def test_branches_spread_over_small_terms_survive(self):
+        # a Bell pair next to ten |+> spectators: each term weighs 2^-11
+        state = bell_pair_with_spectators(10)
+        decomp = bs.branch_decompose(state, 1e-3)
+        assert {b.key() for b in decomp.branches} == {((0, 0), (1, 0)), ((0, 1), (1, 1))}
+        assert decomp.weights == pytest.approx((0.5, 0.5), abs=1e-12)
 
 
 class TestBranchClusters:

@@ -1,0 +1,125 @@
+"""Property tests for the shared per-state analysis path.
+
+Random sparse states (at most 6 sites, at most 16 terms) check that the
+one-pass site marginals and the batched pair mutual information agree
+with the one-region functions, and that every density matrix built on
+the way is a valid one.
+"""
+
+import itertools
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import branchsim as bs
+from branchsim import analysis
+
+# includes signed zeros, so sign handling of the partial trace is pinned
+components = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
+                       st.floats(-1.0, 1.0, allow_nan=False))
+
+
+@st.composite
+def sparse_states(draw):
+    n_sites = draw(st.integers(1, 6))
+    # negative field ids, so site ids and lattice positions differ
+    lattice = bs.chain_lattice([0], range(1 - n_sites, 0))
+    indices = draw(st.lists(st.integers(0, 2 ** n_sites - 1), min_size=1,
+                            max_size=min(16, 2 ** n_sites), unique=True))
+    amps = [complex(draw(components), draw(components)) for _ in indices]
+    if sum(abs(a) for a in amps) < 1e-3:
+        amps[0] = 1.0
+    terms = [(format(i, f"0{n_sites}b"), a) for i, a in zip(indices, amps)]
+    return bs.entangled_state(lattice, terms)
+
+
+def loop_rdm(state, sites):
+    """Reference partial trace: one dict group and one outer product per
+    pattern of the traced bits, summed in order of first appearance."""
+    kpos = [state.lattice.position(s) for s in sites]
+    rest = [p for p in range(state.lattice.n_sites) if p not in kpos]
+    groups = {}
+    for bits, amp in state.amplitudes.items():
+        idx = 0
+        for p in kpos:
+            idx = (idx << 1) | bits[p]
+        groups.setdefault(tuple(bits[p] for p in rest), []).append((idx, amp))
+    dim = 2 ** len(sites)
+    rho = np.zeros((dim, dim), dtype=complex)
+    for entries in groups.values():
+        v = np.zeros(dim, dtype=complex)
+        for idx, amp in entries:
+            v[idx] += amp
+        rho += v[:, None] * v.conj()
+    return rho
+
+
+def assert_valid_density_matrix(m):
+    assert np.abs(m - m.conj().T).max() <= 1e-12
+    assert abs(np.trace(m).real - 1.0) <= 1e-10
+    assert np.linalg.eigvalsh(m).min() >= -1e-12
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_states())
+def test_site_marginals_equal_single_site_rdms_bit_for_bit(state):
+    marginals = analysis.site_marginals(state)
+    assert marginals.sites == state.lattice.indices
+    for i, site in enumerate(marginals.sites):
+        rho = analysis.reduced_density_matrix(state, [site])
+        assert marginals.matrices[i].tobytes() == rho.matrix.tobytes()
+        assert rho.matrix.tobytes() == loop_rdm(state, [site]).tobytes()
+        assert marginals.coherence[i].tobytes() == np.float64(bs.coherence(rho)).tobytes()
+        assert marginals.purity[i].tobytes() == np.float64(bs.purity(rho)).tobytes()
+        assert marginals.entropy[i].tobytes() == np.float64(bs.entropy_of(rho)).tobytes()
+        assert_valid_density_matrix(marginals.matrices[i])
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_states())
+def test_batched_pair_mutual_information_matches_per_pair(state):
+    sites = state.lattice.indices
+    pairs = np.array(list(itertools.combinations(range(len(sites)), 2)), dtype=np.intp)
+    if not pairs.size:
+        return
+    marginals = analysis.site_marginals(state)
+    batched = analysis._pair_mutual_information(state, marginals, pairs)
+    for (a, b), value in zip(pairs, batched):
+        assert abs(value - bs.mutual_information(state, [sites[a]], [sites[b]])) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_states(), st.data())
+def test_every_rdm_is_a_density_matrix(state, data):
+    sites = state.lattice.indices
+    region = data.draw(st.lists(st.sampled_from(sites), min_size=1,
+                                max_size=len(sites), unique=True))
+    rho = analysis.reduced_density_matrix(state, region).matrix
+    assert rho.tobytes() == loop_rdm(state, region).tobytes()
+    assert_valid_density_matrix(rho)
+    pairs = list(itertools.combinations(range(len(sites)), 2))
+    if pairs:
+        for m in analysis._region_marginals(state, pairs):
+            assert_valid_density_matrix(m)
+
+
+def test_large_region_sums_groups_in_chunks_bit_for_bit():
+    # a 9-site region has 512 x 512 outer products, more than one chunk holds
+    rng = np.random.default_rng(11)
+    lattice = bs.chain_lattice([0], range(1, 11))
+    terms = [(format(int(i), "011b"), complex(*rng.normal(size=2)))
+             for i in rng.choice(2 ** 11, 64, replace=False)]
+    state = bs.entangled_state(lattice, terms)
+    region = [7, 0, 3, 1, 9, 2, 8, 5, 10]
+    assert analysis._OUTER_CHUNK < 512 * 512 * 2
+    rho = analysis.reduced_density_matrix(state, region).matrix
+    assert rho.tobytes() == loop_rdm(state, region).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_states())
+def test_shared_decohered_flags_match_is_decohered(state):
+    shared = analysis.StateAnalysis(state)
+    assert list(shared.decohered) == [bs.is_decohered(state, s)
+                                      for s in state.lattice.indices]

@@ -85,6 +85,36 @@ class TestRun:
                          "--out", str(tmp_path / "out")]) == 1
 
 
+class TestBadInput:
+    """Each bad input gives exit 1 and one ``error:`` line, no traceback."""
+
+    @staticmethod
+    def run_fails_cleanly(tmp_path, capsys, doc, *extra):
+        config = write_config(tmp_path, doc)
+        code = cli.main(["run", "--config", config, "--out", str(tmp_path / "out"),
+                         *extra])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    def test_negative_horizon(self, tmp_path, capsys):
+        err = self.run_fails_cleanly(tmp_path, capsys, {"scenario": "single"},
+                                     "--horizon", "-1")
+        assert "negative horizon" in err
+
+    def test_correlation_without_site_b(self, tmp_path, capsys):
+        err = self.run_fails_cleanly(
+            tmp_path, capsys,
+            {"scenario": "epr", "analyses": [{"type": "correlation", "site_a": 2}]})
+        assert "site_b" in err
+
+    def test_unknown_analysis_name(self, tmp_path, capsys):
+        err = self.run_fails_cleanly(tmp_path, capsys,
+                                     {"scenario": "epr", "analyses": ["branch"]})
+        assert "'branch'" in err
+
+
 class TestVerify:
     def test_quick_suite_passes(self, capsys):
         assert cli.main(["verify", "--quick"]) == 0

@@ -87,6 +87,13 @@ class TestDenseAnalysis:
             for key, w in sparse_weights.items():
                 assert dense_weights[key] == pytest.approx(w, abs=1e-12)
 
+    @pytest.mark.parametrize("n_sites, tol", [(11, 1e-3), (3, 0.2)])
+    def test_small_terms_merge_before_threshold(self, n_sites, tol):
+        r = 1 / np.sqrt(2)
+        state = bs.product_state(bs.chain_lattice([0], range(1, n_sites)),
+                                 {s: [r, r] for s in range(n_sites)})
+        assert oracle.dense_branch_weights(oracle.densify(state), tol) == {(): 1.0}
+
 
 class TestRandomUnitaries:
     def test_unitary_within_tolerance(self):

@@ -1,0 +1,68 @@
+"""Golden digests of the `run` report files.
+
+Each case runs the CLI and compares the sha256 of `report.json` and
+`timeseries.csv` against digests recorded before the analysis path was
+reworked, so any change to the emitted bytes shows up here.
+
+The digests are tied to the numpy/LAPACK build they were recorded with
+(numpy 2.4 on x86-64 OpenBLAS): entropies of pure sites carry eigenvalue
+round-off such as ``2.07777949014e-15``, and another LAPACK may round
+those differently.  If only this file fails after a numpy upgrade, diff
+the reports before re-recording.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from branchsim import cli
+
+# name -> (config document, report.json sha256, timeseries.csv sha256)
+GOLDEN = {
+    "single": (
+        {"scenario": "single"},
+        "d767f407b66196b469f38fd9f4c56de62fe2ef5fea43336b199f01766949b921",
+        "9fdc9c62a71145563b46b1e2c424b13a2767e94219b5c77123cb28086c8dfaea",
+    ),
+    "bidirectional": (
+        {"scenario": "bidirectional"},
+        "a48d6bf48edf69c05867424078fdbfade9fd8ada3a45b196b8916cbd9f9db6e4",
+        "39f468c0ba63b97fabf15d6fc1c0fb1d1f5b509b4b14712b0adb55da5a0ddc6c",
+    ),
+    "collision": (
+        {"scenario": "collision"},
+        "7773c997fc5b4f7426a68d2d7d0c1cc2d2cd861466d15368f230151365bcc983",
+        "6f6c429b9d7e4d50acbfd0029fca466978e040ad676550d60212e11103d0e89e",
+    ),
+    "epr": (
+        {"scenario": "epr"},
+        "62701223ad459be6ef5c2900dc792817485c13d69ebcb1a5f9d7abb02d1c3c8d",
+        "f6a813edd4f539478627b7ab5bb65a4ae18063bc9f5b9cc00ca6621242a44e42",
+    ),
+    "single_n32": (
+        {"scenario": "single", "params": {"alpha": 0.6, "beta": 0.8, "n_sites": 32}},
+        "77bb2467ab8586bab28df7e977bfa5727dbc0ead76d0c915257b45b95fd69498",
+        "2ba0101d42e411a717c6948f1fa03335703451ece2e07146fa50e538595d5adb",
+    ),
+    "single_n64": (
+        {"scenario": "single", "params": {"alpha": 0.6, "beta": 0.8, "n_sites": 64}},
+        "f08b70226545503fb8bee21e389b662c73a33bbe3024fac6c8bdd1f3b35a5447",
+        "7ef62c47147cd84b2a6887d013d09c14bc8b058e0fef41702cd14d484c637463",
+    ),
+}
+
+
+def _sha256(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_bytes_match_golden(name, tmp_path):
+    doc, report_digest, series_digest = GOLDEN[name]
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
+    assert _sha256(out_dir / "report.json") == report_digest
+    assert _sha256(out_dir / "timeseries.csv") == series_digest
