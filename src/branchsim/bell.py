@@ -15,6 +15,11 @@ scenario once per grid point, and maximises the CHSH combination over
 all setting 4-tuples drawn from the grid.  For the entangled-qubit
 scenario the scan reaches the Tsirelson bound 2*sqrt(2); for the
 product-state collision scenario it stays at 2.
+
+Each experiment plays the same compiled steps (`compile_schedule`) as
+a run of the config and as verification's random trials, up to the
+config's horizon.  At settings (0, 0) the records are therefore read
+from the state a run reports at its last step.
 """
 
 from dataclasses import dataclass
@@ -23,7 +28,7 @@ import numpy as np
 
 from .analysis import AnalysisError, max_chsh_from_grid
 from .gates import apply_columns, column_action, rotation_gate
-from .schedule import ScenarioConfig
+from .schedule import ScenarioConfig, compile_schedule, play_step
 
 
 def _experiment_frame(config: ScenarioConfig, record_sites) -> tuple:
@@ -34,13 +39,12 @@ def _experiment_frame(config: ScenarioConfig, record_sites) -> tuple:
         raise AnalysisError(f"record Bell test needs exactly two system sites, "
                             f"got {systems}")
     ra, rb = record_sites
+    if ra == rb:
+        raise AnalysisError(f"record sites must be distinct, got {ra} twice")
     rpos = (lattice.position(ra), lattice.position(rb))
     spos = (lattice.position(systems[0]), lattice.position(systems[1]))
-    compiled = []
-    for app in config.schedule.applications:
-        gate = app.resolved_gate()
-        positions = tuple(lattice.position(s) for s in app.sites)
-        compiled.append((positions, column_action(gate.matrix)))
+    steps = compile_schedule(config.schedule, lattice, config.horizon)
+    compiled = [pair for step in steps for pair in step]
     base = dict(config.initial.amplitudes)
     return base, spos, compiled, rpos
 
@@ -50,8 +54,7 @@ def _run_one(base: dict, spos: tuple, compiled: list, rpos: tuple,
     """One experiment: rotate, evolve, read <Z Z> at the record sites."""
     amps = apply_columns(base, (spos[0],), action_a)
     amps = apply_columns(amps, (spos[1],), action_b)
-    for positions, action in compiled:
-        amps = apply_columns(amps, positions, action)
+    amps = play_step(amps, compiled)
     pa, pb = rpos
     e = 0.0
     for bits, amp in amps.items():

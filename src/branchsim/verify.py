@@ -21,11 +21,12 @@ import numpy as np
 
 from . import analysis, oracle
 from .analysis import MeasurementSetting, chsh_grid_max
-from .gates import (UNITARITY_TOL, apply_gate2, field_copy_gate, field_swap_gate,
-                    rotation_gate, system_field_gate)
+from .gates import (UNITARITY_TOL, field_copy_gate, field_swap_gate, rotation_gate,
+                    system_field_gate)
 from .lattice import PureState, chain_lattice, norm, overlap, product_state
 from .reference_states import REFERENCE_SEQUENCES
-from .schedule import SCENARIOS, scenario_single
+from .schedule import (SCENARIOS, GateApplication, Schedule, ScenarioConfig, run_schedule,
+                       scenario_single)
 
 #: Random trials used by the full differential suite.
 DEFAULT_TRIALS = 10_000
@@ -159,15 +160,20 @@ def compare_states(state: PureState, dense: oracle.DenseState) -> float:
     return worst
 
 
+def dense_deviation(config: ScenarioConfig, states: list) -> float:
+    """Worst `compare_states` deviation of a sparse run of `config` (its
+    states at t = 0 .. len(states) - 1) from the dense engine's run."""
+    dense_states = oracle.dense_run(oracle.densify(config.initial), config.schedule,
+                                    len(states) - 1)
+    return max(compare_states(s, d) for s, d in zip(states, dense_states))
+
+
 def check_scenario_differential(tol: float = 1e-10) -> list:
     """Both engines produce the same physics for every scenario, each step."""
     results = []
     for name, factory in SCENARIOS.items():
         config = factory()
-        states = config.run()
-        dense_states = oracle.dense_run(oracle.densify(config.initial), config.schedule,
-                                        config.horizon)
-        worst = max(compare_states(s, d) for s, d in zip(states, dense_states))
+        worst = dense_deviation(config, config.run())
         results.append(_result(f"engines agree: scenario {name}", worst <= tol,
                                f"worst deviation {worst:.3g}"))
     return results
@@ -175,26 +181,32 @@ def check_scenario_differential(tol: float = 1e-10) -> list:
 
 def random_differential_trial(rng: np.random.Generator,
                               n_sites: int = 8, n_gates: int = 5) -> float:
-    """Run one random gate sequence through both engines; worst deviation."""
+    """Run one random gate sequence through both engines; worst deviation.
+
+    The sequence is a schedule with one two-site gate per step, so the
+    sparse side plays it exactly as `run` plays a config.
+    """
     lattice = chain_lattice([0], range(1, n_sites))
     amps = np.zeros((n_sites, 2))
     amps[range(n_sites), rng.integers(0, 2, n_sites)] = 1.0
     state = product_state(lattice, dict(enumerate(amps)))
-    dense = oracle.densify(state)
 
     named = [system_field_gate(), field_copy_gate(), field_swap_gate()]
-    worst = 0.0
-    for _ in range(n_gates):
+    apps = []
+    for t in range(n_gates):
         left = int(rng.integers(0, n_sites - 1))
         pair = (left, left + 1) if rng.random() < 0.5 else (left + 1, left)
         gate = named[rng.integers(len(named))] if rng.random() < 0.4 \
             else oracle.random_gate2(rng)
-        state = apply_gate2(state, gate, pair)
-        dense = oracle.dense_apply(dense, gate, pair)
-        # states must track each other after every gate; the full battery
-        # of derived quantities is compared once, on the final state
-        worst = max(worst, abs(oracle.dense_overlap(oracle.densify(state), dense) - 1.0))
-    return max(worst, compare_states(state, dense))
+        apps.append(GateApplication(t, pair, gate))
+    schedule = Schedule(tuple(apps))
+    states = run_schedule(state, schedule)
+    dense_states = oracle.dense_run(oracle.densify(state), schedule)
+    # states must track each other after every gate; the full battery
+    # of derived quantities is compared once, on the final state
+    worst = max((abs(oracle.dense_overlap(oracle.densify(s), d) - 1.0)
+                 for s, d in zip(states[1:], dense_states[1:])), default=0.0)
+    return max(worst, compare_states(states[-1], dense_states[-1]))
 
 
 def check_random_differential(n_trials: int = DEFAULT_TRIALS, tol: float = 1e-10,

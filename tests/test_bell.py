@@ -1,3 +1,5 @@
+import dataclasses
+import json
 import math
 
 import numpy as np
@@ -44,6 +46,44 @@ class TestRecordCorrelation:
     def test_needs_two_system_sites(self):
         with pytest.raises(bs.AnalysisError):
             bs.record_correlation(bs.scenario_single(), (2, 3), 0.0, 0.0)
+
+    def test_rejects_a_repeated_record_site(self):
+        with pytest.raises(bs.AnalysisError, match="distinct"):
+            bs.record_correlation(bs.scenario_epr(), (2, 2), 0.0, 0.0)
+
+
+def horizon_cut_config():
+    """Entangled qubits at 0 and 3 each write a record at step 0; a step-1
+    rotation of record site 1 lies beyond the horizon and must not play."""
+    return bs.config_from_document(json.dumps({
+        "lattice": [{"index": 0, "kind": "system"}, {"index": 1, "kind": "field"},
+                    {"index": 2, "kind": "field"}, {"index": 3, "kind": "system"}],
+        "initial": {"terms": [{"basis": "0001", "re": 1.0}, {"basis": "1000", "re": 1.0}]},
+        "schedule": [{"time": 0, "sites": [0, 1], "gate": "U_si"},
+                     {"time": 0, "sites": [3, 2], "gate": "U_si"},
+                     {"time": 1, "sites": [1], "gate": "rot(1.0)"}],
+        "horizon": 1,
+    }))
+
+
+class TestRecordProtocolPlaysTheRun:
+    def test_honours_the_config_horizon(self):
+        config = horizon_cut_config()
+        at_horizon = bs.correlation(config.run()[-1], bs.MeasurementSetting(1),
+                                    bs.MeasurementSetting(2))
+        assert at_horizon == pytest.approx(-1.0, abs=1e-12)
+        e = bs.record_correlation(config, (1, 2), 0.0, 0.0)
+        assert e == pytest.approx(at_horizon, abs=1e-12)
+
+    def test_scan_honours_the_config_horizon(self):
+        result = bs.record_chsh_scan(horizon_cut_config(), (1, 2), resolution_deg=90.0)
+        assert result.e_grid[0, 0] == pytest.approx(-1.0, abs=1e-12)
+
+    def test_non_adjacent_gate_warns(self):
+        reaching = bs.Schedule((bs.GateApplication(0, (0, 2), "U_si"),))
+        config = dataclasses.replace(bs.scenario_epr(), schedule=reaching)
+        with pytest.warns(UserWarning, match="non-adjacent"):
+            bs.record_correlation(config, (2, 3), 0.0, 0.0)
 
 
 class TestRecordScan:

@@ -166,6 +166,14 @@ class TestChshScan:
         # at the classical corner value S = 2
         assert "CHSH max 2.000000000" in capsys.readouterr().out
 
+    def test_repeated_record_site_is_config_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, {"scenario": "epr"})
+        code = cli.main(["chsh-scan", "--config", config, "--sites", "2", "2",
+                         "--resolution", "45"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_scan_needs_two_system_sites(self, tmp_path):
         config = write_config(tmp_path, {"scenario": "single"})
         assert cli.main(["chsh-scan", "--config", config, "--sites", "1", "2",
