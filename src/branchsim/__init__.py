@@ -36,8 +36,8 @@ from .analysis import (                                          # noqa: F401
     ChshScanResult, Cluster, DensityMatrix, MeasurementSetting, SiteMarginals,
     StateAnalysis, branch_decompose, change_basis, chsh, chsh_grid_max, coherence,
     correlation, entanglement_entropy, entropy_of, extended_branch_clusters,
-    is_decohered, mutual_information, purity, reduced_density_matrix,
-    sample_measurement, site_marginals,
+    is_decohered, mutual_information, plane_chsh_max, purity,
+    reduced_density_matrix, sample_measurement, site_marginals,
 )
 from .bell import RecordScanResult, record_chsh_scan, record_correlation  # noqa: F401
 from .oracle import (                                            # noqa: F401

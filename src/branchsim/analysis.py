@@ -472,6 +472,33 @@ class ChshScanResult:
     settings: tuple       # (theta_a, theta_a', theta_b, theta_b') in radians
     angles: np.ndarray    # the scanned angles in radians
     e_grid: np.ndarray    # E[i, j] at (angles[i], angles[j])
+    plane_max: float      # exact maximum over X-Z plane settings (`plane_chsh_max`)
+
+
+def correlator_matrix(state: PureState, site_a: int, site_b: int) -> np.ndarray:
+    """T[p, q] = <P x Q> on the two sites, P, Q in (Z, X)."""
+    rho = reduced_density_matrix(state, [site_a, site_b])
+    return np.array([
+        [np.trace(rho.matrix @ np.kron(p, q)).real for q in (_Z, _X)]
+        for p in (_Z, _X)
+    ])
+
+
+def _plane_max(t: np.ndarray) -> float:
+    sigma = np.linalg.svd(t, compute_uv=False)
+    return 2.0 * math.sqrt(float(sigma @ sigma))
+
+
+def plane_chsh_max(state: PureState, site_a: int, site_b: int) -> float:
+    """Exact CHSH maximum over measurement axes in the X-Z plane.
+
+    With E(theta1, theta2) = u(theta1) . T u(theta2), u = (cos, sin), the
+    maximum over all four settings is 2 sqrt(s1^2 + s2^2), s1, s2 the
+    singular values of the correlator matrix T: the Horodecki criterion
+    (Phys. Lett. A 200, 340, 1995) restricted to one plane.  A grid
+    search can only approach it from below.
+    """
+    return _plane_max(correlator_matrix(state, site_a, site_b))
 
 
 def max_chsh_from_grid(angles: np.ndarray, e_grid: np.ndarray) -> tuple:
@@ -479,18 +506,22 @@ def max_chsh_from_grid(angles: np.ndarray, e_grid: np.ndarray) -> tuple:
 
     For fixed (b, b') the maximum over a and a' separates:
     max_a (E[a,b] - E[a,b']) + max_a' (E[a',b] + E[a',b']), so the scan
-    is quadratic in the number of angles rather than quartic.
+    is cubic in the number of angles rather than quartic.
     Returns (value, (theta_a, theta_a', theta_b, theta_b')).
     """
     k = len(angles)
+    et = np.ascontiguousarray(e_grid.T)   # et[j, a] = E[a, j]: rows are contiguous
+    d = np.empty_like(et)
+    s = np.empty_like(et)
+    rows = np.arange(k)
     best = -math.inf
     best_idx = (0, 0, 0, 0)
     for jp in range(k):  # j' column against all j at once
-        d = e_grid - e_grid[:, jp][:, None]   # D[a, j]  = E[a,j] - E[a,j']
-        s = e_grid + e_grid[:, jp][:, None]   # S[a', j] = E[a',j] + E[a',j']
-        ia = d.argmax(axis=0)
-        iap = s.argmax(axis=0)
-        cand = d[ia, range(k)] + s[iap, range(k)]
+        np.subtract(et, et[jp], out=d)   # d[j, a]  = E[a,j] - E[a,j']
+        np.add(et, et[jp], out=s)        # s[j, a'] = E[a',j] + E[a',j']
+        ia = d.argmax(axis=1)
+        iap = s.argmax(axis=1)
+        cand = d[rows, ia] + s[rows, iap]
         j = int(cand.argmax())
         if cand[j] > best:
             best = float(cand[j])
@@ -506,18 +537,15 @@ def chsh_grid_max(state: PureState, site_a: int, site_b: int,
     E(theta1, theta2) is bilinear in (cos, sin) of each angle, so the
     whole grid follows exactly from the four Pauli correlators
     <P x Q>, P, Q in {Z, X}; the search over setting 4-tuples is then a
-    plain maximisation over the gridded correlation table.
+    plain maximisation over the gridded correlation table.  The same
+    correlator matrix gives the exact plane maximum the grid approaches.
     """
-    rho = reduced_density_matrix(state, [site_a, site_b])
-    t = np.array([
-        [np.trace(rho.matrix @ np.kron(p, q)).real for q in (_Z, _X)]
-        for p in (_Z, _X)
-    ])
+    t = correlator_matrix(state, site_a, site_b)
     angles = np.deg2rad(np.arange(0.0, 360.0, resolution_deg))
     v = np.stack([np.cos(angles), np.sin(angles)])   # (2, K)
     e_grid = v.T @ t @ v                             # E[i, j]
     value, settings = max_chsh_from_grid(angles, e_grid)
-    return ChshScanResult(value, settings, angles, e_grid)
+    return ChshScanResult(value, settings, angles, e_grid, _plane_max(t))
 
 
 def sample_measurement(state: PureState, setting: MeasurementSetting, seed: int):

@@ -10,16 +10,26 @@ imprint records of the rotated qubits into the field, and then read
 the records by their plain bit value.
 
 `record_correlation` runs one such experiment for a single pair of
-setting angles; `record_chsh_scan` grids both angles, re-running the
-scenario once per grid point, and maximises the CHSH combination over
-all setting 4-tuples drawn from the grid.  For the entangled-qubit
-scenario the scan reaches the Tsirelson bound 2*sqrt(2); for the
-product-state collision scenario it stays at 2.
+setting angles, by brute force: rotate, play the schedule, read.  It is
+the independent reference for the scan.
 
-Each experiment plays the same compiled steps (`compile_schedule`) as
-a run of the config and as verification's random trials, up to the
-config's horizon.  At settings (0, 0) the records are therefore read
-from the state a run reports at its last step.
+`record_chsh_scan` grids both angles in closed form.  The setting
+rotation is linear in the half-angle, R(theta) = cos(theta/2) I +
+sin(theta/2) J with J = [[0, 1], [-1, 0]], so every experiment's final
+state is a real combination of the four evolved states
+phi_kl = U (A_k x B_l) psi_0, A, B in {I, J}.  The schedule is played
+four times, the records' <Z Z> is taken between those four states once
+(a real 4x4 Gram matrix G), and the whole grid follows as
+E(theta_a, theta_b) = sum v_k(a) v_m(a) v_l(b) v_n(b) G[kl, mn] with
+v(theta) = (cos theta/2, sin theta/2).  The CHSH combination is then
+maximised over all setting 4-tuples drawn from the grid.  For the
+entangled-qubit scenario the scan reaches the Tsirelson bound
+2*sqrt(2); for the product-state collision scenario it stays at 2.
+
+Both play the same compiled steps (`compile_schedule`) as a run of the
+config and as verification's random trials, up to the config's
+horizon.  At settings (0, 0) the records are therefore read from the
+state a run reports at its last step.
 """
 
 from dataclasses import dataclass
@@ -30,9 +40,12 @@ from .analysis import AnalysisError, max_chsh_from_grid
 from .gates import apply_columns, column_action, rotation_gate
 from .schedule import ScenarioConfig, compile_schedule, play_step
 
+#: The sine part of a setting rotation: R(theta) = cos(theta/2) I + sin(theta/2) J.
+_J_ACTION = column_action(np.array([[0.0, 1.0], [-1.0, 0.0]]))
+
 
 def _experiment_frame(config: ScenarioConfig, record_sites) -> tuple:
-    """Precompile everything reused across grid points."""
+    """Precompile what every experiment on this config and record pair reuses."""
     lattice = config.lattice
     systems = lattice.system_sites
     if len(systems) != 2:
@@ -85,16 +98,38 @@ class RecordScanResult:
     e_grid: np.ndarray    # E[i, j] at (angles[i], angles[j])
 
 
+def _evolved_basis(base: dict, spos: tuple, compiled: list) -> list:
+    """The four evolved states phi_kl = U (A_k x B_l) psi_0, A, B in {I, J},
+    in the order kl = 00, 01, 10, 11."""
+    phis = []
+    for k in (0, 1):
+        amps_a = apply_columns(base, (spos[0],), _J_ACTION) if k else base
+        for l in (0, 1):
+            amps = apply_columns(amps_a, (spos[1],), _J_ACTION) if l else amps_a
+            phis.append(play_step(amps, compiled))
+    return phis
+
+
+def _record_gram(phis: list, rpos: tuple) -> np.ndarray:
+    """G[kl, mn] = Re <phi_kl| Z x Z |phi_mn> at the record positions."""
+    keys = list(set().union(*phis))
+    m = np.array([[phi.get(bits, 0j) for bits in keys] for phi in phis])
+    pa, pb = rpos
+    z = np.array([1.0 if bits[pa] == bits[pb] else -1.0 for bits in keys])
+    return ((m.conj() * z) @ m.T).real
+
+
 def record_chsh_scan(config: ScenarioConfig, record_sites,
                      resolution_deg: float = 1.0) -> RecordScanResult:
-    """Grid both setting angles, one full experiment per grid point."""
-    frame = _experiment_frame(config, record_sites)
+    """Grid both setting angles in closed form from four evolved states."""
+    base, spos, compiled, rpos = _experiment_frame(config, record_sites)
+    g = _record_gram(_evolved_basis(base, spos, compiled), rpos)
     angles = np.deg2rad(np.arange(0.0, 360.0, resolution_deg))
-    actions = [column_action(rotation_gate(float(t)).matrix) for t in angles]
-    k = len(angles)
-    e_grid = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            e_grid[i, j] = _run_one(*frame, actions[i], actions[j])
+    v = np.stack([np.cos(angles / 2.0), np.sin(angles / 2.0)], axis=1)   # (K, 2)
+    # E[i, j] = sum P[i, km] H[km, ln] P[j, ln] with P[i, km] = v[i, k] v[i, m]
+    # and H[km, ln] = G[kl, mn]
+    p = (v[:, :, None] * v[:, None, :]).reshape(len(angles), 4)
+    h = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    e_grid = p @ h @ p.T
     value, settings = max_chsh_from_grid(angles, e_grid)
     return RecordScanResult(value, settings, angles, e_grid)

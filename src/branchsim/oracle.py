@@ -87,6 +87,8 @@ def dense_run(dense: DenseState, schedule: Schedule, horizon=None) -> list:
     """Evolve a dense state through a schedule; mirrors `run_schedule`."""
     if horizon is None:
         horizon = schedule.horizon
+    if horizon < 0:
+        raise OracleError(f"negative horizon {horizon}")
     steps = schedule.by_step()
     out = [dense]
     for t in range(horizon):

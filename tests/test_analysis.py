@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import branchsim as bs
-from branchsim import oracle
+from branchsim import analysis, oracle
 from conftest import random_state
 
 R2 = 1 / math.sqrt(2)
@@ -343,6 +343,38 @@ class TestCorrelationAndChsh:
             result = bs.chsh_grid_max(state, int(sites[0]), int(sites[1]),
                                       resolution_deg=15.0)
             assert result.value <= bound
+
+
+class TestPlaneChshMax:
+    def test_entangled_qubits_reach_tsirelson(self, epr_states):
+        assert bs.plane_chsh_max(epr_states[0], 0, 5) == pytest.approx(
+            2 * math.sqrt(2), abs=1e-12)
+
+    def test_grid_never_beats_the_plane_maximum(self):
+        rng = np.random.default_rng(37)
+        for _ in range(25):
+            state = random_state(rng)
+            a, b = (int(s) for s in rng.choice(5, size=2, replace=False))
+            plane = bs.plane_chsh_max(state, a, b)
+            assert bs.chsh_grid_max(state, a, b, resolution_deg=15.0).value <= plane + 1e-12
+            assert plane <= 2 * math.sqrt(2) + 1e-9
+
+    @pytest.mark.parametrize("sites", [(0, 5), (2, 3)])
+    @pytest.mark.parametrize("fixture", ["epr_states", "collision_states"])
+    def test_one_degree_grid_agrees(self, request, fixture, sites):
+        states = request.getfixturevalue(fixture)
+        for state in (states[0], states[-1]):
+            grid = bs.chsh_grid_max(state, *sites, resolution_deg=1.0)
+            assert abs(grid.value - bs.plane_chsh_max(state, *sites)) <= 1e-3
+
+    def test_grid_scan_shares_one_correlator_matrix(self, epr_states, monkeypatch):
+        calls = []
+        build = analysis.correlator_matrix
+        monkeypatch.setattr(analysis, "correlator_matrix",
+                            lambda *args: calls.append(args) or build(*args))
+        result = bs.chsh_grid_max(epr_states[0], 0, 5, resolution_deg=30.0)
+        assert len(calls) == 1
+        assert result.plane_max == bs.plane_chsh_max(epr_states[0], 0, 5)
 
 
 class TestSampling:

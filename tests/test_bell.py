@@ -109,6 +109,19 @@ class TestRecordScan:
         assert result.e_grid.shape == (4, 4)
         assert result.value == pytest.approx(2.0, abs=1e-12)
 
+    @pytest.mark.parametrize("resolution", [15.0, 30.0, 45.0])
+    @pytest.mark.parametrize("factory", [bs.scenario_epr, bs.scenario_collision])
+    def test_reported_settings_reproduce_the_value(self, factory, resolution):
+        # the closed-form grid differs from brute force in the last bits,
+        # so among tied maxima the scan may report any one; whichever it
+        # reports, four brute-force experiments must give its value
+        config = factory()
+        result = bs.record_chsh_scan(config, (2, 3), resolution_deg=resolution)
+        ta, tap, tb, tbp = result.settings
+        e = lambda t1, t2: bs.record_correlation(config, (2, 3), t1, t2)
+        combo = e(ta, tb) - e(ta, tbp) + e(tap, tb) + e(tap, tbp)
+        assert combo == pytest.approx(result.value, abs=1e-12)
+
     def test_grid_values_match_single_runs(self):
         result = bs.record_chsh_scan(bs.scenario_epr(), (2, 3), resolution_deg=45.0)
         config = bs.scenario_epr()

@@ -1,10 +1,11 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import branchsim as bs
-from branchsim import oracle, verify
+from branchsim import analysis, oracle, verify
 from conftest import random_state
 
 
@@ -50,6 +51,12 @@ class TestDenseEvolution:
         for sparse, dense in zip(collision_states, dense_states):
             assert oracle.dense_overlap(oracle.densify(sparse), dense) == pytest.approx(
                 1.0, abs=1e-12)
+
+    def test_dense_run_rejects_a_negative_horizon(self):
+        # as the sparse run_schedule does, instead of returning the start
+        config = bs.scenario_epr()
+        with pytest.raises(oracle.OracleError, match="negative horizon"):
+            oracle.dense_run(oracle.densify(config.initial), config.schedule, -1)
 
     def test_mirrored_pair_application(self):
         # dense engine honours slot order on reversed pairs too
@@ -120,3 +127,13 @@ class TestVerificationSuite:
         results = verify.run_verification(n_trials=0, gate_overrides={"U_copy": bad})
         failed = [r for r in results if not r.passed]
         assert any("U_copy" in r.name for r in failed)
+
+    def test_tsirelson_check_compares_the_plane_maximum(self, monkeypatch):
+        def inflated(*args, **kwargs):
+            scan = analysis.chsh_grid_max(*args, **kwargs)
+            return dataclasses.replace(scan, plane_max=3.0)
+
+        monkeypatch.setattr(verify, "chsh_grid_max", inflated)
+        check = {r.name: r for r in verify.check_known_values()}["CHSH within Tsirelson bound"]
+        assert not check.passed
+        assert "plane max 3.0" in check.detail
