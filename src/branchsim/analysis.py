@@ -33,6 +33,8 @@ _OUTER_CHUNK = 2 ** 16
 
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+#: P x Q for P, Q in (Z, X), shape (2, 2, 4, 4).
+_PAULI_PAIRS = np.array([[np.kron(p, q) for q in (_Z, _X)] for p in (_Z, _X)])
 
 
 class AnalysisError(ValueError):
@@ -153,22 +155,36 @@ def change_basis(rho: DensityMatrix, rotations: Mapping) -> DensityMatrix:
     return DensityMatrix(rho.sites, u.conj().T @ rho.matrix @ u)
 
 
+def _coherences(matrices: np.ndarray) -> np.ndarray:
+    a = np.abs(matrices)
+    return a.sum((-2, -1)) - np.trace(a, axis1=-2, axis2=-1)
+
+
+def _purities(matrices: np.ndarray) -> np.ndarray:
+    return np.trace(matrices @ matrices, axis1=-2, axis2=-1).real
+
+
+def _entropies(matrices: np.ndarray) -> np.ndarray:
+    """Entropy of each matrix of a (..., d, d) stack, by one eigvalsh."""
+    w = np.linalg.eigvalsh(matrices)
+    positive = w > 0.0
+    terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
+    return np.where(positive.any(-1), -terms.sum(-1), 0.0)
+
+
 def coherence(rho: DensityMatrix) -> float:
     """Sum of off-diagonal magnitudes — basis-dependent by design."""
-    a = np.abs(rho.matrix)
-    return float(a.sum() - np.trace(a))
+    return float(_coherences(rho.matrix))
 
 
 def purity(rho: DensityMatrix) -> float:
     """tr(rho^2); 1 for pure states, 2^-k for maximally mixed k sites."""
-    return float(np.trace(rho.matrix @ rho.matrix).real)
+    return float(_purities(rho.matrix))
 
 
 def entropy_of(rho: DensityMatrix) -> float:
     """Von Neumann entropy in nats, with 0 ln 0 = 0."""
-    w = np.linalg.eigvalsh(rho.matrix)
-    w = w[w > 0.0]
-    return float(-(w * np.log(w)).sum()) if w.size else 0.0
+    return float(_entropies(rho.matrix))
 
 
 def entanglement_entropy(state: PureState, region: Iterable) -> float:
@@ -205,25 +221,13 @@ def is_decohered(state: PureState, site: int, tol: float = BRANCH_TOL) -> bool:
 # per-state analysis: every one-site marginal once, shared by all consumers
 # ---------------------------------------------------------------------------
 
-def _stack_entropies(matrices: np.ndarray) -> np.ndarray:
-    """`entropy_of` for each matrix of a (..., d, d) stack, by one eigvalsh.
-
-    Bit for bit equal to `entropy_of` for d = 2; for larger d the sum
-    runs in another order, which changes only round-off.
-    """
-    w = np.linalg.eigvalsh(matrices)
-    positive = w > 0.0
-    terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
-    return np.where(positive.any(-1), -terms.sum(-1), 0.0)
-
-
 @dataclass(frozen=True)
 class SiteMarginals:
     """Every one-site reduced density matrix of a state, with its scalars.
 
     Entry i belongs to ``sites[i]`` (lattice order).  Each matrix equals
     ``reduced_density_matrix(state, [site]).matrix`` bit for bit, and
-    each scalar equals `coherence`, `purity` or `entropy_of` of it.
+    each scalar is `coherence`, `purity` or `entropy_of` of it by one formula.
     """
 
     sites: tuple
@@ -237,13 +241,8 @@ def site_marginals(state: PureState) -> SiteMarginals:
     """All one-site marginals of a state in one pass over its terms."""
     n = state.lattice.n_sites
     rho = _region_marginals(state, [(p,) for p in range(n)])
-    a = np.abs(rho)
-    return SiteMarginals(
-        state.lattice.indices, rho,
-        a.sum((-2, -1)) - np.trace(a, axis1=-2, axis2=-1),
-        np.trace(rho @ rho, axis1=-2, axis2=-1).real,
-        _stack_entropies(rho),
-    )
+    return SiteMarginals(state.lattice.indices, rho, _coherences(rho), _purities(rho),
+                         _entropies(rho))
 
 
 class StateAnalysis:
@@ -392,7 +391,7 @@ def _pair_mutual_information(state: PureState, marginals: SiteMarginals,
     """I(a:b) for each row (a, b) of lattice positions: one-site entropies
     from `marginals`, two-site entropies from one (P, 4, 4) stack."""
     return (marginals.entropy[pairs[:, 0]] + marginals.entropy[pairs[:, 1]]
-            - _stack_entropies(_region_marginals(state, pairs)))
+            - _entropies(_region_marginals(state, pairs)))
 
 
 def _cluster(state: PureState, marginals: SiteMarginals, decomp: BranchDecomposition,
@@ -443,14 +442,15 @@ class MeasurementSetting:
     theta: float = 0.0
 
 
-def _axis(theta: float) -> np.ndarray:
-    return math.cos(theta) * _Z + math.sin(theta) * _X
+def _units(thetas) -> np.ndarray:
+    """u(theta) = (cos theta, sin theta), so E(theta1, theta2) = u(theta1) . T u(theta2)."""
+    return np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)
 
 
 def correlation(state: PureState, a: MeasurementSetting, b: MeasurementSetting) -> float:
     """E(a, b) = <sigma(theta_a) x sigma(theta_b)> on the two sites."""
-    rho = reduced_density_matrix(state, [a.site, b.site])
-    return float(np.trace(rho.matrix @ np.kron(_axis(a.theta), _axis(b.theta))).real)
+    t = correlator_matrix(state, a.site, b.site)
+    return float(_units(a.theta) @ t @ _units(b.theta))
 
 
 def chsh(state: PureState, site_a: int, site_b: int, settings: Sequence) -> float:
@@ -460,10 +460,9 @@ def chsh(state: PureState, site_a: int, site_b: int, settings: Sequence) -> floa
     any local-hidden-variable model; quantum mechanics allows up to
     2 sqrt(2) (the Tsirelson bound), which no state exceeds.
     """
-    ta, tap, tb, tbp = settings
-    e = lambda t1, t2: correlation(state, MeasurementSetting(site_a, t1),
-                                   MeasurementSetting(site_b, t2))
-    return e(ta, tb) - e(ta, tbp) + e(tap, tb) + e(tap, tbp)
+    u = _units(settings)
+    e = u[:2] @ correlator_matrix(state, site_a, site_b) @ u[2:].T  # E(a_i, b_j)
+    return float(e[0, 0] - e[0, 1] + e[1, 0] + e[1, 1])
 
 
 @dataclass(frozen=True)
@@ -478,10 +477,7 @@ class ChshScanResult:
 def correlator_matrix(state: PureState, site_a: int, site_b: int) -> np.ndarray:
     """T[p, q] = <P x Q> on the two sites, P, Q in (Z, X)."""
     rho = reduced_density_matrix(state, [site_a, site_b])
-    return np.array([
-        [np.trace(rho.matrix @ np.kron(p, q)).real for q in (_Z, _X)]
-        for p in (_Z, _X)
-    ])
+    return np.trace(rho.matrix @ _PAULI_PAIRS, axis1=-2, axis2=-1).real
 
 
 def _plane_max(t: np.ndarray) -> float:
@@ -542,8 +538,8 @@ def chsh_grid_max(state: PureState, site_a: int, site_b: int,
     """
     t = correlator_matrix(state, site_a, site_b)
     angles = np.deg2rad(np.arange(0.0, 360.0, resolution_deg))
-    v = np.stack([np.cos(angles), np.sin(angles)])   # (2, K)
-    e_grid = v.T @ t @ v                             # E[i, j]
+    u = _units(angles)
+    e_grid = u @ t @ u.T                             # E[i, j]
     value, settings = max_chsh_from_grid(angles, e_grid)
     return ChshScanResult(value, settings, angles, e_grid, _plane_max(t))
 

@@ -32,6 +32,10 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 
+#: Finest chsh-scan grid step: 3600 angles, whose grid and maximiser
+#: buffers take about 0.4 GB.
+MIN_RESOLUTION_DEG = 0.1
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -45,14 +49,15 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", required=True, help="output directory")
     run.add_argument("--horizon", type=int, default=None, help="override the horizon")
     run.add_argument("--tolerance", type=float, default=analysis.BRANCH_TOL,
-                     help="branch/decoherence tolerance (default %(default)g)")
+                     help="branch/decoherence tolerance in [0, 1) (default %(default)g)")
     run.add_argument("--verify", action="store_true",
                      help="cross-check every step against the dense reference engine")
 
     ver = sub.add_parser("verify", help="run the self-verification suite")
-    ver.add_argument("--tolerance", type=float, default=1e-10)
+    ver.add_argument("--tolerance", type=float, default=1e-10,
+                     help="largest allowed deviation, >= 0 (default %(default)g)")
     ver.add_argument("--trials", type=int, default=verify.DEFAULT_TRIALS,
-                     help="random differential trials (default %(default)s)")
+                     help="random differential trials, >= 0 (default %(default)s)")
     ver.add_argument("--quick", action="store_true", help="only 100 random trials")
     ver.add_argument("--seed", type=int, default=20260825)
     # test hook: corrupt a library gate to prove the checks can fail
@@ -63,7 +68,9 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--config", required=True, help="scenario config (JSON)")
     scan.add_argument("--sites", type=int, nargs=2, required=True, metavar=("A", "B"),
                       help="the two readout sites")
-    scan.add_argument("--resolution", type=float, default=1.0, help="grid step (degrees)")
+    scan.add_argument("--resolution", type=float, default=1.0,
+                      help=f"grid step in degrees, {MIN_RESOLUTION_DEG:g} to 90 "
+                           "(default %(default)g)")
     scan.add_argument("--protocol", choices=["record", "state"], default="record",
                       help="record: rotate the system qubits before the run and read "
                            "the record bits; state: rotated readout of the final state")
@@ -74,7 +81,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _require(ok: bool, message: str):
+    """Raise `ConfigError` unless `ok`.  Callers pass an inclusive range
+    test, which NaN fails like any other value outside the range."""
+    if not ok:
+        raise ConfigError(message)
+
+
 def _cmd_run(args) -> int:
+    _require(0.0 <= args.tolerance < 1.0,
+             f"--tolerance must be in [0, 1), got {args.tolerance}")
     config = load_config(args.config)
     started = time.perf_counter()
     states = config.run(horizon=args.horizon)
@@ -99,6 +115,9 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _require(0.0 <= args.tolerance < math.inf,
+             f"--tolerance must be finite and >= 0, got {args.tolerance}")
+    _require(args.trials >= 0, f"--trials must be >= 0, got {args.trials}")
     overrides = None
     if args.inject_fault == "corrupt-gate":
         bad = np.eye(4, dtype=complex)
@@ -118,9 +137,10 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_chsh_scan(args) -> int:
+    _require(MIN_RESOLUTION_DEG <= args.resolution <= 90.0,
+             f"--resolution must be in [{MIN_RESOLUTION_DEG:g}, 90] degrees, "
+             f"got {args.resolution}")
     config = load_config(args.config)
-    if args.resolution <= 0 or args.resolution > 90:
-        raise ConfigError(f"resolution must be in (0, 90] degrees, got {args.resolution}")
     site_a, site_b = args.sites
     started = time.perf_counter()
     if args.protocol == "record":

@@ -126,8 +126,8 @@ def check_known_values(tol: float = 1e-10) -> list:
                            f"{decomp.n_branches} branches, E(2,3) = {e_records:.12f}"))
 
     # no state beats the Tsirelson bound, neither on a coarse grid nor at
-    # the exact plane maximum the grid approaches from below
-    scan = chsh_grid_max(epr, 2, 3, resolution_deg=15.0)
+    # the exact plane maximum; both sit at the bound for the epr qubits
+    scan = chsh_grid_max(SCENARIOS["epr"]().initial, 0, 5, resolution_deg=15.0)
     bound = 2 * math.sqrt(2) + 1e-9
     ok = scan.value <= scan.plane_max + 1e-12 and scan.plane_max <= bound
     results.append(_result("CHSH within Tsirelson bound", ok,
@@ -140,26 +140,27 @@ def check_known_values(tol: float = 1e-10) -> list:
 # ---------------------------------------------------------------------------
 
 def compare_states(state: PureState, dense: oracle.DenseState) -> float:
-    """Worst deviation across overlap, RDMs, entropies, branch weights."""
+    """Worst deviation across overlap, RDMs, entropies, branch weights; the
+    sparse side is one `StateAnalysis`, the marginals reports print."""
     worst = abs(oracle.dense_overlap(oracle.densify(state), dense) - 1.0)
-
-    sites = state.lattice.indices
-    for region in [(s,) for s in sites] + [tuple(sites[:2]), tuple(sites[-2:])]:
-        sparse_rho = analysis.reduced_density_matrix(state, region).matrix
-        worst = max(worst, float(np.abs(sparse_rho - oracle.dense_rdm(dense, region)).max()))
-        worst = max(worst, abs(analysis.entanglement_entropy(state, region)
-                               - oracle.dense_entropy(dense, region)))
 
     # branch decisions use a loose threshold so both engines agree on
     # which sites count as branched; the weights must then match tightly
-    decomp = analysis.branch_decompose(state, tol=1e-6)
-    sparse_weights = {b.key(): b.weight for b in decomp.branches}
+    summary = analysis.StateAnalysis(state, tol=1e-6)
+    m = summary.marginals
+    for site, matrix, entropy in zip(m.sites, m.matrices, m.entropy):
+        worst = max(worst, float(np.abs(matrix - oracle.dense_rdm(dense, (site,))).max()),
+                    abs(float(entropy) - oracle.dense_entropy(dense, (site,))))
+    for region in (m.sites[:2], m.sites[-2:]):
+        rho = analysis.reduced_density_matrix(state, region)
+        worst = max(worst, float(np.abs(rho.matrix - oracle.dense_rdm(dense, region)).max()),
+                    abs(analysis.entropy_of(rho) - oracle.dense_entropy(dense, region)))
+
+    sparse_weights = {b.key(): b.weight for b in summary.branches.branches}
     dense_weights = oracle.dense_branch_weights(dense, tol=1e-6)
     if set(sparse_weights) != set(dense_weights):
         return math.inf
-    worst = max(
-        [worst] + [abs(sparse_weights[k] - dense_weights[k]) for k in sparse_weights])
-    return worst
+    return max([worst] + [abs(sparse_weights[k] - dense_weights[k]) for k in sparse_weights])
 
 
 def dense_deviation(config: ScenarioConfig, states: list) -> float:

@@ -332,6 +332,16 @@ class TestCorrelationAndChsh:
         result = bs.chsh_grid_max(collision_states[-1], 2, 3, resolution_deg=5.0)
         assert abs(result.value) <= 1e-10
 
+    def test_chsh_builds_one_correlator_matrix(self, epr_states, monkeypatch):
+        calls = []
+        build = analysis.correlator_matrix
+        monkeypatch.setattr(analysis, "correlator_matrix",
+                            lambda *args: calls.append(args) or build(*args))
+        settings = (0.0, math.pi / 2, 3 * math.pi / 4, math.pi / 4)
+        assert bs.chsh(epr_states[0], 0, 5, settings) == pytest.approx(
+            2 * math.sqrt(2), abs=1e-12)
+        assert calls == [(epr_states[0], 0, 5)]
+
     def test_tsirelson_bound_on_random_states(self):
         rng = np.random.default_rng(31)
         bound = 2 * math.sqrt(2) + 1e-9

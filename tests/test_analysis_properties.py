@@ -2,14 +2,16 @@
 
 Random sparse states (at most 6 sites, at most 16 terms) check that the
 one-pass site marginals and the batched pair mutual information agree
-with the one-region functions, and that every density matrix built on
+with the one-region functions, that `entropy_of` and `correlation` agree
+with their textbook formulas, and that every density matrix built on
 the way is a valid one.
 """
 
 import itertools
+import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import branchsim as bs
@@ -74,6 +76,52 @@ def test_site_marginals_equal_single_site_rdms_bit_for_bit(state):
         assert marginals.purity[i].tobytes() == np.float64(bs.purity(rho)).tobytes()
         assert marginals.entropy[i].tobytes() == np.float64(bs.entropy_of(rho)).tobytes()
         assert_valid_density_matrix(marginals.matrices[i])
+
+
+def eigenvalue_entropy(m):
+    """Reference entropy: -sum w ln w over the positive eigenvalues only."""
+    w = np.linalg.eigvalsh(m)
+    w = w[w > 0.0]
+    return float(-(w * np.log(w)).sum()) if w.size else 0.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(sparse_states(), st.data())
+def test_entropy_of_matches_the_eigenvalue_sum(state, data):
+    # equal bit for bit while a region has fewer than 8 eigenvalues, where
+    # numpy sums them in plain order; larger regions differ in round-off
+    sites = state.lattice.indices
+    region = data.draw(st.lists(st.sampled_from(sites), min_size=1,
+                                max_size=len(sites), unique=True))
+    rho = analysis.reduced_density_matrix(state, region)
+    if len(region) <= 2:
+        assert bs.entropy_of(rho) == eigenvalue_entropy(rho.matrix)
+    else:
+        assert abs(bs.entropy_of(rho) - eigenvalue_entropy(rho.matrix)) <= 1e-14
+
+
+def kron_correlation(state, a, b):
+    """Reference E(a, b): trace of the pair RDM against sigma(theta_a) x sigma(theta_b)."""
+    z = np.array([[1.0, 0.0], [0.0, -1.0]])
+    x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    axis = lambda theta: math.cos(theta) * z + math.sin(theta) * x
+    rho = analysis.reduced_density_matrix(state, [a.site, b.site]).matrix
+    return float(np.trace(rho @ np.kron(axis(a.theta), axis(b.theta))).real)
+
+
+angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+@settings(max_examples=300, deadline=None)
+@given(sparse_states(), st.data(), angles, angles)
+def test_correlation_matches_the_kron_trace(state, data, theta_a, theta_b):
+    sites = state.lattice.indices
+    assume(len(sites) >= 2)
+    site_a, site_b = data.draw(st.lists(st.sampled_from(sites), min_size=2, max_size=2,
+                                        unique=True))
+    a = analysis.MeasurementSetting(site_a, theta_a)
+    b = analysis.MeasurementSetting(site_b, theta_b)
+    assert abs(bs.correlation(state, a, b) - kron_correlation(state, a, b)) <= 1e-15
 
 
 @settings(max_examples=300, deadline=None)

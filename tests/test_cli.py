@@ -114,6 +114,45 @@ class TestBadInput:
                                      {"scenario": "epr", "analyses": ["branch"]})
         assert "'branch'" in err
 
+    @staticmethod
+    def fails_cleanly(capsys, argv):
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        return err
+
+    @pytest.mark.parametrize("resolution", ["nan", "1e-300", "0.09"])
+    def test_resolution_outside_its_range(self, tmp_path, capsys, resolution):
+        # nan passed a `<= 0 or > 90` test; both small values built a huge grid
+        config = write_config(tmp_path, {"scenario": "epr"})
+        err = self.fails_cleanly(capsys, ["chsh-scan", "--config", config,
+                                          "--sites", "2", "3", "--resolution", resolution])
+        assert "--resolution" in err
+
+    @pytest.mark.parametrize("tolerance", ["-1", "nan", "inf", "1"])
+    def test_run_tolerance_outside_its_range(self, tmp_path, capsys, tolerance):
+        # -1 used to exit 0 with no site decohered and no site unbranched
+        err = self.run_fails_cleanly(tmp_path, capsys, {"scenario": "epr"},
+                                     "--tolerance", tolerance)
+        assert "--tolerance" in err
+
+    def test_run_tolerance_zero_is_accepted(self, tmp_path):
+        config = write_config(tmp_path, {"scenario": "epr"})
+        assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out"),
+                         "--tolerance", "0"]) == 0
+
+    def test_negative_trials(self, capsys):
+        # used to pass as "engines agree: -3 random sequences"
+        err = self.fails_cleanly(capsys, ["verify", "--trials", "-3"])
+        assert "--trials" in err
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "-0.1"])
+    def test_verify_tolerance_outside_its_range(self, capsys, tolerance):
+        # nan used to fail every check with exit 2
+        err = self.fails_cleanly(capsys, ["verify", "--quick", "--tolerance", tolerance])
+        assert "--tolerance" in err
+
 
 class TestVerify:
     def test_quick_suite_passes(self, capsys):

@@ -1,0 +1,99 @@
+"""`verify.compare_states` on the shared analysis path.
+
+The cross-check reads one `StateAnalysis` per compared state.  These
+tests pin it bit for bit to the per-region loop it replaced (kept here
+as the reference) and show that a fault in the shared marginals, the
+ones reports print, makes it fail.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+import branchsim as bs
+from branchsim import analysis, oracle, verify
+from test_analysis_properties import eigenvalue_entropy, loop_rdm, sparse_states
+
+
+def loop_compare_states(state, dense):
+    """Reference: one partial trace and one entropy per region, then a
+    separate branch decomposition."""
+    worst = abs(oracle.dense_overlap(oracle.densify(state), dense) - 1.0)
+    sites = state.lattice.indices
+    for region in [(s,) for s in sites] + [tuple(sites[:2]), tuple(sites[-2:])]:
+        rho = loop_rdm(state, region)
+        worst = max(worst, float(np.abs(rho - oracle.dense_rdm(dense, region)).max()))
+        worst = max(worst, abs(eigenvalue_entropy(rho) - oracle.dense_entropy(dense, region)))
+    decomp = analysis.branch_decompose(state, tol=1e-6)
+    sparse_weights = {b.key(): b.weight for b in decomp.branches}
+    dense_weights = oracle.dense_branch_weights(dense, tol=1e-6)
+    if set(sparse_weights) != set(dense_weights):
+        return math.inf
+    return max([worst] + [abs(sparse_weights[k] - dense_weights[k]) for k in sparse_weights])
+
+
+def assert_same_bits(state, dense):
+    assert (np.float64(verify.compare_states(state, dense)).tobytes()
+            == np.float64(loop_compare_states(state, dense)).tobytes())
+
+
+def test_random_trial_states_match_the_region_loop(monkeypatch):
+    compared = []
+    original = verify.compare_states
+    monkeypatch.setattr(verify, "compare_states",
+                        lambda s, d: compared.append((s, d)) or original(s, d))
+    rng = np.random.default_rng(5)
+    for _ in range(150):
+        verify.random_differential_trial(rng)
+    monkeypatch.undo()
+    assert len(compared) == 150
+    for state, dense in compared:
+        assert_same_bits(state, dense)
+
+
+@pytest.mark.parametrize("name", sorted(bs.SCENARIOS))
+def test_scenario_states_match_the_region_loop(name):
+    config = bs.SCENARIOS[name]()
+    dense_states = oracle.dense_run(oracle.densify(config.initial), config.schedule,
+                                    config.horizon)
+    for state, dense in zip(config.run(), dense_states):
+        assert_same_bits(state, dense)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_states())
+def test_random_sparse_states_match_the_region_loop(state):
+    dense = oracle.densify(state)
+    assert_same_bits(state, dense)
+    assert_same_bits(state, oracle.densify(bs.apply_gate1(state, bs.rotation_gate(0.3),
+                                                          state.lattice.indices[0])))
+
+
+@pytest.mark.parametrize("field", ["matrices", "entropy"])
+@pytest.mark.parametrize("index", range(6))
+def test_a_perturbed_shared_marginal_fails_the_check(monkeypatch, field, index):
+    # every one-site off-diagonal of the final epr state is exactly 0 in
+    # both engines, so the perturbation is the whole deviation
+    state = bs.scenario_epr().run()[-1]
+    dense = oracle.densify(state)
+    assert verify.compare_states(state, dense) <= 1e-15
+    original = analysis.site_marginals
+
+    def perturbed(s):
+        m = original(s)
+        values = getattr(m, field).copy()
+        if field == "matrices":
+            values[index, 0, 1] += 1e-6
+        else:
+            values[index] += 1e-6
+        return dataclasses.replace(m, **{field: values})
+
+    monkeypatch.setattr(analysis, "site_marginals", perturbed)
+    worst = verify.compare_states(state, dense)
+    if field == "matrices":
+        assert worst >= 1e-6
+    else:
+        assert worst == pytest.approx(1e-6, rel=1e-9)

@@ -137,3 +137,10 @@ class TestVerificationSuite:
         check = {r.name: r for r in verify.check_known_values()}["CHSH within Tsirelson bound"]
         assert not check.passed
         assert "plane max 3.0" in check.detail
+
+    def test_tsirelson_check_runs_at_the_bound(self):
+        # on the entangled epr qubits, not a decohered record pair at S = 2
+        check = {r.name: r for r in verify.check_known_values()}["CHSH within Tsirelson bound"]
+        assert check.passed
+        plane_max = float(check.detail.split("plane max ")[1])
+        assert abs(plane_max - 2 * math.sqrt(2)) <= 1e-9
