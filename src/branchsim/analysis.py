@@ -20,7 +20,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .gates import rotation_gate, apply_gate1
-from .lattice import PureState
+from .lattice import PureState, TermTable, complex_product, first_appearance, ordered_sum
 
 #: Default tolerance for calling a site decohered / a weight a branch.
 BRANCH_TOL = 1e-9
@@ -95,10 +95,8 @@ def _region_marginals(state: PureState, regions) -> np.ndarray:
     """
     regions = np.asarray(regions, dtype=np.intp)
     n_regions, k = regions.shape
-    n, dim = state.lattice.n_sites, 2 ** k
-    n_terms = state.n_terms
-    amps = np.fromiter(state.amplitudes.values(), dtype=complex, count=n_terms)
-    bits = np.array(list(state.amplitudes), dtype=np.uint8).reshape(n_terms, n)
+    dim, n_terms = 2 ** k, state.n_terms
+    amps, bits = state.table.amps, state.table.bits
 
     inside = bits[:, regions]                                  # (T, R, k)
     index = (inside.astype(np.intp) << np.arange(k - 1, -1, -1)).sum(-1)
@@ -110,17 +108,14 @@ def _region_marginals(state: PureState, regions) -> np.ndarray:
                            np.packbits(outside, axis=-1)], axis=-1)
     rows = np.ascontiguousarray(rows.reshape(n_regions * n_terms, -1))
     keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    group, first = first_appearance(keys)      # region-major, then term order
 
-    order = np.argsort(first)                  # region-major, then first appearance
-    rank = np.empty_like(order)
-    rank[order] = np.arange(order.size)
-    vectors = np.zeros((order.size, dim), dtype=complex)
-    vectors[rank[inverse.ravel()], index.T.ravel()] += np.tile(amps, n_regions)
-    owner = first[order] // n_terms            # region of each group
+    vectors = np.zeros((first.size, dim), dtype=complex)
+    vectors[group, index.T.ravel()] += np.tile(amps, n_regions)
+    owner = first // n_terms                   # region of each group
     rho = np.zeros((n_regions, dim, dim), dtype=complex)
     step = max(1, _OUTER_CHUNK // (dim * dim))  # bounds the outer-product buffer
-    for lo in range(0, order.size, step):
+    for lo in range(0, first.size, step):
         v = vectors[lo:lo + step]
         np.add.at(rho, owner[lo:lo + step], v[:, :, None] * v.conj()[:, None, :])
     return rho
@@ -336,10 +331,11 @@ def _decompose(state: PureState, marginals: SiteMarginals, tol: float) -> Branch
     branched = [s for s, p in zip(marginals.sites, marginals.purity) if p < 1.0 - tol]
     bpos = [lattice.position(s) for s in branched]
 
+    re, im = state.table.amps.real, state.table.amps.imag
     merged: dict = {}
-    for bits, amp in state.amplitudes.items():
-        key = tuple(bits[p] for p in bpos)
-        merged[key] = merged.get(key, 0.0) + (amp.real * amp.real + amp.imag * amp.imag)
+    for key, w in zip(map(tuple, state.table.bits[:, bpos].tolist()),
+                      (re * re + im * im).tolist()):
+        merged[key] = merged.get(key, 0.0) + w
     merged = {key: w for key, w in merged.items() if w > tol}
     total = sum(merged.values())
     support = frozenset(branched)
@@ -557,15 +553,16 @@ def sample_measurement(state: PureState, setting: MeasurementSetting, seed: int)
     if setting.theta != 0.0:
         rotated = apply_gate1(state, rotation_gate(setting.theta), setting.site)
     pos = state.lattice.position(setting.site)
+    table = rotated.table
+    re, im = table.amps.real, table.amps.imag
 
-    p1 = sum(a.real * a.real + a.imag * a.imag
-             for bits, a in rotated.amplitudes.items() if bits[pos] == 1)
+    p1 = ordered_sum((re * re + im * im)[table.bits[:, pos] == 1])
     outcome = 1 if rng.random() < p1 else 0
     p = p1 if outcome == 1 else 1.0 - p1
     scale = 1.0 / math.sqrt(p)
-    collapsed = PureState(state.lattice, {
-        bits: a * scale for bits, a in rotated.amplitudes.items() if bits[pos] == outcome
-    })
+    kept = table.bits[:, pos] == outcome
+    re, im = complex_product(re[kept], im[kept], scale, 0.0)  # Python's a * scale
+    collapsed = PureState(state.lattice, TermTable.pruned(table.bits[kept], re, im))
     if setting.theta != 0.0:
         collapsed = apply_gate1(collapsed, rotation_gate(-setting.theta), setting.site)
     return outcome, collapsed

@@ -38,6 +38,7 @@ import numpy as np
 
 from .analysis import AnalysisError, max_chsh_from_grid
 from .gates import apply_columns, column_action, rotation_gate
+from .lattice import TermTable, first_appearance, ordered_sum, row_keys
 from .schedule import ScenarioConfig, compile_schedule, play_step
 
 #: The sine part of a setting rotation: R(theta) = cos(theta/2) I + sin(theta/2) J.
@@ -58,22 +59,24 @@ def _experiment_frame(config: ScenarioConfig, record_sites) -> tuple:
     spos = (lattice.position(systems[0]), lattice.position(systems[1]))
     steps = compile_schedule(config.schedule, lattice, config.horizon)
     compiled = [pair for step in steps for pair in step]
-    base = dict(config.initial.amplitudes)
-    return base, spos, compiled, rpos
+    return config.initial.table, spos, compiled, rpos
 
 
-def _run_one(base: dict, spos: tuple, compiled: list, rpos: tuple,
+def _run_one(base: TermTable, spos: tuple, compiled: list, rpos: tuple,
              action_a, action_b) -> float:
     """One experiment: rotate, evolve, read <Z Z> at the record sites."""
-    amps = apply_columns(base, (spos[0],), action_a)
-    amps = apply_columns(amps, (spos[1],), action_b)
-    amps = play_step(amps, compiled)
+    table = apply_columns(base, (spos[0],), action_a)
+    table = apply_columns(table, (spos[1],), action_b)
+    table = play_step(table, compiled)
+    re, im = table.amps.real, table.amps.imag
+    return ordered_sum(_record_signs(table.bits, rpos) * (re * re + im * im))
+
+
+def _record_signs(bits: np.ndarray, rpos: tuple) -> np.ndarray:
+    """Z x Z at the record positions of each row: +1 where the two record
+    bits agree, -1 where they differ."""
     pa, pb = rpos
-    e = 0.0
-    for bits, amp in amps.items():
-        w = amp.real * amp.real + amp.imag * amp.imag
-        e += w if bits[pa] == bits[pb] else -w
-    return e
+    return np.where(bits[:, pa] == bits[:, pb], 1.0, -1.0)
 
 
 def record_correlation(config: ScenarioConfig, record_sites, theta_a: float,
@@ -85,9 +88,7 @@ def record_correlation(config: ScenarioConfig, record_sites, theta_a: float,
     bit-basis <Z Z> correlator of the two record sites at the horizon.
     """
     frame = _experiment_frame(config, record_sites)
-    action_a = column_action(rotation_gate(theta_a).matrix)
-    action_b = column_action(rotation_gate(theta_b).matrix)
-    return _run_one(*frame, action_a, action_b)
+    return _run_one(*frame, rotation_gate(theta_a).action, rotation_gate(theta_b).action)
 
 
 @dataclass(frozen=True)
@@ -98,24 +99,36 @@ class RecordScanResult:
     e_grid: np.ndarray    # E[i, j] at (angles[i], angles[j])
 
 
-def _evolved_basis(base: dict, spos: tuple, compiled: list) -> list:
-    """The four evolved states phi_kl = U (A_k x B_l) psi_0, A, B in {I, J},
-    in the order kl = 00, 01, 10, 11."""
-    phis = []
-    for k in (0, 1):
-        amps_a = apply_columns(base, (spos[0],), _J_ACTION) if k else base
-        for l in (0, 1):
-            amps = apply_columns(amps_a, (spos[1],), _J_ACTION) if l else amps_a
-            phis.append(play_step(amps, compiled))
-    return phis
+def _evolved_basis(base: TermTable, spos: tuple, compiled: list) -> tuple:
+    """The four evolved states phi_kl = U (A_k x B_l) psi_0, A, B in {I, J}.
+
+    Returns one table of all their terms and, per row, the index 2k + l
+    of its state.  The four inputs are stacked, each row tagged with its
+    k and l in two extra bit columns, and the schedule is played once:
+    rows with different tags never merge, so each state's rows come out
+    in its own term order with its own sums.
+    """
+    a = apply_columns(base, (spos[0],), _J_ACTION)
+    inputs = (base, apply_columns(base, (spos[1],), _J_ACTION),
+              a, apply_columns(a, (spos[1],), _J_ACTION))
+    tags = np.repeat(np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8),
+                     [len(t) for t in inputs], axis=0)
+    stacked = TermTable(np.concatenate([np.concatenate([t.bits for t in inputs]), tags], axis=1),
+                        np.concatenate([t.amps for t in inputs]))
+    played = play_step(stacked, compiled)
+    n = base.bits.shape[1]
+    owner = 2 * played.bits[:, n] + played.bits[:, n + 1]
+    return TermTable(played.bits[:, :n], played.amps), owner
 
 
-def _record_gram(phis: list, rpos: tuple) -> np.ndarray:
-    """G[kl, mn] = Re <phi_kl| Z x Z |phi_mn> at the record positions."""
-    keys = list(set().union(*phis))
-    m = np.array([[phi.get(bits, 0j) for bits in keys] for phi in phis])
-    pa, pb = rpos
-    z = np.array([1.0 if bits[pa] == bits[pb] else -1.0 for bits in keys])
+def _record_gram(phis: TermTable, owner: np.ndarray, rpos: tuple) -> np.ndarray:
+    """G[kl, mn] = Re <phi_kl| Z x Z |phi_mn> at the record positions,
+    summed over the union of the four supports (`owner` says which
+    phi_kl each row of `phis` belongs to)."""
+    column, first = first_appearance(row_keys(phis.bits))
+    m = np.zeros((4, len(first)), dtype=complex)
+    m[owner, column] = phis.amps
+    z = _record_signs(phis.bits[first], rpos)
     return ((m.conj() * z) @ m.T).real
 
 
@@ -123,7 +136,7 @@ def record_chsh_scan(config: ScenarioConfig, record_sites,
                      resolution_deg: float = 1.0) -> RecordScanResult:
     """Grid both setting angles in closed form from four evolved states."""
     base, spos, compiled, rpos = _experiment_frame(config, record_sites)
-    g = _record_gram(_evolved_basis(base, spos, compiled), rpos)
+    g = _record_gram(*_evolved_basis(base, spos, compiled), rpos)
     angles = np.deg2rad(np.arange(0.0, 360.0, resolution_deg))
     v = np.stack([np.cos(angles / 2.0), np.sin(angles / 2.0)], axis=1)   # (K, 2)
     # E[i, j] = sum P[i, km] H[km, ln] P[j, ln] with P[i, km] = v[i, k] v[i, m]

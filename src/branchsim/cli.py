@@ -37,8 +37,17 @@ EXIT_VERIFY = 2
 MIN_RESOLUTION_DEG = 0.1
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a `ConfigError`, which `main` prints as one
+    ``error:`` line with exit code 1; argparse's own exit code 2 is the
+    verification-failure code here.  Subcommand parsers inherit this."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="branchsim",
         description="Simulate and analyse decoherence branching on a 1-D spin lattice.")
     parser.add_argument("--version", action="version", version=f"branchsim {__version__}")
@@ -191,8 +200,6 @@ def _cmd_scenario(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     handlers = {
         "run": _cmd_run,
         "verify": _cmd_verify,
@@ -200,6 +207,7 @@ def main(argv=None) -> int:
         "scenario": _cmd_scenario,
     }
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
     except (ConfigError, ScheduleError, GateError, LatticeError, StateError,
             analysis.AnalysisError, OSError) as exc:

@@ -34,7 +34,7 @@ from typing import Union
 
 import numpy as np
 
-from .lattice import PRUNE_EPS, PureState
+from .lattice import PureState, TermTable, complex_product, first_appearance, row_keys
 
 #: Gate matrices must be unitary to this tolerance.
 UNITARITY_TOL = 1e-12
@@ -48,21 +48,58 @@ def _check_unitary(matrix: np.ndarray, dim: int, name: str) -> np.ndarray:
     m = np.array(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise GateError(f"{name}: want a {dim}x{dim} matrix, got shape {m.shape}")
-    if not np.allclose(m.conj().T @ m, np.eye(dim), atol=UNITARITY_TOL, rtol=0.0):
+    # elementwise |U^dag U - 1| <= tol; a NaN or inf entry fails it too
+    if not np.abs(m.conj().T @ m - np.eye(dim)).max() <= UNITARITY_TOL:
         raise GateError(f"{name}: matrix is not unitary within {UNITARITY_TOL}")
     m.setflags(write=False)
     return m
 
 
+@dataclass(frozen=True, eq=False)
+class ColumnAction:
+    """The nonzero entries U_ij of a gate matrix, column by column.
+
+    Column j's ``counts[j]`` entries are ``start[j]:start[j + 1]``, in
+    ascending row order: the bits of row index i (one per gate slot) in
+    `row_bits`, and the coefficient ``re + i im``.  `permutation` is set
+    when every column has exactly one entry; then entry j is column j's.
+    """
+
+    start: np.ndarray
+    counts: np.ndarray
+    row_bits: np.ndarray
+    re: np.ndarray
+    im: np.ndarray
+    permutation: bool
+
+
+def column_action(matrix: np.ndarray) -> ColumnAction:
+    """The nonzero entries of every column of `matrix`, for `apply_columns`."""
+    matrix = np.asarray(matrix, dtype=complex)
+    dim = matrix.shape[0]
+    cols, rows = np.nonzero(matrix.T)          # column-major, rows ascending
+    counts = np.bincount(cols, minlength=dim)
+    width = dim.bit_length() - 1               # gate slots: 1 or 2
+    row_bits = (rows[:, None] >> np.arange(width - 1, -1, -1)) & 1
+    coeffs = matrix[rows, cols]
+    arrays = (np.concatenate(([0], counts.cumsum())), counts, row_bits.astype(np.uint8),
+              coeffs.real.copy(), coeffs.imag.copy())
+    for array in arrays:  # gates share their action with every caller
+        array.setflags(write=False)
+    return ColumnAction(*arrays, bool((counts == 1).all()))
+
+
 @dataclass(frozen=True)
 class Gate1:
-    """A single-site unitary (2x2, checked at construction)."""
+    """A single-site unitary (2x2, checked at construction), with its
+    `column_action` as ``action``."""
 
     name: str
     matrix: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _check_unitary(self.matrix, 2, self.name))
+        object.__setattr__(self, "action", column_action(self.matrix))
 
     @property
     def n_sites(self) -> int:
@@ -71,13 +108,15 @@ class Gate1:
 
 @dataclass(frozen=True)
 class Gate2:
-    """A two-site unitary (4x4, checked at construction)."""
+    """A two-site unitary (4x4, checked at construction), with its
+    `column_action` as ``action``."""
 
     name: str
     matrix: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _check_unitary(self.matrix, 4, self.name))
+        object.__setattr__(self, "action", column_action(self.matrix))
 
     @property
     def n_sites(self) -> int:
@@ -129,21 +168,21 @@ def identity_gate() -> Gate1:
 
 _ROT_RE = re.compile(r"rot\(([^)]+)\)\Z")
 
+#: The named built-in gates, built once: gates are immutable, so every
+#: lookup shares them.
+_BUILTIN = {gate.name: gate for gate in (system_field_gate(), field_copy_gate(),
+                                         field_swap_gate(), hadamard_gate(),
+                                         identity_gate())}
+
 
 def gate_by_name(name: str) -> Gate:
     """Resolve a gate name as used in schedules and scenario configs.
 
     Recognised: ``U_si``, ``U_copy``, ``U_swap``, ``H``, ``I``, ``rot(<float>)``.
+    The five fixed names return one shared instance each.
     """
-    builtin = {
-        "U_si": system_field_gate,
-        "U_copy": field_copy_gate,
-        "U_swap": field_swap_gate,
-        "H": hadamard_gate,
-        "I": identity_gate,
-    }
-    if name in builtin:
-        return builtin[name]()
+    if name in _BUILTIN:
+        return _BUILTIN[name]
     m = _ROT_RE.match(name)
     if m:
         try:
@@ -157,49 +196,61 @@ def gate_by_name(name: str) -> Gate:
 # sparse application
 # ---------------------------------------------------------------------------
 #
-# A gate column tells us where one basis state goes.  Precomputing the
-# nonzero entries of each column turns application into a handful of
-# dict operations per term — for the built-in permutation gates, exactly
-# one per term.
+# Every gate carries its column action: the nonzero entries of each
+# column, which say where one basis state goes.  Application is then
+# array lookups on the column index of every term.  For permutation
+# gates, the built-in interactions among them, each term moves to
+# exactly one new basis string and no two terms meet.
 
-def column_action(matrix: np.ndarray):
-    """action[j] = [(i, U_ij) for each nonzero U_ij] for every column j."""
-    dim = matrix.shape[0]
-    return [
-        [(i, complex(matrix[i, j])) for i in range(dim) if abs(matrix[i, j]) != 0.0]
-        for j in range(dim)
-    ]
-
-
-def apply_columns(amps: dict, positions: tuple, action) -> dict:
+def apply_columns(table: TermTable, positions: tuple, action: ColumnAction) -> TermTable:
     """Apply a precomputed column action at basis-string positions.
 
-    Low-level routine shared by every evolution path: `amps` is a plain
-    dict of basis tuple -> amplitude; returns a new pruned dict.
+    Low-level routine shared by every evolution path; returns a new
+    pruned table.  The result equals a loop over the terms in order that
+    adds ``U_ij * amp`` into output basis string i, creating it at its
+    first contribution: output terms are in order of first appearance,
+    and each amplitude is its contributions summed in that order.
     """
-    out: dict = {}
+    bits, amps = table.bits, table.amps
     if len(positions) == 1:
-        (p,) = positions
-        for bits, amp in amps.items():
-            for i, coeff in action[bits[p]]:
-                nb = bits[:p] + (i,) + bits[p + 1:]
-                out[nb] = out.get(nb, 0j) + coeff * amp
+        col = bits[:, positions[0]]
     else:
-        pa, pb = positions
-        for bits, amp in amps.items():
-            for i, coeff in action[2 * bits[pa] + bits[pb]]:
-                nb = list(bits)
-                nb[pa], nb[pb] = i >> 1, i & 1
-                nb = tuple(nb)
-                out[nb] = out.get(nb, 0j) + coeff * amp
-    return {b: a for b, a in out.items() if abs(a) >= PRUNE_EPS}
+        col = 2 * bits[:, positions[0]] + bits[:, positions[1]]
+    if action.permutation:  # term t moves to row_bits[col[t]], nothing merges
+        re, im = complex_product(action.re[col], action.im[col], amps.real, amps.imag)
+        out = bits.copy()
+        _write(out, positions, action.row_bits[col])
+        return TermTable.pruned(out, 0.0 + re, 0.0 + im)   # 0j + U_ij * amp
+
+    if not len(col):
+        return table
+    # one entry per nonzero U_ij of each term's column, in (term, row) order
+    counts = action.counts[col]
+    term = np.arange(len(col)).repeat(counts)
+    ends = counts.cumsum()
+    entry = np.arange(ends[-1]) + (action.start[col] - ends + counts).repeat(counts)
+    re, im = complex_product(action.re[entry], action.im[entry],
+                             amps.real[term], amps.imag[term])
+    expanded = bits[term]                      # each entry's output basis string
+    _write(expanded, positions, action.row_bits[entry])
+    slot, source = first_appearance(row_keys(expanded))
+    out_re, out_im = np.zeros(len(source)), np.zeros(len(source))
+    np.add.at(out_re, slot, re)                # adds in entry order, onto 0.0
+    np.add.at(out_im, slot, im)
+    return TermTable.pruned(expanded[source], out_re, out_im)
+
+
+def _write(bits: np.ndarray, positions: tuple, new: np.ndarray):
+    """bits[:, positions[j]] = new[:, j], in place."""
+    for j, p in enumerate(positions):
+        bits[:, p] = new[:, j]
 
 
 def apply_gate1(state: PureState, gate: Gate1, site: int) -> PureState:
     """Apply a single-site gate, returning a new state."""
     pos = state.lattice.position(site)
-    amps = apply_columns(dict(state.amplitudes), (pos,), column_action(gate.matrix))
-    return PureState(state.lattice, amps)
+    table = apply_columns(state.table, (pos,), gate.action)
+    return PureState(state.lattice, table)
 
 
 def apply_gate2(state: PureState, gate: Gate2, pair: tuple) -> PureState:
@@ -213,5 +264,5 @@ def apply_gate2(state: PureState, gate: Gate2, pair: tuple) -> PureState:
     if a == b:
         raise GateError(f"two-site gate needs two distinct sites, got {pair}")
     positions = (state.lattice.position(a), state.lattice.position(b))
-    amps = apply_columns(dict(state.amplitudes), positions, column_action(gate.matrix))
-    return PureState(state.lattice, amps)
+    table = apply_columns(state.table, positions, gate.action)
+    return PureState(state.lattice, table)

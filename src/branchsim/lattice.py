@@ -8,21 +8,29 @@ environment spin).  Both kinds are encoded with a single bit per site:
     bit 1  <->  |1> for a system site,  down-spin for a field site
 
 A basis string lists one bit per site in lattice order, leftmost site
-first (most significant).  States are stored sparsely as a mapping from
-basis string to complex amplitude; only nonzero amplitudes are kept, and
-amplitudes with |a| < PRUNE_EPS are dropped as floating-point dust.  The
-branch structure produced by the model's gates keeps these maps tiny even
-on long chains.
+first (most significant).  States are stored sparsely, as a `TermTable`
+of two arrays in term order: a (T, n) uint8 bit matrix, one row per
+basis string, and a complex128 vector of the T amplitudes.  Only
+nonzero amplitudes are kept, and amplitudes with |a| < PRUNE_EPS are
+dropped as floating-point dust.  The branch structure produced by the
+model's gates keeps T small even on long chains.  A state's
+``amplitudes`` is a read-only basis tuple -> amplitude view of the same
+terms, built from the arrays on first lookup.
+
+Term order is the order of first appearance: gates keep their input
+order and place a merged term where its first contribution arises.
+Sums over terms (norms, partial traces, branch weights) run in that
+order, left to right.
 
 PureState objects are immutable: every operation returns a new state.
 """
 
 import json
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
-from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable
 
 import numpy as np
 
@@ -127,31 +135,161 @@ def _as_bits(basis, n_sites: int) -> BasisString:
     return bits
 
 
+def ordered_sum(values: np.ndarray) -> float:
+    """Left-to-right sum of a float vector, as Python's ``0.0 + x0 + x1 +
+    ...`` computes it (``np.sum`` adds pairwise, so its last bits differ)."""
+    return float(values.cumsum()[-1]) + 0.0 if len(values) else 0.0
+
+
+def complex_product(ar, ai, br, bi) -> tuple:
+    """(re, im) of (ar + i ai) (br + i bi), by Python's complex formula.
+
+    numpy's own complex multiply may fuse multiply-adds and round
+    differently; on real arrays each product and sum is rounded once,
+    which keeps array results bit-equal to a loop over Python complexes.
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def row_keys(bits: np.ndarray) -> np.ndarray:
+    """One opaque sortable key per row of a 0/1 matrix, for `np.unique`:
+    equal rows give equal keys, and keys sort like the rows' bit tuples."""
+    packed = np.ascontiguousarray(np.packbits(bits, axis=1))
+    return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+
+
+def first_appearance(keys: np.ndarray) -> tuple:
+    """Group equal entries of a key vector, numbering the groups in order
+    of first appearance.  Returns (group of each entry, index of each
+    group's first entry)."""
+    perm = keys.argsort(kind="stable")         # equal keys keep index order
+    ordered = keys[perm]
+    starts = np.empty(len(keys), dtype=bool)
+    starts[:1] = True
+    starts[1:] = ordered[1:] != ordered[:-1]
+    first = perm[starts]                       # groups in key order
+    order = first.argsort()
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    group = np.empty(len(keys), dtype=np.intp)
+    group[perm] = rank[starts.cumsum() - 1]
+    return group, first[order]
+
+
+class TermTable:
+    """The terms of a sparse state as two read-only arrays, in term order.
+
+    ``bits`` is (T, n) uint8, one basis string per row; ``amps`` holds the
+    T complex128 amplitudes, none of them below PRUNE_EPS in modulus and
+    no basis string twice.  Gates and constructors build tables directly;
+    `len` is the number of terms.
+    """
+
+    __slots__ = ("bits", "amps")
+
+    def __init__(self, bits: np.ndarray, amps: np.ndarray):
+        bits.setflags(write=False)
+        amps.setflags(write=False)
+        self.bits = bits
+        self.amps = amps
+
+    def __len__(self) -> int:
+        return len(self.amps)
+
+    @classmethod
+    def pruned(cls, bits: np.ndarray, re: np.ndarray, im: np.ndarray) -> "TermTable":
+        """Table of the rows whose amplitude re + i im is at least PRUNE_EPS."""
+        amps = np.empty(len(re), dtype=complex)
+        amps.real = re
+        amps.imag = im
+        keep = np.hypot(re, im) >= PRUNE_EPS
+        if np.count_nonzero(keep) < len(keep):
+            bits, amps = bits[keep], amps[keep]
+        return cls(bits, amps)
+
+
+class AmplitudeView(Mapping):
+    """Read-only basis tuple -> amplitude mapping over a `TermTable`.
+
+    Iterates in term order.  The dict behind it is built on the first
+    lookup or iteration, at most once; `len` reads the table.
+    """
+
+    __slots__ = ("_table", "_dict")
+
+    def __init__(self, table: TermTable, mapping=None):
+        self._table = table
+        self._dict = mapping
+
+    def _map(self) -> dict:
+        if self._dict is None:
+            self._dict = dict(zip(map(tuple, self._table.bits.tolist()),
+                                  self._table.amps.tolist()))
+        return self._dict
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, basis):
+        return self._map()[basis]
+
+    def __iter__(self):
+        return iter(self._map())
+
+    def __contains__(self, basis) -> bool:
+        return basis in self._map()
+
+    def get(self, basis, default=None):
+        return self._map().get(basis, default)
+
+    def keys(self):
+        return self._map().keys()
+
+    def items(self):
+        return self._map().items()
+
+    def values(self):
+        return self._map().values()
+
+    def __repr__(self):
+        return f"AmplitudeView({self._map()!r})"
+
+
 @dataclass(frozen=True)
 class PureState:
     """Sparse pure state: basis string -> complex amplitude.
 
-    The amplitude map is exposed read-only; states are value objects and
-    never mutated in place.  Constructors (`product_state`,
-    `entangled_state`) and gate application keep states normalised;
-    `norm` lets callers check.
+    `amplitudes` may be any mapping from basis strings ('0110' or bit
+    sequences) to amplitudes; every basis string is checked and dust is
+    pruned.  A `TermTable`, which gates and constructors pass, is taken
+    as it is.  Afterwards ``table`` holds the terms and ``amplitudes`` is
+    their read-only `AmplitudeView`; states are value objects and never
+    mutated in place.  Constructors (`product_state`, `entangled_state`)
+    and gate application keep states normalised; `norm` lets callers
+    check.
     """
 
     lattice: Lattice
     amplitudes: Mapping
 
     def __post_init__(self):
-        n = self.lattice.n_sites
-        amps = {}
-        for basis, amp in self.amplitudes.items():
-            amp = complex(amp)
-            if abs(amp) >= PRUNE_EPS:
-                amps[_as_bits(basis, n)] = amp
-        object.__setattr__(self, "amplitudes", MappingProxyType(amps))
+        table, checked = self.amplitudes, None
+        if not isinstance(table, TermTable):
+            n = self.lattice.n_sites
+            checked = {}
+            for basis, amp in table.items():
+                amp = complex(amp)
+                if abs(amp) >= PRUNE_EPS:
+                    checked[_as_bits(basis, n)] = amp
+            table = TermTable(
+                np.array(list(checked), dtype=np.uint8).reshape(len(checked), n),
+                np.fromiter(checked.values(), dtype=complex, count=len(checked)))
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "amplitudes", AmplitudeView(table, checked))
 
     @property
     def n_terms(self) -> int:
-        return len(self.amplitudes)
+        return len(self.table)
 
     def amplitude(self, basis) -> complex:
         """Amplitude of one basis string (0 if absent)."""
@@ -170,8 +308,10 @@ class PureState:
 
 
 def norm(state: PureState) -> float:
-    """Sum of squared amplitude moduli, sum_b |a_b|^2 (1.0 for unit states)."""
-    return float(sum((a.real * a.real + a.imag * a.imag) for a in state.amplitudes.values()))
+    """Sum of squared amplitude moduli, sum_b |a_b|^2 (1.0 for unit states),
+    added in term order."""
+    re, im = state.table.amps.real, state.table.amps.imag
+    return ordered_sum(re * re + im * im)
 
 
 def inner_product(a: PureState, b: PureState) -> complex:
@@ -213,15 +353,23 @@ def product_state(lattice: Lattice, site_states: Mapping) -> PureState:
                              f"(|v|^2 = {np.vdot(vec, vec).real!r})")
         columns.append(vec)
 
-    amps = {(): 1 + 0j}
-    for vec in columns:  # grow the product one site at a time, skipping zeros
-        amps = {
-            bits + (b,): amp * vec[b]
-            for bits, amp in amps.items()
-            for b in (0, 1)
-            if abs(vec[b]) >= PRUNE_EPS
-        }
-    return PureState(lattice, amps)
+    vecs = np.array(columns)
+    kept = np.hypot(vecs.real, vecs.imag) >= PRUNE_EPS   # (n, 2): bits each site takes
+    # grow the product one site at a time, as a loop over the terms would:
+    # each term splits into one term per kept bit, in (old term, bit) order
+    re, im = np.ones(1), np.zeros(1)
+    for p, (keep0, keep1) in enumerate(kept.tolist()):
+        part = slice(0 if keep0 else 1, 2 if keep1 else 1)   # the kept bits
+        re, im = complex_product(re[:, None], im[:, None],
+                                 vecs.real[p, part], vecs.imag[p, part])
+        re, im = re.ravel(), im.ravel()
+    # so term t's bit at a two-valued site is bit `shift` of t, where
+    # `shift` counts the two-valued sites to its right
+    two = kept.all(axis=1)
+    shift = two[::-1].cumsum()[::-1] - two
+    index = np.arange(len(re))[:, None]
+    bits = np.where(two, (index >> shift) & 1, kept[:, 1]).astype(np.uint8)
+    return PureState(lattice, TermTable.pruned(bits, re, im))
 
 
 def entangled_state(lattice: Lattice, terms: Iterable) -> PureState:

@@ -36,9 +36,10 @@ from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .gates import Gate, Gate1, Gate2, GateError, apply_columns, column_action, gate_by_name
+from .gates import Gate, Gate1, Gate2, GateError, apply_columns, gate_by_name
 from .gates import apply_gate2  # noqa: F401 - a binding the benchmark's trace self-test checks
-from .lattice import Lattice, LatticeError, PureState, chain_lattice, entangled_state, product_state
+from .lattice import (Lattice, LatticeError, PureState, TermTable, chain_lattice,
+                      entangled_state, product_state)
 
 
 class ScheduleError(ValueError):
@@ -114,7 +115,7 @@ def compile_schedule(schedule: Schedule, lattice: Lattice,
 
     Returns one list per step t = 0 .. horizon-1 of ``(positions,
     action)`` pairs: the lattice positions of the application's sites
-    (first site = the gate's left slot) and the gate's `column_action`,
+    (first site = the gate's left slot) and the gate's column action,
     ready for `apply_columns`.  Within a step, gates keep the schedule's
     order (lowest site first).  The default horizon is the schedule's
     own; a negative one is a ScheduleError.  Two-site gates played on
@@ -130,7 +131,7 @@ def compile_schedule(schedule: Schedule, lattice: Lattice,
     for app in schedule.applications:
         if app.time >= horizon:
             break  # applications are sorted by time
-        action = column_action(app.resolved_gate().matrix)
+        action = app.resolved_gate().action
         positions = tuple(lattice.position(s) for s in app.sites)
         if len(positions) == 2 and abs(positions[0] - positions[1]) != 1:
             local = False
@@ -141,12 +142,12 @@ def compile_schedule(schedule: Schedule, lattice: Lattice,
     return steps
 
 
-def play_step(amps, step) -> dict:
-    """Apply compiled ``(positions, action)`` pairs in order to an
-    amplitude mapping (basis tuple -> amplitude); returns a new dict."""
+def play_step(table: TermTable, step) -> TermTable:
+    """Apply compiled ``(positions, action)`` pairs in order to a state's
+    `TermTable`; returns the new table."""
     for positions, action in step:
-        amps = apply_columns(amps, positions, action)
-    return amps
+        table = apply_columns(table, positions, action)
+    return table
 
 
 def run_schedule(state: PureState, schedule: Schedule,
@@ -160,11 +161,11 @@ def run_schedule(state: PureState, schedule: Schedule,
     supports are disjoint).
     """
     out = [state]
-    amps = state.amplitudes
+    table = state.table
     for step in compile_schedule(schedule, state.lattice, horizon):
         if step:
-            amps = play_step(amps, step)
-            out.append(PureState(state.lattice, amps))
+            table = play_step(table, step)
+            out.append(PureState(state.lattice, table))
         else:
             out.append(out[-1])
     return out

@@ -21,8 +21,8 @@ import numpy as np
 
 from . import analysis, oracle
 from .analysis import MeasurementSetting, chsh_grid_max
-from .gates import (UNITARITY_TOL, field_copy_gate, field_swap_gate, rotation_gate,
-                    system_field_gate)
+from .gates import (UNITARITY_TOL, field_copy_gate, field_swap_gate, gate_by_name,
+                    rotation_gate, system_field_gate)
 from .lattice import PureState, chain_lattice, norm, overlap, product_state
 from .reference_states import REFERENCE_SEQUENCES
 from .schedule import (SCENARIOS, GateApplication, Schedule, ScenarioConfig, run_schedule,
@@ -194,7 +194,7 @@ def random_differential_trial(rng: np.random.Generator,
     amps[range(n_sites), rng.integers(0, 2, n_sites)] = 1.0
     state = product_state(lattice, dict(enumerate(amps)))
 
-    named = [system_field_gate(), field_copy_gate(), field_swap_gate()]
+    named = [gate_by_name(name) for name in ("U_si", "U_copy", "U_swap")]
     apps = []
     for t in range(n_gates):
         left = int(rng.integers(0, n_sites - 1))

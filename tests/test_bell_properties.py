@@ -5,7 +5,8 @@ random normalised joint state, at most 8 applications mixing the named
 two-site gates with `rot(theta)`, any horizon up to one past the
 schedule's) must give a scan grid equal to the brute-force
 `record_correlation` at every grid point, and no scan may beat the
-Tsirelson bound.
+Tsirelson bound.  The four evolved states the scan plays as one stacked
+table must equal four separate plays bit for bit.
 """
 
 import math
@@ -15,6 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import branchsim as bs
+from branchsim import bell, gates
+from branchsim.schedule import play_step
 from test_bell import horizon_cut_config
 
 NAMED_GATE2 = ("U_si", "U_copy", "U_swap")
@@ -81,3 +84,21 @@ def test_fine_scan_stays_within_tsirelson(case):
     config, record_sites = case
     result = bs.record_chsh_scan(config, record_sites, resolution_deg=5.0)
     assert result.value <= TSIRELSON + 1e-9
+
+
+@settings(max_examples=120, deadline=None)
+@given(experiments())
+def test_stacked_evolution_equals_four_separate_plays(case):
+    # the scan plays its four input states as one tagged table; each
+    # state's rows must come out exactly as a play of that state alone
+    config, record_sites = case
+    base, spos, compiled, _ = bell._experiment_frame(config, record_sites)
+    phis, owner = bell._evolved_basis(base, spos, compiled)
+    a = gates.apply_columns(base, (spos[0],), bell._J_ACTION)
+    inputs = (base, gates.apply_columns(base, (spos[1],), bell._J_ACTION),
+              a, gates.apply_columns(a, (spos[1],), bell._J_ACTION))
+    for kl, table in enumerate(inputs):
+        alone = play_step(table, compiled)
+        rows = owner == kl
+        assert np.array_equal(phis.bits[rows], alone.bits)
+        assert phis.amps[rows].tobytes() == alone.amps.tobytes()

@@ -153,6 +153,18 @@ class TestBadInput:
         err = self.fails_cleanly(capsys, ["verify", "--quick", "--tolerance", tolerance])
         assert "--tolerance" in err
 
+    @pytest.mark.parametrize("argv, mention", [
+        (["verify", "--trials", "abc"], "--trials"),
+        # argparse reads -1e-10 as an option, not as a negative number
+        (["verify", "--tolerance", "-1e-10"], "--tolerance"),
+        (["run", "--no-such-flag"], "required"),
+    ])
+    def test_usage_errors_exit_1_with_one_line(self, capsys, argv, mention):
+        # argparse's own handler exited 2, the verification-failure code,
+        # after a usage block
+        err = self.fails_cleanly(capsys, argv)
+        assert mention in err
+
 
 class TestVerify:
     def test_quick_suite_passes(self, capsys):

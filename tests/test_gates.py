@@ -116,11 +116,37 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             gate.matrix[0, 0] = 5.0
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e-11])
+    def test_nan_inf_and_near_unitary_rejected(self, bad):
+        # the check is |U^dag U - 1| <= UNITARITY_TOL entry by entry; a NaN
+        # or inf entry fails it, and so does a deviation of 1e-11
+        m = np.eye(4, dtype=complex)
+        m[1, 2] = bad
+        with pytest.raises(bs.GateError):
+            bs.Gate2("bad", m)
+        with pytest.raises(bs.GateError):
+            bs.Gate1("bad", m[:2, :2] + np.diag([0, bad]))
+
+    def test_round_off_within_tolerance_accepted(self):
+        m = np.eye(2, dtype=complex)
+        m[0, 0] += 4e-13
+        assert bs.Gate1("close", m).matrix[0, 0] == 1 + 4e-13
+
 
 class TestGateByName:
     def test_builtin_names(self):
         for name in ("U_si", "U_copy", "U_swap", "H", "I"):
             assert bs.gate_by_name(name).name == name
+
+    def test_builtins_are_built_once_and_frozen(self):
+        for name in ("U_si", "U_copy", "U_swap", "H", "I"):
+            gate = bs.gate_by_name(name)
+            assert bs.gate_by_name(name) is gate
+            with pytest.raises(ValueError):
+                gate.matrix[0, 0] = 5.0
+            with pytest.raises(ValueError):
+                gate.action.re[0] = 5.0          # the shared column action too
+        assert np.array_equal(bs.gate_by_name("U_copy").matrix, bs.field_copy_gate().matrix)
 
     def test_rotation_names_round_trip(self):
         gate = bs.rotation_gate(0.775)

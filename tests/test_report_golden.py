@@ -2,7 +2,9 @@
 
 Each case runs the CLI and compares the sha256 of `report.json` and
 `timeseries.csv` against digests recorded before the analysis path was
-reworked, so any change to the emitted bytes shows up here.
+reworked, so any change to the emitted bytes shows up here.  The
+128-site case, recorded before the state core moved onto arrays, pins
+a chain longer than one 64-bit word.
 
 The digests are tied to the numpy/LAPACK build they were recorded with
 (numpy 2.4 on x86-64 OpenBLAS): entropies of pure sites carry eigenvalue
@@ -49,6 +51,11 @@ GOLDEN = {
         {"scenario": "single", "params": {"alpha": 0.6, "beta": 0.8, "n_sites": 64}},
         "f08b70226545503fb8bee21e389b662c73a33bbe3024fac6c8bdd1f3b35a5447",
         "7ef62c47147cd84b2a6887d013d09c14bc8b058e0fef41702cd14d484c637463",
+    ),
+    "single_n128": (
+        {"scenario": "single", "params": {"alpha": 0.6, "beta": 0.8, "n_sites": 128}},
+        "12757578dc105684b3bd51bec3a1c9d4e04610758929134888306a12e84d7d3e",
+        "9639af712846badb8a62cbc1525be05c3be13ac26706aec494dae7e2783328b1",
     ),
 }
 
