@@ -136,6 +136,12 @@ def reduced_density_matrix(state: PureState, keep: Iterable) -> DensityMatrix:
     return DensityMatrix(sites, _region_marginals(state, [kpos])[0])
 
 
+def region_matrices(state: PureState, regions: Iterable) -> np.ndarray:
+    """`reduced_density_matrix` of several equal-size regions, bit for bit,
+    as one (R, d, d) stack built in one pass over the terms."""
+    return _region_marginals(state, [_positions(state, r)[1] for r in regions])
+
+
 def change_basis(rho: DensityMatrix, rotations: Mapping) -> DensityMatrix:
     """Re-express a density matrix in per-site rotated bases.
 
@@ -159,8 +165,8 @@ def _purities(matrices: np.ndarray) -> np.ndarray:
     return np.trace(matrices @ matrices, axis1=-2, axis2=-1).real
 
 
-def _entropies(matrices: np.ndarray) -> np.ndarray:
-    """Entropy of each matrix of a (..., d, d) stack, by one eigvalsh."""
+def entropies(matrices: np.ndarray) -> np.ndarray:
+    """`entropy_of` each matrix of a (..., d, d) stack, by one eigvalsh."""
     w = np.linalg.eigvalsh(matrices)
     positive = w > 0.0
     terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
@@ -179,7 +185,7 @@ def purity(rho: DensityMatrix) -> float:
 
 def entropy_of(rho: DensityMatrix) -> float:
     """Von Neumann entropy in nats, with 0 ln 0 = 0."""
-    return float(_entropies(rho.matrix))
+    return float(entropies(rho.matrix))
 
 
 def entanglement_entropy(state: PureState, region: Iterable) -> float:
@@ -237,7 +243,7 @@ def site_marginals(state: PureState) -> SiteMarginals:
     n = state.lattice.n_sites
     rho = _region_marginals(state, [(p,) for p in range(n)])
     return SiteMarginals(state.lattice.indices, rho, _coherences(rho), _purities(rho),
-                         _entropies(rho))
+                         entropies(rho))
 
 
 class StateAnalysis:
@@ -387,7 +393,7 @@ def _pair_mutual_information(state: PureState, marginals: SiteMarginals,
     """I(a:b) for each row (a, b) of lattice positions: one-site entropies
     from `marginals`, two-site entropies from one (P, 4, 4) stack."""
     return (marginals.entropy[pairs[:, 0]] + marginals.entropy[pairs[:, 1]]
-            - _entropies(_region_marginals(state, pairs)))
+            - entropies(_region_marginals(state, pairs)))
 
 
 def _cluster(state: PureState, marginals: SiteMarginals, decomp: BranchDecomposition,

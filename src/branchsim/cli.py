@@ -3,7 +3,7 @@
 Subcommands::
 
     branchsim run       --config CFG --out DIR  [--horizon N] [--tolerance X] [--verify]
-    branchsim verify    [--tolerance X] [--trials N] [--quick] [--seed N]
+    branchsim verify    [--tolerance X] [--trials N | --quick] [--seed N]
     branchsim chsh-scan --config CFG --sites A B [--resolution DEG]
                         [--protocol record|state] [--out DIR]
     branchsim scenario  list
@@ -65,9 +65,10 @@ def _build_parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="run the self-verification suite")
     ver.add_argument("--tolerance", type=float, default=1e-10,
                      help="largest allowed deviation, >= 0 (default %(default)g)")
-    ver.add_argument("--trials", type=int, default=verify.DEFAULT_TRIALS,
-                     help="random differential trials, >= 0 (default %(default)s)")
-    ver.add_argument("--quick", action="store_true", help="only 100 random trials")
+    count = ver.add_mutually_exclusive_group()
+    count.add_argument("--trials", type=int, default=verify.DEFAULT_TRIALS,
+                       help="random differential trials, >= 0 (default %(default)s)")
+    count.add_argument("--quick", action="store_true", help="only 100 random trials")
     ver.add_argument("--seed", type=int, default=20260825)
     # test hook: corrupt a library gate to prove the checks can fail
     ver.add_argument("--inject-fault", choices=["corrupt-gate"], default=None,

@@ -48,8 +48,9 @@ def _check_unitary(matrix: np.ndarray, dim: int, name: str) -> np.ndarray:
     m = np.array(matrix, dtype=complex)
     if m.shape != (dim, dim):
         raise GateError(f"{name}: want a {dim}x{dim} matrix, got shape {m.shape}")
-    # elementwise |U^dag U - 1| <= tol; a NaN or inf entry fails it too
-    if not np.abs(m.conj().T @ m - np.eye(dim)).max() <= UNITARITY_TOL:
+    # elementwise |U^dag U - 1| <= tol; a NaN or inf entry is rejected
+    # first, before the product could warn about it
+    if not (np.isfinite(m).all() and np.abs(m.conj().T @ m - np.eye(dim)).max() <= UNITARITY_TOL):
         raise GateError(f"{name}: matrix is not unitary within {UNITARITY_TOL}")
     m.setflags(write=False)
     return m

@@ -1,16 +1,24 @@
 """Dense reference engine for cross-checking the sparse one.
 
-Everything here re-derives results from a full 2^n state vector using
-plain numpy tensor algebra — reshape, tensordot, moveaxis — and shares
-no gate-application or tracing code with the sparse path.  Agreement
+Everything here re-derives results from full 2^n state vectors using
+plain numpy tensor algebra — reshape, moveaxis, matmul — and shares no
+gate-application or tracing code with the sparse path.  Agreement
 between the two engines on the same schedule is therefore meaningful
 evidence of correctness, not a tautology.
+
+The engine works on stacks: B states of one lattice as a (B, 2^n)
+array.  `apply_stack` plays one gate per state with one batched matmul
+per set of sites, and `analyse_stack` builds the marginals of every
+state at once.  The single-state functions (`dense_apply`, `dense_rdm`,
+`dense_entropy`, `dense_branch_weights`, ...) are the B = 1 case, and
+give the same bits as a stack row: numpy's stacked matmul, QR and
+eigvalsh compute each item as the single call does, which the tests pin.
 
 Capped at 20 sites (a 2^20 vector); the sparse engine has no such cap.
 """
 
-from dataclasses import dataclass
-from typing import Iterable
+from dataclasses import dataclass, field
+from typing import Iterable, NamedTuple, Optional
 
 import numpy as np
 
@@ -25,35 +33,84 @@ class OracleError(ValueError):
     """Lattice too large for a dense vector, or mismatched operands."""
 
 
+class DenseBranches(NamedTuple):
+    """The bit-basis branches of one dense state (see `dense_branch_weights`).
+
+    `sites` are the branched sites, in lattice order.  Branch g has the
+    bits ``bits[g]`` on them and the weight ``weights[g]``; branches are
+    listed by their bits, ascending, as `branch_decompose` lists them.
+    """
+
+    sites: tuple
+    bits: np.ndarray     # (G, len(sites)) uint8
+    weights: np.ndarray  # (G,)
+
+    def as_dict(self) -> dict:
+        """assignment -> weight, assignments as ((site, bit), ...) tuples."""
+        return {tuple(zip(self.sites, row)): w
+                for row, w in zip(self.bits.tolist(), self.weights.tolist())}
+
+
+class DenseAnalysis(NamedTuple):
+    """One dense state's marginals, as `analyse_stack` builds them.
+
+    ``site_rdms[i]`` is the density matrix of the lattice's i-th site and
+    ``site_entropy[i]`` its entropy; ``region_rdms[r]`` and
+    ``region_entropy[r]`` belong to ``regions[r]``.  ``branches`` are the
+    branches at ``tol``.  Each value has the bits of the single-state
+    function that computes it.
+    """
+
+    regions: tuple
+    tol: float
+    site_rdms: np.ndarray       # (n, 2, 2)
+    site_entropy: np.ndarray    # (n,)
+    region_rdms: tuple          # one (d, d) matrix per region
+    region_entropy: np.ndarray  # (R,)
+    branches: DenseBranches
+
+
 @dataclass(frozen=True)
 class DenseState:
     """A full state vector, index bits ordered like the lattice (site 0
-    of the lattice is the most significant bit)."""
+    of the lattice is the most significant bit).  The vector is copied
+    unless it is a read-only complex array already.  ``analysis`` is set
+    on states that `analysed_states` built together with their stack."""
 
     lattice: Lattice
     vector: np.ndarray
+    analysis: Optional[DenseAnalysis] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.lattice.n_sites
         if n > MAX_DENSE_SITES:
             raise OracleError(f"{n} sites needs a 2^{n} vector; cap is {MAX_DENSE_SITES}")
-        v = np.array(self.vector, dtype=complex).reshape(-1)
+        v = self.vector
+        if not (isinstance(v, np.ndarray) and v.dtype == complex and not v.flags.writeable):
+            v = np.array(v, dtype=complex)
+        v = v.reshape(-1)
         if v.shape != (2 ** n,):
             raise OracleError(f"want a length-{2 ** n} vector, got {v.shape}")
         v.setflags(write=False)
         object.__setattr__(self, "vector", v)
 
 
+def dense_vectors(states: Iterable) -> np.ndarray:
+    """The full vectors of sparse states on one lattice, as a (B, 2^n) stack."""
+    states = list(states)
+    n = states[0].lattice.n_sites
+    if n > MAX_DENSE_SITES:
+        raise OracleError(f"{n} sites needs a 2^{n} vector; cap is {MAX_DENSE_SITES}")
+    weights = 1 << np.arange(n - 1, -1, -1)
+    out = np.zeros((len(states), 2 ** n), dtype=complex)
+    for row, state in zip(out, states):
+        row[state.table.bits @ weights] = state.table.amps
+    return out
+
+
 def densify(state: PureState) -> DenseState:
     """Expand a sparse state into a full vector."""
-    n = state.lattice.n_sites
-    v = np.zeros(2 ** n, dtype=complex)
-    for bits, amp in state.amplitudes.items():
-        idx = 0
-        for b in bits:
-            idx = (idx << 1) | b
-        v[idx] = amp
-    return DenseState(state.lattice, v)
+    return DenseState(state.lattice, dense_vectors([state])[0])
 
 
 def sparsify(dense: DenseState) -> PureState:
@@ -66,21 +123,48 @@ def sparsify(dense: DenseState) -> PureState:
     return PureState(dense.lattice, amps)
 
 
+# ---------------------------------------------------------------------------
+# evolution
+# ---------------------------------------------------------------------------
+
+def _contract(vectors: np.ndarray, matrices: np.ndarray, positions: tuple) -> np.ndarray:
+    """(m, 2^n) states times (m, 2^k, 2^k) gates acting on the k lattice
+    positions `positions`: the site axes move to the front, one stacked
+    matmul contracts them, and they move back."""
+    m, dim = vectors.shape
+    n, k = dim.bit_length() - 1, len(positions)
+    front = tuple(range(1, k + 1))
+    axes = tuple(1 + p for p in positions)
+    psi = np.moveaxis(vectors.reshape((m,) + (2,) * n), axes, front)
+    psi = np.matmul(matrices, psi.reshape(m, 2 ** k, -1))
+    return np.moveaxis(psi.reshape((m,) + (2,) * n), front, axes).reshape(m, dim)
+
+
+def apply_stack(vectors: np.ndarray, matrices: np.ndarray, positions) -> np.ndarray:
+    """Apply one gate to every state of a (B, 2^n) stack; returns the new stack.
+
+    ``matrices[b]`` (a (B, 2^k, 2^k) stack) acts on lattice positions
+    ``positions[b]`` of state b, the first position feeding the gate's
+    most significant slot.  States whose gates share their positions are
+    contracted together, with one stacked matmul.
+    """
+    groups: dict = {}
+    for b, pos in enumerate(positions):
+        groups.setdefault(tuple(pos), []).append(b)
+    out = np.empty_like(vectors)
+    for pos, rows in groups.items():
+        out[rows] = _contract(vectors[rows], matrices[rows], pos)
+    return out
+
+
 def dense_apply(dense: DenseState, gate: Gate, sites: Iterable) -> DenseState:
     """Apply a gate by tensor contraction on the dense vector."""
     sites = tuple(sites)
-    n = dense.lattice.n_sites
     positions = [dense.lattice.position(s) for s in sites]
     if len(positions) != gate.n_sites or len(set(positions)) != len(positions):
         raise OracleError(f"gate {gate.name} does not fit sites {sites}")
-
-    psi = dense.vector.reshape([2] * n)
-    k = len(positions)
-    u = gate.matrix.reshape([2] * (2 * k))
-    # contract gate input legs with the site axes, then put axes back
-    psi = np.tensordot(u, psi, axes=(list(range(k, 2 * k)), positions))
-    psi = np.moveaxis(psi, list(range(k)), positions)
-    return DenseState(dense.lattice, psi.reshape(-1))
+    vector = _contract(dense.vector[None], gate.matrix[None], tuple(positions))[0]
+    return DenseState(dense.lattice, vector)
 
 
 def dense_run(dense: DenseState, schedule: Schedule, horizon=None) -> list:
@@ -99,33 +183,142 @@ def dense_run(dense: DenseState, schedule: Schedule, horizon=None) -> list:
     return out
 
 
+# ---------------------------------------------------------------------------
+# analysis
+# ---------------------------------------------------------------------------
+
+def _rdm_stack(lattice: Lattice, vectors: np.ndarray, keep: Iterable) -> np.ndarray:
+    """Partial trace of every state of a stack, (B, d, d): rho = M M^dag
+    with M the state reshaped to (kept sites) x (traced sites)."""
+    kpos = [lattice.position(s) for s in keep]
+    b, n = len(vectors), lattice.n_sites
+    m = np.moveaxis(vectors.reshape((b,) + (2,) * n), [1 + p for p in kpos],
+                    range(1, len(kpos) + 1))
+    m = m.reshape(b, 2 ** len(kpos), -1)
+    return m @ m.conj().swapaxes(-1, -2)
+
+
+def _site_rdms(lattice: Lattice, vectors: np.ndarray) -> np.ndarray:
+    """Every one-site density matrix of every state, (B, n, 2, 2)."""
+    return np.stack([_rdm_stack(lattice, vectors, (s,)) for s in lattice.indices], axis=1)
+
+
+def _entropies(rdms: np.ndarray) -> np.ndarray:
+    """Entropy of each matrix of a (..., d, d) stack, in nats, from one
+    eigvalsh: minus the sum of w ln w over the positive eigenvalues w."""
+    w = np.linalg.eigvalsh(rdms)
+    positive = w > 0.0
+    if w.shape[-1] >= 8:
+        # numpy adds 8 or more values pairwise, so masking changes the sum
+        flat = w.reshape(-1, w.shape[-1])
+        return np.array([float(-(x * np.log(x)).sum()) if x.size else 0.0
+                         for x in (row[row > 0.0] for row in flat)]).reshape(w.shape[:-1])
+    # fewer are added left to right, and a masked-out 0.0 adds nothing
+    terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
+    return np.where(positive.any(-1), -terms.sum(-1), 0.0)
+
+
+def _purities(rdms: np.ndarray) -> np.ndarray:
+    return np.trace(rdms @ rdms, axis1=-2, axis2=-1).real
+
+
+def _branches(lattice: Lattice, vectors: np.ndarray, purities: np.ndarray,
+              tol: float) -> list:
+    """The `DenseBranches` of every state of a stack, from its one-site
+    purities (B, n).
+
+    The indices of state b group by their bits on its branched sites,
+    with one `bincount`, which adds each group's probabilities in index
+    order as a loop over the indices would.  Groups above `tol` are
+    kept, and their total is summed in order of first nonzero index.
+    """
+    n, dim = lattice.n_sites, vectors.shape[1]
+    shifts = np.arange(n - 1, -1, -1)
+    branched = purities < 1.0 - tol                                # (B, n)
+    probs = (np.abs(vectors) ** 2).ravel()
+    groups = np.arange(dim) & (branched @ (1 << shifts))[:, None]
+    groups += dim * np.arange(len(vectors))[:, None]             # one range per state
+    groups = groups.ravel()
+    sums = np.bincount(groups, weights=probs, minlength=groups.size)
+    seen, first = np.unique(groups[probs != 0.0], return_index=True)
+    seen = seen[np.argsort(first)]                # by state, then first appearance
+    seen = seen[sums[seen] > tol]
+    bounds = np.searchsorted(seen // dim, np.arange(len(vectors) + 1))
+    weights = sums[seen]
+    totals = np.array([sum(weights[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])])
+    weights /= totals[seen // dim]
+    order = np.argsort(seen)                      # by state, then bits
+    codes, weights = seen[order] % dim, weights[order]
+    indices = np.array(lattice.indices)
+    return [DenseBranches(tuple(indices[mask].tolist()),
+                          ((codes[lo:hi, None] >> shifts[mask]) & 1).astype(np.uint8),
+                          weights[lo:hi])
+            for mask, lo, hi in zip(branched, bounds, bounds[1:])]
+
+
+def analyse_stack(lattice: Lattice, vectors: np.ndarray, regions: Iterable = (),
+                  tol: float = 1e-9) -> list:
+    """The `DenseAnalysis` of every state of a (B, 2^n) stack, in order.
+
+    Each kind of marginal is built for the whole stack at once: one
+    stacked matmul per site and per region, one eigvalsh per kind.
+    """
+    regions = tuple(tuple(r) for r in regions)
+    rdms = _site_rdms(lattice, vectors)
+    entropy = _entropies(rdms)
+    branches = _branches(lattice, vectors, _purities(rdms), tol)
+    region_rdms = [_rdm_stack(lattice, vectors, r) for r in regions]
+    region_entropy = np.array([_entropies(r) for r in region_rdms]).reshape(
+        len(regions), len(vectors)).T
+    return [DenseAnalysis(regions, tol, rdms[b], entropy[b],
+                          tuple(r[b] for r in region_rdms), region_entropy[b], branches[b])
+            for b in range(len(vectors))]
+
+
+def analysed_states(lattice: Lattice, vectors: np.ndarray, regions: Iterable = (),
+                    tol: float = 1e-9) -> list:
+    """The states of a (B, 2^n) stack, each carrying its `DenseAnalysis`;
+    they share the stack, which becomes read-only."""
+    vectors.setflags(write=False)
+    return [DenseState(lattice, v, a)
+            for v, a in zip(vectors, analyse_stack(lattice, vectors, regions, tol))]
+
+
+def dense_analysis(dense: DenseState, regions: Iterable = (),
+                   tol: float = 1e-9) -> DenseAnalysis:
+    """A state's `DenseAnalysis`: the one it carries, if that has these
+    regions and this tolerance, else a new one."""
+    regions = tuple(tuple(r) for r in regions)
+    carried = dense.analysis
+    if carried is not None and carried.regions == regions and carried.tol == tol:
+        return carried
+    return analyse_stack(dense.lattice, dense.vector[None], regions, tol)[0]
+
+
 def dense_rdm(dense: DenseState, keep: Iterable) -> np.ndarray:
     """Partial trace by axis reordering: rho = M M^dag with M the state
     reshaped to (kept sites) x (traced sites)."""
-    keep = tuple(keep)
-    n = dense.lattice.n_sites
-    kpos = [dense.lattice.position(s) for s in keep]
-    rest = [p for p in range(n) if p not in kpos]
-    m = np.transpose(dense.vector.reshape([2] * n), kpos + rest)
-    m = m.reshape(2 ** len(kpos), 2 ** len(rest))
-    return m @ m.conj().T
+    return _rdm_stack(dense.lattice, dense.vector[None], tuple(keep))[0]
 
 
 def dense_norm(dense: DenseState) -> float:
     return float(np.vdot(dense.vector, dense.vector).real)
 
 
+def dense_overlaps(a: np.ndarray, b: np.ndarray) -> list:
+    """|<a_i|b_i>| for the rows of two (B, 2^n) stacks, one `vdot` each."""
+    return [float(abs(np.vdot(x, y))) for x, y in zip(a, b)]
+
+
 def dense_overlap(a: DenseState, b: DenseState) -> float:
     if a.lattice != b.lattice:
         raise OracleError("overlap needs states on the same lattice")
-    return float(abs(np.vdot(a.vector, b.vector)))
+    return dense_overlaps(a.vector[None], b.vector[None])[0]
 
 
 def dense_entropy(dense: DenseState, region: Iterable) -> float:
     """Von Neumann entropy of a region, in nats, from the dense vector."""
-    w = np.linalg.eigvalsh(dense_rdm(dense, region))
-    w = w[w > 0.0]
-    return float(-(w * np.log(w)).sum()) if w.size else 0.0
+    return float(_entropies(dense_rdm(dense, region)))
 
 
 def dense_branch_weights(dense: DenseState, tol: float = 1e-9) -> dict:
@@ -137,31 +330,32 @@ def dense_branch_weights(dense: DenseState, tol: float = 1e-9) -> dict:
     renormalised.  Returns assignment -> weight with assignments as
     ((site, bit), ...) tuples.
     """
-    n = dense.lattice.n_sites
-    branched_pos = []
-    for p, site in enumerate(dense.lattice.indices):
-        rho = dense_rdm(dense, [site])
-        if np.trace(rho @ rho).real < 1.0 - tol:
-            branched_pos.append((p, site))
+    vectors = dense.vector[None]
+    purities = _purities(_site_rdms(dense.lattice, vectors))
+    return _branches(dense.lattice, vectors, purities, tol)[0].as_dict()
 
-    probs = np.abs(dense.vector) ** 2
-    merged: dict = {}
-    for idx in np.flatnonzero(probs):
-        key = tuple(
-            (site, (int(idx) >> (n - 1 - p)) & 1) for p, site in branched_pos
-        )
-        merged[key] = merged.get(key, 0.0) + float(probs[idx])
-    merged = {key: w for key, w in merged.items() if w > tol}
-    total = sum(merged.values())
-    return {key: w / total for key, w in merged.items()}
+
+# ---------------------------------------------------------------------------
+# random gates
+# ---------------------------------------------------------------------------
+
+def gaussian_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A complex Gaussian dim x dim matrix: real part drawn first."""
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def haar_unitaries(gaussians: np.ndarray) -> np.ndarray:
+    """Haar-ish random unitaries from the QR decompositions of a
+    (..., d, d) stack of complex Gaussian matrices, phases fixed so each
+    R has a positive diagonal; one stacked `qr`."""
+    q, r = np.linalg.qr(gaussians)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def random_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary from the QR decomposition of a complex
-    Gaussian matrix (phases fixed so R has a positive diagonal)."""
-    z = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(z)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+    """Haar-ish random unitary: `haar_unitaries` of one `gaussian_matrix`."""
+    return haar_unitaries(gaussian_matrix(dim, rng))
 
 
 def random_gate2(rng: np.random.Generator) -> Gate2:

@@ -21,12 +21,12 @@ import numpy as np
 
 from . import analysis, oracle
 from .analysis import MeasurementSetting, chsh_grid_max
-from .gates import (UNITARITY_TOL, field_copy_gate, field_swap_gate, gate_by_name,
+from .gates import (UNITARITY_TOL, Gate2, field_copy_gate, field_swap_gate, gate_by_name,
                     rotation_gate, system_field_gate)
 from .lattice import PureState, chain_lattice, norm, overlap, product_state
 from .reference_states import REFERENCE_SEQUENCES
-from .schedule import (SCENARIOS, GateApplication, Schedule, ScenarioConfig, run_schedule,
-                       scenario_single)
+from .schedule import (SCENARIOS, GateApplication, Schedule, ScenarioConfig,
+                       compile_schedule, play_step, scenario_single)
 
 #: Random trials used by the full differential suite.
 DEFAULT_TRIALS = 10_000
@@ -139,28 +139,56 @@ def check_known_values(tol: float = 1e-10) -> list:
 # differential suite: sparse engine vs dense engine
 # ---------------------------------------------------------------------------
 
+#: Branch tolerance of `compare_states`: loose, so that both engines agree
+#: on which sites count as branched; the weights must then match tightly.
+COMPARE_TOL = 1e-6
+
+#: Random trials drawn, played and analysed together.  Larger blocks
+#: batch little more of the dense work, and hold more states and stacks.
+TRIAL_BLOCK = 64
+
+
+def _compared_regions(lattice) -> tuple:
+    """The two regions `compare_states` checks beyond single sites: the
+    first two and the last two sites of the lattice."""
+    return (lattice.indices[:2], lattice.indices[-2:])
+
+
 def compare_states(state: PureState, dense: oracle.DenseState) -> float:
-    """Worst deviation across overlap, RDMs, entropies, branch weights; the
-    sparse side is one `StateAnalysis`, the marginals reports print."""
+    """Worst deviation across overlap, RDMs, entropies, branch weights.
+
+    The sparse side is one `StateAnalysis`, the marginals reports print,
+    plus its two compared regions from one partial-trace pass.  The
+    dense side is one `oracle.DenseAnalysis`: the one `dense` carries
+    when it was analysed with its stack, else a new one.
+    """
     worst = abs(oracle.dense_overlap(oracle.densify(state), dense) - 1.0)
 
-    # branch decisions use a loose threshold so both engines agree on
-    # which sites count as branched; the weights must then match tightly
-    summary = analysis.StateAnalysis(state, tol=1e-6)
+    summary = analysis.StateAnalysis(state, tol=COMPARE_TOL)
     m = summary.marginals
-    for site, matrix, entropy in zip(m.sites, m.matrices, m.entropy):
-        worst = max(worst, float(np.abs(matrix - oracle.dense_rdm(dense, (site,))).max()),
-                    abs(float(entropy) - oracle.dense_entropy(dense, (site,))))
-    for region in (m.sites[:2], m.sites[-2:]):
-        rho = analysis.reduced_density_matrix(state, region)
-        worst = max(worst, float(np.abs(rho.matrix - oracle.dense_rdm(dense, region)).max()),
-                    abs(analysis.entropy_of(rho) - oracle.dense_entropy(dense, region)))
+    regions = _compared_regions(state.lattice)
+    d = oracle.dense_analysis(dense, regions, COMPARE_TOL)
+    rhos = analysis.region_matrices(state, regions)
+    # per site, then per region: the matrix deviation, then the entropy's
+    for matrices, entropy, dense_matrices, dense_entropy in (
+            (m.matrices, m.entropy, d.site_rdms, d.site_entropy),
+            (rhos, analysis.entropies(rhos), np.array(d.region_rdms), d.region_entropy)):
+        for pair in zip(np.abs(matrices - dense_matrices).max(axis=(-2, -1)).tolist(),
+                        np.abs(entropy - dense_entropy).tolist()):
+            worst = max(worst, *pair)
 
-    sparse_weights = {b.key(): b.weight for b in summary.branches.branches}
-    dense_weights = oracle.dense_branch_weights(dense, tol=1e-6)
-    if set(sparse_weights) != set(dense_weights):
+    # both sides list their branches sorted by bits, so the two sets of
+    # branch keys agree when the branched sites and the bit rows do
+    branches, dense_branches = summary.branches.branches, d.branches
+    if len(branches) != len(dense_branches.weights):
         return math.inf
-    return max([worst] + [abs(sparse_weights[k] - dense_weights[k]) for k in sparse_weights])
+    if branches:
+        sites = tuple(sorted(branches[0].support))
+        bits = [[b.assignment[s] for s in sites] for b in branches]
+        if sites != dense_branches.sites or not np.array_equal(bits, dense_branches.bits):
+            return math.inf
+    weights = np.array([b.weight for b in branches])
+    return max([worst] + np.abs(weights - dense_branches.weights).tolist())
 
 
 def dense_deviation(config: ScenarioConfig, states: list) -> float:
@@ -182,43 +210,107 @@ def check_scenario_differential(tol: float = 1e-10) -> list:
     return results
 
 
+def _draw_trials(rng: np.random.Generator, n_trials: int, n_sites: int,
+                 n_gates: int) -> list:
+    """Draw random trials: per trial its initial bits and its gates as
+    (site pair, gate) pairs.
+
+    The rng is read in the order that drawing one trial at a time reads
+    it.  The Gaussian matrices of the random gates are collected first
+    and turned into unitaries with one stacked QR; every random gate is
+    then a validated `Gate2`.
+    """
+    named = [gate_by_name(name) for name in ("U_si", "U_copy", "U_swap")]
+    trials, gaussians = [], []
+    for _ in range(n_trials):
+        bits = rng.integers(0, 2, n_sites)
+        plan = []
+        for _ in range(n_gates):
+            left = int(rng.integers(0, n_sites - 1))
+            pair = (left, left + 1) if rng.random() < 0.5 else (left + 1, left)
+            if rng.random() < 0.4:
+                plan.append((pair, named[rng.integers(len(named))]))
+            else:   # the gate's index among the random ones, until the QR
+                plan.append((pair, len(gaussians)))
+                gaussians.append(oracle.gaussian_matrix(4, rng))
+        trials.append((bits, plan))
+    if gaussians:
+        randoms = [Gate2("random", u) for u in oracle.haar_unitaries(np.array(gaussians))]
+        trials = [(bits, [(pair, randoms[g] if isinstance(g, int) else g) for pair, g in plan])
+                  for bits, plan in trials]
+    return trials
+
+
+def random_trial_block(rng: np.random.Generator, n_trials: int,
+                       n_sites: int = 8, n_gates: int = 5) -> list:
+    """Worst deviations of `n_trials` random gate sequences, played as
+    one block; entry i is what the i-th of `n_trials` one-trial calls
+    of `random_differential_trial` on the same rng returns.
+
+    Each sequence is a schedule with one two-site gate per step, so the
+    sparse side plays it exactly as `run` plays a config.  The dense
+    side plays the block as one (B, 2^n) stack, one gate per trial per
+    step, and the two engines' states are compared after every step.
+    The full battery of derived quantities is compared once, on the
+    final states, which the oracle analyses as one stack.
+    """
+    lattice = chain_lattice([0], range(1, n_sites))
+    trials = _draw_trials(rng, n_trials, n_sites, n_gates)
+    if not trials:
+        return []
+    states, compiled = [], []
+    for bits, plan in trials:
+        amps = np.zeros((n_sites, 2))
+        amps[range(n_sites), bits] = 1.0
+        states.append(product_state(lattice, dict(enumerate(amps))))
+        schedule = Schedule(tuple(GateApplication(t, pair, gate)
+                                  for t, (pair, gate) in enumerate(plan)))
+        compiled.append(compile_schedule(schedule, lattice))
+
+    # both engines advance one step at a time, each trial's sparse state as
+    # `run_schedule` plays it and the dense stack with one gate per trial;
+    # only the current states and the next are held
+    vectors = oracle.dense_vectors(states)
+    overlaps = []
+    for t in range(n_gates):
+        states = [PureState(lattice, play_step(state.table, steps[t]))
+                  for state, steps in zip(states, compiled)]
+        apps = [plan[t] for _, plan in trials]
+        vectors = oracle.apply_stack(
+            vectors, np.array([gate.matrix for _, gate in apps]),
+            [tuple(lattice.position(s) for s in pair) for pair, _ in apps])
+        overlaps.append([abs(o - 1.0) for o in
+                         oracle.dense_overlaps(oracle.dense_vectors(states), vectors)])
+    finals = oracle.analysed_states(lattice, vectors, _compared_regions(lattice), COMPARE_TOL)
+    return [max(max((step[i] for step in overlaps), default=0.0), compare_states(state, final))
+            for i, (state, final) in enumerate(zip(states, finals))]
+
+
 def random_differential_trial(rng: np.random.Generator,
                               n_sites: int = 8, n_gates: int = 5) -> float:
     """Run one random gate sequence through both engines; worst deviation.
+    The one-trial case of `random_trial_block`."""
+    return random_trial_block(rng, 1, n_sites, n_gates)[0]
 
-    The sequence is a schedule with one two-site gate per step, so the
-    sparse side plays it exactly as `run` plays a config.
-    """
-    lattice = chain_lattice([0], range(1, n_sites))
-    amps = np.zeros((n_sites, 2))
-    amps[range(n_sites), rng.integers(0, 2, n_sites)] = 1.0
-    state = product_state(lattice, dict(enumerate(amps)))
 
-    named = [gate_by_name(name) for name in ("U_si", "U_copy", "U_swap")]
-    apps = []
-    for t in range(n_gates):
-        left = int(rng.integers(0, n_sites - 1))
-        pair = (left, left + 1) if rng.random() < 0.5 else (left + 1, left)
-        gate = named[rng.integers(len(named))] if rng.random() < 0.4 \
-            else oracle.random_gate2(rng)
-        apps.append(GateApplication(t, pair, gate))
-    schedule = Schedule(tuple(apps))
-    states = run_schedule(state, schedule)
-    dense_states = oracle.dense_run(oracle.densify(state), schedule)
-    # states must track each other after every gate; the full battery
-    # of derived quantities is compared once, on the final state
-    worst = max((abs(oracle.dense_overlap(oracle.densify(s), d) - 1.0)
-                 for s, d in zip(states[1:], dense_states[1:])), default=0.0)
-    return max(worst, compare_states(states[-1], dense_states[-1]))
+def random_differential_deviations(n_trials: int, seed: int = 20260825):
+    """Yield the worst deviation of each of `n_trials` random sequences
+    drawn from `seed`, in trial order; the trials are drawn, played and
+    analysed TRIAL_BLOCK at a time, and a block is only drawn once the
+    previous one has been consumed."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, n_trials, TRIAL_BLOCK):
+        yield from random_trial_block(rng, min(TRIAL_BLOCK, n_trials - start))
 
 
 def check_random_differential(n_trials: int = DEFAULT_TRIALS, tol: float = 1e-10,
                               seed: int = 20260825) -> CheckResult:
-    """Randomized 8-site gate sequences agree across both engines."""
-    rng = np.random.default_rng(seed)
+    """Randomized 8-site gate sequences agree across both engines.  The
+    check stops at the first trial that takes the worst deviation above
+    `tol`; the detail is the worst deviation up to that trial."""
     worst = 0.0
-    for _ in range(n_trials):
-        worst = max(worst, random_differential_trial(rng))
+    for deviation in random_differential_deviations(n_trials, seed):
+        worst = max(worst, deviation)
         if worst > tol:
             break
     return _result(f"engines agree: {n_trials} random sequences", worst <= tol,

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -141,6 +143,27 @@ class TestBadInput:
         config = write_config(tmp_path, {"scenario": "epr"})
         assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out"),
                          "--tolerance", "0"]) == 0
+
+    def test_quick_and_trials_are_exclusive(self, capsys):
+        # --quick used to override --trials without a word
+        err = self.fails_cleanly(capsys, ["verify", "--quick", "--trials", "5"])
+        assert "--quick" in err and "--trials" in err
+
+    def test_infinite_gate_entry_gives_one_stderr_line(self, tmp_path):
+        # numpy used to print a RuntimeWarning and its source line first;
+        # a fresh process shows what a user sees on stderr
+        config = write_config(tmp_path, {
+            "lattice": [{"index": 0, "kind": "system"}, {"index": 1, "kind": "field"}],
+            "initial": {"product": {"0": [[1, 0], [0, 0]], "1": [[1, 0], [0, 0]]}},
+            "schedule": [{"time": 0, "sites": [0], "gate": [[1, 0], [0, math.inf]]}]})
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        proc = subprocess.run([sys.executable, "-m", "branchsim.cli", "run", "--config", config,
+                               "--out", str(tmp_path / "out")],
+                              capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 1
+        assert proc.stderr == "error: custom: matrix is not unitary within 1e-12\n"
 
     def test_negative_trials(self, capsys):
         # used to pass as "engines agree: -3 random sequences"

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -122,10 +123,12 @@ class TestGateValidation:
         # or inf entry fails it, and so does a deviation of 1e-11
         m = np.eye(4, dtype=complex)
         m[1, 2] = bad
-        with pytest.raises(bs.GateError):
-            bs.Gate2("bad", m)
-        with pytest.raises(bs.GateError):
-            bs.Gate1("bad", m[:2, :2] + np.diag([0, bad]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")   # a NaN or inf must not reach the matmul
+            with pytest.raises(bs.GateError, match="not unitary"):
+                bs.Gate2("bad", m)
+            with pytest.raises(bs.GateError, match="not unitary"):
+                bs.Gate1("bad", m[:2, :2] + np.diag([0, bad]))
 
     def test_round_off_within_tolerance_accepted(self):
         m = np.eye(2, dtype=complex)

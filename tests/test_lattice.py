@@ -62,6 +62,24 @@ class TestProductState:
         with pytest.raises(bs.StateError):
             bs.product_state(two_site_lattice(), {0: [1, 1], 1: [1, 0]})
 
+    @pytest.mark.parametrize("bad, message", [
+        ([1, 1], "site 1: vector not normalised"),
+        ([float("nan"), 0], "site 1: vector not normalised .*nan"),   # NaN used to pass
+        ([1, 0, 0], r"site 1: want 2 components, got shape \(3,\)"),
+        ([[1], [0]], None),
+        (["x", 1], "complex"),
+    ])
+    def test_errors_name_the_first_bad_site(self, bad, message):
+        # sites are checked together; an error still names the first bad one
+        lattice = bs.chain_lattice([0], [1, 2, 3])
+        site_states = {0: [1, 0], 1: bad, 2: [0.6, 0.8], 3: [2, 0]}
+        if message is None:   # any shape with two entries is a vector
+            site_states[3] = [0, 1]
+            assert bs.product_state(lattice, site_states).amplitude("0011") == 0.8
+            return
+        with pytest.raises((bs.StateError, ValueError), match=message):
+            bs.product_state(lattice, site_states)
+
 
 class TestEntangledState:
     def test_renormalises(self):

@@ -1,12 +1,17 @@
+import ast
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import branchsim as bs
 from branchsim import analysis, oracle, verify
 from conftest import random_state
+from test_analysis_properties import sparse_states
 
 
 class TestDenseRepresentation:
@@ -144,3 +149,118 @@ class TestVerificationSuite:
         assert check.passed
         plane_max = float(check.detail.split("plane max ")[1])
         assert abs(plane_max - 2 * math.sqrt(2)) <= 1e-9
+
+
+class TestIndependence:
+    def test_oracle_imports_no_analysis_or_sparse_gate_code(self):
+        # sharing code with the sparse path would make the cross-check a tautology
+        tree = ast.parse(pathlib.Path(oracle.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                imported.update(alias.name for alias in node.names)
+        assert not any("analysis" in name for name in imported), imported
+        sparse = {"apply_columns", "column_action", "apply_gate1", "apply_gate2",
+                  "compile_schedule", "play_step", "run_schedule"}
+        assert not imported & sparse
+        assert not hasattr(oracle, "analysis") and not hasattr(oracle, "apply_columns")
+
+
+# ---------------------------------------------------------------------------
+# the stacked analysis against the per-state loops it replaced
+# ---------------------------------------------------------------------------
+
+def loop_dense_entropy(dense, region):
+    """Reference: the entropy summed over the positive eigenvalues only."""
+    w = np.linalg.eigvalsh(oracle.dense_rdm(dense, region))
+    w = w[w > 0.0]
+    return float(-(w * np.log(w)).sum()) if w.size else 0.0
+
+
+def loop_dense_branch_weights(dense, tol):
+    """Reference: one purity per site, then one dict entry per nonzero index,
+    merged weights kept and totalled in order of first appearance."""
+    n = dense.lattice.n_sites
+    branched = []
+    for p, site in enumerate(dense.lattice.indices):
+        rho = oracle.dense_rdm(dense, [site])
+        if np.trace(rho @ rho).real < 1.0 - tol:
+            branched.append((p, site))
+    probs = np.abs(dense.vector) ** 2
+    merged = {}
+    for idx in np.flatnonzero(probs):
+        key = tuple((site, (int(idx) >> (n - 1 - p)) & 1) for p, site in branched)
+        merged[key] = merged.get(key, 0.0) + float(probs[idx])
+    merged = {key: w for key, w in merged.items() if w > tol}
+    total = sum(merged.values())
+    return {key: w / total for key, w in merged.items()}
+
+
+def assert_same_weights(got, want):
+    """Equal key sets, and equal weights down to the last bit."""
+    assert set(got) == set(want)
+    assert np.array([got[k] for k in want]).tobytes() == np.array(list(want.values())).tobytes()
+
+
+def dense_variants(state):
+    """The state, and the state after a rotation that fills in more terms."""
+    rotated = bs.apply_gate1(state, bs.rotation_gate(0.3), state.lattice.indices[-1])
+    return [oracle.densify(state), oracle.densify(rotated)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_states(), st.sampled_from([1e-9, 1e-6, 0.05]))
+def test_branch_weights_match_the_index_loop(state, tol):
+    for dense in dense_variants(state):
+        assert_same_weights(oracle.dense_branch_weights(dense, tol),
+                            loop_dense_branch_weights(dense, tol))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_states())
+def test_entropies_match_the_filtered_sum(state):
+    # regions of three or more sites have 8 or more eigenvalues, some of
+    # them zero or below, which numpy would add pairwise
+    indices = state.lattice.indices
+    regions = [indices[:k] for k in range(1, len(indices) + 1)] + [indices[::-1]]
+    for dense in dense_variants(state):
+        for region in regions:
+            assert (np.float64(oracle.dense_entropy(dense, region)).tobytes()
+                    == np.float64(loop_dense_entropy(dense, region)).tobytes())
+
+
+def test_a_carried_analysis_is_used_only_for_its_regions_and_tolerance():
+    state = bs.scenario_epr().run()[-1]
+    vectors = oracle.dense_vectors([state, state])
+    carried = oracle.analysed_states(state.lattice, vectors, ((0, 2),), 1e-6)[1]
+    assert oracle.dense_analysis(carried, ((0, 2),), 1e-6) is carried.analysis
+    for regions, tol in [(((2, 3),), 1e-6), (((0, 2),), 1e-9)]:
+        fresh = oracle.dense_analysis(carried, regions, tol)
+        assert fresh.regions == regions and fresh.tol == tol
+        assert np.array_equal(fresh.region_rdms[0], oracle.dense_rdm(carried, regions[0]))
+
+
+def test_branch_totals_add_in_order_of_first_appearance():
+    # site 0 is unbranched within the tolerance, but branch (0, 1) has no
+    # term with site 0 at bit 0, so it first appears after branches (1, 0)
+    # and (1, 1); the total in that order differs in its last bit from the
+    # total in key order
+    lattice = bs.chain_lattice([0], [1, 2])
+    eps = 1e-3
+    vector = np.zeros(8, dtype=complex)
+    for code, weight in enumerate([0.1, 0.05, 0.41, 0.44]):
+        if code == 1:
+            vector[4 + code] = np.sqrt(weight)
+        else:
+            vector[code] = np.sqrt(weight) * np.sin(eps)
+            vector[4 + code] = np.sqrt(weight) * np.cos(eps)
+    dense = oracle.DenseState(lattice, vector)
+    probs = np.abs(vector) ** 2
+    group = [probs[code] + probs[4 + code] for code in range(4)]
+    assert ((group[0] + group[2]) + group[3]) + group[1] != \
+        ((group[0] + group[1]) + group[2]) + group[3]
+    want = loop_dense_branch_weights(dense, 1e-6)
+    assert len(want) == 4
+    assert_same_weights(oracle.dense_branch_weights(dense, 1e-6), want)
