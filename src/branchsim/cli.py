@@ -21,7 +21,7 @@ import time
 
 import numpy as np
 
-from . import __version__, analysis, verify
+from . import __version__, analysis, oracle, verify
 from .bell import record_chsh_scan
 from .gates import GateError
 from .lattice import LatticeError, StateError
@@ -102,6 +102,10 @@ def _cmd_run(args) -> int:
     _require(0.0 <= args.tolerance < 1.0,
              f"--tolerance must be in [0, 1), got {args.tolerance}")
     config = load_config(args.config)
+    if args.verify:
+        _require(config.lattice.n_sites <= oracle.MAX_DENSE_SITES,
+                 f"--verify needs at most {oracle.MAX_DENSE_SITES} sites, "
+                 f"got {config.lattice.n_sites}")
     started = time.perf_counter()
     states = config.run(horizon=args.horizon)
 
@@ -128,6 +132,7 @@ def _cmd_verify(args) -> int:
     _require(0.0 <= args.tolerance < math.inf,
              f"--tolerance must be finite and >= 0, got {args.tolerance}")
     _require(args.trials >= 0, f"--trials must be >= 0, got {args.trials}")
+    _require(args.seed >= 0, f"--seed must be >= 0, got {args.seed}")
     overrides = None
     if args.inject_fault == "corrupt-gate":
         bad = np.eye(4, dtype=complex)

@@ -331,37 +331,6 @@ def overlap(a: PureState, b: PureState) -> float:
     return abs(inner_product(a, b))
 
 
-def _site_vectors(lattice: Lattice, site_states: Mapping) -> np.ndarray:
-    """The (n, 2) complex site vectors of `product_state`, validated.
-
-    All sites are converted and checked at once.  Any site that fails,
-    or whose norm is within a hair of the tolerance, sends every site
-    through the one-by-one check, so the error names the first bad site
-    and the accept/reject decision is exactly that check's.
-    """
-    indices = lattice.indices
-    try:
-        vecs = np.array([site_states[s] for s in indices], dtype=complex)
-        ok = vecs.size == 2 * len(indices)
-    except (TypeError, ValueError):
-        ok = False
-    if ok:
-        vecs = vecs.reshape(len(indices), 2)
-        # this |v|^2 is within a few ulps of `vdot`'s; stay well clear of the edge
-        if np.abs(np.square(vecs.view(float)).sum(axis=1) - 1.0).max() <= NORM_TOL / 2:
-            return vecs
-    columns = []
-    for site_id in indices:
-        vec = np.asarray(site_states[site_id], dtype=complex).reshape(-1)
-        if vec.shape != (2,):
-            raise StateError(f"site {site_id}: want 2 components, got shape {vec.shape}")
-        if not abs(np.vdot(vec, vec).real - 1.0) <= NORM_TOL:   # NaN fails too
-            raise StateError(f"site {site_id}: vector not normalised "
-                             f"(|v|^2 = {np.vdot(vec, vec).real!r})")
-        columns.append(vec)
-    return np.array(columns)
-
-
 def product_state(lattice: Lattice, site_states: Mapping) -> PureState:
     """Product state from per-site two-component vectors.
 
@@ -374,25 +343,26 @@ def product_state(lattice: Lattice, site_states: Mapping) -> PureState:
         raise StateError(f"site states must cover the lattice exactly "
                          f"(missing {sorted(indices - set(site_states))}, "
                          f"extra {sorted(set(site_states) - indices)})")
-    vecs = _site_vectors(lattice, site_states)
+    columns = []
+    for site_id in lattice.indices:
+        vec = np.asarray(site_states[site_id], dtype=complex).reshape(-1)
+        if vec.shape != (2,):
+            raise StateError(f"site {site_id}: want 2 components, got shape {vec.shape}")
+        if not abs(np.vdot(vec, vec).real - 1.0) <= NORM_TOL:   # NaN fails too
+            raise StateError(f"site {site_id}: vector not normalised "
+                             f"(|v|^2 = {np.vdot(vec, vec).real!r})")
+        columns.append(vec)
+
+    vecs = np.array(columns)
     kept = np.hypot(vecs.real, vecs.imag) >= PRUNE_EPS   # (n, 2): bits each site takes
     # grow the product one site at a time, as a loop over the terms would:
-    # each term splits into one term per kept bit, in (old term, bit) order.
-    # While there is one term, Python floats do the arithmetic: they round
-    # each product and sum once, as `complex_product` on arrays does.
-    re, im = 1.0, 0.0
-    for p, (keep0, keep1, (v0, v1)) in enumerate(zip(*kept.T.tolist(), vecs.tolist())):
-        if isinstance(re, float) and not (keep0 and keep1):
-            v = v0 if keep0 else v1
-            re, im = re * v.real - im * v.imag, re * v.imag + im * v.real
-            continue
+    # each term splits into one term per kept bit, in (old term, bit) order
+    re, im = np.ones(1), np.zeros(1)
+    for p, (keep0, keep1) in enumerate(kept.tolist()):
         part = slice(0 if keep0 else 1, 2 if keep1 else 1)   # the kept bits
-        re, im = complex_product(np.reshape(re, (-1, 1)), np.reshape(im, (-1, 1)),
+        re, im = complex_product(re[:, None], im[:, None],
                                  vecs.real[p, part], vecs.imag[p, part])
         re, im = re.ravel(), im.ravel()
-    if isinstance(re, float):   # every site one-valued
-        bits = kept[None, :, 1].astype(np.uint8)
-        return PureState(lattice, TermTable.pruned(bits, np.array([re]), np.array([im])))
     # so term t's bit at a two-valued site is bit `shift` of t, where
     # `shift` counts the two-valued sites to its right
     two = kept.all(axis=1)

@@ -17,8 +17,8 @@ eigvalsh compute each item as the single call does, which the tests pin.
 Capped at 20 sites (a 2^20 vector); the sparse engine has no such cap.
 """
 
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Optional
+from dataclasses import dataclass
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -56,13 +56,11 @@ class DenseAnalysis(NamedTuple):
 
     ``site_rdms[i]`` is the density matrix of the lattice's i-th site and
     ``site_entropy[i]`` its entropy; ``region_rdms[r]`` and
-    ``region_entropy[r]`` belong to ``regions[r]``.  ``branches`` are the
-    branches at ``tol``.  Each value has the bits of the single-state
-    function that computes it.
+    ``region_entropy[r]`` belong to the r-th region analysed, and
+    ``branches`` are its branches at the tolerance analysed.  Each value
+    has the bits of the single-state function that computes it.
     """
 
-    regions: tuple
-    tol: float
     site_rdms: np.ndarray       # (n, 2, 2)
     site_entropy: np.ndarray    # (n,)
     region_rdms: tuple          # one (d, d) matrix per region
@@ -74,12 +72,10 @@ class DenseAnalysis(NamedTuple):
 class DenseState:
     """A full state vector, index bits ordered like the lattice (site 0
     of the lattice is the most significant bit).  The vector is copied
-    unless it is a read-only complex array already.  ``analysis`` is set
-    on states that `analysed_states` built together with their stack."""
+    unless it is a read-only complex array already."""
 
     lattice: Lattice
     vector: np.ndarray
-    analysis: Optional[DenseAnalysis] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         n = self.lattice.n_sites
@@ -270,29 +266,9 @@ def analyse_stack(lattice: Lattice, vectors: np.ndarray, regions: Iterable = (),
     region_rdms = [_rdm_stack(lattice, vectors, r) for r in regions]
     region_entropy = np.array([_entropies(r) for r in region_rdms]).reshape(
         len(regions), len(vectors)).T
-    return [DenseAnalysis(regions, tol, rdms[b], entropy[b],
-                          tuple(r[b] for r in region_rdms), region_entropy[b], branches[b])
+    return [DenseAnalysis(rdms[b], entropy[b], tuple(r[b] for r in region_rdms),
+                          region_entropy[b], branches[b])
             for b in range(len(vectors))]
-
-
-def analysed_states(lattice: Lattice, vectors: np.ndarray, regions: Iterable = (),
-                    tol: float = 1e-9) -> list:
-    """The states of a (B, 2^n) stack, each carrying its `DenseAnalysis`;
-    they share the stack, which becomes read-only."""
-    vectors.setflags(write=False)
-    return [DenseState(lattice, v, a)
-            for v, a in zip(vectors, analyse_stack(lattice, vectors, regions, tol))]
-
-
-def dense_analysis(dense: DenseState, regions: Iterable = (),
-                   tol: float = 1e-9) -> DenseAnalysis:
-    """A state's `DenseAnalysis`: the one it carries, if that has these
-    regions and this tolerance, else a new one."""
-    regions = tuple(tuple(r) for r in regions)
-    carried = dense.analysis
-    if carried is not None and carried.regions == regions and carried.tol == tol:
-        return carried
-    return analyse_stack(dense.lattice, dense.vector[None], regions, tol)[0]
 
 
 def dense_rdm(dense: DenseState, keep: Iterable) -> np.ndarray:

@@ -334,6 +334,13 @@ def _complex_from(value) -> complex:
     raise ConfigError(f"want a number or [re, im] pair, got {value!r}")
 
 
+def _whole(value, key: str) -> int:
+    """A config integer: a number with a fraction is an error, not truncated."""
+    if isinstance(value, float) and not value.is_integer():   # inf and NaN too
+        raise ConfigError(f"'{key}' must be a whole number, got {value!r}")
+    return int(value)
+
+
 def _gate_from_config(entry) -> Union[str, Gate]:
     if isinstance(entry, str):
         gate_by_name(entry)  # fail fast on unknown names
@@ -352,6 +359,8 @@ def _initial_from_config(entry, lattice: Lattice) -> PureState:
     if not isinstance(entry, Mapping):
         raise ConfigError("'initial' must be an object with 'product' or 'terms'")
     if "product" in entry:
+        if not isinstance(entry["product"], Mapping):
+            raise ConfigError(f"'product' must be an object, got {entry['product']!r}")
         site_states = {
             int(site): [_complex_from(c) for c in vec]
             for site, vec in entry["product"].items()
@@ -406,10 +415,13 @@ def config_from_document(text: str) -> ScenarioConfig:
 
     if "scenario" in doc:
         name = doc["scenario"]
-        if name not in SCENARIOS:
+        if not isinstance(name, str) or name not in SCENARIOS:
             raise ConfigError(f"unknown scenario {name!r}; "
                               f"available: {', '.join(sorted(SCENARIOS))}")
-        params = dict(doc.get("params", {}))
+        params = doc.get("params", {})
+        if not isinstance(params, Mapping):
+            raise ConfigError(f"'params' must be an object, got {params!r}")
+        params = dict(params)
         for key in ("alpha", "beta"):
             if key in params:
                 params[key] = _complex_from(params[key])
@@ -427,11 +439,12 @@ def config_from_document(text: str) -> ScenarioConfig:
         lattice = Lattice.from_pairs((s["index"], s["kind"]) for s in doc["lattice"])
         initial = _initial_from_config(doc["initial"], lattice)
         apps = tuple(
-            GateApplication(int(e["time"]), tuple(e["sites"]), _gate_from_config(e["gate"]))
+            GateApplication(_whole(e["time"], "time"), tuple(e["sites"]),
+                            _gate_from_config(e["gate"]))
             for e in doc.get("schedule", ())
         )
         sched = Schedule(apps)
-        horizon = int(doc.get("horizon", sched.horizon))
+        horizon = _whole(doc.get("horizon", sched.horizon), "horizon")
         analyses = (_analyses_from_config(doc["analyses"], lattice)
                     if "analyses" in doc else DEFAULT_ANALYSES)
     except ConfigError:

@@ -23,7 +23,7 @@ from . import analysis, oracle
 from .analysis import MeasurementSetting, chsh_grid_max
 from .gates import (UNITARITY_TOL, Gate2, field_copy_gate, field_swap_gate, gate_by_name,
                     rotation_gate, system_field_gate)
-from .lattice import PureState, chain_lattice, norm, overlap, product_state
+from .lattice import PureState, chain_lattice, norm, overlap
 from .reference_states import REFERENCE_SEQUENCES
 from .schedule import (SCENARIOS, GateApplication, Schedule, ScenarioConfig,
                        compile_schedule, play_step, scenario_single)
@@ -149,25 +149,34 @@ TRIAL_BLOCK = 64
 
 
 def _compared_regions(lattice) -> tuple:
-    """The two regions `compare_states` checks beyond single sites: the
+    """The two regions `compare_stack` checks beyond single sites: the
     first two and the last two sites of the lattice."""
     return (lattice.indices[:2], lattice.indices[-2:])
 
 
-def compare_states(state: PureState, dense: oracle.DenseState) -> float:
-    """Worst deviation across overlap, RDMs, entropies, branch weights.
+def compare_stack(states: list, vectors: np.ndarray) -> list:
+    """Worst deviation of each sparse state from its row of a (B, 2^n)
+    dense stack, across overlap, RDMs, entropies and branch weights.
 
-    The sparse side is one `StateAnalysis`, the marginals reports print,
-    plus its two compared regions from one partial-trace pass.  The
-    dense side is one `oracle.DenseAnalysis`: the one `dense` carries
-    when it was analysed with its stack, else a new one.
+    The sparse side of each state is one `StateAnalysis`, the marginals
+    reports print, plus its two compared regions from one partial-trace
+    pass.  The dense side is one `oracle.analyse_stack` of the whole
+    stack.  Each row's deviation depends on its own state and row only.
     """
-    worst = abs(oracle.dense_overlap(oracle.densify(state), dense) - 1.0)
+    lattice = states[0].lattice
+    regions = _compared_regions(lattice)
+    overlaps = oracle.dense_overlaps(oracle.dense_vectors(states), vectors)
+    dense = oracle.analyse_stack(lattice, vectors, regions, COMPARE_TOL)
+    return [_deviation(state, abs(o - 1.0), d, regions)
+            for state, o, d in zip(states, overlaps, dense)]
 
+
+def _deviation(state: PureState, worst: float, d: oracle.DenseAnalysis,
+               regions: tuple) -> float:
+    """`compare_stack`'s check of one state against its dense analysis,
+    given the overlap's deviation `worst`."""
     summary = analysis.StateAnalysis(state, tol=COMPARE_TOL)
     m = summary.marginals
-    regions = _compared_regions(state.lattice)
-    d = oracle.dense_analysis(dense, regions, COMPARE_TOL)
     rhos = analysis.region_matrices(state, regions)
     # per site, then per region: the matrix deviation, then the entropy's
     for matrices, entropy, dense_matrices, dense_entropy in (
@@ -189,6 +198,13 @@ def compare_states(state: PureState, dense: oracle.DenseState) -> float:
             return math.inf
     weights = np.array([b.weight for b in branches])
     return max([worst] + np.abs(weights - dense_branches.weights).tolist())
+
+
+def compare_states(state: PureState, dense: oracle.DenseState) -> float:
+    """Worst deviation of `state` from `dense`: the one-row `compare_stack`."""
+    if state.lattice != dense.lattice:
+        raise oracle.OracleError("compared states must be on the same lattice")
+    return compare_stack([state], dense.vector[None])[0]
 
 
 def dense_deviation(config: ScenarioConfig, states: list) -> float:
@@ -251,8 +267,8 @@ def random_trial_block(rng: np.random.Generator, n_trials: int,
     sparse side plays it exactly as `run` plays a config.  The dense
     side plays the block as one (B, 2^n) stack, one gate per trial per
     step, and the two engines' states are compared after every step.
-    The full battery of derived quantities is compared once, on the
-    final states, which the oracle analyses as one stack.
+    The full battery of derived quantities is compared once, by one
+    `compare_stack` of the final states.
     """
     lattice = chain_lattice([0], range(1, n_sites))
     trials = _draw_trials(rng, n_trials, n_sites, n_gates)
@@ -260,9 +276,7 @@ def random_trial_block(rng: np.random.Generator, n_trials: int,
         return []
     states, compiled = [], []
     for bits, plan in trials:
-        amps = np.zeros((n_sites, 2))
-        amps[range(n_sites), bits] = 1.0
-        states.append(product_state(lattice, dict(enumerate(amps))))
+        states.append(PureState(lattice, {tuple(bits): 1.0}))
         schedule = Schedule(tuple(GateApplication(t, pair, gate)
                                   for t, (pair, gate) in enumerate(plan)))
         compiled.append(compile_schedule(schedule, lattice))
@@ -281,9 +295,8 @@ def random_trial_block(rng: np.random.Generator, n_trials: int,
             [tuple(lattice.position(s) for s in pair) for pair, _ in apps])
         overlaps.append([abs(o - 1.0) for o in
                          oracle.dense_overlaps(oracle.dense_vectors(states), vectors)])
-    finals = oracle.analysed_states(lattice, vectors, _compared_regions(lattice), COMPARE_TOL)
-    return [max(max((step[i] for step in overlaps), default=0.0), compare_states(state, final))
-            for i, (state, final) in enumerate(zip(states, finals))]
+    return [max(max((step[i] for step in overlaps), default=0.0), final)
+            for i, final in enumerate(compare_stack(states, vectors))]
 
 
 def random_differential_trial(rng: np.random.Generator,

@@ -188,6 +188,50 @@ class TestBadInput:
         err = self.fails_cleanly(capsys, argv)
         assert mention in err
 
+    def test_negative_seed(self, capsys):
+        # used to raise ValueError from numpy's default_rng after the other checks
+        err = self.fails_cleanly(capsys, ["verify", "--quick", "--seed", "-1"])
+        assert "--seed" in err
+
+    def test_verify_on_more_sites_than_the_dense_engine_holds(self, tmp_path, capsys):
+        # used to raise OracleError, after the whole run
+        err = self.run_fails_cleanly(
+            tmp_path, capsys, {"scenario": "single", "params": {"n_sites": 20}}, "--verify")
+        assert "--verify" in err and "21" in err
+
+    @pytest.mark.parametrize("params", [[1, 2], "ab"])
+    def test_params_that_are_not_an_object(self, tmp_path, capsys, params):
+        err = self.run_fails_cleanly(tmp_path, capsys, {"scenario": "single", "params": params})
+        assert "'params'" in err
+
+    def test_unhashable_scenario_name(self, tmp_path, capsys):
+        err = self.run_fails_cleanly(tmp_path, capsys, {"scenario": ["epr"]})
+        assert "unknown scenario ['epr']" in err
+
+    EXPLICIT = {"lattice": [{"index": 0, "kind": "system"}, {"index": 1, "kind": "field"}],
+                "initial": {"product": {"0": [[1, 0], [0, 0]], "1": [[1, 0], [0, 0]]}},
+                "schedule": [{"time": 0, "sites": [0, 1], "gate": "U_si"}]}
+
+    @pytest.mark.parametrize("key, doc", [
+        ("horizon", dict(EXPLICIT, horizon=2.7)),
+        ("horizon", dict(EXPLICIT, horizon=math.inf)),   # was an OverflowError
+        ("time", dict(EXPLICIT, schedule=[{"time": 0.5, "sites": [0, 1], "gate": "U_si"}])),
+    ])
+    def test_fractional_step_numbers(self, tmp_path, capsys, key, doc):
+        # used to be truncated to an integer without a word
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        assert f"'{key}' must be a whole number" in err
+
+    def test_product_that_is_not_an_object(self, tmp_path, capsys):
+        # used to raise AttributeError
+        doc = dict(self.EXPLICIT, initial={"product": [[1, 0], [1, 0]]})
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        assert "'product' must be an object" in err
+
+    def test_whole_step_numbers_written_as_floats_are_accepted(self, tmp_path):
+        config = write_config(tmp_path, dict(self.EXPLICIT, horizon=1.0))
+        assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
+
 
 class TestVerify:
     def test_quick_suite_passes(self, capsys):

@@ -1,9 +1,10 @@
-"""`verify.compare_states` on the shared analysis path.
+"""`verify.compare_stack` and `compare_states` on the shared analysis path.
 
 The cross-check reads one `StateAnalysis` per compared state.  These
 tests pin it bit for bit to the per-region loop it replaced (kept here
-as the reference) and show that a fault in the shared marginals, the
-ones reports print, makes it fail.
+as the reference), show that a row of a stacked comparison depends on
+its own state only, and that a fault in the shared marginals, the ones
+reports print, makes it fail.
 """
 
 import dataclasses
@@ -40,18 +41,46 @@ def assert_same_bits(state, dense):
             == np.float64(loop_compare_states(state, dense)).tobytes())
 
 
-def test_random_trial_states_match_the_region_loop(monkeypatch):
-    compared = []
-    original = verify.compare_states
-    monkeypatch.setattr(verify, "compare_states",
-                        lambda s, d: compared.append((s, d)) or original(s, d))
-    rng = np.random.default_rng(5)
-    for _ in range(150):
-        verify.random_differential_trial(rng)
+def bits(values):
+    return np.array(values, dtype=np.float64).tobytes()
+
+
+def compared_block(monkeypatch, n_trials, seed=5):
+    """The final states, dense stack and rows of the one `compare_stack`
+    that a random block of `n_trials` makes."""
+    calls, original = [], verify.compare_stack
+
+    def recorded(states, vectors):
+        rows = original(states, vectors)
+        calls.append((states, vectors, rows))
+        return rows
+
+    monkeypatch.setattr(verify, "compare_stack", recorded)
+    verify.random_trial_block(np.random.default_rng(seed), n_trials)
     monkeypatch.undo()
-    assert len(compared) == 150
-    for state, dense in compared:
-        assert_same_bits(state, dense)
+    assert len(calls) == 1
+    return calls[0]
+
+
+def test_random_trial_states_match_the_region_loop(monkeypatch):
+    states, vectors, rows = compared_block(monkeypatch, 150)
+    assert len(rows) == 150
+    lattice = states[0].lattice
+    assert bits(rows) == bits([loop_compare_states(state, oracle.DenseState(lattice, vector))
+                               for state, vector in zip(states, vectors)])
+
+
+def test_a_row_does_not_depend_on_the_rest_of_its_stack(monkeypatch):
+    states, vectors, rows = compared_block(monkeypatch, 40)
+    lattice = states[0].lattice
+    alone = [verify.compare_states(state, oracle.DenseState(lattice, vector))
+             for state, vector in zip(states, vectors)]
+    assert bits(rows) == bits(alone)
+    assert bits(verify.compare_stack(states[::-1], vectors[::-1])) == bits(alone[::-1])
+    # a row that disagrees, first in the stack, changes no other row
+    mixed = verify.compare_stack([states[0]] + states, np.concatenate([vectors[1:2], vectors]))
+    assert mixed[0] > 1e-3
+    assert bits(mixed[1:]) == bits(alone)
 
 
 @pytest.mark.parametrize("name", sorted(bs.SCENARIOS))

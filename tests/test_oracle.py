@@ -231,17 +231,6 @@ def test_entropies_match_the_filtered_sum(state):
                     == np.float64(loop_dense_entropy(dense, region)).tobytes())
 
 
-def test_a_carried_analysis_is_used_only_for_its_regions_and_tolerance():
-    state = bs.scenario_epr().run()[-1]
-    vectors = oracle.dense_vectors([state, state])
-    carried = oracle.analysed_states(state.lattice, vectors, ((0, 2),), 1e-6)[1]
-    assert oracle.dense_analysis(carried, ((0, 2),), 1e-6) is carried.analysis
-    for regions, tol in [(((2, 3),), 1e-6), (((0, 2),), 1e-9)]:
-        fresh = oracle.dense_analysis(carried, regions, tol)
-        assert fresh.regions == regions and fresh.tol == tol
-        assert np.array_equal(fresh.region_rdms[0], oracle.dense_rdm(carried, regions[0]))
-
-
 def test_branch_totals_add_in_order_of_first_appearance():
     # site 0 is unbranched within the tolerance, but branch (0, 1) has no
     # term with site 0 at bit 0, so it first appears after branches (1, 0)
