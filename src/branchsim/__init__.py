@@ -42,6 +42,6 @@ from .analysis import (                                          # noqa: F401
 from .bell import RecordScanResult, record_chsh_scan, record_correlation  # noqa: F401
 from .oracle import (                                            # noqa: F401
     DenseState, OracleError, dense_apply, dense_branch_weights, dense_entropy,
-    dense_norm, dense_overlap, dense_rdm, dense_run, densify, random_gate1,
-    random_gate2, random_unitary, sparsify,
+    dense_norm, dense_overlap, dense_rdm, dense_run, dense_steps, densify,
+    random_gate1, random_gate2, random_unitary, sparsify,
 )

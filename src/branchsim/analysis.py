@@ -15,6 +15,7 @@ approximations beyond floating point.  Conventions:
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -257,15 +258,10 @@ class StateAnalysis:
     def __init__(self, state: PureState, tol: float = BRANCH_TOL):
         self.state = state
         self.tol = tol
-        self._marginals = None
-        self._branches = None
-        self._clusters = None
 
-    @property
+    @cached_property
     def marginals(self) -> SiteMarginals:
-        if self._marginals is None:
-            self._marginals = site_marginals(self.state)
-        return self._marginals
+        return site_marginals(self.state)
 
     @property
     def decohered(self) -> np.ndarray:
@@ -273,17 +269,13 @@ class StateAnalysis:
         m = self.marginals
         return _is_mixture(m.coherence, m.purity, self.tol)
 
-    @property
+    @cached_property
     def branches(self) -> "BranchDecomposition":
-        if self._branches is None:
-            self._branches = _decompose(self.state, self.marginals, self.tol)
-        return self._branches
+        return _decompose(self.state, self.marginals, self.tol)
 
-    @property
+    @cached_property
     def clusters(self) -> "BranchClusters":
-        if self._clusters is None:
-            self._clusters = _cluster(self.state, self.marginals, self.branches, self.tol)
-        return self._clusters
+        return _cluster(self.state, self.marginals, self.branches, self.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -398,29 +390,27 @@ def _pair_mutual_information(state: PureState, marginals: SiteMarginals,
 
 def _cluster(state: PureState, marginals: SiteMarginals, decomp: BranchDecomposition,
              tol: float) -> BranchClusters:
+    # each cluster grows from its lowest unplaced site: every round pairs
+    # the sites that joined last with every unplaced site, lower position
+    # first, in one call, and the linked ones join
     branched = sorted({s for b in decomp.branches for s in b.support})
-    k = len(branched)
     positions = np.array([state.lattice.position(s) for s in branched], dtype=np.intp)
-    a, b = np.triu_indices(k, 1)
-    linked = np.zeros((k, k), dtype=bool)
-    if a.size:
-        pairs = np.stack([positions[a], positions[b]], axis=1)
-        linked[a, b] = _pair_mutual_information(state, marginals, pairs) > tol
-        linked |= linked.T
-
+    unplaced = np.ones(len(branched), dtype=bool)
     clusters = []
-    unseen = np.ones(k, dtype=bool)
-    for start in range(k):
-        if not unseen[start]:
+    for start in range(len(branched)):
+        if not unplaced[start]:
             continue
-        component = np.zeros(k, dtype=bool)
-        component[start] = True
-        frontier = component
-        while frontier.any():
-            frontier = linked[frontier].any(axis=0) & ~component
-            component |= frontier
-        unseen &= ~component
-        sites = tuple(branched[i] for i in np.flatnonzero(component))
+        unplaced[start] = False
+        members = frontier = np.array([start])
+        while frontier.size and unplaced.any():
+            rest = np.flatnonzero(unplaced)
+            a, b = np.repeat(frontier, rest.size), np.tile(rest, frontier.size)
+            pairs = positions[np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)]
+            linked = _pair_mutual_information(state, marginals, pairs) > tol
+            frontier = rest[linked.reshape(-1, rest.size).any(axis=0)]
+            unplaced[frontier] = False
+            members = np.concatenate([members, frontier])
+        sites = tuple(branched[i] for i in np.sort(members))
         local: dict = {}
         for br in decomp.branches:
             key = tuple((s, br.assignment[s]) for s in sites)

@@ -18,7 +18,7 @@ Capped at 20 sites (a 2^20 vector); the sparse engine has no such cap.
 """
 
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -163,20 +163,25 @@ def dense_apply(dense: DenseState, gate: Gate, sites: Iterable) -> DenseState:
     return DenseState(dense.lattice, vector)
 
 
-def dense_run(dense: DenseState, schedule: Schedule, horizon=None) -> list:
-    """Evolve a dense state through a schedule; mirrors `run_schedule`."""
+def dense_steps(dense: DenseState, schedule: Schedule, horizon=None) -> Iterator:
+    """Evolve a dense state through a schedule, yielding its state at
+    t = 0 .. horizon one at a time; mirrors `run_schedule`.  A negative
+    horizon raises before the first state is yielded."""
     if horizon is None:
         horizon = schedule.horizon
     if horizon < 0:
         raise OracleError(f"negative horizon {horizon}")
     steps = schedule.by_step()
-    out = [dense]
+    yield dense
     for t in range(horizon):
-        current = out[-1]
-        for app in steps.get(t, ()):
-            current = dense_apply(current, app.resolved_gate(), app.sites)
-        out.append(current)
-    return out
+        for app in steps.get(t, ()):   # rebinding drops the previous state
+            dense = dense_apply(dense, app.resolved_gate(), app.sites)
+        yield dense
+
+
+def dense_run(dense: DenseState, schedule: Schedule, horizon=None) -> list:
+    """Every state of `dense_steps`, as a list."""
+    return list(dense_steps(dense, schedule, horizon))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ Built-in scenarios
 
 import json
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
@@ -379,8 +380,9 @@ ANALYSIS_NAMES = ("sites", "branches", "clusters")
 
 def _analyses_from_config(entry, lattice: Lattice) -> tuple:
     """Validate an ``analyses`` list: names from ANALYSIS_NAMES, or
-    ``{"type": "correlation", "site_a": A, "site_b": B}`` with integer
-    lattice sites and optional numeric ``theta_a`` / ``theta_b``."""
+    ``{"type": "correlation", "site_a": A, "site_b": B}`` with two
+    different integer lattice sites and optional finite ``theta_a`` /
+    ``theta_b``."""
     if not isinstance(entry, list):
         raise ConfigError(f"'analyses' must be a list, got {entry!r}")
     for item in entry:
@@ -397,10 +399,15 @@ def _analyses_from_config(entry, lattice: Lattice) -> tuple:
                     or site not in lattice.indices:
                 raise ConfigError(f"correlation {key} must be an integer lattice site, "
                                   f"got {site!r}")
+        if item["site_a"] == item["site_b"]:
+            raise ConfigError(f"correlation needs two different sites, "
+                              f"got {item['site_a']!r} twice")
         for key in ("theta_a", "theta_b"):
             theta = item.get(key, 0.0)
-            if isinstance(theta, bool) or not isinstance(theta, (int, float)):
-                raise ConfigError(f"correlation {key} must be a number, got {theta!r}")
+            # NaN, infinities and integers past the float range all fail
+            if isinstance(theta, bool) or not isinstance(theta, (int, float)) \
+                    or not abs(theta) <= sys.float_info.max:
+                raise ConfigError(f"correlation {key} must be a finite number, got {theta!r}")
     return tuple(entry)
 
 

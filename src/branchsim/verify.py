@@ -209,9 +209,10 @@ def compare_states(state: PureState, dense: oracle.DenseState) -> float:
 
 def dense_deviation(config: ScenarioConfig, states: list) -> float:
     """Worst `compare_states` deviation of a sparse run of `config` (its
-    states at t = 0 .. len(states) - 1) from the dense engine's run."""
-    dense_states = oracle.dense_run(oracle.densify(config.initial), config.schedule,
-                                    len(states) - 1)
+    states at t = 0 .. len(states) - 1) from the dense engine's run,
+    which is advanced beside them and holds one dense state at a time."""
+    dense_states = oracle.dense_steps(oracle.densify(config.initial), config.schedule,
+                                      len(states) - 1)
     return max(compare_states(s, d) for s, d in zip(states, dense_states))
 
 
@@ -283,7 +284,8 @@ def random_trial_block(rng: np.random.Generator, n_trials: int,
 
     # both engines advance one step at a time, each trial's sparse state as
     # `run_schedule` plays it and the dense stack with one gate per trial;
-    # only the current states and the next are held
+    # only the current states and the next are held.  The final step's
+    # overlaps are `compare_stack`'s, so they are taken there only.
     vectors = oracle.dense_vectors(states)
     overlaps = []
     for t in range(n_gates):
@@ -293,8 +295,9 @@ def random_trial_block(rng: np.random.Generator, n_trials: int,
         vectors = oracle.apply_stack(
             vectors, np.array([gate.matrix for _, gate in apps]),
             [tuple(lattice.position(s) for s in pair) for pair, _ in apps])
-        overlaps.append([abs(o - 1.0) for o in
-                         oracle.dense_overlaps(oracle.dense_vectors(states), vectors)])
+        if t < n_gates - 1:
+            overlaps.append([abs(o - 1.0) for o in
+                             oracle.dense_overlaps(oracle.dense_vectors(states), vectors)])
     return [max(max((step[i] for step in overlaps), default=0.0), final)
             for i, final in enumerate(compare_stack(states, vectors))]
 

@@ -11,6 +11,7 @@ import itertools
 import math
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -171,3 +172,162 @@ def test_shared_decohered_flags_match_is_decohered(state):
     shared = analysis.StateAnalysis(state)
     assert list(shared.decohered) == [bs.is_decohered(state, s)
                                       for s in state.lattice.indices]
+
+
+def all_pairs_clusters(state, tol=bs.BRANCH_TOL):
+    """Reference clusters: the mutual information of every pair of
+    branched sites, one pair at a time, then the connected components of
+    the graph of pairs above `tol`, each found from its lowest site.
+    Returns (sites, {assignment: weight}) per cluster."""
+    decomp = bs.branch_decompose(state, tol)
+    branched = sorted(decomp.branches[0].support) if decomp.branches else []
+    marginals = analysis.site_marginals(state)
+    position = state.lattice.position
+    neighbours = {s: set() for s in branched}
+    for a, b in itertools.combinations(branched, 2):
+        pair = np.array([[position(a), position(b)]], dtype=np.intp)
+        if analysis._pair_mutual_information(state, marginals, pair)[0] > tol:
+            neighbours[a].add(b)
+            neighbours[b].add(a)
+    clusters, placed = [], set()
+    for start in branched:
+        if start in placed:
+            continue
+        component, stack = {start}, [start]
+        while stack:
+            for other in neighbours[stack.pop()] - component:
+                component.add(other)
+                stack.append(other)
+        placed |= component
+        sites = tuple(sorted(component))
+        local = {}
+        for br in decomp.branches:
+            key = tuple((s, br.assignment[s]) for s in sites)
+            local[key] = local.get(key, 0.0) + br.weight
+        clusters.append((sites, local))
+    return clusters
+
+
+def assert_clusters_match_all_pairs(state):
+    found = bs.extended_branch_clusters(state)
+    reference = all_pairs_clusters(state)
+    assert [c.sites for c in found.clusters] == [sites for sites, _ in reference]
+    for cluster, (sites, local) in zip(found.clusters, reference):
+        assert [(b.key(), b.weight) for b in cluster.branches] == sorted(local.items())
+        assert all(b.support == frozenset(sites) for b in cluster.branches)
+    assert found.unbranched == bs.branch_decompose(state).unbranched
+
+
+@st.composite
+def function_states(draw):
+    """Even superpositions over m free bits on which every other site is a
+    Boolean function, in a shuffled site order: records, parities and
+    constants, whose pairs are often exactly uncorrelated."""
+    m = draw(st.integers(1, 3))
+    n = draw(st.integers(m, 7))
+    tables = [draw(st.integers(0, 2 ** 2 ** m - 1)) for _ in range(n - m)]
+    order = draw(st.permutations(range(n)))
+    terms = []
+    for x in range(2 ** m):
+        row = [(x >> i) & 1 for i in range(m)] + [(t >> x) & 1 for t in tables]
+        terms.append(("".join(str(row[i]) for i in order), 1.0))
+    return bs.entangled_state(bs.chain_lattice([0], range(1, n)), terms)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(sparse_states(), function_states()))
+def test_clusters_are_the_components_of_the_all_pairs_graph(state):
+    assert_clusters_match_all_pairs(state)
+
+
+def parity_state():
+    """(|000> + |011> + |101> + |110>)/2.  Its bits are pairwise independent,
+    but tracing out one site leaves the other two in an even mixture of
+    two Bell states, so I = ln 2 for every pair and the three sites are
+    one cluster (no pure three-qubit state has three branched sites and
+    no linked pair)."""
+    lattice = bs.chain_lattice([0], [1, 2])
+    return bs.entangled_state(lattice, [(b, 0.5) for b in ("000", "011", "101", "110")])
+
+
+def five_qubit_code_state():
+    """The five-qubit code's |0_L>: every pair of sites is maximally mixed,
+    so no pair is linked and each site is a cluster of its own."""
+    pauli = {"I": np.eye(2), "X": np.array([[0, 1], [1, 0]]), "Z": np.diag([1, -1])}
+    vector = np.zeros(32)
+    vector[0] = 1.0
+    for generator in ("XZZXI", "IXZZX", "XIXZZ", "ZXIXZ"):
+        matrix = np.eye(1)
+        for p in generator:
+            matrix = np.kron(matrix, pauli[p])
+        vector = vector + matrix @ vector     # (1 + g) projects onto g = +1
+    lattice = bs.chain_lattice([0], [1, 2, 3, 4])
+    return bs.entangled_state(lattice, [(format(int(i), "05b"), vector[i])
+                                        for i in np.flatnonzero(vector)])
+
+
+def qubit_record_pairs(n_pairs=8):
+    """Independent Bell pairs on sites (i, 2n - 1 - i), nested, so each
+    cluster's sites are far apart on the chain: 2^n terms."""
+    n = 2 * n_pairs
+    lattice = bs.chain_lattice(range(n_pairs), range(n_pairs, n))
+    terms = []
+    for code in range(2 ** n_pairs):
+        bits = [0] * n
+        for i in range(n_pairs):
+            bits[i] = bits[n - 1 - i] = (code >> i) & 1
+        terms.append(("".join(map(str, bits)), 1.0))
+    return bs.entangled_state(lattice, terms)
+
+
+def and_chain_state():
+    """Independent bits a and c, their records a' and c', and b = a AND c,
+    on sites (a, b, c, a', c') = (0, 1, 2, 3, 4).  The records make the
+    a, c marginal a product, so I(a:c) = I(a:c') = 0 while b is linked to
+    all four: c and c' join the cluster of site 0 only in a second round."""
+    lattice = bs.chain_lattice([0], [1, 2, 3, 4])
+    terms = [(f"{a}{a & c}{c}{a}{c}", 0.5) for a in (0, 1) for c in (0, 1)]
+    return bs.entangled_state(lattice, terms)
+
+
+FIXED_STATES = {"parity": parity_state, "five_qubit_code": five_qubit_code_state,
+                "qubit_record_pairs": qubit_record_pairs, "and_chain": and_chain_state}
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_STATES))
+def test_fixed_states_cluster_like_the_all_pairs_graph(name):
+    assert_clusters_match_all_pairs(FIXED_STATES[name]())
+
+
+def test_fixed_states_have_the_expected_clusters():
+    sites = lambda state: [c.sites for c in bs.extended_branch_clusters(state).clusters]
+    assert sites(parity_state()) == [(0, 1, 2)]
+    assert sites(five_qubit_code_state()) == [(0,), (1,), (2,), (3,), (4,)]
+    assert sites(qubit_record_pairs()) == [(i, 15 - i) for i in range(8)]
+    assert sites(and_chain_state()) == [(0, 1, 2, 3, 4)]
+
+
+def test_and_chain_needs_a_second_round():
+    # in the reference graph sites 2 and 4 are not neighbours of site 0
+    state = and_chain_state()
+    marginals = analysis.site_marginals(state)
+    mi = lambda a, b: analysis._pair_mutual_information(
+        state, marginals, np.array([[a, b]], dtype=np.intp))[0]
+    assert mi(0, 2) <= bs.BRANCH_TOL and mi(0, 4) <= bs.BRANCH_TOL
+    assert mi(0, 1) > bs.BRANCH_TOL and mi(1, 2) > bs.BRANCH_TOL
+
+
+@pytest.mark.parametrize("name", sorted(FIXED_STATES))
+def test_growth_evaluates_each_pair_at_most_once(monkeypatch, name):
+    state = FIXED_STATES[name]()
+    seen, original = [], analysis._pair_mutual_information
+
+    def recorded(state, marginals, pairs):
+        seen.extend(map(tuple, pairs.tolist()))
+        assert (pairs[:, 0] < pairs[:, 1]).all()   # lower lattice position first
+        return original(state, marginals, pairs)
+
+    monkeypatch.setattr(analysis, "_pair_mutual_information", recorded)
+    k = len(bs.branch_decompose(state).branches[0].support)
+    bs.extended_branch_clusters(state)
+    assert len(seen) == len(set(seen)) <= k * (k - 1) // 2

@@ -111,6 +111,25 @@ class TestBadInput:
             {"scenario": "epr", "analyses": [{"type": "correlation", "site_a": 2}]})
         assert "site_b" in err
 
+    @pytest.mark.parametrize("key, theta", [("theta_a", math.nan), ("theta_b", math.inf),
+                                            ("theta_b", -math.inf), ("theta_a", 10 ** 400)],
+                             ids=["nan", "inf", "-inf", "int-past-float-range"])
+    def test_correlation_angle_that_is_not_finite(self, tmp_path, capsys, key, theta):
+        # NaN and infinities used to exit 0 and write NaN or Infinity
+        # tokens, which are not JSON, into report.json; an integer past
+        # the float range ended in an OverflowError traceback
+        err = self.run_fails_cleanly(tmp_path, capsys, {"scenario": "epr", "analyses": [
+            {"type": "correlation", "site_a": 2, "site_b": 3, key: theta}]})
+        assert f"correlation {key} must be a finite number" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_correlation_of_a_site_with_itself(self, tmp_path, capsys):
+        # used to fail only after the whole run, from the partial trace
+        err = self.run_fails_cleanly(tmp_path, capsys, {"scenario": "epr", "analyses": [
+            {"type": "correlation", "site_a": 2, "site_b": 2}]})
+        assert "correlation needs two different sites" in err
+        assert not (tmp_path / "out").exists()
+
     def test_unknown_analysis_name(self, tmp_path, capsys):
         err = self.run_fails_cleanly(tmp_path, capsys,
                                      {"scenario": "epr", "analyses": ["branch"]})

@@ -63,6 +63,27 @@ class TestDenseEvolution:
         with pytest.raises(oracle.OracleError, match="negative horizon"):
             oracle.dense_run(oracle.densify(config.initial), config.schedule, -1)
 
+    def test_dense_steps_yields_before_it_applies_a_gate(self, monkeypatch):
+        config = bs.scenario_epr()
+        start = oracle.densify(config.initial)
+        steps = oracle.dense_steps(start, config.schedule)
+        monkeypatch.setattr(oracle, "dense_apply", None)   # any gate would fail
+        assert next(steps) is start
+
+    @pytest.mark.parametrize("name", sorted(bs.SCENARIOS))
+    @pytest.mark.parametrize("horizon", [None, 1])
+    def test_dense_deviation_equals_the_materialised_comparison(self, name, horizon):
+        # the comparison as it was before the dense run was streamed: the
+        # whole dense run listed first, then one compare per step
+        config = bs.SCENARIOS[name]()
+        states = config.run(horizon=horizon)
+        dense_states = oracle.dense_run(oracle.densify(config.initial), config.schedule,
+                                        len(states) - 1)
+        assert len(dense_states) == len(states)
+        materialised = max(verify.compare_states(s, d) for s, d in zip(states, dense_states))
+        streamed = verify.dense_deviation(config, states)
+        assert np.float64(streamed).tobytes() == np.float64(materialised).tobytes()
+
     def test_mirrored_pair_application(self):
         # dense engine honours slot order on reversed pairs too
         lat = bs.chain_lattice([0], [1])
