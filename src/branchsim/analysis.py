@@ -277,6 +277,13 @@ class StateAnalysis:
     def clusters(self) -> "BranchClusters":
         return _cluster(self.state, self.marginals, self.branches, self.tol)
 
+    def correlations(self, settings: Sequence) -> list:
+        """`correlation` of each (a, b) pair of `MeasurementSetting`s, bit
+        for bit, with every pair's two-site matrix from one partial-trace
+        pass."""
+        t = _correlators(region_matrices(self.state, [(a.site, b.site) for a, b in settings]))
+        return [float(_units(a.theta) @ m @ _units(b.theta)) for (a, b), m in zip(settings, t)]
+
 
 # ---------------------------------------------------------------------------
 # branch structure
@@ -466,10 +473,15 @@ class ChshScanResult:
     plane_max: float      # exact maximum over X-Z plane settings (`plane_chsh_max`)
 
 
+def _correlators(rhos: np.ndarray) -> np.ndarray:
+    """T[..., p, q] = tr(rho (P x Q)) for each two-site matrix of a
+    (..., 4, 4) stack, P, Q in (Z, X)."""
+    return np.trace(rhos[..., None, None, :, :] @ _PAULI_PAIRS, axis1=-2, axis2=-1).real
+
+
 def correlator_matrix(state: PureState, site_a: int, site_b: int) -> np.ndarray:
     """T[p, q] = <P x Q> on the two sites, P, Q in (Z, X)."""
-    rho = reduced_density_matrix(state, [site_a, site_b])
-    return np.trace(rho.matrix @ _PAULI_PAIRS, axis1=-2, axis2=-1).real
+    return _correlators(reduced_density_matrix(state, [site_a, site_b]).matrix)
 
 
 def _plane_max(t: np.ndarray) -> float:

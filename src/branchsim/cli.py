@@ -9,7 +9,9 @@ Subcommands::
     branchsim scenario  list
 
 Exit codes: 0 success; 1 configuration or usage error; 2 verification
-failure (a check missed, or a --verify cross-check diverged).
+failure (a check missed, or a --verify cross-check diverged); 141 stdout
+was closed before the output was written (a reader such as ``head``
+stopped early).
 """
 
 import argparse
@@ -63,13 +65,13 @@ def _build_parser() -> argparse.ArgumentParser:
                      help="cross-check every step against the dense reference engine")
 
     ver = sub.add_parser("verify", help="run the self-verification suite")
-    ver.add_argument("--tolerance", type=float, default=1e-10,
+    ver.add_argument("--tolerance", type=float, default=verify.DEFAULT_TOL,
                      help="largest allowed deviation, >= 0 (default %(default)g)")
     count = ver.add_mutually_exclusive_group()
     count.add_argument("--trials", type=int, default=verify.DEFAULT_TRIALS,
                        help="random differential trials, >= 0 (default %(default)s)")
     count.add_argument("--quick", action="store_true", help="only 100 random trials")
-    ver.add_argument("--seed", type=int, default=20260825)
+    ver.add_argument("--seed", type=int, default=verify.DEFAULT_SEED)
     # test hook: corrupt a library gate to prove the checks can fail
     ver.add_argument("--inject-fault", choices=["corrupt-gate"], default=None,
                      help=argparse.SUPPRESS)
@@ -111,7 +113,7 @@ def _cmd_run(args) -> int:
 
     if args.verify:
         worst = verify.dense_deviation(config, states)
-        if worst > 1e-10:
+        if worst > verify.DEFAULT_TOL:
             print(f"verification FAILED: engines deviate by {worst:.3g}", file=sys.stderr)
             return EXIT_VERIFY
         print(f"verified against dense engine (worst deviation {worst:.3g})")
@@ -214,7 +216,14 @@ def main(argv=None) -> int:
     }
     try:
         args = _build_parser().parse_args(argv)
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; silence the exit-time flush and
+        # exit as a shell reports a process killed by SIGPIPE (128 + 13)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ConfigError, ScheduleError, GateError, LatticeError, StateError,
             analysis.AnalysisError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

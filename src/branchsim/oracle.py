@@ -52,20 +52,21 @@ class DenseBranches(NamedTuple):
 
 
 class DenseAnalysis(NamedTuple):
-    """One dense state's marginals, as `analyse_stack` builds them.
+    """The marginals of a (B, 2^n) stack of dense states, as `analyse_stack`
+    builds them; the first axis of every field runs over the states.
 
-    ``site_rdms[i]`` is the density matrix of the lattice's i-th site and
-    ``site_entropy[i]`` its entropy; ``region_rdms[r]`` and
-    ``region_entropy[r]`` belong to the r-th region analysed, and
-    ``branches`` are its branches at the tolerance analysed.  Each value
-    has the bits of the single-state function that computes it.
+    ``site_rdms[b, i]`` is the density matrix of state b's i-th lattice
+    site and ``site_entropy[b, i]`` its entropy; ``region_rdms[b, r]``
+    and ``region_entropy[b, r]`` belong to the r-th region analysed, and
+    ``branches[b]`` are state b's branches at the tolerance analysed.
+    Each value has the bits of the single-state function that computes it.
     """
 
-    site_rdms: np.ndarray       # (n, 2, 2)
-    site_entropy: np.ndarray    # (n,)
-    region_rdms: tuple          # one (d, d) matrix per region
-    region_entropy: np.ndarray  # (R,)
-    branches: DenseBranches
+    site_rdms: np.ndarray       # (B, n, 2, 2)
+    site_entropy: np.ndarray    # (B, n)
+    region_rdms: np.ndarray     # (B, R, d, d)
+    region_entropy: np.ndarray  # (B, R)
+    branches: list              # B DenseBranches
 
 
 @dataclass(frozen=True)
@@ -257,23 +258,15 @@ def _branches(lattice: Lattice, vectors: np.ndarray, purities: np.ndarray,
             for mask, lo, hi in zip(branched, bounds, bounds[1:])]
 
 
-def analyse_stack(lattice: Lattice, vectors: np.ndarray, regions: Iterable = (),
-                  tol: float = 1e-9) -> list:
-    """The `DenseAnalysis` of every state of a (B, 2^n) stack, in order.
-
-    Each kind of marginal is built for the whole stack at once: one
-    stacked matmul per site and per region, one eigvalsh per kind.
-    """
-    regions = tuple(tuple(r) for r in regions)
+def analyse_stack(lattice: Lattice, vectors: np.ndarray, regions: Iterable,
+                  tol: float = 1e-9) -> DenseAnalysis:
+    """The `DenseAnalysis` of a (B, 2^n) stack and one or more regions of
+    equal size: one stacked matmul per site and per region, one eigvalsh
+    per kind."""
     rdms = _site_rdms(lattice, vectors)
-    entropy = _entropies(rdms)
-    branches = _branches(lattice, vectors, _purities(rdms), tol)
-    region_rdms = [_rdm_stack(lattice, vectors, r) for r in regions]
-    region_entropy = np.array([_entropies(r) for r in region_rdms]).reshape(
-        len(regions), len(vectors)).T
-    return [DenseAnalysis(rdms[b], entropy[b], tuple(r[b] for r in region_rdms),
-                          region_entropy[b], branches[b])
-            for b in range(len(vectors))]
+    region_rdms = np.stack([_rdm_stack(lattice, vectors, tuple(r)) for r in regions], axis=1)
+    return DenseAnalysis(rdms, _entropies(rdms), region_rdms, _entropies(region_rdms),
+                         _branches(lattice, vectors, _purities(rdms), tol))
 
 
 def dense_rdm(dense: DenseState, keep: Iterable) -> np.ndarray:
@@ -286,15 +279,15 @@ def dense_norm(dense: DenseState) -> float:
     return float(np.vdot(dense.vector, dense.vector).real)
 
 
-def dense_overlaps(a: np.ndarray, b: np.ndarray) -> list:
+def dense_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """|<a_i|b_i>| for the rows of two (B, 2^n) stacks, one `vdot` each."""
-    return [float(abs(np.vdot(x, y))) for x, y in zip(a, b)]
+    return np.array([abs(np.vdot(x, y)) for x, y in zip(a, b)])
 
 
 def dense_overlap(a: DenseState, b: DenseState) -> float:
     if a.lattice != b.lattice:
         raise OracleError("overlap needs states on the same lattice")
-    return dense_overlaps(a.vector[None], b.vector[None])[0]
+    return float(dense_overlaps(a.vector[None], b.vector[None])[0])
 
 
 def dense_entropy(dense: DenseState, region: Iterable) -> float:

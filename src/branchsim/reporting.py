@@ -37,15 +37,13 @@ def _branch_item(branch) -> dict:
     }
 
 
-def _correlation_requests(config: ScenarioConfig) -> list:
-    return [a for a in config.analyses if isinstance(a, Mapping)
-            and a.get("type") == "correlation"]
-
-
 def build_report(config: ScenarioConfig, states: list, tolerance: float) -> dict:
     """Analyse a run and assemble the report document."""
     names = {a for a in config.analyses if isinstance(a, str)}
-    correlations = _correlation_requests(config)
+    settings = [(analysis.MeasurementSetting(a["site_a"], a.get("theta_a", 0.0)),
+                 analysis.MeasurementSetting(a["site_b"], a.get("theta_b", 0.0)))
+                for a in config.analyses
+                if isinstance(a, Mapping) and a.get("type") == "correlation"]
 
     steps = []
     for t, state in enumerate(states):
@@ -92,19 +90,11 @@ def build_report(config: ScenarioConfig, states: list, tolerance: float) -> dict
                 ],
             }
 
-        if correlations:
+        if settings:
             record["correlations"] = [
-                {
-                    "site_a": entry["site_a"], "site_b": entry["site_b"],
-                    "theta_a": _g12(entry.get("theta_a", 0.0)),
-                    "theta_b": _g12(entry.get("theta_b", 0.0)),
-                    "value": _g12(analysis.correlation(
-                        state,
-                        analysis.MeasurementSetting(entry["site_a"], entry.get("theta_a", 0.0)),
-                        analysis.MeasurementSetting(entry["site_b"], entry.get("theta_b", 0.0)),
-                    )),
-                }
-                for entry in correlations
+                {"site_a": a.site, "site_b": b.site,
+                 "theta_a": _g12(a.theta), "theta_b": _g12(b.theta), "value": _g12(value)}
+                for (a, b), value in zip(settings, summary.correlations(settings))
             ]
         steps.append(record)
 

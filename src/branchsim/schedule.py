@@ -336,8 +336,11 @@ def _complex_from(value) -> complex:
 
 
 def _whole(value, key: str) -> int:
-    """A config integer: a number with a fraction is an error, not truncated."""
-    if isinstance(value, float) and not value.is_integer():   # inf and NaN too
+    """A config integer: an int, or a float with no fraction such as 2.0.
+    Fractions, booleans and strings are errors; none is truncated, read
+    as 0 or 1, or parsed."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or (isinstance(value, float) and not value.is_integer()):   # inf and NaN too
         raise ConfigError(f"'{key}' must be a whole number, got {value!r}")
     return int(value)
 
@@ -443,10 +446,12 @@ def config_from_document(text: str) -> ScenarioConfig:
         return config
 
     try:
-        lattice = Lattice.from_pairs((s["index"], s["kind"]) for s in doc["lattice"])
+        lattice = Lattice.from_pairs((_whole(s["index"], "index"), s["kind"])
+                                     for s in doc["lattice"])
         initial = _initial_from_config(doc["initial"], lattice)
         apps = tuple(
-            GateApplication(_whole(e["time"], "time"), tuple(e["sites"]),
+            GateApplication(_whole(e["time"], "time"),
+                            tuple(_whole(site, "sites") for site in e["sites"]),
                             _gate_from_config(e["gate"]))
             for e in doc.get("schedule", ())
         )

@@ -31,6 +31,13 @@ from .schedule import (SCENARIOS, GateApplication, Schedule, ScenarioConfig,
 #: Random trials used by the full differential suite.
 DEFAULT_TRIALS = 10_000
 
+#: Largest deviation a check allows by default, also between the engines
+#: in `run --verify`.
+DEFAULT_TOL = 1e-10
+
+#: Seed of the random differential suite's default trials.
+DEFAULT_SEED = 20260825
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -67,7 +74,7 @@ def check_gate_unitarity(tol: float = UNITARITY_TOL,
     return results
 
 
-def check_reference_sequences(tol: float = 1e-10) -> list:
+def check_reference_sequences(tol: float = DEFAULT_TOL) -> list:
     """Each scenario reproduces its closed-form state at every step."""
     results = []
     for name, reference in REFERENCE_SEQUENCES.items():
@@ -84,7 +91,7 @@ def check_reference_sequences(tol: float = 1e-10) -> list:
     return results
 
 
-def check_known_values(tol: float = 1e-10) -> list:
+def check_known_values(tol: float = DEFAULT_TOL) -> list:
     """Spot values with exact closed forms."""
     results = []
 
@@ -158,46 +165,42 @@ def compare_stack(states: list, vectors: np.ndarray) -> list:
     """Worst deviation of each sparse state from its row of a (B, 2^n)
     dense stack, across overlap, RDMs, entropies and branch weights.
 
-    The sparse side of each state is one `StateAnalysis`, the marginals
-    reports print, plus its two compared regions from one partial-trace
-    pass.  The dense side is one `oracle.analyse_stack` of the whole
-    stack.  Each row's deviation depends on its own state and row only.
+    Both sides are stacks: the sparse side from each state's
+    `StateAnalysis` (the marginals reports print) and its two compared
+    regions, the dense side from one `oracle.analyse_stack`.  Each kind
+    is compared for the whole stack at once; a row's deviation depends
+    on its own state and row only.
     """
     lattice = states[0].lattice
     regions = _compared_regions(lattice)
-    overlaps = oracle.dense_overlaps(oracle.dense_vectors(states), vectors)
     dense = oracle.analyse_stack(lattice, vectors, regions, COMPARE_TOL)
-    return [_deviation(state, abs(o - 1.0), d, regions)
-            for state, o, d in zip(states, overlaps, dense)]
+    summaries = [analysis.StateAnalysis(state, tol=COMPARE_TOL) for state in states]
+    rhos = np.array([analysis.region_matrices(state, regions) for state in states])
+    worst = np.abs(oracle.dense_overlaps(oracle.dense_vectors(states), vectors) - 1.0)
+    for sparse, dense_kind in (
+            (np.array([s.marginals.matrices for s in summaries]), dense.site_rdms),
+            (np.array([s.marginals.entropy for s in summaries]), dense.site_entropy),
+            (rhos, dense.region_rdms),
+            (analysis.entropies(rhos), dense.region_entropy)):
+        worst = np.maximum(worst, np.abs(sparse - dense_kind).reshape(len(states), -1).max(1))
+    return [_deviation(w, s.branches.branches, d)
+            for w, s, d in zip(worst.tolist(), summaries, dense.branches)]
 
 
-def _deviation(state: PureState, worst: float, d: oracle.DenseAnalysis,
-               regions: tuple) -> float:
-    """`compare_stack`'s check of one state against its dense analysis,
-    given the overlap's deviation `worst`."""
-    summary = analysis.StateAnalysis(state, tol=COMPARE_TOL)
-    m = summary.marginals
-    rhos = analysis.region_matrices(state, regions)
-    # per site, then per region: the matrix deviation, then the entropy's
-    for matrices, entropy, dense_matrices, dense_entropy in (
-            (m.matrices, m.entropy, d.site_rdms, d.site_entropy),
-            (rhos, analysis.entropies(rhos), np.array(d.region_rdms), d.region_entropy)):
-        for pair in zip(np.abs(matrices - dense_matrices).max(axis=(-2, -1)).tolist(),
-                        np.abs(entropy - dense_entropy).tolist()):
-            worst = max(worst, *pair)
-
-    # both sides list their branches sorted by bits, so the two sets of
-    # branch keys agree when the branched sites and the bit rows do
-    branches, dense_branches = summary.branches.branches, d.branches
-    if len(branches) != len(dense_branches.weights):
+def _deviation(worst: float, branches: tuple, dense: oracle.DenseBranches) -> float:
+    """`worst`, or the largest branch-weight deviation if larger; inf when
+    the two engines list different branches.  Both sides list their
+    branches sorted by bits, so the two sets of branch keys agree when
+    the branched sites and the bit rows do."""
+    if len(branches) != len(dense.weights):
         return math.inf
     if branches:
         sites = tuple(sorted(branches[0].support))
         bits = [[b.assignment[s] for s in sites] for b in branches]
-        if sites != dense_branches.sites or not np.array_equal(bits, dense_branches.bits):
+        if sites != dense.sites or not np.array_equal(bits, dense.bits):
             return math.inf
     weights = np.array([b.weight for b in branches])
-    return max([worst] + np.abs(weights - dense_branches.weights).tolist())
+    return max([worst] + np.abs(weights - dense.weights).tolist())
 
 
 def compare_states(state: PureState, dense: oracle.DenseState) -> float:
@@ -216,7 +219,7 @@ def dense_deviation(config: ScenarioConfig, states: list) -> float:
     return max(compare_states(s, d) for s, d in zip(states, dense_states))
 
 
-def check_scenario_differential(tol: float = 1e-10) -> list:
+def check_scenario_differential(tol: float = DEFAULT_TOL) -> list:
     """Both engines produce the same physics for every scenario, each step."""
     results = []
     for name, factory in SCENARIOS.items():
@@ -284,10 +287,11 @@ def random_trial_block(rng: np.random.Generator, n_trials: int,
 
     # both engines advance one step at a time, each trial's sparse state as
     # `run_schedule` plays it and the dense stack with one gate per trial;
-    # only the current states and the next are held.  The final step's
-    # overlaps are `compare_stack`'s, so they are taken there only.
+    # only the current states and the next are held.  `worst` is each
+    # trial's worst overlap deviation so far; the final step's overlaps
+    # are `compare_stack`'s, so they are taken there only.
     vectors = oracle.dense_vectors(states)
-    overlaps = []
+    worst = np.zeros(len(trials))
     for t in range(n_gates):
         states = [PureState(lattice, play_step(state.table, steps[t]))
                   for state, steps in zip(states, compiled)]
@@ -296,10 +300,9 @@ def random_trial_block(rng: np.random.Generator, n_trials: int,
             vectors, np.array([gate.matrix for _, gate in apps]),
             [tuple(lattice.position(s) for s in pair) for pair, _ in apps])
         if t < n_gates - 1:
-            overlaps.append([abs(o - 1.0) for o in
-                             oracle.dense_overlaps(oracle.dense_vectors(states), vectors)])
-    return [max(max((step[i] for step in overlaps), default=0.0), final)
-            for i, final in enumerate(compare_stack(states, vectors))]
+            overlaps = oracle.dense_overlaps(oracle.dense_vectors(states), vectors)
+            worst = np.maximum(worst, np.abs(overlaps - 1.0))
+    return np.maximum(worst, compare_stack(states, vectors)).tolist()
 
 
 def random_differential_trial(rng: np.random.Generator,
@@ -309,7 +312,7 @@ def random_differential_trial(rng: np.random.Generator,
     return random_trial_block(rng, 1, n_sites, n_gates)[0]
 
 
-def random_differential_deviations(n_trials: int, seed: int = 20260825):
+def random_differential_deviations(n_trials: int, seed: int = DEFAULT_SEED):
     """Yield the worst deviation of each of `n_trials` random sequences
     drawn from `seed`, in trial order; the trials are drawn, played and
     analysed TRIAL_BLOCK at a time, and a block is only drawn once the
@@ -319,8 +322,8 @@ def random_differential_deviations(n_trials: int, seed: int = 20260825):
         yield from random_trial_block(rng, min(TRIAL_BLOCK, n_trials - start))
 
 
-def check_random_differential(n_trials: int = DEFAULT_TRIALS, tol: float = 1e-10,
-                              seed: int = 20260825) -> CheckResult:
+def check_random_differential(n_trials: int = DEFAULT_TRIALS, tol: float = DEFAULT_TOL,
+                              seed: int = DEFAULT_SEED) -> CheckResult:
     """Randomized 8-site gate sequences agree across both engines.  The
     check stops at the first trial that takes the worst deviation above
     `tol`; the detail is the worst deviation up to that trial."""
@@ -333,8 +336,8 @@ def check_random_differential(n_trials: int = DEFAULT_TRIALS, tol: float = 1e-10
                    f"worst deviation {worst:.3g}")
 
 
-def run_verification(tol: float = 1e-10, n_trials: int = DEFAULT_TRIALS,
-                     seed: int = 20260825,
+def run_verification(tol: float = DEFAULT_TOL, n_trials: int = DEFAULT_TRIALS,
+                     seed: int = DEFAULT_SEED,
                      gate_overrides: Optional[dict] = None) -> list:
     """The full verification suite; returns one CheckResult per check."""
     results = []

@@ -235,11 +235,33 @@ class TestBadInput:
         ("horizon", dict(EXPLICIT, horizon=2.7)),
         ("horizon", dict(EXPLICIT, horizon=math.inf)),   # was an OverflowError
         ("time", dict(EXPLICIT, schedule=[{"time": 0.5, "sites": [0, 1], "gate": "U_si"}])),
+        ("index", dict(EXPLICIT, lattice=[{"index": 0.5, "kind": "system"},
+                                          {"index": 1, "kind": "field"}])),
     ])
     def test_fractional_step_numbers(self, tmp_path, capsys, key, doc):
         # used to be truncated to an integer without a word
         err = self.run_fails_cleanly(tmp_path, capsys, doc)
         assert f"'{key}' must be a whole number" in err
+
+    @pytest.mark.parametrize("key, doc", [
+        ("index", dict(EXPLICIT, lattice=[{"index": 0, "kind": "system"},
+                                          {"index": True, "kind": "field"}])),
+        ("index", dict(EXPLICIT, lattice=[{"index": 0, "kind": "system"},
+                                          {"index": "1", "kind": "field"}])),
+        ("time", dict(EXPLICIT, schedule=[{"time": True, "sites": [0, 1], "gate": "U_si"}])),
+        ("time", dict(EXPLICIT, schedule=[{"time": "0", "sites": [0, 1], "gate": "U_si"}])),
+        ("sites", dict(EXPLICIT, schedule=[{"time": 0, "sites": [0, True], "gate": "U_si"}])),
+        ("sites", dict(EXPLICIT, schedule=[{"time": 0, "sites": ["0", 1], "gate": "U_si"}])),
+        ("horizon", dict(EXPLICIT, horizon=True)),
+        ("horizon", dict(EXPLICIT, horizon="1")),
+    ], ids=["index-bool", "index-string", "time-bool", "time-string", "sites-bool",
+            "sites-string", "horizon-bool", "horizon-string"])
+    def test_booleans_and_strings_for_whole_numbers(self, tmp_path, capsys, key, doc):
+        # true was read as 1 and a string of digits parsed, and the run
+        # exited 0; a string site failed later, comparing it with an int
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        assert f"'{key}' must be a whole number" in err
+        assert not (tmp_path / "out").exists()
 
     def test_product_that_is_not_an_object(self, tmp_path, capsys):
         # used to raise AttributeError
@@ -250,6 +272,37 @@ class TestBadInput:
     def test_whole_step_numbers_written_as_floats_are_accepted(self, tmp_path):
         config = write_config(tmp_path, dict(self.EXPLICIT, horizon=1.0))
         assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
+
+    def test_whole_site_numbers_written_as_floats_are_accepted(self, tmp_path):
+        doc = dict(self.EXPLICIT,
+                   lattice=[{"index": 0.0, "kind": "system"}, {"index": 1.0, "kind": "field"}],
+                   schedule=[{"time": 0.0, "sites": [0.0, 1.0], "gate": "U_si"}])
+        config = write_config(tmp_path, doc)
+        assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert [site["index"] for site in report["scenario"]["lattice"]] == [0, 1]
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early, as ``head`` does, gets exit code
+    141 (128 + SIGPIPE) and nothing on stderr, whatever the command."""
+
+    @pytest.mark.parametrize("argv", [["scenario", "list"], ["verify", "--quick"]],
+                             ids=["scenario-list", "verify-quick"])
+    def test_closed_pipe_exits_141_quietly(self, argv):
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        read_end, write_end = os.pipe()
+        os.close(read_end)     # every write to the pipe now fails
+        try:
+            proc = subprocess.run([sys.executable, "-m", "branchsim.cli", *argv],
+                                  stdout=write_end, stderr=subprocess.PIPE, text=True,
+                                  env=env, check=False)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
 
 
 class TestVerify:

@@ -274,3 +274,44 @@ def test_branch_totals_add_in_order_of_first_appearance():
     want = loop_dense_branch_weights(dense, 1e-6)
     assert len(want) == 4
     assert_same_weights(oracle.dense_branch_weights(dense, 1e-6), want)
+
+
+def random_vectors(rng, n_states, n_sites):
+    """Normalised random states, most with some amplitudes zeroed, so that
+    some sites come out pure and the branch lists differ in length."""
+    dim = 2 ** n_sites
+    vectors = rng.normal(size=(n_states, dim)) + 1j * rng.normal(size=(n_states, dim))
+    vectors *= rng.random((n_states, dim)) < rng.uniform(0.1, 1.0, (n_states, 1))
+    vectors[:, 0] += np.all(vectors == 0, axis=1)     # no row is left empty
+    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=complex).tobytes() == np.asarray(b, dtype=complex).tobytes()
+
+
+@pytest.mark.parametrize("n_states, n_sites, region_size",
+                         [(1, 2, 2), (9, 2, 1), (1, 5, 3), (17, 4, 2), (12, 6, 3)])
+def test_stack_rows_equal_the_single_state_functions(n_states, n_sites, region_size):
+    rng = np.random.default_rng(100 * n_states + n_sites)
+    lattice = bs.chain_lattice([0], range(1, n_sites))
+    vectors = random_vectors(rng, n_states, n_sites)
+    indices = lattice.indices
+    regions = (indices[:region_size], indices[::-1][:region_size])
+    tol = 1e-6
+    stack = oracle.analyse_stack(lattice, vectors, regions, tol)
+    dim = 2 ** region_size
+    assert stack.site_rdms.shape == (n_states, n_sites, 2, 2)
+    assert stack.site_entropy.shape == (n_states, n_sites)
+    assert stack.region_rdms.shape == (n_states, len(regions), dim, dim)
+    assert stack.region_entropy.shape == (n_states, len(regions))
+    assert len(stack.branches) == n_states
+    for b, vector in enumerate(vectors):
+        dense = oracle.DenseState(lattice, vector)
+        for i, site in enumerate(indices):
+            assert same_bits(stack.site_rdms[b, i], oracle.dense_rdm(dense, [site]))
+            assert same_bits(stack.site_entropy[b, i], oracle.dense_entropy(dense, [site]))
+        for r, region in enumerate(regions):
+            assert same_bits(stack.region_rdms[b, r], oracle.dense_rdm(dense, region))
+            assert same_bits(stack.region_entropy[b, r], oracle.dense_entropy(dense, region))
+        assert_same_weights(stack.branches[b].as_dict(), oracle.dense_branch_weights(dense, tol))

@@ -4,7 +4,9 @@ Each case runs the CLI and compares the sha256 of `report.json` and
 `timeseries.csv` against digests recorded before the analysis path was
 reworked, so any change to the emitted bytes shows up here.  The
 128-site case, recorded before the state core moved onto arrays, pins
-a chain longer than one 64-bit word.
+a chain longer than one 64-bit word.  The correlation case, recorded
+while every correlation still built its own two-site matrix, pins
+`correlations.csv` too.
 
 The digests are tied to the numpy/LAPACK build they were recorded with
 (numpy 2.4 on x86-64 OpenBLAS): entropies of pure sites carry eigenvalue
@@ -73,3 +75,27 @@ def test_report_bytes_match_golden(name, tmp_path):
     assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
     assert _sha256(out_dir / "report.json") == report_digest
     assert _sha256(out_dir / "timeseries.csv") == series_digest
+
+
+#: epr with correlation requests: reversed pairs and nonzero angles
+CORRELATIONS = {"scenario": "epr", "analyses": [
+    "sites", "branches", "clusters",
+    {"type": "correlation", "site_a": 2, "site_b": 3, "theta_b": 0.5},
+    {"type": "correlation", "site_a": 3, "site_b": 2, "theta_a": 0.5},
+    {"type": "correlation", "site_a": 5, "site_b": 0, "theta_a": 0.3, "theta_b": -1.1},
+    {"type": "correlation", "site_a": 0, "site_b": 5, "theta_a": 0.7853981633974483},
+    {"type": "correlation", "site_a": 1, "site_b": 4, "theta_a": 2.0, "theta_b": 1.0}]}
+
+CORRELATION_DIGESTS = {
+    "report.json": "50dd2898b54ec65a5b332a0039b3eb4611aa50e135f5c3068b5e81a7ff42dae2",
+    "timeseries.csv": "f6a813edd4f539478627b7ab5bb65a4ae18063bc9f5b9cc00ca6621242a44e42",
+    "correlations.csv": "e14313657992640efae12163eca5bb76efa017181417d116c8836749ad1a7a29",
+}
+
+
+def test_correlation_report_bytes_match_golden(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CORRELATIONS))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
+    assert {name: _sha256(out_dir / name) for name in CORRELATION_DIGESTS} == CORRELATION_DIGESTS
