@@ -530,6 +530,15 @@ def max_chsh_from_grid(angles: np.ndarray, e_grid: np.ndarray) -> tuple:
     return best, (float(angles[ia]), float(angles[iap]), float(angles[j]), float(angles[jp]))
 
 
+def scan_angles(resolution_deg: float) -> np.ndarray:
+    """The angles of a CHSH grid scan in radians: 0 up to 360 degrees in
+    steps of `resolution_deg`, which must be finite and positive."""
+    if not 0.0 < resolution_deg < math.inf:   # NaN fails too
+        raise AnalysisError(f"grid resolution must be finite and positive, "
+                            f"got {resolution_deg} degrees")
+    return np.deg2rad(np.arange(0.0, 360.0, resolution_deg))
+
+
 def chsh_grid_max(state: PureState, site_a: int, site_b: int,
                   resolution_deg: float = 1.0) -> ChshScanResult:
     """Grid-search the CHSH maximum for measurements on two sites.
@@ -540,8 +549,8 @@ def chsh_grid_max(state: PureState, site_a: int, site_b: int,
     plain maximisation over the gridded correlation table.  The same
     correlator matrix gives the exact plane maximum the grid approaches.
     """
+    angles = scan_angles(resolution_deg)
     t = correlator_matrix(state, site_a, site_b)
-    angles = np.deg2rad(np.arange(0.0, 360.0, resolution_deg))
     u = _units(angles)
     e_grid = u @ t @ u.T                             # E[i, j]
     value, settings = max_chsh_from_grid(angles, e_grid)

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import AnalysisError, max_chsh_from_grid
+from .analysis import AnalysisError, max_chsh_from_grid, scan_angles
 from .gates import apply_columns, column_action, rotation_gate
 from .lattice import TermTable, first_appearance, ordered_sum, row_keys
 from .schedule import ScenarioConfig, compile_schedule, play_step
@@ -135,9 +135,9 @@ def _record_gram(phis: TermTable, owner: np.ndarray, rpos: tuple) -> np.ndarray:
 def record_chsh_scan(config: ScenarioConfig, record_sites,
                      resolution_deg: float = 1.0) -> RecordScanResult:
     """Grid both setting angles in closed form from four evolved states."""
+    angles = scan_angles(resolution_deg)
     base, spos, compiled, rpos = _experiment_frame(config, record_sites)
     g = _record_gram(*_evolved_basis(base, spos, compiled), rpos)
-    angles = np.deg2rad(np.arange(0.0, 360.0, resolution_deg))
     v = np.stack([np.cos(angles / 2.0), np.sin(angles / 2.0)], axis=1)   # (K, 2)
     # E[i, j] = sum P[i, km] H[km, ln] P[j, ln] with P[i, km] = v[i, k] v[i, m]
     # and H[km, ln] = G[kl, mn]

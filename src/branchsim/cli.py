@@ -113,7 +113,7 @@ def _cmd_run(args) -> int:
 
     if args.verify:
         worst = verify.dense_deviation(config, states)
-        if worst > verify.DEFAULT_TOL:
+        if not worst <= verify.DEFAULT_TOL:
             print(f"verification FAILED: engines deviate by {worst:.3g}", file=sys.stderr)
             return EXIT_VERIFY
         print(f"verified against dense engine (worst deviation {worst:.3g})")

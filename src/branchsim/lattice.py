@@ -25,6 +25,7 @@ order, left to right.
 PureState objects are immutable: every operation returns a new state.
 """
 
+import cmath
 import json
 import math
 from collections.abc import Mapping
@@ -135,6 +136,14 @@ def _as_bits(basis, n_sites: int) -> BasisString:
     return bits
 
 
+def _amplitude(basis, amp) -> complex:
+    """`amp` as a complex; a NaN or infinite part is a StateError."""
+    amp = complex(amp)
+    if not cmath.isfinite(amp):
+        raise StateError(f"basis string {basis!r}: amplitude {amp!r} is not finite")
+    return amp
+
+
 def ordered_sum(values: np.ndarray) -> float:
     """Left-to-right sum of a float vector, as Python's ``0.0 + x0 + x1 +
     ...`` computes it (``np.sum`` adds pairwise, so its last bits differ)."""
@@ -152,8 +161,9 @@ def complex_product(ar, ai, br, bi) -> tuple:
 
 
 def row_keys(bits: np.ndarray) -> np.ndarray:
-    """One opaque sortable key per row of a 0/1 matrix, for `np.unique`:
-    equal rows give equal keys, and keys sort like the rows' bit tuples."""
+    """One opaque sortable key per row of a 0/1 matrix, for
+    `first_appearance`: equal rows give equal keys, and keys sort like
+    the rows' bit tuples."""
     packed = np.ascontiguousarray(np.packbits(bits, axis=1))
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
@@ -278,7 +288,7 @@ class PureState:
             n = self.lattice.n_sites
             checked = {}
             for basis, amp in table.items():
-                amp = complex(amp)
+                amp = _amplitude(basis, amp)
                 if abs(amp) >= PRUNE_EPS:
                     checked[_as_bits(basis, n)] = amp
             table = TermTable(
@@ -384,7 +394,7 @@ def entangled_state(lattice: Lattice, terms: Iterable) -> PureState:
         bits = _as_bits(basis, n)
         if bits in amps:
             raise StateError(f"duplicate basis string {basis!r}")
-        amps[bits] = complex(amp)
+        amps[bits] = _amplitude(basis, amp)
     total = sum(a.real * a.real + a.imag * a.imag for a in amps.values())
     if total < PRUNE_EPS:
         raise StateError("zero-norm term list")

@@ -25,8 +25,8 @@ from .gates import (UNITARITY_TOL, Gate2, field_copy_gate, field_swap_gate, gate
                     rotation_gate, system_field_gate)
 from .lattice import PureState, chain_lattice, norm, overlap
 from .reference_states import REFERENCE_SEQUENCES
-from .schedule import (SCENARIOS, GateApplication, Schedule, ScenarioConfig,
-                       compile_schedule, play_step, scenario_single)
+from .schedule import (SCENARIOS, GateApplication, Schedule, ScenarioConfig, run_schedule,
+                       scenario_single)
 
 #: Random trials used by the full differential suite.
 DEFAULT_TRIALS = 10_000
@@ -80,11 +80,8 @@ def check_reference_sequences(tol: float = DEFAULT_TOL) -> list:
     for name, reference in REFERENCE_SEQUENCES.items():
         expected = reference()
         states = SCENARIOS[name]().run(horizon=len(expected) - 1)
-        worst = min(
-            overlap(simulated, known)
-            for simulated, known in zip(states, expected)
-        )
-        drift = max(abs(norm(s) - 1.0) for s in states)
+        worst = np.min([overlap(simulated, known) for simulated, known in zip(states, expected)])
+        drift = np.max([abs(norm(s) - 1.0) for s in states])
         ok = worst >= 1.0 - tol and drift <= tol
         results.append(_result(f"scenario states: {name}",
                                ok, f"min overlap {worst:.15f}, norm drift {drift:.3g}"))
@@ -155,24 +152,20 @@ COMPARE_TOL = 1e-6
 TRIAL_BLOCK = 64
 
 
-def _compared_regions(lattice) -> tuple:
-    """The two regions `compare_stack` checks beyond single sites: the
-    first two and the last two sites of the lattice."""
-    return (lattice.indices[:2], lattice.indices[-2:])
-
-
-def compare_stack(states: list, vectors: np.ndarray) -> list:
+def compare_stack(states: list, vectors: np.ndarray) -> np.ndarray:
     """Worst deviation of each sparse state from its row of a (B, 2^n)
-    dense stack, across overlap, RDMs, entropies and branch weights.
+    dense stack, across overlap, RDMs, entropies and branch weights, as
+    a (B,) array.
 
     Both sides are stacks: the sparse side from each state's
-    `StateAnalysis` (the marginals reports print) and its two compared
-    regions, the dense side from one `oracle.analyse_stack`.  Each kind
-    is compared for the whole stack at once; a row's deviation depends
-    on its own state and row only.
+    `StateAnalysis` (the marginals reports print) and two regions, the
+    first two and the last two sites; the dense side from one
+    `oracle.analyse_stack`.  Each kind is compared for the whole stack
+    at once and folded in with `np.maximum`, which keeps a NaN; a row's
+    deviation depends on its own state and row only.
     """
     lattice = states[0].lattice
-    regions = _compared_regions(lattice)
+    regions = (lattice.indices[:2], lattice.indices[-2:])
     dense = oracle.analyse_stack(lattice, vectors, regions, COMPARE_TOL)
     summaries = [analysis.StateAnalysis(state, tol=COMPARE_TOL) for state in states]
     rhos = np.array([analysis.region_matrices(state, regions) for state in states])
@@ -183,15 +176,15 @@ def compare_stack(states: list, vectors: np.ndarray) -> list:
             (rhos, dense.region_rdms),
             (analysis.entropies(rhos), dense.region_entropy)):
         worst = np.maximum(worst, np.abs(sparse - dense_kind).reshape(len(states), -1).max(1))
-    return [_deviation(w, s.branches.branches, d)
-            for w, s, d in zip(worst.tolist(), summaries, dense.branches)]
+    return np.maximum(worst, [_branch_deviation(s.branches.branches, d)
+                              for s, d in zip(summaries, dense.branches)])
 
 
-def _deviation(worst: float, branches: tuple, dense: oracle.DenseBranches) -> float:
-    """`worst`, or the largest branch-weight deviation if larger; inf when
-    the two engines list different branches.  Both sides list their
-    branches sorted by bits, so the two sets of branch keys agree when
-    the branched sites and the bit rows do."""
+def _branch_deviation(branches: tuple, dense: oracle.DenseBranches) -> float:
+    """The largest branch-weight deviation; inf when the two engines list
+    different branches.  Both sides list their branches sorted by bits,
+    so the two sets of branch keys agree when the branched sites and the
+    bit rows do."""
     if len(branches) != len(dense.weights):
         return math.inf
     if branches:
@@ -200,14 +193,14 @@ def _deviation(worst: float, branches: tuple, dense: oracle.DenseBranches) -> fl
         if sites != dense.sites or not np.array_equal(bits, dense.bits):
             return math.inf
     weights = np.array([b.weight for b in branches])
-    return max([worst] + np.abs(weights - dense.weights).tolist())
+    return np.abs(weights - dense.weights).max(initial=0.0)
 
 
 def compare_states(state: PureState, dense: oracle.DenseState) -> float:
     """Worst deviation of `state` from `dense`: the one-row `compare_stack`."""
     if state.lattice != dense.lattice:
         raise oracle.OracleError("compared states must be on the same lattice")
-    return compare_stack([state], dense.vector[None])[0]
+    return float(compare_stack([state], dense.vector[None])[0])
 
 
 def dense_deviation(config: ScenarioConfig, states: list) -> float:
@@ -216,7 +209,7 @@ def dense_deviation(config: ScenarioConfig, states: list) -> float:
     which is advanced beside them and holds one dense state at a time."""
     dense_states = oracle.dense_steps(oracle.densify(config.initial), config.schedule,
                                       len(states) - 1)
-    return max(compare_states(s, d) for s, d in zip(states, dense_states))
+    return np.max([compare_states(s, d) for s, d in zip(states, dense_states)])
 
 
 def check_scenario_differential(tol: float = DEFAULT_TOL) -> list:
@@ -262,75 +255,69 @@ def _draw_trials(rng: np.random.Generator, n_trials: int, n_sites: int,
 
 
 def random_trial_block(rng: np.random.Generator, n_trials: int,
-                       n_sites: int = 8, n_gates: int = 5) -> list:
+                       n_sites: int = 8, n_gates: int = 5) -> np.ndarray:
     """Worst deviations of `n_trials` random gate sequences, played as
-    one block; entry i is what the i-th of `n_trials` one-trial calls
-    of `random_differential_trial` on the same rng returns.
+    one block, as a (B,) array; entry i is what the i-th of `n_trials`
+    one-trial calls of `random_differential_trial` on the same rng
+    returns.
 
-    Each sequence is a schedule with one two-site gate per step, so the
-    sparse side plays it exactly as `run` plays a config.  The dense
-    side plays the block as one (B, 2^n) stack, one gate per trial per
-    step, and the two engines' states are compared after every step.
-    The full battery of derived quantities is compared once, by one
-    `compare_stack` of the final states.
+    Each sequence is a schedule with one two-site gate per step, which
+    the sparse side plays with `run_schedule`, as `run` plays a config.
+    The dense side plays the block as one (B, 2^n) stack, one gate per
+    trial per step, and the two engines' states are compared after
+    every step.  The full battery of derived quantities is compared
+    once, by one `compare_stack` of the final states.
     """
     lattice = chain_lattice([0], range(1, n_sites))
     trials = _draw_trials(rng, n_trials, n_sites, n_gates)
     if not trials:
-        return []
-    states, compiled = [], []
-    for bits, plan in trials:
-        states.append(PureState(lattice, {tuple(bits): 1.0}))
-        schedule = Schedule(tuple(GateApplication(t, pair, gate)
-                                  for t, (pair, gate) in enumerate(plan)))
-        compiled.append(compile_schedule(schedule, lattice))
+        return np.zeros(0)
+    runs = [run_schedule(PureState(lattice, {tuple(bits): 1.0}),
+                         Schedule(tuple(GateApplication(t, pair, gate)
+                                        for t, (pair, gate) in enumerate(plan))))
+            for bits, plan in trials]
 
-    # both engines advance one step at a time, each trial's sparse state as
-    # `run_schedule` plays it and the dense stack with one gate per trial;
-    # only the current states and the next are held.  `worst` is each
-    # trial's worst overlap deviation so far; the final step's overlaps
-    # are `compare_stack`'s, so they are taken there only.
-    vectors = oracle.dense_vectors(states)
+    # the dense stack advances one step at a time, with one gate per trial,
+    # and only its current states are held.  `worst` is each trial's worst
+    # overlap deviation so far; the final step's overlaps are
+    # `compare_stack`'s, so they are taken there only.
+    vectors = oracle.dense_vectors([states[0] for states in runs])
     worst = np.zeros(len(trials))
     for t in range(n_gates):
-        states = [PureState(lattice, play_step(state.table, steps[t]))
-                  for state, steps in zip(states, compiled)]
         apps = [plan[t] for _, plan in trials]
         vectors = oracle.apply_stack(
             vectors, np.array([gate.matrix for _, gate in apps]),
             [tuple(lattice.position(s) for s in pair) for pair, _ in apps])
         if t < n_gates - 1:
-            overlaps = oracle.dense_overlaps(oracle.dense_vectors(states), vectors)
+            overlaps = oracle.dense_overlaps(
+                oracle.dense_vectors([states[t + 1] for states in runs]), vectors)
             worst = np.maximum(worst, np.abs(overlaps - 1.0))
-    return np.maximum(worst, compare_stack(states, vectors)).tolist()
+    return np.maximum(worst, compare_stack([states[-1] for states in runs], vectors))
 
 
 def random_differential_trial(rng: np.random.Generator,
                               n_sites: int = 8, n_gates: int = 5) -> float:
     """Run one random gate sequence through both engines; worst deviation.
     The one-trial case of `random_trial_block`."""
-    return random_trial_block(rng, 1, n_sites, n_gates)[0]
-
-
-def random_differential_deviations(n_trials: int, seed: int = DEFAULT_SEED):
-    """Yield the worst deviation of each of `n_trials` random sequences
-    drawn from `seed`, in trial order; the trials are drawn, played and
-    analysed TRIAL_BLOCK at a time, and a block is only drawn once the
-    previous one has been consumed."""
-    rng = np.random.default_rng(seed)
-    for start in range(0, n_trials, TRIAL_BLOCK):
-        yield from random_trial_block(rng, min(TRIAL_BLOCK, n_trials - start))
+    return float(random_trial_block(rng, 1, n_sites, n_gates)[0])
 
 
 def check_random_differential(n_trials: int = DEFAULT_TRIALS, tol: float = DEFAULT_TOL,
                               seed: int = DEFAULT_SEED) -> CheckResult:
-    """Randomized 8-site gate sequences agree across both engines.  The
-    check stops at the first trial that takes the worst deviation above
-    `tol`; the detail is the worst deviation up to that trial."""
+    """Randomized 8-site gate sequences agree across both engines.
+
+    The trials are drawn, played and analysed TRIAL_BLOCK at a time.
+    The check stops at the first trial whose running worst deviation is
+    not within `tol` (a NaN is not), and draws no later block; the
+    detail is the worst deviation up to that trial."""
+    rng = np.random.default_rng(seed)
     worst = 0.0
-    for deviation in random_differential_deviations(n_trials, seed):
-        worst = max(worst, deviation)
-        if worst > tol:
+    for start in range(0, n_trials, TRIAL_BLOCK):
+        block = random_trial_block(rng, min(TRIAL_BLOCK, n_trials - start))
+        running = np.maximum.accumulate(np.append(worst, block))
+        within = running <= tol
+        worst = running[-1] if within.all() else running[within.argmin()]
+        if not worst <= tol:
             break
     return _result(f"engines agree: {n_trials} random sequences", worst <= tol,
                    f"worst deviation {worst:.3g}")

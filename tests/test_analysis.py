@@ -332,6 +332,16 @@ class TestCorrelationAndChsh:
         result = bs.chsh_grid_max(collision_states[-1], 2, 3, resolution_deg=5.0)
         assert abs(result.value) <= 1e-10
 
+    @pytest.mark.parametrize("resolution", [0.0, -5.0, math.nan, math.inf])
+    def test_grid_resolution_must_be_finite_and_positive(self, epr_states, monkeypatch,
+                                                         resolution):
+        # 0 raised ZeroDivisionError, -5 an IndexError, NaN numpy's arange
+        # ValueError, and inf scanned a one-angle grid; the check comes
+        # before the correlator matrix is built
+        monkeypatch.setattr(analysis, "correlator_matrix", None)
+        with pytest.raises(bs.AnalysisError, match="resolution"):
+            bs.chsh_grid_max(epr_states[0], 0, 5, resolution_deg=resolution)
+
     def test_chsh_builds_one_correlator_matrix(self, epr_states, monkeypatch):
         calls = []
         build = analysis.correlator_matrix

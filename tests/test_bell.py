@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import branchsim as bs
-from branchsim import oracle
+from branchsim import bell, oracle
 
 
 def _record_e_via_dense(config, record_sites, theta_a, theta_b):
@@ -103,6 +103,15 @@ class TestRecordScan:
                                      resolution_deg=15.0)
         assert result.value <= 2.0 + 1e-9
         assert result.value == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize("resolution", [0.0, -5.0, math.nan, math.inf])
+    def test_resolution_must_be_finite_and_positive(self, monkeypatch, resolution):
+        # 0 raised ZeroDivisionError, -5 an IndexError, NaN numpy's arange
+        # ValueError, and inf scanned a one-angle grid; the check comes
+        # before any evolution
+        monkeypatch.setattr(bell, "_evolved_basis", None)
+        with pytest.raises(bs.AnalysisError, match="resolution"):
+            bs.record_chsh_scan(bs.scenario_epr(), (2, 3), resolution_deg=resolution)
 
     def test_coarse_90_degree_grid(self):
         result = bs.record_chsh_scan(bs.scenario_epr(), (2, 3), resolution_deg=90.0)

@@ -269,6 +269,20 @@ class TestBadInput:
         err = self.run_fails_cleanly(tmp_path, capsys, doc)
         assert "'product' must be an object" in err
 
+    @pytest.mark.parametrize("part, value", [("re", math.nan), ("im", math.inf)],
+                             ids=["re-nan", "im-infinity"])
+    def test_term_amplitude_that_is_not_finite(self, tmp_path, capsys, part, value):
+        # used to build a state with no terms, on which `run` died with a
+        # reshape ValueError traceback
+        term = {"basis": "10", "re": 1.0, "im": 0.0}
+        term[part] = value
+        err = self.run_fails_cleanly(tmp_path, capsys, {
+            "lattice": [{"index": 0, "kind": "system"}, {"index": 1, "kind": "field"}],
+            "initial": {"terms": [{"basis": "00", "re": 1.0}, term]},
+            "schedule": [{"time": 0, "sites": [0, 1], "gate": "U_si"}]})
+        assert "not finite" in err
+        assert not (tmp_path / "out").exists()
+
     def test_whole_step_numbers_written_as_floats_are_accepted(self, tmp_path):
         config = write_config(tmp_path, dict(self.EXPLICIT, horizon=1.0))
         assert cli.main(["run", "--config", config, "--out", str(tmp_path / "out")]) == 0

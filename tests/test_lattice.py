@@ -101,6 +101,12 @@ class TestEntangledState:
         b = bs.entangled_state(lat, [("01", 1.0)])
         assert bs.overlap(a, b) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), -math.inf])
+    def test_non_finite_amplitude_rejected(self, bad):
+        # a NaN used to make the norm NaN and return a state with no terms
+        with pytest.raises(bs.StateError, match="not finite"):
+            bs.entangled_state(two_site_lattice(), [("01", 1.0), ("10", bad)])
+
 
 class TestNormAndInner:
     def test_norm_is_quadratic_in_scale(self):
@@ -131,6 +137,12 @@ class TestPruning:
     def test_dust_amplitudes_dropped(self):
         state = bs.PureState(two_site_lattice(), {"00": 1.0, "11": 1e-15})
         assert state.n_terms == 1
+
+    @pytest.mark.parametrize("bad", [math.nan, complex(math.inf, 0.0), complex(0.0, -math.inf)])
+    def test_non_finite_amplitude_is_not_dust(self, bad):
+        # a NaN used to be pruned like dust, leaving a norm-1 state
+        with pytest.raises(bs.StateError, match="not finite"):
+            bs.PureState(two_site_lattice(), {"00": bad, "01": 1.0})
 
     def test_amplitudes_read_only(self):
         state = bs.entangled_state(two_site_lattice(), [("00", 1.0)])
