@@ -32,6 +32,20 @@ MAX_RDM_SITES = 12
 #: Matrix entries of group outer products held at once by a partial trace.
 _OUTER_CHUNK = 2 ** 16
 
+#: Finest CHSH scan step in degrees: 3600 angles.  The grid alone takes
+#: 8 k^2 bytes for k angles, so 0.001 degrees would ask for about 1 TB.
+MIN_RESOLUTION_DEG = 0.1
+
+#: Setting columns b' that `max_chsh_from_grid` works on at once.
+_CHSH_BLOCK = 32
+
+#: float64 unit roundoff.
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+#: Bound in radians on how far a flank pair may miss the angle it
+#: brackets (`max_chsh_from_grid`); the steps that pick it add about 40 u.
+_FLANK_ETA = 2.0 ** -45
+
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 #: P x Q for P, Q in (Z, X), shape (2, 2, 4, 4).
@@ -501,41 +515,154 @@ def plane_chsh_max(state: PureState, site_a: int, site_b: int) -> float:
     return _plane_max(correlator_matrix(state, site_a, site_b))
 
 
-def max_chsh_from_grid(angles: np.ndarray, e_grid: np.ndarray) -> tuple:
+def correlation_grid(t: np.ndarray, angles: np.ndarray) -> tuple:
+    """E[i, j] = u(angles[i]) . T u(angles[j]) for a correlator matrix T,
+    and each column's coefficients (0, c1, c2) = (0, T u(angles[j])) in the
+    form that `max_chsh_from_grid` takes."""
+    u = _units(angles)
+    coeffs = t @ u.T
+    return u @ t @ u.T, np.vstack([np.zeros(len(angles)), coeffs])
+
+
+def _column_slack(angles: np.ndarray, e_grid: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """eps[j] for each grid column: a bound on |E[i, j] - F_j(angles[i])|
+    plus the rounding of a row's sum or difference (`max_chsh_from_grid`)."""
+    w = np.stack([np.ones(len(angles)), np.cos(angles), np.sin(angles)], axis=1)
+    eps = np.empty(len(angles))
+    for lo in range(0, len(angles), _CHSH_BLOCK):
+        cols = slice(lo, lo + _CHSH_BLOCK)
+        e = e_grid[:, cols]
+        eps[cols] = (np.abs(e - w @ coeffs[:, cols]).max(axis=0)
+                     + _UNIT_ROUNDOFF * (64.0 * np.abs(coeffs[:, cols]).sum(axis=0)
+                                         + np.abs(e).max(axis=0)))
+    return eps
+
+
+def _row_maxima(e_grid: np.ndarray, coeffs: np.ndarray, eps: np.ndarray, step: float,
+                sure: float, rows: np.ndarray, op) -> np.ndarray:
+    """M[r, j] = max_i op(E[i, j], E[i, rows[r]]) for op `np.subtract` or
+    `np.add`, read at the two flanks where that is certain
+    (`max_chsh_from_grid`)."""
+    k = len(eps)
+    c1 = op(coeffs[1], coeffs[1, rows, None])
+    c2 = op(coeffs[2], coeffs[2, rows, None])
+    r_low = np.maximum(np.abs(c1), np.abs(c2))   # r >= r_low >= r / sqrt(2)
+    unsure = ~(r_low * sure > eps + eps[rows, None])
+    n_unsure = np.count_nonzero(unsure)
+    if 3 * n_unsure > unsure.size:
+        # reading one unsure row from two gathered columns costs about three
+        # times its share of a pass over the grid's rows
+        return _dense_row_maxima(e_grid, rows, op)
+    phi = np.arctan2(c2, c1)
+    phi[phi < 0.0] += 2.0 * math.pi
+    lo = np.minimum((phi / step).astype(np.intp), k - 1)
+    hi = lo + 1
+    hi[hi == k] = 0                    # the last gap wraps to angle 0
+    flat = e_grid.reshape(-1)
+    lo *= k
+    hi *= k
+    at = np.arange(k)
+    best = np.maximum(op(flat[lo + at], flat[lo + rows[:, None]]),
+                      op(flat[hi + at], flat[hi + rows[:, None]]))
+    r, j = np.nonzero(unsure)
+    for part in range(0, n_unsure, _CHSH_BLOCK):
+        rr, jj = r[part:part + _CHSH_BLOCK], j[part:part + _CHSH_BLOCK]
+        best[rr, jj] = op(e_grid[:, jj], e_grid[:, rows[rr]]).max(axis=0)
+    return best
+
+
+def _dense_row_maxima(e_grid: np.ndarray, rows: np.ndarray, op) -> np.ndarray:
+    """M[r, j] = max_i op(E[i, j], E[i, rows[r]]), one grid row i at a time."""
+    best = np.full((len(rows), e_grid.shape[1]), -math.inf)
+    term = np.empty_like(best)
+    for line in e_grid:
+        np.maximum(best, op(line, line[rows, None], out=term), out=best)
+    return best
+
+
+def max_chsh_from_grid(angles: np.ndarray, e_grid: np.ndarray, coeffs: np.ndarray) -> tuple:
     """Maximise S over all setting 4-tuples drawn from a correlation grid.
 
+    `coeffs[:, j]` = (c0, c1, c2) says that column j of the grid is, up to
+    rounding, F_j(theta) = c0 + c1 cos theta + c2 sin theta at theta =
+    `angles[i]`: every grid of both scan protocols has this form, the fact
+    behind Horodecki et al., Phys. Lett. A 200, 340 (1995).
+
     For fixed (b, b') the maximum over a and a' separates:
-    max_a (E[a,b] - E[a,b']) + max_a' (E[a',b] + E[a',b']), so the scan
-    is cubic in the number of angles rather than quartic.
+    max_a (E[a,b] - E[a,b']) + max_a' (E[a',b] + E[a',b']).  Each of those
+    two rows is c + r cos(theta - phi), (r, phi) the polar form of the
+    difference (or sum) of the columns' (c1, c2).  On any set of angles
+    such a function peaks at one of the two grid angles that flank phi,
+    so a row is read there only, and the scan costs O(k^2), not O(k^3).
+
+    When the flanks are certain.  Write eps_j for `_column_slack`: the
+    largest |E[i, j] - (c0 + c1 cos + c2 sin)(angles[i])| measured over
+    the column, plus 64 u (|c0| + |c1| + |c2|) for the rounding of that
+    model and of numpy's cos and sin, plus u max_i |E[i, j]| for the
+    rounding of a row's sum or difference; u = 2^-53.  A computed row
+    then differs from its exact function by at most eps_b + eps_b'.  Let
+    g be the smallest gap between neighbouring grid angles, the gap from
+    the last angle round to 2 pi included.  The flank pair chosen by
+    floor(phi / step) brackets phi to within eta = 2^-45 rad, about 256 u:
+    the coefficients' rounding, atan2, the fold into [0, 2 pi), the floor
+    and the rounding of the grid angles add about 40 u.  If delta
+    is the distance from the bracketed angle to the nearer flank, every
+    other grid angle lies beyond a flank, at least delta + g from it and
+    so at least delta + g - eta from phi.  With k >= 3 these distances
+    stay within [0, pi], where cos falls, so every other angle scores
+    below that flank by at least
+    r (cos(delta + eta) - cos(delta + g - eta))
+    = 2 r sin(delta + g/2) sin(g/2 - eta) >= 2 r sin^2(g/2 - eta).
+    If that margin exceeds 2 (eps_b + eps_b'), no other entry can reach
+    the better flank, and the flanks' maximum is the row's maximum bit
+    for bit.  The test asks for twice that, to cover its own rounding,
+    and takes max(|c1|, |c2|) <= r for r: max(|c1|, |c2|)
+    sin^2(g/2 - eta) / 2 > eps_b + eps_b'.  A row that fails it takes
+    the full row's maximum: b = b' is exactly flat, and so is the sum of
+    two opposite columns.  Where a third of a block's rows or more fail
+    it (a constant grid fails everywhere), the block takes one pass over
+    the grid's rows instead, which costs less than gathering that many
+    rows' columns.  Wrong coefficients
+    therefore cost time, never the result.
+
+    Ties are broken as a full scan breaks them: the winning (b, b') is
+    the first in b'-major order, and a and a' are the first indices that
+    reach their rows' maxima.  Columns b' are taken `_CHSH_BLOCK` at a
+    time, so the temporaries hold O(_CHSH_BLOCK k) numbers.
     Returns (value, (theta_a, theta_a', theta_b, theta_b')).
     """
     k = len(angles)
-    et = np.ascontiguousarray(e_grid.T)   # et[j, a] = E[a, j]: rows are contiguous
-    d = np.empty_like(et)
-    s = np.empty_like(et)
-    rows = np.arange(k)
+    e_grid = np.ascontiguousarray(e_grid)   # `_row_maxima` reads it flat
+    gaps = np.diff(angles, append=2.0 * math.pi)
+    step = float(gaps[0])
+    half = float(gaps.min()) / 2.0 - _FLANK_ETA
+    sure = math.sin(half) ** 2 / 2.0 if k >= 3 and half > 0.0 else 0.0
+    eps = _column_slack(angles, e_grid, coeffs)
     best = -math.inf
-    best_idx = (0, 0, 0, 0)
-    for jp in range(k):  # j' column against all j at once
-        np.subtract(et, et[jp], out=d)   # d[j, a]  = E[a,j] - E[a,j']
-        np.add(et, et[jp], out=s)        # s[j, a'] = E[a',j] + E[a',j']
-        ia = d.argmax(axis=1)
-        iap = s.argmax(axis=1)
-        cand = d[rows, ia] + s[rows, iap]
-        j = int(cand.argmax())
-        if cand[j] > best:
-            best = float(cand[j])
-            best_idx = (int(ia[j]), int(iap[j]), j, jp)
-    ia, iap, j, jp = best_idx
-    return best, (float(angles[ia]), float(angles[iap]), float(angles[j]), float(angles[jp]))
+    best_idx = (0, 0)
+    for lo in range(0, k, _CHSH_BLOCK):
+        rows = np.arange(lo, min(lo + _CHSH_BLOCK, k))
+        cand = (_row_maxima(e_grid, coeffs, eps, step, sure, rows, np.subtract)
+                + _row_maxima(e_grid, coeffs, eps, step, sure, rows, np.add))
+        at = int(cand.argmax())     # cand[r, j]: b = j, b' = rows[r]
+        if cand.flat[at] > best:
+            best = float(cand.flat[at])
+            best_idx = (at % k, int(rows[at // k]))
+    j, jp = best_idx
+    d = np.subtract(e_grid[:, j], e_grid[:, jp])
+    s = np.add(e_grid[:, j], e_grid[:, jp])
+    ia, iap = int(d.argmax()), int(s.argmax())
+    return (float(d[ia] + s[iap]),
+            (float(angles[ia]), float(angles[iap]), float(angles[j]), float(angles[jp])))
 
 
 def scan_angles(resolution_deg: float) -> np.ndarray:
     """The angles of a CHSH grid scan in radians: 0 up to 360 degrees in
-    steps of `resolution_deg`, which must be finite and positive."""
-    if not 0.0 < resolution_deg < math.inf:   # NaN fails too
-        raise AnalysisError(f"grid resolution must be finite and positive, "
-                            f"got {resolution_deg} degrees")
+    steps of `resolution_deg`, which must be finite and at least
+    `MIN_RESOLUTION_DEG`."""
+    if not MIN_RESOLUTION_DEG <= resolution_deg < math.inf:   # NaN fails too
+        raise AnalysisError(f"grid resolution must be finite and at least "
+                            f"{MIN_RESOLUTION_DEG:g} degrees, got {resolution_deg}")
     return np.deg2rad(np.arange(0.0, 360.0, resolution_deg))
 
 
@@ -545,15 +672,15 @@ def chsh_grid_max(state: PureState, site_a: int, site_b: int,
 
     E(theta1, theta2) is bilinear in (cos, sin) of each angle, so the
     whole grid follows exactly from the four Pauli correlators
-    <P x Q>, P, Q in {Z, X}; the search over setting 4-tuples is then a
-    plain maximisation over the gridded correlation table.  The same
-    correlator matrix gives the exact plane maximum the grid approaches.
+    <P x Q>, P, Q in {Z, X}, and so do each column's cosine and sine
+    coefficients, which let `max_chsh_from_grid` search the grid in
+    O(k^2).  The same correlator matrix gives the exact plane maximum
+    the grid approaches.
     """
     angles = scan_angles(resolution_deg)
     t = correlator_matrix(state, site_a, site_b)
-    u = _units(angles)
-    e_grid = u @ t @ u.T                             # E[i, j]
-    value, settings = max_chsh_from_grid(angles, e_grid)
+    e_grid, coeffs = correlation_grid(t, angles)
+    value, settings = max_chsh_from_grid(angles, e_grid, coeffs)
     return ChshScanResult(value, settings, angles, e_grid, _plane_max(t))
 
 

@@ -18,11 +18,15 @@ rotation is linear in the half-angle, R(theta) = cos(theta/2) I +
 sin(theta/2) J with J = [[0, 1], [-1, 0]], so every experiment's final
 state is a real combination of the four evolved states
 phi_kl = U (A_k x B_l) psi_0, A, B in {I, J}.  The schedule is played
-four times, the records' <Z Z> is taken between those four states once
+once on the four starts stacked, the records' <Z Z> is taken between
+those four states once
 (a real 4x4 Gram matrix G), and the whole grid follows as
 E(theta_a, theta_b) = sum v_k(a) v_m(a) v_l(b) v_n(b) G[kl, mn] with
 v(theta) = (cos theta/2, sin theta/2).  The CHSH combination is then
-maximised over all setting 4-tuples drawn from the grid.  For the
+maximised over all setting 4-tuples drawn from the grid, in O(k^2):
+in either angle every grid line is c0 + c1 cos + c2 sin, so for each
+(b, b') the best a and a' sit at the grid angles that flank a
+closed-form direction (`max_chsh_from_grid`).  For the
 entangled-qubit scenario the scan reaches the Tsirelson bound
 2*sqrt(2); for the product-state collision scenario it stays at 2.
 
@@ -132,17 +136,28 @@ def _record_gram(phis: TermTable, owner: np.ndarray, rpos: tuple) -> np.ndarray:
     return ((m.conj() * z) @ m.T).real
 
 
+def record_grid(g: np.ndarray, angles: np.ndarray) -> tuple:
+    """The record grid E[i, j] = sum P[i, km] H[km, ln] P[j, ln] of a Gram
+    matrix G, with P[i, km] = v_k v_m at angles[i] and H[km, ln] =
+    G[kl, mn], and each column's coefficients in the form that
+    `max_chsh_from_grid` takes.  With x = H P[j], P[i] . x =
+    (x0 + x3)/2 + (x0 - x3)/2 cos theta_i + (x1 + x2)/2 sin theta_i,
+    since v0^2, v1^2 = (1 +- cos theta)/2 and v0 v1 = sin theta / 2."""
+    v = np.stack([np.cos(angles / 2.0), np.sin(angles / 2.0)], axis=1)   # (K, 2)
+    p = (v[:, :, None] * v[:, None, :]).reshape(len(angles), 4)
+    h = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    x = h @ p.T
+    coeffs = np.stack([x[0] + x[3], x[0] - x[3], x[1] + x[2]]) / 2.0
+    return p @ h @ p.T, coeffs
+
+
 def record_chsh_scan(config: ScenarioConfig, record_sites,
                      resolution_deg: float = 1.0) -> RecordScanResult:
-    """Grid both setting angles in closed form from four evolved states."""
+    """Grid both setting angles in closed form from four evolved states,
+    and search the grid in O(k^2) with `max_chsh_from_grid`."""
     angles = scan_angles(resolution_deg)
     base, spos, compiled, rpos = _experiment_frame(config, record_sites)
     g = _record_gram(*_evolved_basis(base, spos, compiled), rpos)
-    v = np.stack([np.cos(angles / 2.0), np.sin(angles / 2.0)], axis=1)   # (K, 2)
-    # E[i, j] = sum P[i, km] H[km, ln] P[j, ln] with P[i, km] = v[i, k] v[i, m]
-    # and H[km, ln] = G[kl, mn]
-    p = (v[:, :, None] * v[:, None, :]).reshape(len(angles), 4)
-    h = g.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
-    e_grid = p @ h @ p.T
-    value, settings = max_chsh_from_grid(angles, e_grid)
+    e_grid, coeffs = record_grid(g, angles)
+    value, settings = max_chsh_from_grid(angles, e_grid, coeffs)
     return RecordScanResult(value, settings, angles, e_grid)

@@ -34,10 +34,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_VERIFY = 2
 
-#: Finest chsh-scan grid step: 3600 angles, whose grid and maximiser
-#: buffers take about 0.4 GB.
-MIN_RESOLUTION_DEG = 0.1
-
 
 class _ArgumentParser(argparse.ArgumentParser):
     """Reports a usage error as a `ConfigError`, which `main` prints as one
@@ -81,7 +77,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--sites", type=int, nargs=2, required=True, metavar=("A", "B"),
                       help="the two readout sites")
     scan.add_argument("--resolution", type=float, default=1.0,
-                      help=f"grid step in degrees, {MIN_RESOLUTION_DEG:g} to 90 "
+                      help=f"grid step in degrees, {analysis.MIN_RESOLUTION_DEG:g} to 90 "
                            "(default %(default)g)")
     scan.add_argument("--protocol", choices=["record", "state"], default="record",
                       help="record: rotate the system qubits before the run and read "
@@ -154,8 +150,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_chsh_scan(args) -> int:
-    _require(MIN_RESOLUTION_DEG <= args.resolution <= 90.0,
-             f"--resolution must be in [{MIN_RESOLUTION_DEG:g}, 90] degrees, "
+    _require(analysis.MIN_RESOLUTION_DEG <= args.resolution <= 90.0,
+             f"--resolution must be in [{analysis.MIN_RESOLUTION_DEG:g}, 90] degrees, "
              f"got {args.resolution}")
     config = load_config(args.config)
     site_a, site_b = args.sites
@@ -188,12 +184,11 @@ def _cmd_chsh_scan(args) -> int:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
         gpath = os.path.join(args.out, "chsh_grid.csv")
-        degs = np.rad2deg(result.angles)
+        degs = [f"{t:.12g}" for t in np.rad2deg(result.angles).tolist()]
         with open(gpath, "w", encoding="utf-8", newline="") as fh:
             fh.write("theta_a_deg,theta_b_deg,correlation\n")
-            for i, ta in enumerate(degs):
-                for j, tb in enumerate(degs):
-                    fh.write(f"{ta:.12g},{tb:.12g},{result.e_grid[i, j]:.12g}\n")
+            for ta, row in zip(degs, result.e_grid.tolist()):
+                fh.write("".join([f"{ta},{tb},{e:.12g}\n" for tb, e in zip(degs, row)]))
         print(f"wrote {spath}")
         print(f"wrote {gpath}")
     return EXIT_OK

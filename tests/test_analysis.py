@@ -342,6 +342,15 @@ class TestCorrelationAndChsh:
         with pytest.raises(bs.AnalysisError, match="resolution"):
             bs.chsh_grid_max(epr_states[0], 0, 5, resolution_deg=resolution)
 
+    @pytest.mark.parametrize("resolution", [1e-300, 0.001, 0.09])
+    def test_grid_resolution_below_the_finest_step(self, epr_states, monkeypatch,
+                                                   resolution):
+        # 1e-300 raised numpy's arange ValueError, and 0.001 degrees asked
+        # for a 360,000 x 360,000 grid (about 1 TB)
+        monkeypatch.setattr(analysis, "correlator_matrix", None)
+        with pytest.raises(bs.AnalysisError, match="at least 0.1 degrees"):
+            bs.chsh_grid_max(epr_states[0], 0, 5, resolution_deg=resolution)
+
     def test_chsh_builds_one_correlator_matrix(self, epr_states, monkeypatch):
         calls = []
         build = analysis.correlator_matrix

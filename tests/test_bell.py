@@ -113,6 +113,14 @@ class TestRecordScan:
         with pytest.raises(bs.AnalysisError, match="resolution"):
             bs.record_chsh_scan(bs.scenario_epr(), (2, 3), resolution_deg=resolution)
 
+    @pytest.mark.parametrize("resolution", [1e-300, 0.001, 0.09])
+    def test_resolution_below_the_finest_step(self, monkeypatch, resolution):
+        # 1e-300 raised numpy's arange ValueError, and 0.001 degrees asked
+        # for a 360,000 x 360,000 grid (about 1 TB)
+        monkeypatch.setattr(bell, "_evolved_basis", None)
+        with pytest.raises(bs.AnalysisError, match="at least 0.1 degrees"):
+            bs.record_chsh_scan(bs.scenario_epr(), (2, 3), resolution_deg=resolution)
+
     def test_coarse_90_degree_grid(self):
         result = bs.record_chsh_scan(bs.scenario_epr(), (2, 3), resolution_deg=90.0)
         assert result.e_grid.shape == (4, 4)

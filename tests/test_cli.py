@@ -4,8 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import branchsim as bs
 from branchsim import cli
 
 
@@ -345,6 +347,27 @@ class TestChshScan:
         grid = (out_dir / "chsh_grid.csv").read_text().splitlines()
         assert grid[0] == "theta_a_deg,theta_b_deg,correlation"
         assert len(grid) == 1 + 24 * 24
+
+    @pytest.mark.parametrize("protocol", ["record", "state"])
+    @pytest.mark.parametrize("resolution", ["15", "5"])
+    def test_grid_csv_matches_the_entry_loop(self, tmp_path, capsys, resolution, protocol):
+        # the writer formats each angle once and joins each grid row; its
+        # bytes must be those of formatting all three fields per entry
+        config = write_config(tmp_path, {"scenario": "epr"})
+        out_dir = tmp_path / "scan"
+        assert cli.main(["chsh-scan", "--config", config, "--sites", "2", "3",
+                         "--resolution", resolution, "--protocol", protocol,
+                         "--out", str(out_dir)]) == 0
+        if protocol == "record":
+            result = bs.record_chsh_scan(bs.scenario_epr(), (2, 3), float(resolution))
+        else:
+            result = bs.chsh_grid_max(bs.scenario_epr().run()[-1], 2, 3, float(resolution))
+        degs = np.rad2deg(result.angles)
+        lines = ["theta_a_deg,theta_b_deg,correlation\n"]
+        for i, ta in enumerate(degs):
+            for j, tb in enumerate(degs):
+                lines.append(f"{ta:.12g},{tb:.12g},{result.e_grid[i, j]:.12g}\n")
+        assert (out_dir / "chsh_grid.csv").read_bytes() == "".join(lines).encode()
 
     def test_state_protocol_stays_classical_for_epr(self, tmp_path, capsys):
         config = write_config(tmp_path, {"scenario": "epr"})
