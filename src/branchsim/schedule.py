@@ -43,6 +43,12 @@ from .lattice import (Lattice, LatticeError, PureState, TermTable, chain_lattice
                       entangled_state, product_state)
 
 
+#: Longest horizon a schedule is played to: 40 times the 256-site chain's
+#: 256 steps.  Compiling a horizon allocates one list per step before any
+#: gate is read, so without a bound a horizon of 10^11 runs out of memory.
+MAX_HORIZON = 10_000
+
+
 class ScheduleError(ValueError):
     """Overlapping supports within a step, or a malformed application."""
 
@@ -119,14 +125,17 @@ def compile_schedule(schedule: Schedule, lattice: Lattice,
     (first site = the gate's left slot) and the gate's column action,
     ready for `apply_columns`.  Within a step, gates keep the schedule's
     order (lowest site first).  The default horizon is the schedule's
-    own; a negative one is a ScheduleError.  Two-site gates played on
-    non-adjacent sites give one warning.  Runs, record experiments and
-    random verification trials all play these steps.
+    own; a negative one, or one past `MAX_HORIZON`, is a ScheduleError.
+    Two-site gates played on non-adjacent sites give one warning.  Runs,
+    record experiments and random verification trials all play these
+    steps.
     """
     if horizon is None:
         horizon = schedule.horizon
     if horizon < 0:
         raise ScheduleError(f"negative horizon {horizon}")
+    if horizon > MAX_HORIZON:
+        raise ScheduleError(f"horizon {horizon} exceeds the limit of {MAX_HORIZON} steps")
     steps: list = [[] for _ in range(horizon)]
     local = True
     for app in schedule.applications:

@@ -107,6 +107,28 @@ class TestBadInput:
                                      "--horizon", "-1")
         assert "negative horizon" in err
 
+    # each of these used to build one list per step before reading a
+    # gate, and a horizon of 10^11 was killed for want of memory
+    def test_horizon_option_past_the_limit(self, tmp_path, capsys):
+        err = self.run_fails_cleanly(tmp_path, capsys, {"scenario": "single"},
+                                     "--horizon", "100000000000")
+        assert f"exceeds the limit of {bs.schedule.MAX_HORIZON} steps" in err
+
+    def test_config_horizon_past_the_limit(self, tmp_path, capsys):
+        doc = {"lattice": [{"index": 0, "kind": "system"}, {"index": 1, "kind": "field"}],
+               "initial": {"product": {"0": [1, 0], "1": [1, 0]}},
+               "schedule": [{"time": 0, "sites": [0, 1], "gate": "U_si"}],
+               "horizon": 10 ** 12}
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        assert "horizon 1000000000000 exceeds the limit" in err
+
+    def test_gate_time_past_the_limit(self, tmp_path, capsys):
+        doc = {"lattice": [{"index": 0, "kind": "system"}, {"index": 1, "kind": "field"}],
+               "initial": {"product": {"0": [1, 0], "1": [1, 0]}},
+               "schedule": [{"time": 10 ** 12, "sites": [0, 1], "gate": "U_si"}]}
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        assert "horizon 1000000000001 exceeds the limit" in err
+
     def test_correlation_without_site_b(self, tmp_path, capsys):
         err = self.run_fails_cleanly(
             tmp_path, capsys,

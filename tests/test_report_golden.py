@@ -6,7 +6,10 @@ reworked, so any change to the emitted bytes shows up here.  The
 128-site case, recorded before the state core moved onto arrays, pins
 a chain longer than one 64-bit word.  The correlation case, recorded
 while every correlation still built its own two-site matrix, pins
-`correlations.csv` too.
+`correlations.csv` too.  The `wide_unembedded` case, recorded while
+`json.dumps` still wrote `report.json`, pins a custom lattice and
+schedule, a name outside ASCII, an empty analyses list, and states too
+large to embed.
 
 The digests are tied to the numpy/LAPACK build they were recorded with
 (numpy 2.4 on x86-64 OpenBLAS): entropies of pure sites carry eigenvalue
@@ -21,6 +24,27 @@ import json
 import pytest
 
 from branchsim import cli
+from branchsim.reporting import EMBED_TERMS_LIMIT
+
+
+def _wide_unembedded() -> dict:
+    """Eight sites, the even ones in |+> and the odd ones in
+    0.6|0> + 0.8i|1>, so every step holds 256 terms; a brickwork of
+    library gates and one rotation; no analyses."""
+    r = 0.7071067811865475
+    schedule = [{"time": 1, "sites": [0], "gate": "rot(0.3)"}]
+    for t in range(4):
+        for a in range(t % 2, 7, 2):
+            gate = "U_si" if a == 0 else ("U_copy", "U_swap")[(a + t) % 2]
+            schedule.append({"time": t, "sites": [a, a + 1], "gate": gate})
+    return {
+        "name": "wide \"\u00e9\" eight",
+        "lattice": [{"index": s, "kind": "system" if s == 0 else "field"} for s in range(8)],
+        "initial": {"product": {str(s): [[r, 0], [r, 0]] if s % 2 == 0 else [[0.6, 0], [0, 0.8]]
+                                for s in range(8)}},
+        "schedule": schedule,
+        "analyses": [],
+    }
 
 # name -> (config document, report.json sha256, timeseries.csv sha256)
 GOLDEN = {
@@ -58,6 +82,11 @@ GOLDEN = {
         {"scenario": "single", "params": {"alpha": 0.6, "beta": 0.8, "n_sites": 128}},
         "12757578dc105684b3bd51bec3a1c9d4e04610758929134888306a12e84d7d3e",
         "9639af712846badb8a62cbc1525be05c3be13ac26706aec494dae7e2783328b1",
+    ),
+    "wide_unembedded": (
+        _wide_unembedded(),
+        "ca0a0fd14c86614c2b4cf679a6457fd042d137c20b958b35dd5f0f16b3e158eb",
+        "ad17925f01bdf5b917c17df10a28e0d52a4e07a709746a270dd458ea2b84e9bc",
     ),
 }
 
@@ -99,3 +128,15 @@ def test_correlation_report_bytes_match_golden(tmp_path):
     out_dir = tmp_path / "out"
     assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
     assert {name: _sha256(out_dir / name) for name in CORRELATION_DIGESTS} == CORRELATION_DIGESTS
+
+
+def test_wide_unembedded_reaches_its_branches(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(GOLDEN["wide_unembedded"][0]))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    assert report["scenario"]["name"] == 'wide "\u00e9" eight'
+    assert report["scenario"]["analyses"] == []
+    assert all(step["n_terms"] > EMBED_TERMS_LIMIT and "state" not in step
+               for step in report["steps"])

@@ -41,6 +41,15 @@ class TestScheduleValidation:
         with pytest.raises(bs.GateError):
             bs.run_schedule(state, sched)
 
+    def test_horizon_bound(self):
+        limit = bs.schedule.MAX_HORIZON
+        lat = bs.chain_lattice([0], [1])
+        sched = bs.Schedule((bs.GateApplication(limit - 1, (0, 1), "U_si"),))
+        steps = bs.schedule.compile_schedule(sched, lat)
+        assert len(steps) == limit and len(steps[-1]) == 1
+        with pytest.raises(bs.ScheduleError, match="exceeds the limit"):
+            bs.schedule.compile_schedule(sched, lat, limit + 1)
+
 
 class TestRunSchedule:
     def test_empty_schedule_is_identity(self):
