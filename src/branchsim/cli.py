@@ -15,7 +15,6 @@ stopped early).
 """
 
 import argparse
-import json
 import math
 import os
 import sys
@@ -27,7 +26,7 @@ from . import __version__, analysis, oracle, verify
 from .bell import record_chsh_scan
 from .gates import GateError
 from .lattice import LatticeError, StateError
-from .reporting import build_report, write_report
+from .reporting import _g12, build_report, json_text, write_report
 from .schedule import SCENARIOS, ConfigError, ScheduleError, load_config
 
 EXIT_OK = 0
@@ -175,14 +174,13 @@ def _cmd_chsh_scan(args) -> int:
             "protocol": args.protocol,
             "sites": [site_a, site_b],
             "resolution_deg": args.resolution,
-            "value": float(f"{result.value:.12g}"),
-            "settings_rad": [float(f"{t:.12g}") for t in result.settings],
-            "settings_deg": [float(f"{t:.12g}") for t in settings_deg],
+            "value": _g12(result.value),
+            "settings_rad": [_g12(t) for t in result.settings],
+            "settings_deg": [_g12(t) for t in settings_deg],
         }
         spath = os.path.join(args.out, "chsh_summary.json")
         with open(spath, "w", encoding="utf-8") as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json_text(summary))
         gpath = os.path.join(args.out, "chsh_grid.csv")
         degs = [f"{t:.12g}" for t in np.rad2deg(result.angles).tolist()]
         with open(gpath, "w", encoding="utf-8", newline="") as fh:

@@ -112,11 +112,6 @@ class Lattice:
     def kind(self, site_id: int) -> SiteKind:
         return self.sites[self.position(site_id)].kind
 
-    @classmethod
-    def from_pairs(cls, pairs: Iterable) -> "Lattice":
-        """Build from (index, kind) pairs; kinds may be SiteKind or its value."""
-        return cls(tuple(Site(int(i), SiteKind(k)) for i, k in pairs))
-
 
 def chain_lattice(system: Iterable[int], fields: Iterable[int]) -> Lattice:
     """Lattice with the given system and field site indices (any order)."""
@@ -360,7 +355,7 @@ def product_state(lattice: Lattice, site_states: Mapping) -> PureState:
             raise StateError(f"site {site_id}: want 2 components, got shape {vec.shape}")
         if not abs(np.vdot(vec, vec).real - 1.0) <= NORM_TOL:   # NaN fails too
             raise StateError(f"site {site_id}: vector not normalised "
-                             f"(|v|^2 = {np.vdot(vec, vec).real!r})")
+                             f"(|v|^2 = {float(np.vdot(vec, vec).real)!r})")
         columns.append(vec)
 
     vecs = np.array(columns)
@@ -386,7 +381,8 @@ def entangled_state(lattice: Lattice, terms: Iterable) -> PureState:
     """Normalised superposition from explicit (basis, amplitude) terms.
 
     Duplicate basis strings are an error (ambiguous intent), as is a
-    zero-norm term list.  Amplitudes are rescaled to unit norm.
+    term list whose squared norm is zero or overflows.  Amplitudes are
+    rescaled to unit norm.
     """
     n = lattice.n_sites
     amps = {}
@@ -398,6 +394,8 @@ def entangled_state(lattice: Lattice, terms: Iterable) -> PureState:
     total = sum(a.real * a.real + a.imag * a.imag for a in amps.values())
     if total < PRUNE_EPS:
         raise StateError("zero-norm term list")
+    if total == math.inf:   # would scale every amplitude to 0
+        raise StateError("term list norm overflows")
     scale = 1.0 / math.sqrt(total)
     return PureState(lattice, {b: a * scale for b, a in amps.items()})
 
@@ -409,12 +407,79 @@ def entangled_state(lattice: Lattice, terms: Iterable) -> PureState:
 # States serialise to a small JSON document.  Amplitude components are
 # written with 17 significant digits so that reading the document back
 # reproduces every float64 bit-exactly.
+#
+# The document's "lattice" list of {"index", "kind"} objects and its
+# "terms" list of {"basis", "re", "im"} objects are also how a scenario
+# config spells a lattice and an initial superposition; both documents
+# are read by `read_lattice` and `read_terms`, and every number in
+# either goes through `read_number` or `read_whole`.
+
+def _is_number(value) -> bool:
+    """A JSON number is an int or a float, never a boolean (which Python
+    counts as an int), string or null."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def read_number(value, key: str):
+    """`value`, unchanged, if it is a number; `key` names it in the error."""
+    if not _is_number(value):
+        raise StateError(f"'{key}' must be a number, got {value!r}")
+    return value
+
+
+def read_whole(value, key: str) -> int:
+    """A whole number: an int, or a float with no fraction such as 2.0.
+    Fractions, booleans and strings are errors; none is truncated, read
+    as 0 or 1, or parsed."""
+    if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
+        raise StateError(f"'{key}' must be a whole number, got {value!r}")   # inf, NaN too
+    return int(value)
+
+
+def read_lattice(entries) -> Lattice:
+    """A lattice from a list of {"index": whole number, "kind": "system"
+    or "field"} objects, in index order."""
+    return Lattice(tuple(Site(read_whole(s["index"], "index"), SiteKind(s["kind"]))
+                         for s in entries))
+
+
+def read_terms(entries) -> dict:
+    """Basis string -> complex amplitude from a list of {"basis": string,
+    "re": number, "im": number} objects; "im" may be left out.  A basis
+    string may not repeat.  Amplitudes are not rescaled."""
+    amps = {}
+    for t in entries:
+        basis = t["basis"]
+        if not isinstance(basis, str):
+            raise StateError(f"basis {basis!r} is not a string")
+        if basis in amps:
+            raise StateError(f"duplicate basis string {basis!r}")
+        amps[basis] = complex(read_number(t["re"], "re"), read_number(t.get("im", 0.0), "im"))
+    return amps
+
+
+def lattice_to_json(lattice: Lattice) -> list:
+    """The document's "lattice" list."""
+    return [{"index": s.index, "kind": s.kind.value} for s in lattice.sites]
+
+
+def _loaded(x: float):
+    """What `json.loads` reads back from the `.17g` text of `x`: an int
+    when `x` is integral and below 1e17 in magnitude (`.17g` then writes
+    no exponent or point, and -0.0 as ``-0``), otherwise `x` itself."""
+    return int(x) if x.is_integer() and abs(x) < 1e17 else x
+
+
+def terms_to_json(state: PureState) -> list:
+    """The "terms" list that `json.loads` reads from
+    `state_to_document(state)`, built without the text."""
+    return [{"basis": "".join(map(str, bits)), "re": _loaded(amp.real), "im": _loaded(amp.imag)}
+            for bits, amp in state.terms()]
+
 
 def state_to_document(state: PureState) -> str:
     """Serialise to JSON text (sorted terms; bit-exact round trip)."""
-    lattice_json = json.dumps(
-        [{"index": s.index, "kind": s.kind.value} for s in state.lattice.sites]
-    )
+    lattice_json = json.dumps(lattice_to_json(state.lattice))
     term_lines = ",\n".join(
         f'    {{"basis": "{"".join(map(str, bits))}", '
         f'"re": {amp.real:.17g}, "im": {amp.imag:.17g}}}'
@@ -424,11 +489,10 @@ def state_to_document(state: PureState) -> str:
 
 
 def state_from_document(text: str) -> PureState:
-    """Inverse of `state_to_document`."""
+    """Inverse of `state_to_document`.  Any malformed part, or a state
+    `PureState` refuses, is a StateError."""
     try:
         doc = json.loads(text)
-        lattice = Lattice.from_pairs((s["index"], s["kind"]) for s in doc["lattice"])
-        amps = {t["basis"]: complex(t["re"], t["im"]) for t in doc["terms"]}
-    except (KeyError, TypeError, ValueError) as exc:
+        return PureState(read_lattice(doc["lattice"]), read_terms(doc["terms"]))
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StateError(f"malformed state document: {exc}") from exc
-    return PureState(lattice, amps)

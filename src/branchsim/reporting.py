@@ -10,9 +10,6 @@ time is therefore *not* part of a report; the CLI prints it separately.
 going through the pure-Python encoder that ``indent`` selects.
 """
 
-import csv
-import io
-import json
 import os
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Mapping
@@ -21,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis
-from .lattice import norm, state_to_document
+from .lattice import lattice_to_json, norm, terms_to_json
 from .schedule import ScenarioConfig
 
 #: States up to this many terms are embedded verbatim in the report.
@@ -73,7 +70,13 @@ def _branch_item(branch) -> dict:
 
 
 def build_report(config: ScenarioConfig, states: list, tolerance: float) -> dict:
-    """Analyse a run and assemble the report document."""
+    """Analyse a run of `config` and assemble the report document.
+
+    Each state of at most EMBED_TERMS_LIMIT terms is embedded as the
+    object `json.loads` reads from its `state_to_document` text; every
+    embedded state shares the scenario's lattice list.
+    """
+    lattice = lattice_to_json(config.lattice)
     names = {a for a in config.analyses if isinstance(a, str)}
     settings = [(analysis.MeasurementSetting(a["site_a"], a.get("theta_a", 0.0)),
                  analysis.MeasurementSetting(a["site_b"], a.get("theta_b", 0.0)))
@@ -88,7 +91,7 @@ def build_report(config: ScenarioConfig, states: list, tolerance: float) -> dict
             "n_terms": state.n_terms,
         }
         if state.n_terms <= EMBED_TERMS_LIMIT:
-            record["state"] = json.loads(state_to_document(state))
+            record["state"] = {"lattice": lattice, "terms": terms_to_json(state)}
 
         # built lazily: a run that requests none of these does no RDM work
         summary = analysis.StateAnalysis(state, tolerance)
@@ -128,8 +131,7 @@ def build_report(config: ScenarioConfig, states: list, tolerance: float) -> dict
         "scenario": {
             "name": config.name,
             "horizon": len(states) - 1,
-            "lattice": [{"index": s.index, "kind": s.kind.value}
-                        for s in config.lattice.sites],
+            "lattice": lattice,
             "analyses": list(config.analyses),
         },
         "steps": steps,
@@ -227,33 +229,27 @@ def json_text(doc) -> str:
 
 def timeseries_csv(report: dict) -> str:
     """Per-(step, site) series: coherence, purity, entropy, branch and
-    cluster counts (counts are per step, repeated on each site row)."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["step", "site", "coherence", "purity", "entropy",
-                     "branch_count", "cluster_count"])
+    cluster counts (counts are per step, repeated on each site row).
+
+    Every field is a number, a site id or an empty count, none of which a
+    CSV writer would quote, so rows are joined directly."""
+    rows = ["step,site,coherence,purity,entropy,branch_count,cluster_count\n"]
     for record in report["steps"]:
-        branch_count = record.get("branches", {}).get("count", "")
-        cluster_count = record.get("clusters", {}).get("count", "")
+        counts = (f'{record.get("branches", {}).get("count", "")},'
+                  f'{record.get("clusters", {}).get("count", "")}\n')
         for site, data in sorted(record.get("sites", {}).items(), key=lambda kv: int(kv[0])):
-            writer.writerow([
-                record["step"], site,
-                f'{data["coherence"]:.12g}', f'{data["purity"]:.12g}',
-                f'{data["entropy"]:.12g}', branch_count, cluster_count,
-            ])
-    return out.getvalue()
+            rows.append(f'{record["step"]},{site},{data["coherence"]:.12g},'
+                        f'{data["purity"]:.12g},{data["entropy"]:.12g},{counts}')
+    return "".join(rows)
 
 
 def correlations_csv(report: dict) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["step", "site_a", "site_b", "theta_a", "theta_b", "value"])
+    rows = ["step,site_a,site_b,theta_a,theta_b,value\n"]
     for record in report["steps"]:
         for c in record.get("correlations", ()):
-            writer.writerow([record["step"], c["site_a"], c["site_b"],
-                             f'{c["theta_a"]:.12g}', f'{c["theta_b"]:.12g}',
-                             f'{c["value"]:.12g}'])
-    return out.getvalue()
+            rows.append(f'{record["step"]},{c["site_a"]},{c["site_b"]},{c["theta_a"]:.12g},'
+                        f'{c["theta_b"]:.12g},{c["value"]:.12g}\n')
+    return "".join(rows)
 
 
 def write_report(report: dict, out_dir) -> list:

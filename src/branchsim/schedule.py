@@ -32,15 +32,15 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .gates import Gate, Gate1, Gate2, GateError, apply_columns, gate_by_name
 from .gates import apply_gate2  # noqa: F401 - a binding the benchmark's trace self-test checks
-from .lattice import (Lattice, LatticeError, PureState, TermTable, chain_lattice,
-                      entangled_state, product_state)
+from .lattice import (Lattice, PureState, TermTable, chain_lattice, entangled_state,
+                      product_state, read_lattice, read_number, read_terms, read_whole)
 
 
 #: Longest horizon a schedule is played to: 40 times the 256-site chain's
@@ -336,22 +336,11 @@ SCENARIOS = {
 # and a schedule entry's "gate" may be an inline 4x4 (or 2x2) matrix of
 # [re, im] pairs instead of a name.
 
-def _complex_from(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, Sequence) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"want a number or [re, im] pair, got {value!r}")
-
-
-def _whole(value, key: str) -> int:
-    """A config integer: an int, or a float with no fraction such as 2.0.
-    Fractions, booleans and strings are errors; none is truncated, read
-    as 0 or 1, or parsed."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) \
-            or (isinstance(value, float) and not value.is_integer()):   # inf and NaN too
-        raise ConfigError(f"'{key}' must be a whole number, got {value!r}")
-    return int(value)
+def _complex_from(value, key: str) -> complex:
+    """A number, or an [re, im] pair of numbers; `key` names it in errors."""
+    if isinstance(value, list) and len(value) == 2:
+        return complex(read_number(value[0], key), read_number(value[1], key))
+    return complex(read_number(value, key))
 
 
 def _gate_from_config(entry) -> Union[str, Gate]:
@@ -359,7 +348,7 @@ def _gate_from_config(entry) -> Union[str, Gate]:
         gate_by_name(entry)  # fail fast on unknown names
         return entry
     if isinstance(entry, Sequence):
-        rows = [[_complex_from(cell) for cell in row] for row in entry]
+        rows = [[_complex_from(cell, "gate") for cell in row] for row in entry]
         matrix = np.array(rows, dtype=complex)
         try:
             return Gate1("custom", matrix) if matrix.shape == (2, 2) else Gate2("custom", matrix)
@@ -374,15 +363,14 @@ def _initial_from_config(entry, lattice: Lattice) -> PureState:
     if "product" in entry:
         if not isinstance(entry["product"], Mapping):
             raise ConfigError(f"'product' must be an object, got {entry['product']!r}")
-        site_states = {
-            int(site): [_complex_from(c) for c in vec]
-            for site, vec in entry["product"].items()
-        }
+        # a key that is no index's str, such as "01", stays a string, which
+        # product_state reports as an extra site
+        sites = {str(i): i for i in lattice.indices}
+        site_states = {sites.get(key, key): [_complex_from(c, f"product {key}") for c in vec]
+                       for key, vec in entry["product"].items()}
         return product_state(lattice, site_states)
     if "terms" in entry:
-        terms = [(t["basis"], complex(float(t["re"]), float(t.get("im", 0.0))))
-                 for t in entry["terms"]]
-        return entangled_state(lattice, terms)
+        return entangled_state(lattice, read_terms(entry["terms"]).items())
     raise ConfigError("'initial' needs a 'product' or 'terms' key")
 
 
@@ -393,87 +381,80 @@ ANALYSIS_NAMES = ("sites", "branches", "clusters")
 def _analyses_from_config(entry, lattice: Lattice) -> tuple:
     """Validate an ``analyses`` list: names from ANALYSIS_NAMES, or
     ``{"type": "correlation", "site_a": A, "site_b": B}`` with two
-    different integer lattice sites and optional finite ``theta_a`` /
-    ``theta_b``."""
+    different whole-number lattice sites, stored as ints, and optional
+    finite ``theta_a`` / ``theta_b``, kept as given."""
     if not isinstance(entry, list):
         raise ConfigError(f"'analyses' must be a list, got {entry!r}")
+    analyses = []
     for item in entry:
         if isinstance(item, str):
             if item not in ANALYSIS_NAMES:
                 raise ConfigError(f"unknown analysis {item!r}; "
                                   f"available: {', '.join(ANALYSIS_NAMES)}, correlation")
+            analyses.append(item)
             continue
         if not isinstance(item, Mapping) or item.get("type") != "correlation":
             raise ConfigError(f"bad analysis {item!r}: want a name or a correlation object")
+        item = dict(item)
         for key in ("site_a", "site_b"):
-            site = item.get(key)
-            if isinstance(site, bool) or not isinstance(site, int) \
-                    or site not in lattice.indices:
+            item[key] = read_whole(item.get(key), key)
+            if item[key] not in lattice.indices:
                 raise ConfigError(f"correlation {key} must be an integer lattice site, "
-                                  f"got {site!r}")
+                                  f"got {item[key]!r}")
         if item["site_a"] == item["site_b"]:
             raise ConfigError(f"correlation needs two different sites, "
                               f"got {item['site_a']!r} twice")
         for key in ("theta_a", "theta_b"):
-            theta = item.get(key, 0.0)
+            theta = read_number(item.get(key, 0.0), key)
             # NaN, infinities and integers past the float range all fail
-            if isinstance(theta, bool) or not isinstance(theta, (int, float)) \
-                    or not abs(theta) <= sys.float_info.max:
+            if not abs(theta) <= sys.float_info.max:
                 raise ConfigError(f"correlation {key} must be a finite number, got {theta!r}")
-    return tuple(entry)
+        analyses.append(item)
+    return tuple(analyses)
 
 
 def config_from_document(text: str) -> ScenarioConfig:
-    """Parse a scenario configuration document (JSON text)."""
+    """Parse a scenario configuration document (JSON text).  Every
+    malformed part is a ConfigError.  A built-in scenario's ``params``
+    alpha and beta are complex numbers, and its other params whole
+    numbers."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, Mapping):
-        raise ConfigError("config must be a JSON object")
-
-    if "scenario" in doc:
-        name = doc["scenario"]
-        if not isinstance(name, str) or name not in SCENARIOS:
-            raise ConfigError(f"unknown scenario {name!r}; "
-                              f"available: {', '.join(sorted(SCENARIOS))}")
-        params = doc.get("params", {})
-        if not isinstance(params, Mapping):
-            raise ConfigError(f"'params' must be an object, got {params!r}")
-        params = dict(params)
-        for key in ("alpha", "beta"):
-            if key in params:
-                params[key] = _complex_from(params[key])
-        try:
-            config = SCENARIOS[name](**params)
-        except TypeError as exc:
-            raise ConfigError(f"bad params for scenario {name!r}: {exc}") from exc
+        if not isinstance(doc, Mapping):
+            raise ConfigError("config must be a JSON object")
+        if "scenario" in doc:
+            name = doc["scenario"]
+            if not isinstance(name, str) or name not in SCENARIOS:
+                raise ConfigError(f"unknown scenario {name!r}; "
+                                  f"available: {', '.join(sorted(SCENARIOS))}")
+            params = doc.get("params", {})
+            if not isinstance(params, Mapping):
+                raise ConfigError(f"'params' must be an object, got {params!r}")
+            config = SCENARIOS[name](**{
+                key: _complex_from(value, key) if key in ("alpha", "beta")
+                else read_whole(value, key)
+                for key, value in params.items()})
+        else:
+            lattice = read_lattice(doc["lattice"])
+            initial = _initial_from_config(doc["initial"], lattice)
+            sched = Schedule(tuple(
+                GateApplication(read_whole(e["time"], "time"),
+                                tuple(read_whole(site, "sites") for site in e["sites"]),
+                                _gate_from_config(e["gate"]))
+                for e in doc.get("schedule", ())))
+            horizon = read_whole(doc.get("horizon", sched.horizon), "horizon")
+            config = ScenarioConfig(str(doc.get("name", "custom")), lattice, initial,
+                                    sched, horizon)
         if "analyses" in doc:
-            config = ScenarioConfig(config.name, config.lattice, config.initial,
-                                    config.schedule, config.horizon,
-                                    _analyses_from_config(doc["analyses"], config.lattice))
+            config = replace(config, analyses=_analyses_from_config(doc["analyses"],
+                                                                   config.lattice))
         return config
-
-    try:
-        lattice = Lattice.from_pairs((_whole(s["index"], "index"), s["kind"])
-                                     for s in doc["lattice"])
-        initial = _initial_from_config(doc["initial"], lattice)
-        apps = tuple(
-            GateApplication(_whole(e["time"], "time"),
-                            tuple(_whole(site, "sites") for site in e["sites"]),
-                            _gate_from_config(e["gate"]))
-            for e in doc.get("schedule", ())
-        )
-        sched = Schedule(apps)
-        horizon = _whole(doc.get("horizon", sched.horizon), "horizon")
-        analyses = (_analyses_from_config(doc["analyses"], lattice)
-                    if "analyses" in doc else DEFAULT_ANALYSES)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, LatticeError, ScheduleError, GateError) as exc:
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
-    return ScenarioConfig(str(doc.get("name", "custom")), lattice, initial,
-                          sched, horizon, analyses)
 
 
 def load_config(path) -> ScenarioConfig:

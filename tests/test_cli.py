@@ -320,6 +320,53 @@ class TestBadInput:
         report = json.loads((tmp_path / "out" / "report.json").read_text())
         assert [site["index"] for site in report["scenario"]["lattice"]] == [0, 1]
 
+    @pytest.mark.parametrize("doc, mention", [
+        ({"scenario": "single", "params": {"alpha": "ab"}}, "'alpha' must be a number"),
+        ({"scenario": "single", "params": {"alpha": [None, 0]}}, "'alpha' must be a number"),
+        ({"scenario": "single", "params": {"n_sites": True}}, "'n_sites' must be a whole number"),
+        (dict(EXPLICIT, initial={"product": {"0": [1, 0], "1": [1, 0], "01": [0, 1]}}),
+         "extra ['01']"),
+        (dict(EXPLICIT, initial={"product": {"0": [1, 0], "1_0": [1, 0]}}), "extra ['1_0']"),
+        (dict(EXPLICIT, initial={"terms": [{"basis": "00", "re": "0.5"}]}),
+         "'re' must be a number"),
+        (dict(EXPLICIT, initial={"terms": [{"basis": "00", "re": True}]}),
+         "'re' must be a number"),
+    ], ids=["alpha-string", "alpha-null", "n_sites-bool", "product-key-01",
+            "product-key-1_0", "re-string", "re-bool"])
+    def test_values_outside_the_document_rules(self, tmp_path, capsys, doc, mention):
+        # "ab" and [null, 0] ended in a ValueError or TypeError traceback;
+        # true ran as n_sites 1, int("01") overwrote site 1's vector and a
+        # string or boolean amplitude was read as a number, each exiting 0
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        assert mention in err
+        assert not (tmp_path / "out").exists()
+
+    def test_unnormalised_product_vector_prints_a_plain_number(self, tmp_path, capsys):
+        # numpy 2 printed (|v|^2 = np.float64(2.0))
+        doc = dict(self.EXPLICIT, initial={"product": {"0": [1, 1], "1": [1, 0]}})
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        assert "site 0: vector not normalised (|v|^2 = 2.0)" in err
+
+    @pytest.mark.parametrize("whole, written", [
+        ({"scenario": "single", "params": {"n_sites": 3}},
+         {"scenario": "single", "params": {"n_sites": 3.0}}),
+        ({"scenario": "epr", "analyses": [
+            {"type": "correlation", "site_a": 2, "site_b": 3, "theta_b": 1}]},
+         {"scenario": "epr", "analyses": [
+             {"type": "correlation", "site_a": 2.0, "site_b": 3.0, "theta_b": 1}]}),
+    ], ids=["param", "correlation-sites"])
+    def test_whole_params_and_sites_written_as_floats_give_the_same_report(
+            self, tmp_path, whole, written):
+        # both used to be errors, unlike a horizon of 2.0
+        outputs = []
+        for name, doc in (("whole", whole), ("written", written)):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(doc))
+            out_dir = tmp_path / name
+            assert cli.main(["run", "--config", str(path), "--out", str(out_dir)]) == 0
+            outputs.append({f.name: f.read_bytes() for f in sorted(out_dir.iterdir())})
+        assert outputs[0] == outputs[1]
+
 
 class TestClosedStdout:
     """A reader that closes stdout early, as ``head`` does, gets exit code
@@ -390,6 +437,30 @@ class TestChshScan:
             for j, tb in enumerate(degs):
                 lines.append(f"{ta:.12g},{tb:.12g},{result.e_grid[i, j]:.12g}\n")
         assert (out_dir / "chsh_grid.csv").read_bytes() == "".join(lines).encode()
+
+    @pytest.mark.parametrize("protocol", ["record", "state"])
+    def test_summary_bytes_match_json_dump(self, tmp_path, capsys, protocol):
+        # the summary is written with the report's rounding and writer,
+        # whose bytes must be those of json.dump as it was used before
+        config = write_config(tmp_path, {"scenario": "epr"})
+        out_dir = tmp_path / "scan"
+        assert cli.main(["chsh-scan", "--config", config, "--sites", "2", "3",
+                         "--resolution", "15", "--protocol", protocol,
+                         "--out", str(out_dir)]) == 0
+        if protocol == "record":
+            result = bs.record_chsh_scan(bs.scenario_epr(), (2, 3), 15.0)
+        else:
+            result = bs.chsh_grid_max(bs.scenario_epr().run()[-1], 2, 3, 15.0)
+        summary = {
+            "protocol": protocol,
+            "sites": [2, 3],
+            "resolution_deg": 15.0,
+            "value": float(f"{result.value:.12g}"),
+            "settings_rad": [float(f"{t:.12g}") for t in result.settings],
+            "settings_deg": [float(f"{math.degrees(t):.12g}") for t in result.settings],
+        }
+        expected = json.dumps(summary, indent=2, sort_keys=True) + "\n"
+        assert (out_dir / "chsh_summary.json").read_bytes() == expected.encode()
 
     def test_state_protocol_stays_classical_for_epr(self, tmp_path, capsys):
         config = write_config(tmp_path, {"scenario": "epr"})

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import branchsim as bs
+from branchsim.lattice import lattice_to_json, terms_to_json
 from conftest import random_state
 
 R2 = 1 / math.sqrt(2)
@@ -101,6 +104,12 @@ class TestEntangledState:
         b = bs.entangled_state(lat, [("01", 1.0)])
         assert bs.overlap(a, b) == pytest.approx(1.0)
 
+    def test_norm_that_overflows_rejected(self):
+        # the squared norm was inf, so every amplitude scaled to 0 and the
+        # state had no terms; `run` on it died with a reshape traceback
+        with pytest.raises(bs.StateError, match="overflows"):
+            bs.entangled_state(two_site_lattice(), [("01", 1e200), ("10", 1.0)])
+
     @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), -math.inf])
     def test_non_finite_amplitude_rejected(self, bad):
         # a NaN used to make the norm NaN and return a state with no terms
@@ -150,12 +159,62 @@ class TestPruning:
             state.amplitudes[(0, 0)] = 2.0
 
 
+def term_bits(state) -> list:
+    """A state's sorted terms with each amplitude as its 16 bytes."""
+    return [(bits, struct.pack("<dd", amp.real, amp.imag)) for bits, amp in state.terms()]
+
+
+#: Components whose `.17g` text `json.loads` reads as an int (integral
+#: and below 1e17 in magnitude, -0.0 among them) or just as a float; at
+#: most 1e300, so that an amplitude's modulus stays finite.
+COMPONENTS = (st.sampled_from([0.0, -0.0, 1.0, -1.0, 3.0, 1e16, -1e16, 99999999999999984.0,
+                               1e17, -1e17, 1e300, 0.5, 5e-324])
+              | st.integers(-2 ** 60, 2 ** 60).map(float)
+              | st.floats(min_value=-1e300, max_value=1e300))
+
+
 class TestSerialisation:
-    def test_round_trip_scenario_state(self, epr_states):
-        state = epr_states[-1]
-        back = bs.state_from_document(bs.state_to_document(state))
-        assert back.lattice == state.lattice
-        assert dict(back.amplitudes) == dict(state.amplitudes)  # bit-exact
+    def test_round_trip_scenario_state(self, single_states, bidirectional_states,
+                                       collision_states, epr_states):
+        for state in single_states + bidirectional_states + collision_states + epr_states:
+            back = bs.state_from_document(bs.state_to_document(state))
+            assert back.lattice == state.lattice
+            assert term_bits(back) == term_bits(state)  # bit-exact, not rescaled
+
+    def test_document_object_built_directly(self, single_states, bidirectional_states,
+                                            collision_states, epr_states):
+        # repr tells 1 from 1.0 and 0 from -0.0, as the report's writer does
+        for state in single_states + bidirectional_states + collision_states + epr_states:
+            loaded = json.loads(bs.state_to_document(state))
+            assert repr(lattice_to_json(state.lattice)) == repr(loaded["lattice"])
+            assert repr(terms_to_json(state)) == repr(loaded["terms"])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(COMPONENTS, COMPONENTS), min_size=1, max_size=4))
+    def test_document_object_of_integral_and_signed_zero_components(self, parts):
+        state = bs.PureState(two_site_lattice(),
+                             {basis: complex(re, im)
+                              for basis, (re, im) in zip(("00", "01", "10", "11"), parts)})
+        loaded = json.loads(bs.state_to_document(state))
+        assert repr(terms_to_json(state)) == repr(loaded["terms"])
+
+    LATTICE = [{"index": 0, "kind": "system"}, {"index": 1, "kind": "field"}]
+    TERMS = [{"basis": "00", "re": 1.0, "im": 0.0}]
+
+    @pytest.mark.parametrize("lattice, terms", [
+        ([{"index": 0.5, "kind": "system"}, {"index": 1, "kind": "field"}], TERMS),
+        ([{"index": 0, "kind": "system"}, {"index": True, "kind": "field"}], TERMS),
+        ([{"index": 0, "kind": "system"}, {"index": "1", "kind": "field"}], TERMS),
+        (LATTICE, [{"basis": "00", "re": 0.5, "im": 0.0}, {"basis": "00", "re": 0.5, "im": 0.0}]),
+        (LATTICE, [{"basis": "00", "re": True, "im": 0.0}]),
+        (LATTICE, [{"basis": "00", "re": 1.0, "im": None}]),
+    ], ids=["index-fraction", "index-bool", "index-string", "repeated-basis", "re-bool",
+            "im-null"])
+    def test_document_outside_the_lattice_or_term_rules_rejected(self, lattice, terms):
+        # the first five were accepted: the index went through int(), the
+        # last of two equal basis strings won (norm 0.25), true was 1
+        with pytest.raises(bs.StateError):
+            bs.state_from_document(json.dumps({"lattice": lattice, "terms": terms}))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10_000))
