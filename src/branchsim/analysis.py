@@ -21,7 +21,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .gates import rotation_gate, apply_gate1
-from .lattice import PureState, TermTable, complex_product, first_appearance, ordered_sum
+from .lattice import (PureState, StateBlock, TermTable, complex_product, first_appearance,
+                      ordered_sum, row_keys)
 
 #: Default tolerance for calling a site decohered / a weight a branch.
 BRANCH_TOL = 1e-9
@@ -29,8 +30,9 @@ BRANCH_TOL = 1e-9
 #: Largest region an exact reduced density matrix is built for (2^12 dim).
 MAX_RDM_SITES = 12
 
-#: Matrix entries of group outer products held at once by a partial trace.
-_OUTER_CHUNK = 2 ** 16
+#: Matrix entries of group outer products held at once by a partial trace
+#: (256 KiB): one call may cover a whole block of states.
+_OUTER_CHUNK = 2 ** 14
 
 #: Finest CHSH scan step in degrees: 3600 angles.  The grid alone takes
 #: 8 k^2 bytes for k angles, so 0.001 degrees would ask for about 1 TB.
@@ -98,42 +100,47 @@ def _positions(state: PureState, region: Iterable) -> tuple:
     return sites, tuple(state.lattice.position(s) for s in sites)
 
 
-def _region_marginals(state: PureState, regions) -> np.ndarray:
-    """Reduced density matrices of equal-size regions, shape (R, d, d).
+def _region_marginals(states, regions) -> np.ndarray:
+    """Reduced density matrices of equal-size regions of a state, shape
+    (R, d, d), or of every state of a `StateBlock`, shape (B, R, d, d).
 
     `regions` lists R tuples of k lattice positions each; d = 2^k.  For
-    every region the terms are grouped by their bits *outside* it, and
-    each group contributes the outer product of its amplitude vector.
-    Groups are numbered by first appearance in the state's term order
-    and summed in that order, so a region's matrix does not depend on
-    which other regions share the call.
+    every state and region the terms are grouped by their bits *outside*
+    the region, and each group contributes the outer product of its
+    amplitude vector.  Groups are numbered by first appearance in the
+    state's term order and summed in that order, so a region's matrix
+    does not depend on which other regions or states share the call.
     """
+    size = states.size if isinstance(states, StateBlock) else 1
     regions = np.asarray(regions, dtype=np.intp)
     n_regions, k = regions.shape
-    dim, n_terms = 2 ** k, state.n_terms
-    amps, bits = state.table.amps, state.table.bits
-
-    inside = bits[:, regions]                                  # (T, R, k)
-    index = (inside.astype(np.intp) << np.arange(k - 1, -1, -1)).sum(-1)
-    outside = np.repeat(bits[None], n_regions, axis=0)        # (R, T, n)
-    outside[np.arange(n_regions)[:, None], :, regions] = 0
-    # one byte string per (region, term): the region id, then the outside bits
-    tag = np.arange(n_regions, dtype=">u4").view(np.uint8).reshape(n_regions, 1, 4)
-    rows = np.concatenate([np.repeat(tag, n_terms, axis=1),
-                           np.packbits(outside, axis=-1)], axis=-1)
-    rows = np.ascontiguousarray(rows.reshape(n_regions * n_terms, -1))
-    keys = rows.view(np.dtype((np.void, rows.shape[1]))).ravel()
-    group, first = first_appearance(keys)      # region-major, then term order
-
-    vectors = np.zeros((first.size, dim), dtype=complex)
-    vectors[group, index.T.ravel()] += np.tile(amps, n_regions)
-    owner = first // n_terms                   # region of each group
-    rho = np.zeros((n_regions, dim, dim), dtype=complex)
+    dim = 2 ** k
+    vectors, target = _group_vectors(states.table, regions)
+    rho = np.zeros((size * n_regions, dim, dim), dtype=complex)
     step = max(1, _OUTER_CHUNK // (dim * dim))  # bounds the outer-product buffer
-    for lo in range(0, first.size, step):
+    for lo in range(0, len(vectors), step):
         v = vectors[lo:lo + step]
-        np.add.at(rho, owner[lo:lo + step], v[:, :, None] * v.conj()[:, None, :])
-    return rho
+        np.add.at(rho, target[lo:lo + step], v[:, :, None] * v.conj()[:, None, :])
+    rho = rho.reshape(size, n_regions, dim, dim)
+    return rho if isinstance(states, StateBlock) else rho[0]
+
+
+def _group_vectors(table: TermTable, regions: np.ndarray) -> tuple:
+    """The groups of `_region_marginals`: one amplitude vector per
+    (owner, region, outside bits), numbered region-major and then in term
+    order, and the owner and region of each, as owner R + region.  Its
+    temporaries are freed before the outer products are formed."""
+    n_regions, k = regions.shape
+    inside = table.bits[:, regions]                            # (T, R, k)
+    index = (inside.astype(np.intp) << np.arange(k - 1, -1, -1)).sum(-1)
+    outside = np.repeat(table.bits[None], n_regions, axis=0)  # (R, T, n)
+    outside[np.arange(n_regions)[:, None], :, regions] = 0
+    owner = np.zeros(len(table), dtype=np.intp) if table.owner is None else table.owner
+    tag = (owner * n_regions + np.arange(n_regions)[:, None]).ravel()
+    group, first = first_appearance(row_keys(outside.reshape(len(tag), -1), tag))
+    vectors = np.zeros((first.size, 2 ** k), dtype=complex)
+    vectors[group, index.T.ravel()] += np.tile(table.amps, n_regions)
+    return vectors, tag[first]
 
 
 def reduced_density_matrix(state: PureState, keep: Iterable) -> DensityMatrix:
@@ -151,10 +158,11 @@ def reduced_density_matrix(state: PureState, keep: Iterable) -> DensityMatrix:
     return DensityMatrix(sites, _region_marginals(state, [kpos])[0])
 
 
-def region_matrices(state: PureState, regions: Iterable) -> np.ndarray:
+def region_matrices(states, regions: Iterable) -> np.ndarray:
     """`reduced_density_matrix` of several equal-size regions, bit for bit,
-    as one (R, d, d) stack built in one pass over the terms."""
-    return _region_marginals(state, [_positions(state, r)[1] for r in regions])
+    as one (R, d, d) stack built in one pass over the terms; for a
+    `StateBlock`, one (B, R, d, d) stack of every state's."""
+    return _region_marginals(states, [_positions(states, r)[1] for r in regions])
 
 
 def change_basis(rho: DensityMatrix, rotations: Mapping) -> DensityMatrix:
@@ -244,21 +252,24 @@ class SiteMarginals:
     Entry i belongs to ``sites[i]`` (lattice order).  Each matrix equals
     ``reduced_density_matrix(state, [site]).matrix`` bit for bit, and
     each scalar is `coherence`, `purity` or `entropy_of` of it by one formula.
+    The marginals of a `StateBlock` list its states one after another.
     """
 
     sites: tuple
-    matrices: np.ndarray   # (n, 2, 2)
-    coherence: np.ndarray  # (n,)
-    purity: np.ndarray     # (n,)
-    entropy: np.ndarray    # (n,)
+    matrices: np.ndarray   # (n, 2, 2), or (B n, 2, 2)
+    coherence: np.ndarray  # (n,), or (B n,)
+    purity: np.ndarray     # (n,), or (B n,)
+    entropy: np.ndarray    # (n,), or (B n,)
 
 
-def site_marginals(state: PureState) -> SiteMarginals:
-    """All one-site marginals of a state in one pass over its terms."""
-    n = state.lattice.n_sites
-    rho = _region_marginals(state, [(p,) for p in range(n)])
-    return SiteMarginals(state.lattice.indices, rho, _coherences(rho), _purities(rho),
-                         entropies(rho))
+def site_marginals(states) -> SiteMarginals:
+    """All one-site marginals of a state in one pass over its terms.  For
+    a `StateBlock` of B states, the B n marginals of all of them, in one
+    pass: entry b n + i is site i of state b."""
+    n = states.lattice.n_sites
+    rho = _region_marginals(states, [(p,) for p in range(n)]).reshape(-1, 2, 2)
+    return SiteMarginals(states.lattice.indices * (len(rho) // n), rho, _coherences(rho),
+                         _purities(rho), entropies(rho))
 
 
 class StateAnalysis:
@@ -356,7 +367,8 @@ def _decompose(state: PureState, marginals: SiteMarginals, tol: float) -> Branch
                       (re * re + im * im).tolist()):
         merged[key] = merged.get(key, 0.0) + w
     merged = {key: w for key, w in merged.items() if w > tol}
-    total = sum(merged.values())
+    # left to right, as `branch_table` adds (Python 3.12's `sum` compensates)
+    total = ordered_sum(np.fromiter(merged.values(), dtype=float, count=len(merged)))
     support = frozenset(branched)
     branches = tuple(
         Branch(w / total, dict(zip(branched, key)), support)
@@ -364,6 +376,36 @@ def _decompose(state: PureState, marginals: SiteMarginals, tol: float) -> Branch
     )
     unbranched = frozenset(lattice.indices) - support
     return BranchDecomposition(branches, unbranched, tol)
+
+
+def branch_table(block: StateBlock, marginals: SiteMarginals, tol: float) -> tuple:
+    """The bit-basis branches of every state of a block, from its
+    `site_marginals`, as `_decompose` finds them one state at a time.
+
+    A state's branched sites are those whose one-site purity is below
+    1 - tol.  Its terms group by their bits on those sites; a group's
+    weight is its |amp|^2 added in term order, groups above `tol` are
+    kept, and each kept weight is divided by the state's total, added in
+    order of first appearance.  Returns (owner, bits, weights, branched):
+    per branch, ordered by state and then by bits, its state, its (n,)
+    bit row with zeros off the state's branched sites and its weight;
+    and the (B, n) mask of each state's branched sites.
+    """
+    table = block.table
+    branched = marginals.purity.reshape(block.size, -1) < 1.0 - tol
+    masked = table.bits * branched[table.owner]
+    keys = row_keys(masked, table.owner)
+    group, first = first_appearance(keys)
+    re, im = table.amps.real, table.amps.imag
+    sums = np.zeros(first.size)
+    np.add.at(sums, group, re * re + im * im)         # in term order, onto 0.0
+    kept = first[sums > tol]
+    weights = sums[sums > tol]
+    owner = table.owner[kept]
+    totals = np.zeros(block.size)
+    np.add.at(totals, owner, weights)                 # in order of first appearance
+    order = keys[kept].argsort(kind="stable")
+    return owner[order], masked[kept[order]], (weights / totals[owner])[order], branched
 
 
 @dataclass(frozen=True)

@@ -44,13 +44,16 @@ class GateError(ValueError):
     """Non-unitary matrix, bad shape, or an unknown gate name."""
 
 
-def _check_unitary(matrix: np.ndarray, dim: int, name: str) -> np.ndarray:
-    m = np.array(matrix, dtype=complex)
-    if m.shape != (dim, dim):
-        raise GateError(f"{name}: want a {dim}x{dim} matrix, got shape {m.shape}")
-    # elementwise |U^dag U - 1| <= tol; a NaN or inf entry is rejected
-    # first, before the product could warn about it
-    if not (np.isfinite(m).all() and np.abs(m.conj().T @ m - np.eye(dim)).max() <= UNITARITY_TOL):
+def unitary_stack(matrices, dim: int, name: str) -> np.ndarray:
+    """`matrices` as a read-only complex (B, dim, dim) stack, each matrix
+    checked unitary: elementwise |U^dag U - 1| <= UNITARITY_TOL.  A gate
+    is the stack of one; a block of random gates is checked in one call."""
+    m = np.array(matrices, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (dim, dim):
+        raise GateError(f"{name}: want a {dim}x{dim} matrix, got shape {m.shape[1:]}")
+    # a NaN or inf entry is rejected first, before the product could warn about it
+    if not (np.isfinite(m).all() and np.abs(m.conj().swapaxes(1, 2) @ m - np.eye(dim))
+            .max(initial=0.0) <= UNITARITY_TOL):
         raise GateError(f"{name}: matrix is not unitary within {UNITARITY_TOL}")
     m.setflags(write=False)
     return m
@@ -64,6 +67,10 @@ class ColumnAction:
     ascending row order: the bits of row index i (one per gate slot) in
     `row_bits`, and the coefficient ``re + i im``.  `permutation` is set
     when every column has exactly one entry; then entry j is column j's.
+
+    The action of several d x d gates joined (`column_action` of a
+    stack, `join_actions`, `take_actions`) is that of their block-diagonal
+    sum: column b d + j is column j of gate b.
     """
 
     start: np.ndarray
@@ -74,33 +81,62 @@ class ColumnAction:
     permutation: bool
 
 
-def column_action(matrix: np.ndarray) -> ColumnAction:
-    """The nonzero entries of every column of `matrix`, for `apply_columns`."""
-    matrix = np.asarray(matrix, dtype=complex)
-    dim = matrix.shape[0]
-    cols, rows = np.nonzero(matrix.T)          # column-major, rows ascending
-    counts = np.bincount(cols, minlength=dim)
-    width = dim.bit_length() - 1               # gate slots: 1 or 2
-    row_bits = (rows[:, None] >> np.arange(width - 1, -1, -1)) & 1
-    coeffs = matrix[rows, cols]
+def _action(counts, row_bits, re, im) -> ColumnAction:
     arrays = (np.concatenate(([0], counts.cumsum())), counts, row_bits.astype(np.uint8),
-              coeffs.real.copy(), coeffs.imag.copy())
+              re, im)
     for array in arrays:  # gates share their action with every caller
         array.setflags(write=False)
     return ColumnAction(*arrays, bool((counts == 1).all()))
 
 
+def column_action(matrices) -> ColumnAction:
+    """The nonzero entries of every column of a matrix, or of a (B, d, d)
+    stack of them joined, for `apply_columns`."""
+    m = np.asarray(matrices, dtype=complex)
+    stack = m.reshape(-1, *m.shape[-2:])
+    dim = stack.shape[-1]
+    # gate by gate, column-major, rows ascending
+    gate, cols, rows = np.nonzero(stack.swapaxes(1, 2))
+    width = dim.bit_length() - 1               # gate slots: 1 or 2
+    coeffs = stack[gate, rows, cols]
+    return _action(np.bincount(gate * dim + cols, minlength=stack.shape[0] * dim),
+                   (rows[:, None] >> np.arange(width - 1, -1, -1)) & 1,
+                   coeffs.real.copy(), coeffs.imag.copy())
+
+
+def join_actions(actions) -> ColumnAction:
+    """The actions of several gates of one size, joined in order."""
+    return _action(*(np.concatenate([getattr(a, field) for a in actions])
+                     for field in ("counts", "row_bits", "re", "im")))
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices starts[i] .. starts[i] + counts[i] - 1 for every i, in order."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts).repeat(counts)
+
+
+def take_actions(action: ColumnAction, gates: np.ndarray) -> ColumnAction:
+    """The gates numbered `gates` of a joined action, joined in that order."""
+    dim = 1 << action.row_bits.shape[1]
+    cols = (np.asarray(gates)[:, None] * dim + np.arange(dim)).ravel()
+    counts = action.counts[cols]
+    entry = _ranges(action.start[cols], counts)
+    return _action(counts, action.row_bits[entry], action.re[entry], action.im[entry])
+
+
 @dataclass(frozen=True)
 class Gate1:
-    """A single-site unitary (2x2, checked at construction), with its
-    `column_action` as ``action``."""
+    """A single-site unitary (2x2, checked at construction by
+    `unitary_stack`), with its `column_action` as ``action``."""
 
     name: str
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _check_unitary(self.matrix, 2, self.name))
-        object.__setattr__(self, "action", column_action(self.matrix))
+        matrices = unitary_stack([self.matrix], 2, self.name)
+        object.__setattr__(self, "matrix", matrices[0])
+        object.__setattr__(self, "action", column_action(matrices))
 
     @property
     def n_sites(self) -> int:
@@ -109,15 +145,16 @@ class Gate1:
 
 @dataclass(frozen=True)
 class Gate2:
-    """A two-site unitary (4x4, checked at construction), with its
-    `column_action` as ``action``."""
+    """A two-site unitary (4x4, checked at construction by
+    `unitary_stack`), with its `column_action` as ``action``."""
 
     name: str
     matrix: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "matrix", _check_unitary(self.matrix, 4, self.name))
-        object.__setattr__(self, "action", column_action(self.matrix))
+        matrices = unitary_stack([self.matrix], 4, self.name)
+        object.__setattr__(self, "matrix", matrices[0])
+        object.__setattr__(self, "action", column_action(matrices))
 
     @property
     def n_sites(self) -> int:
@@ -203,7 +240,7 @@ def gate_by_name(name: str) -> Gate:
 # gates, the built-in interactions among them, each term moves to
 # exactly one new basis string and no two terms meet.
 
-def apply_columns(table: TermTable, positions: tuple, action: ColumnAction) -> TermTable:
+def apply_columns(table: TermTable, positions, action: ColumnAction) -> TermTable:
     """Apply a precomputed column action at basis-string positions.
 
     Low-level routine shared by every evolution path; returns a new
@@ -211,40 +248,55 @@ def apply_columns(table: TermTable, positions: tuple, action: ColumnAction) -> T
     adds ``U_ij * amp`` into output basis string i, creating it at its
     first contribution: output terms are in order of first appearance,
     and each amplitude is its contributions summed in that order.
+
+    A tagged table (see `StateBlock`) plays one gate per owner: row b of
+    the (B, k) array `positions` holds owner b's positions, and `action`
+    joins the B gates' actions in owner order.  Each row reads its
+    owner's positions and block of columns, and rows of different owners
+    never merge, so every owner's rows come out as a call on them alone
+    gives them.
     """
-    bits, amps = table.bits, table.amps
-    if len(positions) == 1:
-        col = bits[:, positions[0]]
-    else:
-        col = 2 * bits[:, positions[0]] + bits[:, positions[1]]
+    bits, amps, owner = table.bits, table.amps, table.owner
+    # one index per gate slot, selecting each row's bit at that slot
+    if owner is None:                          # the same positions on every row
+        at = [(slice(None), p) for p in positions]
+    else:                                      # each row its owner's positions
+        rows = np.arange(len(bits))
+        at = [(rows, p[owner]) for p in np.asarray(positions).T]
+    col = bits[at[0]] if len(at) == 1 else 2 * bits[at[0]] + bits[at[1]]
+    if owner is not None:                      # and its owner's block of columns
+        col = col + owner * (1 << len(at))
     if action.permutation:  # term t moves to row_bits[col[t]], nothing merges
         re, im = complex_product(action.re[col], action.im[col], amps.real, amps.imag)
         out = bits.copy()
-        _write(out, positions, action.row_bits[col])
-        return TermTable.pruned(out, 0.0 + re, 0.0 + im)   # 0j + U_ij * amp
+        _write(out, at, action.row_bits[col])
+        return TermTable.pruned(out, 0.0 + re, 0.0 + im, owner)   # 0j + U_ij * amp
 
     if not len(col):
         return table
     # one entry per nonzero U_ij of each term's column, in (term, row) order
     counts = action.counts[col]
     term = np.arange(len(col)).repeat(counts)
-    ends = counts.cumsum()
-    entry = np.arange(ends[-1]) + (action.start[col] - ends + counts).repeat(counts)
+    entry = _ranges(action.start[col], counts)
     re, im = complex_product(action.re[entry], action.im[entry],
                              amps.real[term], amps.imag[term])
     expanded = bits[term]                      # each entry's output basis string
-    _write(expanded, positions, action.row_bits[entry])
-    slot, source = first_appearance(row_keys(expanded))
+    if owner is not None:
+        owner = owner[term]
+        at = [(np.arange(len(term)), p[term]) for _, p in at]
+    _write(expanded, at, action.row_bits[entry])
+    slot, source = first_appearance(row_keys(expanded, owner))
     out_re, out_im = np.zeros(len(source)), np.zeros(len(source))
     np.add.at(out_re, slot, re)                # adds in entry order, onto 0.0
     np.add.at(out_im, slot, im)
-    return TermTable.pruned(expanded[source], out_re, out_im)
+    return TermTable.pruned(expanded[source], out_re, out_im,
+                            None if owner is None else owner[source])
 
 
-def _write(bits: np.ndarray, positions: tuple, new: np.ndarray):
-    """bits[:, positions[j]] = new[:, j], in place."""
-    for j, p in enumerate(positions):
-        bits[:, p] = new[:, j]
+def _write(bits: np.ndarray, at: list, new: np.ndarray):
+    """bits[at[j]] = new[:, j] for each gate slot j, in place."""
+    for j, index in enumerate(at):
+        bits[index] = new[:, j]
 
 
 def apply_gate1(state: PureState, gate: Gate1, site: int) -> PureState:

@@ -132,10 +132,14 @@ def _as_bits(basis, n_sites: int) -> BasisString:
 
 
 def _amplitude(basis, amp) -> complex:
-    """`amp` as a complex; a NaN or infinite part is a StateError."""
+    """`amp` as a complex; a NaN or infinite part, or a modulus past the
+    float range (where ``abs`` raises OverflowError), is a StateError."""
     amp = complex(amp)
     if not cmath.isfinite(amp):
         raise StateError(f"basis string {basis!r}: amplitude {amp!r} is not finite")
+    if math.hypot(amp.real, amp.imag) == math.inf:
+        raise StateError(f"basis string {basis!r}: amplitude {amp!r} has a modulus "
+                         f"past the float range")
     return amp
 
 
@@ -155,11 +159,31 @@ def complex_product(ar, ai, br, bi) -> tuple:
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def row_keys(bits: np.ndarray) -> np.ndarray:
+def row_keys(bits: np.ndarray, owner=None) -> np.ndarray:
     """One opaque sortable key per row of a 0/1 matrix, for
-    `first_appearance`: equal rows give equal keys, and keys sort like
-    the rows' bit tuples."""
-    packed = np.ascontiguousarray(np.packbits(bits, axis=1))
+    `first_appearance`: equal rows of one owner give equal keys, and keys
+    sort like (owner, bit tuple) pairs.  `owner` holds one whole number
+    per row, or is None when every row has the same owner.
+
+    A row and its owner are packed into one uint64 when their bits fit
+    in 64, and into a byte-string (void) key otherwise; uint64 keys sort
+    several times faster.  Only grouping and order matter to callers, so
+    either encoding gives them the same results.
+    """
+    n = bits.shape[1]
+    tag = int(owner.max()).bit_length() if owner is not None and len(owner) else 0
+    packed = np.packbits(bits, axis=1)         # bytes, first site most significant
+    if n + tag <= 64:
+        words = np.zeros((len(bits), 8), dtype=np.uint8)
+        words[:, 8 - packed.shape[1]:] = packed
+        # the row in the low n bits, once the last byte's padding is shifted out
+        keys = words.view(">u8").ravel() >> np.uint64(8 * packed.shape[1] - n)
+        return keys | owner.astype(np.uint64) << np.uint64(n) if tag else keys
+    if tag:
+        width = (tag + 7) // 8                 # big-endian owner bytes first
+        prefix = owner.astype(">u8").view(np.uint8).reshape(-1, 8)[:, 8 - width:]
+        packed = np.concatenate([prefix, packed], axis=1)
+    packed = np.ascontiguousarray(packed)
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
@@ -188,21 +212,28 @@ class TermTable:
     T complex128 amplitudes, none of them below PRUNE_EPS in modulus and
     no basis string twice.  Gates and constructors build tables directly;
     `len` is the number of terms.
+
+    A tagged table holds the terms of several states (a `StateBlock`):
+    ``owner`` then gives the state of each row, and the no-repeat rule
+    holds per owner.  A plain state's table has ``owner`` None.
     """
 
-    __slots__ = ("bits", "amps")
+    __slots__ = ("bits", "amps", "owner")
 
-    def __init__(self, bits: np.ndarray, amps: np.ndarray):
-        bits.setflags(write=False)
-        amps.setflags(write=False)
+    def __init__(self, bits: np.ndarray, amps: np.ndarray, owner=None):
+        for array in (bits, amps, owner):
+            if array is not None:
+                array.setflags(write=False)
         self.bits = bits
         self.amps = amps
+        self.owner = owner
 
     def __len__(self) -> int:
         return len(self.amps)
 
     @classmethod
-    def pruned(cls, bits: np.ndarray, re: np.ndarray, im: np.ndarray) -> "TermTable":
+    def pruned(cls, bits: np.ndarray, re: np.ndarray, im: np.ndarray,
+               owner=None) -> "TermTable":
         """Table of the rows whose amplitude re + i im is at least PRUNE_EPS."""
         amps = np.empty(len(re), dtype=complex)
         amps.real = re
@@ -210,7 +241,8 @@ class TermTable:
         keep = np.hypot(re, im) >= PRUNE_EPS
         if np.count_nonzero(keep) < len(keep):
             bits, amps = bits[keep], amps[keep]
-        return cls(bits, amps)
+            owner = None if owner is None else owner[keep]
+        return cls(bits, amps, owner)
 
 
 class AmplitudeView(Mapping):
@@ -310,6 +342,37 @@ class PureState:
         )
         more = "" if self.n_terms <= 6 else f", ... ({self.n_terms} terms)"
         return f"PureState({parts}{more})"
+
+
+@dataclass(frozen=True)
+class StateBlock:
+    """B states of one lattice held as one tagged `TermTable`.
+
+    The rows of state b are its terms, in its own term order, with
+    ``table.owner`` b; the states follow one another (owner-major).
+    Gates and analyses on a block never merge rows of different owners,
+    so each state keeps the terms, order and sums it would have alone.
+    """
+
+    lattice: Lattice
+    table: TermTable
+    size: int
+
+    @classmethod
+    def of(cls, states) -> "StateBlock":
+        """The block of a non-empty sequence of states on one lattice."""
+        tables = [state.table for state in states]
+        owner = np.arange(len(tables)).repeat([len(t) for t in tables])
+        table = TermTable(np.concatenate([t.bits for t in tables]),
+                          np.concatenate([t.amps for t in tables]), owner)
+        return cls(states[0].lattice, table, len(tables))
+
+    def states(self) -> list:
+        """The block's states, as `PureState`s sharing its arrays."""
+        t = self.table
+        ends = np.bincount(t.owner, minlength=self.size).cumsum().tolist()
+        return [PureState(self.lattice, TermTable(t.bits[lo:hi], t.amps[lo:hi]))
+                for lo, hi in zip([0] + ends, ends)]
 
 
 def norm(state: PureState) -> float:

@@ -92,22 +92,23 @@ class DenseState:
         object.__setattr__(self, "vector", v)
 
 
-def dense_vectors(states: Iterable) -> np.ndarray:
-    """The full vectors of sparse states on one lattice, as a (B, 2^n) stack."""
-    states = list(states)
-    n = states[0].lattice.n_sites
+def dense_vectors(lattice: Lattice, table, size: int) -> np.ndarray:
+    """The full vectors of `size` sparse states on `lattice`, as a
+    (size, 2^n) stack scattered from the rows of one term table: row t is
+    a term of state ``table.owner[t]``, or of the one state when
+    ``owner`` is None."""
+    n = lattice.n_sites
     if n > MAX_DENSE_SITES:
         raise OracleError(f"{n} sites needs a 2^{n} vector; cap is {MAX_DENSE_SITES}")
-    weights = 1 << np.arange(n - 1, -1, -1)
-    out = np.zeros((len(states), 2 ** n), dtype=complex)
-    for row, state in zip(out, states):
-        row[state.table.bits @ weights] = state.table.amps
+    owner = 0 if table.owner is None else table.owner
+    out = np.zeros((size, 2 ** n), dtype=complex)
+    out[owner, table.bits @ (1 << np.arange(n - 1, -1, -1))] = table.amps
     return out
 
 
 def densify(state: PureState) -> DenseState:
     """Expand a sparse state into a full vector."""
-    return DenseState(state.lattice, dense_vectors([state])[0])
+    return DenseState(state.lattice, dense_vectors(state.lattice, state.table, 1)[0])
 
 
 def sparsify(dense: DenseState) -> PureState:

@@ -205,6 +205,15 @@ class ScenarioConfig:
                             self.horizon if horizon is None else horizon)
 
 
+def _check_horizon(key: str, size: int, horizon: int):
+    """A scenario whose horizon grows with a size param is refused before
+    its lattice, state and schedule are built when that horizon is past
+    MAX_HORIZON, which `compile_schedule` would refuse after them."""
+    if horizon > MAX_HORIZON:
+        raise ConfigError(f"{key} {size} gives a horizon of {horizon} steps, "
+                          f"past the limit of {MAX_HORIZON}")
+
+
 def _up() -> np.ndarray:
     return np.array([1.0, 0.0], dtype=complex)
 
@@ -220,6 +229,7 @@ def scenario_single(alpha: complex = 1 / math.sqrt(2),
     """
     if n_sites < 1:
         raise ConfigError("need at least one field site")
+    _check_horizon("n_sites", n_sites, n_sites)
     lattice = chain_lattice([0], range(1, n_sites + 1))
     site_states: dict = {0: np.array([alpha, beta], dtype=complex)}
     site_states.update({i: _up() for i in range(1, n_sites + 1)})
@@ -257,6 +267,7 @@ def _collision_frame(n_field: int):
     if n_field < 2 or n_field % 2:
         # an odd chain has no single central pair for the records to meet at
         raise ConfigError(f"collision needs an even field count >= 2, got {n_field}")
+    _check_horizon("n_field", n_field, n_field // 2 + 1)
     right = n_field + 1
     lattice = chain_lattice([0, right], range(1, right))
     apps = [

@@ -21,12 +21,12 @@ import numpy as np
 
 from . import analysis, oracle
 from .analysis import MeasurementSetting, chsh_grid_max
-from .gates import (UNITARITY_TOL, Gate2, field_copy_gate, field_swap_gate, gate_by_name,
-                    rotation_gate, system_field_gate)
-from .lattice import PureState, chain_lattice, norm, overlap
+from .gates import (UNITARITY_TOL, apply_columns, column_action, field_copy_gate,
+                    field_swap_gate, gate_by_name, join_actions, rotation_gate,
+                    system_field_gate, take_actions, unitary_stack)
+from .lattice import PureState, StateBlock, TermTable, chain_lattice, norm, overlap
 from .reference_states import REFERENCE_SEQUENCES
-from .schedule import (SCENARIOS, GateApplication, Schedule, ScenarioConfig, run_schedule,
-                       scenario_single)
+from .schedule import SCENARIOS, ScenarioConfig, scenario_single
 
 #: Random trials used by the full differential suite.
 DEFAULT_TRIALS = 10_000
@@ -157,43 +157,49 @@ def compare_stack(states: list, vectors: np.ndarray) -> np.ndarray:
     dense stack, across overlap, RDMs, entropies and branch weights, as
     a (B,) array.
 
-    Both sides are stacks: the sparse side from each state's
-    `StateAnalysis` (the marginals reports print) and two regions, the
-    first two and the last two sites; the dense side from one
-    `oracle.analyse_stack`.  Each kind is compared for the whole stack
-    at once and folded in with `np.maximum`, which keeps a NaN; a row's
-    deviation depends on its own state and row only.
+    The sparse states are joined into one `StateBlock`, and each kind
+    comes from one call on it: the site marginals that reports print,
+    the first two and the last two sites, and `analysis.branch_table`.
+    The dense side is one `oracle.analyse_stack`.  A branch is compared
+    as its bits on its state's branched sites and 2 elsewhere; both
+    engines sort a state's branches by bits, and a state whose branches
+    differ deviates by inf.  Each kind is folded in with `np.maximum`,
+    which keeps a NaN; a row depends on its own state only.
     """
-    lattice = states[0].lattice
+    block = StateBlock.of(states)
+    lattice, size = block.lattice, block.size
     regions = (lattice.indices[:2], lattice.indices[-2:])
     dense = oracle.analyse_stack(lattice, vectors, regions, COMPARE_TOL)
-    summaries = [analysis.StateAnalysis(state, tol=COMPARE_TOL) for state in states]
-    rhos = np.array([analysis.region_matrices(state, regions) for state in states])
-    worst = np.abs(oracle.dense_overlaps(oracle.dense_vectors(states), vectors) - 1.0)
+    marginals = analysis.site_marginals(block)
+    rhos = analysis.region_matrices(block, regions)
+    worst = np.abs(oracle.dense_overlaps(oracle.dense_vectors(lattice, block.table, size),
+                                         vectors) - 1.0)
     for sparse, dense_kind in (
-            (np.array([s.marginals.matrices for s in summaries]), dense.site_rdms),
-            (np.array([s.marginals.entropy for s in summaries]), dense.site_entropy),
+            (marginals.matrices, dense.site_rdms),
+            (marginals.entropy, dense.site_entropy),
             (rhos, dense.region_rdms),
             (analysis.entropies(rhos), dense.region_entropy)):
-        worst = np.maximum(worst, np.abs(sparse - dense_kind).reshape(len(states), -1).max(1))
-    return np.maximum(worst, [_branch_deviation(s.branches.branches, d)
-                              for s, d in zip(summaries, dense.branches)])
+        deviation = np.abs(sparse.reshape(dense_kind.shape) - dense_kind)
+        worst = np.maximum(worst, deviation.reshape(size, -1).max(1))
 
-
-def _branch_deviation(branches: tuple, dense: oracle.DenseBranches) -> float:
-    """The largest branch-weight deviation; inf when the two engines list
-    different branches.  Both sides list their branches sorted by bits,
-    so the two sets of branch keys agree when the branched sites and the
-    bit rows do."""
-    if len(branches) != len(dense.weights):
-        return math.inf
-    if branches:
-        sites = tuple(sorted(branches[0].support))
-        bits = [[b.assignment[s] for s in sites] for b in branches]
-        if sites != dense.sites or not np.array_equal(bits, dense.bits):
-            return math.inf
-    weights = np.array([b.weight for b in branches])
-    return np.abs(weights - dense.weights).max(initial=0.0)
+    owner, bits, weights, branched = analysis.branch_table(block, marginals, COMPARE_TOL)
+    sites, dense_bits, dense_weights = zip(*dense.branches)
+    counts = np.array(list(map(len, dense_weights)))
+    dense_owner = np.arange(size).repeat(counts)
+    covered = np.zeros_like(branched)
+    covered[np.arange(size).repeat(list(map(len, sites))),
+            np.searchsorted(lattice.indices, np.concatenate(sites))] = True
+    dense_rows = np.full((len(dense_owner), lattice.n_sites), 2, dtype=np.uint8)
+    dense_rows[covered[dense_owner]] = np.concatenate(dense_bits, axis=None)
+    bad = np.bincount(owner, minlength=size) != counts
+    mine, theirs = ~bad[owner], ~bad[dense_owner]      # the same branches, in order
+    rows = np.where(branched[owner], bits, 2)[mine]
+    bad[owner[mine][(rows != dense_rows[theirs]).any(1)]] = True
+    deviation = np.zeros(size)
+    present, starts = np.unique(owner[mine], return_index=True)
+    deviation[present] = np.maximum.reduceat(
+        np.abs(weights[mine] - np.concatenate(dense_weights)[theirs]), starts)
+    return np.maximum(worst, np.where(bad, math.inf, deviation))
 
 
 def compare_states(state: PureState, dense: oracle.DenseState) -> float:
@@ -224,34 +230,32 @@ def check_scenario_differential(tol: float = DEFAULT_TOL) -> list:
 
 
 def _draw_trials(rng: np.random.Generator, n_trials: int, n_sites: int,
-                 n_gates: int) -> list:
-    """Draw random trials: per trial its initial bits and its gates as
-    (site pair, gate) pairs.
-
-    The rng is read in the order that drawing one trial at a time reads
-    it.  The Gaussian matrices of the random gates are collected first
-    and turned into unitaries with one stacked QR; every random gate is
-    then a validated `Gate2`.
-    """
+                 n_gates: int) -> tuple:
+    """Draw random trials: the initial bits (B, n), the site pairs
+    (B, G, 2) and each gate's number (B, G) among the block's gates: the
+    three named ones, then the random ones, whose Gaussian matrices one
+    stacked QR makes unitary.  The rng is read in the order that drawing
+    one trial at a time reads it.  Also returns the gates' (L, 4, 4)
+    matrices and their joined column actions, for the two engines."""
     named = [gate_by_name(name) for name in ("U_si", "U_copy", "U_swap")]
-    trials, gaussians = [], []
+    bits, pairs, gates, gaussians = [], [], [], []
     for _ in range(n_trials):
-        bits = rng.integers(0, 2, n_sites)
-        plan = []
+        bits.append(rng.integers(0, 2, n_sites))
         for _ in range(n_gates):
             left = int(rng.integers(0, n_sites - 1))
-            pair = (left, left + 1) if rng.random() < 0.5 else (left + 1, left)
+            pairs.append((left, left + 1) if rng.random() < 0.5 else (left + 1, left))
             if rng.random() < 0.4:
-                plan.append((pair, named[rng.integers(len(named))]))
-            else:   # the gate's index among the random ones, until the QR
-                plan.append((pair, len(gaussians)))
+                gates.append(rng.integers(len(named)))
+            else:
+                gates.append(len(named) + len(gaussians))
                 gaussians.append(oracle.gaussian_matrix(4, rng))
-        trials.append((bits, plan))
-    if gaussians:
-        randoms = [Gate2("random", u) for u in oracle.haar_unitaries(np.array(gaussians))]
-        trials = [(bits, [(pair, randoms[g] if isinstance(g, int) else g) for pair, g in plan])
-                  for bits, plan in trials]
-    return trials
+    randoms = unitary_stack(oracle.haar_unitaries(np.array(gaussians).reshape(-1, 4, 4)),
+                            4, "random")
+    return (np.array(bits, dtype=np.uint8).reshape(n_trials, n_sites),
+            np.array(pairs, dtype=np.intp).reshape(n_trials, n_gates, 2),
+            np.array(gates, dtype=np.intp).reshape(n_trials, n_gates),
+            np.concatenate([[gate.matrix for gate in named], randoms]),
+            join_actions([gate.action for gate in named] + [column_action(randoms)]))
 
 
 def random_trial_block(rng: np.random.Generator, n_trials: int,
@@ -261,38 +265,31 @@ def random_trial_block(rng: np.random.Generator, n_trials: int,
     one-trial calls of `random_differential_trial` on the same rng
     returns.
 
-    Each sequence is a schedule with one two-site gate per step, which
-    the sparse side plays with `run_schedule`, as `run` plays a config.
-    The dense side plays the block as one (B, 2^n) stack, one gate per
-    trial per step, and the two engines' states are compared after
-    every step.  The full battery of derived quantities is compared
-    once, by one `compare_stack` of the final states.
+    Each sequence plays one two-site gate per step.  The sparse side
+    plays the block as one tagged table, one `apply_columns` per step,
+    which gives every trial the terms `run_schedule` gives it alone; the
+    dense side as one (B, 2^n) stack.  Their overlaps are compared after
+    every step, and every derived quantity by one final `compare_stack`.
     """
     lattice = chain_lattice([0], range(1, n_sites))
-    trials = _draw_trials(rng, n_trials, n_sites, n_gates)
-    if not trials:
+    bits, pairs, gates, matrices, actions = _draw_trials(rng, n_trials, n_sites, n_gates)
+    if not n_trials:
         return np.zeros(0)
-    runs = [run_schedule(PureState(lattice, {tuple(bits): 1.0}),
-                         Schedule(tuple(GateApplication(t, pair, gate)
-                                        for t, (pair, gate) in enumerate(plan))))
-            for bits, plan in trials]
-
-    # the dense stack advances one step at a time, with one gate per trial,
-    # and only its current states are held.  `worst` is each trial's worst
-    # overlap deviation so far; the final step's overlaps are
-    # `compare_stack`'s, so they are taken there only.
-    vectors = oracle.dense_vectors([states[0] for states in runs])
-    worst = np.zeros(len(trials))
+    # sites 0 .. n-1 sit at lattice positions 0 .. n-1
+    table = TermTable(bits, np.ones(n_trials, dtype=complex), np.arange(n_trials))
+    vectors = oracle.dense_vectors(lattice, table, n_trials)
+    # `worst` is each trial's worst overlap deviation so far; the final
+    # step's overlaps are `compare_stack`'s, so they are taken there only
+    worst = np.zeros(n_trials)
     for t in range(n_gates):
-        apps = [plan[t] for _, plan in trials]
-        vectors = oracle.apply_stack(
-            vectors, np.array([gate.matrix for _, gate in apps]),
-            [tuple(lattice.position(s) for s in pair) for pair, _ in apps])
+        vectors = oracle.apply_stack(vectors, matrices[gates[:, t]], pairs[:, t])
+        table = apply_columns(table, pairs[:, t], take_actions(actions, gates[:, t]))
         if t < n_gates - 1:
-            overlaps = oracle.dense_overlaps(
-                oracle.dense_vectors([states[t + 1] for states in runs]), vectors)
+            overlaps = oracle.dense_overlaps(oracle.dense_vectors(lattice, table, n_trials),
+                                             vectors)
             worst = np.maximum(worst, np.abs(overlaps - 1.0))
-    return np.maximum(worst, compare_stack([states[-1] for states in runs], vectors))
+    return np.maximum(worst, compare_stack(StateBlock(lattice, table, n_trials).states(),
+                                           vectors))
 
 
 def random_differential_trial(rng: np.random.Generator,

@@ -129,6 +129,18 @@ class TestBadInput:
         err = self.run_fails_cleanly(tmp_path, capsys, doc)
         assert "horizon 1000000000001 exceeds the limit" in err
 
+    # the whole lattice, state and schedule were built before the horizon
+    # was refused: 2.65 s and 135 MiB for n_sites = 100000
+    @pytest.mark.parametrize("name, key, horizon", [("single", "n_sites", 100000),
+                                                    ("collision", "n_field", 50001),
+                                                    ("epr", "n_field", 50001)])
+    def test_size_param_past_the_horizon_limit(self, tmp_path, capsys, monkeypatch,
+                                               name, key, horizon):
+        monkeypatch.setattr(bs.schedule, "chain_lattice", None)   # never reached
+        err = self.run_fails_cleanly(tmp_path, capsys,
+                                     {"scenario": name, "params": {key: 100000}})
+        assert f"{key} 100000 gives a horizon of {horizon} steps" in err
+
     def test_correlation_without_site_b(self, tmp_path, capsys):
         err = self.run_fails_cleanly(
             tmp_path, capsys,

@@ -110,6 +110,11 @@ class TestEntangledState:
         with pytest.raises(bs.StateError, match="overflows"):
             bs.entangled_state(two_site_lattice(), [("01", 1e200), ("10", 1.0)])
 
+    def test_amplitude_whose_modulus_overflows_rejected(self):
+        # both parts are finite, but abs() raised OverflowError
+        with pytest.raises(bs.StateError, match="'00'.*past the float range"):
+            bs.PureState(two_site_lattice(), {"00": complex(1.5e308, 1.5e308)})
+
     @pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.inf), -math.inf])
     def test_non_finite_amplitude_rejected(self, bad):
         # a NaN used to make the norm NaN and return a state with no terms
