@@ -28,7 +28,7 @@ from .gates import (                                             # noqa: F401
 )
 from .schedule import (                                          # noqa: F401
     ConfigError, GateApplication, Schedule, ScheduleError, ScenarioConfig,
-    SCENARIOS, config_from_document, load_config, run_schedule,
+    SCENARIOS, config_from_document, load_config, run_schedule, run_steps,
     scenario_bidirectional, scenario_collision, scenario_epr, scenario_single,
 )
 from .analysis import (                                          # noqa: F401

@@ -16,7 +16,7 @@ approximations beyond floating point.  Conventions:
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -261,6 +261,18 @@ class SiteMarginals:
     purity: np.ndarray     # (n,), or (B n,)
     entropy: np.ndarray    # (n,), or (B n,)
 
+    def decohered(self, tol: float) -> np.ndarray:
+        """`is_decohered` of every entry."""
+        return _is_mixture(self.coherence, self.purity, tol)
+
+    def split(self, size: int) -> list:
+        """The marginals of a block of `size` states, as each state's own."""
+        n = len(self.sites) // size
+        return [SiteMarginals(self.sites[lo:lo + n], self.matrices[lo:lo + n],
+                              self.coherence[lo:lo + n], self.purity[lo:lo + n],
+                              self.entropy[lo:lo + n])
+                for lo in range(0, len(self.sites), n)]
+
 
 def site_marginals(states) -> SiteMarginals:
     """All one-site marginals of a state in one pass over its terms.  For
@@ -278,11 +290,17 @@ class StateAnalysis:
     The site marginals feed the decohered flags and the branch
     decomposition; the decomposition and the one-site entropies feed
     the clusters.  Nothing is computed until a result is asked for.
+    `marginals`, when given, are the state's `site_marginals`, such as
+    its part of a block's (`SiteMarginals.split`), which are bit for bit
+    the same.
     """
 
-    def __init__(self, state: PureState, tol: float = BRANCH_TOL):
+    def __init__(self, state: PureState, tol: float = BRANCH_TOL,
+                 marginals: Optional[SiteMarginals] = None):
         self.state = state
         self.tol = tol
+        if marginals is not None:
+            self.marginals = marginals
 
     @cached_property
     def marginals(self) -> SiteMarginals:
@@ -291,8 +309,7 @@ class StateAnalysis:
     @property
     def decohered(self) -> np.ndarray:
         """`is_decohered` of every site, in lattice order."""
-        m = self.marginals
-        return _is_mixture(m.coherence, m.purity, self.tol)
+        return self.marginals.decohered(self.tol)
 
     @cached_property
     def branches(self) -> "BranchDecomposition":
@@ -370,10 +387,10 @@ def _decompose(state: PureState, marginals: SiteMarginals, tol: float) -> Branch
     # left to right, as `branch_table` adds (Python 3.12's `sum` compensates)
     total = ordered_sum(np.fromiter(merged.values(), dtype=float, count=len(merged)))
     support = frozenset(branched)
-    branches = tuple(
+    branches = tuple([
         Branch(w / total, dict(zip(branched, key)), support)
         for key, w in sorted(merged.items())
-    )
+    ])
     unbranched = frozenset(lattice.indices) - support
     return BranchDecomposition(branches, unbranched, tol)
 
@@ -473,14 +490,18 @@ def _cluster(state: PureState, marginals: SiteMarginals, decomp: BranchDecomposi
             frontier = rest[linked.reshape(-1, rest.size).any(axis=0)]
             unplaced[frontier] = False
             members = np.concatenate([members, frontier])
-        sites = tuple(branched[i] for i in np.sort(members))
+        # tuples of lists, not of generators: `tuple` sizes a generator's
+        # result by a guess and then resizes it, which shifts one cached
+        # tuple between the interpreter's free lists per call, and a long
+        # in-process run holds them until a full collection
+        sites = tuple([branched[i] for i in np.sort(members)])
         local: dict = {}
         for br in decomp.branches:
-            key = tuple((s, br.assignment[s]) for s in sites)
+            key = tuple([(s, br.assignment[s]) for s in sites])
             local[key] = local.get(key, 0.0) + br.weight
-        branches = tuple(
+        branches = tuple([
             Branch(w, dict(key), frozenset(sites)) for key, w in sorted(local.items())
-        )
+        ])
         clusters.append(Cluster(sites, branches))
     return BranchClusters(tuple(clusters), decomp.unbranched, tol)
 

@@ -27,7 +27,7 @@ from .bell import record_chsh_scan
 from .gates import GateError
 from .lattice import LatticeError, StateError
 from .reporting import _g12, build_report, json_text, write_report
-from .schedule import SCENARIOS, ConfigError, ScheduleError, load_config
+from .schedule import SCENARIOS, ConfigError, ScheduleError, load_config, run_steps
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -95,30 +95,42 @@ def _require(ok: bool, message: str):
         raise ConfigError(message)
 
 
+def _require_directory(path: str):
+    """Refuse an ``--out`` that cannot become a directory, because it or
+    its nearest existing parent is something else, before any work."""
+    _require(path != "", "--out must not be empty")
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    _require(os.path.isdir(probe), f"--out {path}: {probe} is not a directory")
+
+
 def _cmd_run(args) -> int:
     _require(0.0 <= args.tolerance < 1.0,
              f"--tolerance must be in [0, 1), got {args.tolerance}")
+    _require_directory(args.out)
     config = load_config(args.config)
     if args.verify:
         _require(config.lattice.n_sites <= oracle.MAX_DENSE_SITES,
                  f"--verify needs at most {oracle.MAX_DENSE_SITES} sites, "
                  f"got {config.lattice.n_sites}")
+    horizon = config.horizon if args.horizon is None else args.horizon
     started = time.perf_counter()
-    states = config.run(horizon=args.horizon)
+    states = run_steps(config.initial, config.schedule, horizon)
 
     if args.verify:
+        states = list(states)
         worst = verify.dense_deviation(config, states)
         if not worst <= verify.DEFAULT_TOL:
             print(f"verification FAILED: engines deviate by {worst:.3g}", file=sys.stderr)
             return EXIT_VERIFY
         print(f"verified against dense engine (worst deviation {worst:.3g})")
 
-    report = build_report(config, states, args.tolerance)
+    report = build_report(config, states, args.tolerance, horizon)
     written = write_report(report, args.out)
     elapsed = time.perf_counter() - started
-    final = report["steps"][-1]
-    print(f"scenario {config.name}: {len(states) - 1} steps, "
-          f"{final.get('branches', {}).get('count', '?')} final branches")
+    print(f"scenario {config.name}: {horizon} steps, "
+          f"{report.final.get('branches', {}).get('count', '?')} final branches")
     for path in written:
         print(f"wrote {path}")
     print(f"wall time {elapsed:.3f} s")
@@ -152,6 +164,8 @@ def _cmd_chsh_scan(args) -> int:
     _require(analysis.MIN_RESOLUTION_DEG <= args.resolution <= 90.0,
              f"--resolution must be in [{analysis.MIN_RESOLUTION_DEG:g}, 90] degrees, "
              f"got {args.resolution}")
+    if args.out is not None:
+        _require_directory(args.out)
     config = load_config(args.config)
     site_a, site_b = args.sites
     started = time.perf_counter()

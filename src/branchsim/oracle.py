@@ -167,7 +167,7 @@ def dense_apply(dense: DenseState, gate: Gate, sites: Iterable) -> DenseState:
 
 def dense_steps(dense: DenseState, schedule: Schedule, horizon=None) -> Iterator:
     """Evolve a dense state through a schedule, yielding its state at
-    t = 0 .. horizon one at a time; mirrors `run_schedule`.  A negative
+    t = 0 .. horizon one at a time; mirrors `run_steps`.  A negative
     horizon raises before the first state is yielded."""
     if horizon is None:
         horizon = schedule.horizon

@@ -1,28 +1,62 @@
-"""Run reports: per-step analysis records serialised to JSON and CSV.
+"""Run reports: per-step analysis records, streamed to JSON and CSV.
 
 Reports are deterministic: given the same config and package version,
 the emitted bytes are identical across runs.  Scalars are rounded to 12
 significant digits, keys are sorted, and row order is fixed.  Wall
 time is therefore *not* part of a report; the CLI prints it separately.
 
-`report.json` is written by `json_text`, whose bytes equal those of
-``json.dumps(doc, sort_keys=True, indent=2)`` and a newline, without
-going through the pure-Python encoder that ``indent`` selects.
+`write_report` streams a run.  It analyses the states one chunk of
+steps at a time, writes each step's record to `report.json` and its
+rows to the CSV files as soon as the step is analysed, and then drops
+the step.  No whole-report document or string is ever built, so memory
+follows one chunk of steps, not the horizon.  Each file is written
+under a temporary name in the output directory and renamed over its
+final name once every file is complete; on any error the temporary
+files are removed, so no partial report is left.
+
+`report.json`'s bytes are those of ``json.dumps(doc, sort_keys=True,
+indent=2)`` and a newline for the document the run describes, written
+without the pure-Python encoder that ``indent`` selects (`json_text` is
+that writer).  The document's top-level keys sort as ``engine``,
+``scenario``, ``steps``, so its head goes first and each step follows
+as it is analysed.  A step's site block, the bulk of the file, is
+spliced in as text rendered once per distinct site row (`_SiteRows`),
+and the scenario lattice's text is rendered once for every embedded
+state.
 """
 
+import contextlib
 import os
+from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Mapping
+from typing import Iterator, Mapping, NamedTuple, Optional
 
 import numpy as np
 
 from . import __version__
 from . import analysis
-from .lattice import lattice_to_json, norm, terms_to_json
+from .lattice import Lattice, StateBlock, lattice_to_json, norm, terms_to_json
 from .schedule import ScenarioConfig
 
 #: States up to this many terms are embedded verbatim in the report.
 EMBED_TERMS_LIMIT = 64
+
+#: A chunk of steps is analysed as one block of states until its terms
+#: times sites squared reach this: the bytes of the largest temporary of
+#: the block's one-site marginals (`analysis._group_vectors`).
+CHUNK_CELLS = 2 ** 22
+
+#: Distinct site rows `_SiteRows` keeps before it starts again, which
+#: bounds its memory on runs whose rows rarely repeat.
+ROW_CACHE_LIMIT = 4096
+
+_SERIES_HEADER = "step,site,coherence,purity,entropy,branch_count,cluster_count\n"
+_CORRELATIONS_HEADER = "step,site_a,site_b,theta_a,theta_b,value\n"
+
+#: Indent of a step's record within `report.json`, and of the objects
+#: inside its site block and embedded state.
+_STEP_PAD = " " * 4
+_INNER_PAD = " " * 8
 
 
 def _g12(x: float) -> float:
@@ -42,24 +76,73 @@ def _g12_array(values: np.ndarray) -> list:
     return rounded[inverse].reshape(np.shape(values)).tolist()
 
 
-def _site_records(marginals, decohered) -> dict:
-    """The ``sites`` block of a step: every one-site matrix as row-major
-    [re, im] pairs, with its rounded scalars and decohered flag."""
-    m = marginals
-    n = len(m.sites)
-    rows = _g12_array(np.concatenate([
-        np.stack([m.matrices.real, m.matrices.imag], axis=-1).reshape(n, 8),
-        np.stack([m.coherence, m.purity, m.entropy], axis=1)], axis=1))
-    return {
-        str(site): {
-            "rdm": [row[0:2], row[2:4], row[4:6], row[6:8]],
-            "coherence": row[8],
-            "purity": row[9],
-            "entropy": row[10],
-            "decohered": flag,
-        }
-        for site, row, flag in zip(m.sites, rows, decohered.tolist())
-    }
+class Rendered:
+    """A value's JSON text, which `_write` emits as it is.  It must have
+    been rendered (`_render`) at the indent where it is written."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+class _SiteRows:
+    """The site blocks of one run's steps, rendered from cached text.
+
+    A site's row is its 11 float64 values (the matrix's four [re, im]
+    pairs, coherence, purity and entropy) and its decohered flag, which
+    follows from the coherence and purity at the run's tolerance.  Each
+    distinct row is rendered once, as its JSON object at the indent of a
+    step's site block and as its timeseries.csv fields, and the bit
+    patterns of a chunk's new rows are each rounded once.  Sites go in
+    `str` order in the JSON, as `json` sorts keys ("-1" before "-2",
+    "10" before "2"), and in lattice order in the CSV.
+    """
+
+    def __init__(self, lattice: Lattice):
+        keys = [str(site) for site in lattice.indices]
+        self.order = sorted(range(len(keys)), key=keys.__getitem__)
+        self.leads = [f"{_INNER_PAD}{_quote(keys[i])}: " for i in self.order]
+        self.fields = [f",{key}," for key in keys]
+        self.cache: dict = {}
+
+    def chunk(self, marginals: analysis.SiteMarginals, decohered: np.ndarray,
+              size: int) -> list:
+        """The rows of each of a block's `size` states, in lattice order,
+        as (JSON object, CSV fields) text pairs, from the block's
+        marginals and decohered flags."""
+        m = marginals
+        values = np.concatenate([
+            np.stack([m.matrices.real, m.matrices.imag], axis=-1).reshape(-1, 8),
+            np.stack([m.coherence, m.purity, m.entropy], axis=1)], axis=1)
+        codes = values.view(np.dtype((np.void, 8 * 11))).ravel()
+        distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        if len(self.cache) > ROW_CACHE_LIMIT:
+            self.cache.clear()
+        keys = distinct.tolist()
+        new = [i for i, key in enumerate(keys) if key not in self.cache]
+        if new:
+            where = first[new]
+            for i, r, flag in zip(new, _g12_array(values[where]), decohered[where].tolist()):
+                self.cache[keys[i]] = (
+                    _render({"rdm": [r[0:2], r[2:4], r[4:6], r[6:8]], "coherence": r[8],
+                             "purity": r[9], "entropy": r[10], "decohered": flag},
+                            _INNER_PAD),
+                    f"{r[8]:.12g},{r[9]:.12g},{r[10]:.12g},")
+        texts = [self.cache[key] for key in keys]
+        n = len(inverse) // size
+        return [[texts[i] for i in inverse[lo:lo + n].tolist()]
+                for lo in range(0, len(inverse), n)]
+
+    def block(self, rows: list) -> Rendered:
+        """A step's ``sites`` object, from its rows."""
+        items = ",\n".join([lead + rows[i][0] for lead, i in zip(self.leads, self.order)])
+        return Rendered(f"{{\n{items}\n{_STEP_PAD}  }}")
+
+    def series(self, rows: list, step: int, counts: str) -> str:
+        """A step's timeseries.csv lines, from its rows and the branch and
+        cluster count fields that end each line."""
+        return "".join([f"{step}{lead}{row[1]}{counts}" for lead, row in zip(self.fields, rows)])
 
 
 def _branch_item(branch) -> dict:
@@ -69,73 +152,131 @@ def _branch_item(branch) -> dict:
     }
 
 
-def build_report(config: ScenarioConfig, states: list, tolerance: float) -> dict:
-    """Analyse a run of `config` and assemble the report document.
+class Step(NamedTuple):
+    """One step of a report: its record in `report.json`, whose site
+    block is pre-rendered, and its lines of timeseries.csv."""
+
+    record: dict
+    series: str
+
+
+@dataclass
+class Report:
+    """A run's report as `write_report` streams it.
+
+    `head` holds the document's ``engine`` and ``scenario`` objects,
+    `steps` yields each `Step` once, analysing its state as it goes, and
+    `files` names the files the report fills.  `final` is the record of
+    the last step written.
+    """
+
+    head: dict
+    steps: Iterator
+    files: tuple
+    final: Optional[dict] = None
+
+
+def build_report(config: ScenarioConfig, states, tolerance: float, horizon: int) -> Report:
+    """The report of a run of `config` whose states at t = 0 .. horizon
+    `states` yields, each analysed only when `write_report` reaches it.
 
     Each state of at most EMBED_TERMS_LIMIT terms is embedded as the
     object `json.loads` reads from its `state_to_document` text; every
-    embedded state shares the scenario's lattice list.
+    embedded state shares the scenario's lattice text.
     """
-    lattice = lattice_to_json(config.lattice)
     names = {a for a in config.analyses if isinstance(a, str)}
     settings = [(analysis.MeasurementSetting(a["site_a"], a.get("theta_a", 0.0)),
                  analysis.MeasurementSetting(a["site_b"], a.get("theta_b", 0.0)))
                 for a in config.analyses
                 if isinstance(a, Mapping) and a.get("type") == "correlation"]
-
-    steps = []
-    for t, state in enumerate(states):
-        record = {
-            "step": t,
-            "norm": _g12(norm(state)),
-            "n_terms": state.n_terms,
-        }
-        if state.n_terms <= EMBED_TERMS_LIMIT:
-            record["state"] = {"lattice": lattice, "terms": terms_to_json(state)}
-
-        # built lazily: a run that requests none of these does no RDM work
-        summary = analysis.StateAnalysis(state, tolerance)
-        if "sites" in names:
-            record["sites"] = _site_records(summary.marginals, summary.decohered)
-
-        if "branches" in names:
-            decomp = summary.branches
-            record["branches"] = {
-                "count": decomp.n_branches,
-                "unbranched": sorted(decomp.unbranched),
-                "items": [_branch_item(b) for b in decomp.branches],
-            }
-
-        if "clusters" in names:
-            clusters = summary.clusters
-            record["clusters"] = {
-                "count": clusters.n_clusters,
-                "items": [
-                    {"sites": list(c.sites),
-                     "branches": [_branch_item(b) for b in c.branches]}
-                    for c in clusters.clusters
-                ],
-            }
-
-        if settings:
-            record["correlations"] = [
-                {"site_a": a.site, "site_b": b.site,
-                 "theta_a": _g12(a.theta), "theta_b": _g12(b.theta), "value": _g12(value)}
-                for (a, b), value in zip(settings, summary.correlations(settings))
-            ]
-        steps.append(record)
-
-    return {
-        "engine": {"name": "branchsim", "version": __version__,
-                   "tolerance": _g12(tolerance)},
+    head = {
+        "engine": {"name": "branchsim", "version": __version__, "tolerance": _g12(tolerance)},
         "scenario": {
             "name": config.name,
-            "horizon": len(states) - 1,
-            "lattice": lattice,
+            "horizon": horizon,
+            "lattice": lattice_to_json(config.lattice),
             "analyses": list(config.analyses),
         },
-        "steps": steps,
     }
+    files = ("report.json", "timeseries.csv") + (("correlations.csv",) if settings else ())
+    return Report(head, _steps(config.lattice, states, tolerance, names, settings), files)
+
+
+def _chunks(states, cells_per_term: int) -> Iterator:
+    """Consecutive states in lists whose terms times `cells_per_term`
+    stay within CHUNK_CELLS, or of one state."""
+    chunk, cells = [], 0
+    for state in states:
+        cells += state.n_terms * cells_per_term
+        if chunk and cells > CHUNK_CELLS:
+            yield chunk
+            chunk, cells = [], state.n_terms * cells_per_term
+        chunk.append(state)
+    if chunk:
+        yield chunk
+
+
+def _steps(lattice: Lattice, states, tolerance: float, names: set, settings: list) -> Iterator:
+    """The `Step` of each state, analysed a chunk of states at a time.  A
+    chunk's one-site marginals come from one `site_marginals` call on its
+    `StateBlock`, and each state's analysis gets its own part of them."""
+    lattice_text = None  # rendered for the first embedded state
+    site_rows = _SiteRows(lattice) if "sites" in names else None
+    needs_marginals = not names.isdisjoint(("sites", "branches", "clusters"))
+    t = 0
+    for chunk in _chunks(states, lattice.n_sites ** 2):
+        parts = rows = [None] * len(chunk)
+        if needs_marginals:
+            marginals = analysis.site_marginals(StateBlock.of(chunk))
+            parts = marginals.split(len(chunk))
+            if site_rows:
+                rows = site_rows.chunk(marginals, marginals.decohered(tolerance), len(chunk))
+        for state, part, step_rows in zip(chunk, parts, rows):
+            summary = analysis.StateAnalysis(state, tolerance, part)
+            record = {
+                "step": t,
+                "norm": _g12(norm(state)),
+                "n_terms": state.n_terms,
+            }
+            if state.n_terms <= EMBED_TERMS_LIMIT:
+                if lattice_text is None:
+                    lattice_text = Rendered(_render(lattice_to_json(lattice), _INNER_PAD))
+                record["state"] = {"lattice": lattice_text, "terms": terms_to_json(state)}
+
+            if "branches" in names:
+                decomp = summary.branches
+                record["branches"] = {
+                    "count": decomp.n_branches,
+                    "unbranched": sorted(decomp.unbranched),
+                    "items": [_branch_item(b) for b in decomp.branches],
+                }
+
+            if "clusters" in names:
+                clusters = summary.clusters
+                record["clusters"] = {
+                    "count": clusters.n_clusters,
+                    "items": [
+                        {"sites": list(c.sites),
+                         "branches": [_branch_item(b) for b in c.branches]}
+                        for c in clusters.clusters
+                    ],
+                }
+
+            if settings:
+                record["correlations"] = [
+                    {"site_a": a.site, "site_b": b.site,
+                     "theta_a": _g12(a.theta), "theta_b": _g12(b.theta), "value": _g12(value)}
+                    for (a, b), value in zip(settings, summary.correlations(settings))
+                ]
+
+            series = ""
+            if site_rows:
+                record["sites"] = site_rows.block(step_rows)
+                counts = (f'{record.get("branches", {}).get("count", "")},'
+                          f'{record.get("clusters", {}).get("count", "")}\n')
+                series = site_rows.series(step_rows, t, counts)
+            yield Step(record, series)
+            t += 1
 
 
 #: How `json` spells the non-finite floats.
@@ -150,6 +291,8 @@ def _float_text(x: float) -> str:
 def _leaf_text(value) -> str:
     """The text of a scalar, tested in `json`'s order: booleans before
     ints, and subclasses such as numpy floats or enum ints by isinstance."""
+    if isinstance(value, Rendered):
+        return value.text
     if isinstance(value, str):
         return _quote(value)
     if value is None:
@@ -167,7 +310,7 @@ def _leaf_text(value) -> str:
 
 #: Scalar writers by exact type, so the common leaves skip `_leaf_text`'s tests.
 _LEAVES = {float: _float_text, str: _quote, int: int.__repr__,
-           bool: _leaf_text, type(None): _leaf_text}
+           bool: _leaf_text, type(None): _leaf_text, Rendered: _leaf_text}
 
 
 def _write(value, pad: str, out) -> None:
@@ -211,6 +354,13 @@ def _write(value, pad: str, out) -> None:
         out(_leaf_text(value))
 
 
+def _render(value, pad: str) -> str:
+    """The text of `value` as `_write` gives it at indent `pad`."""
+    chunks: list = []
+    _write(value, pad, chunks.append)
+    return "".join(chunks)
+
+
 def json_text(doc) -> str:
     """The text of ``json.dumps(doc, sort_keys=True, indent=2)`` and a
     newline, byte for byte.
@@ -219,53 +369,60 @@ def json_text(doc) -> str:
     floats, booleans and None.  Strings are ASCII-escaped, floats print
     as `float.__repr__` (NaN and the infinities as ``NaN``, ``Infinity``
     and ``-Infinity``), and booleans are tested before ints, as `json`
-    does.
+    does.  A `Rendered` value is written as its text.
     """
-    chunks: list = []
-    _write(doc, "", chunks.append)
-    chunks.append("\n")
-    return "".join(chunks)
+    return _render(doc, "") + "\n"
 
 
-def timeseries_csv(report: dict) -> str:
-    """Per-(step, site) series: coherence, purity, entropy, branch and
-    cluster counts (counts are per step, repeated on each site row).
+def _stream(report: Report, json_out, series_out, correlations_out=None) -> None:
+    """Pass the text of each of a report's files to its writer, one step
+    at a time."""
+    lead = "{\n  "
+    for key in sorted(report.head):  # "engine" and "scenario" sort before "steps"
+        json_out(f"{lead}{_quote(key)}: {_render(report.head[key], '  ')}")
+        lead = ",\n  "
+    json_out(f'{lead}"steps": [')
+    series_out(_SERIES_HEADER)
+    if correlations_out:
+        correlations_out(_CORRELATIONS_HEADER)
+    lead = "\n" + _STEP_PAD
+    for step in report.steps:
+        json_out(lead + _render(step.record, _STEP_PAD))
+        lead = ",\n" + _STEP_PAD
+        series_out(step.series)
+        if correlations_out:
+            t = step.record["step"]
+            correlations_out("".join([
+                f'{t},{c["site_a"]},{c["site_b"]},{c["theta_a"]:.12g},'
+                f'{c["theta_b"]:.12g},{c["value"]:.12g}\n'
+                for c in step.record["correlations"]]))
+        report.final = step.record
+    json_out("\n  ]\n}\n" if report.final is not None else "]\n}\n")
 
-    Every field is a number, a site id or an empty count, none of which a
-    CSV writer would quote, so rows are joined directly."""
-    rows = ["step,site,coherence,purity,entropy,branch_count,cluster_count\n"]
-    for record in report["steps"]:
-        counts = (f'{record.get("branches", {}).get("count", "")},'
-                  f'{record.get("clusters", {}).get("count", "")}\n')
-        for site, data in sorted(record.get("sites", {}).items(), key=lambda kv: int(kv[0])):
-            rows.append(f'{record["step"]},{site},{data["coherence"]:.12g},'
-                        f'{data["purity"]:.12g},{data["entropy"]:.12g},{counts}')
-    return "".join(rows)
 
+def write_report(report: Report, out_dir) -> list:
+    """Stream `report` into `out_dir`: report.json, timeseries.csv and,
+    when the run asks for correlations, correlations.csv.  Returns the
+    written paths.
 
-def correlations_csv(report: dict) -> str:
-    rows = ["step,site_a,site_b,theta_a,theta_b,value\n"]
-    for record in report["steps"]:
-        for c in record.get("correlations", ()):
-            rows.append(f'{record["step"]},{c["site_a"]},{c["site_b"]},{c["theta_a"]:.12g},'
-                        f'{c["theta_b"]:.12g},{c["value"]:.12g}\n')
-    return "".join(rows)
-
-
-def write_report(report: dict, out_dir) -> list:
-    """Write report.json and timeseries.csv (and correlations.csv when
-    present) into `out_dir`; returns the written paths."""
+    Each file is written as ``<name>.tmp`` and renamed over ``<name>``
+    once all of them are complete.  On any error the temporary files are
+    removed before the error propagates, so files of an earlier report
+    in `out_dir` stay as they were.
+    """
     os.makedirs(out_dir, exist_ok=True)
-    written = []
-
-    def emit(name: str, text: str):
-        path = os.path.join(out_dir, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        written.append(path)
-
-    emit("report.json", json_text(report))
-    emit("timeseries.csv", timeseries_csv(report))
-    if any(r.get("correlations") for r in report["steps"]):
-        emit("correlations.csv", correlations_csv(report))
-    return written
+    paths = [os.path.join(out_dir, name) for name in report.files]
+    staged = [path + ".tmp" for path in paths]
+    try:
+        with contextlib.ExitStack() as stack:
+            writers = [stack.enter_context(open(tmp, "w", encoding="utf-8", newline="")).write
+                       for tmp in staged]
+            _stream(report, *writers)
+        for tmp, path in zip(staged, paths):
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in staged:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+    return paths

@@ -33,7 +33,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -160,25 +160,35 @@ def play_step(table: TermTable, step) -> TermTable:
     return table
 
 
-def run_schedule(state: PureState, schedule: Schedule,
-                 horizon: Optional[int] = None) -> list:
-    """Evolve a state through a schedule.
+def run_steps(state: PureState, schedule: Schedule,
+              horizon: Optional[int] = None) -> Iterator:
+    """Evolve a state through a schedule, yielding its states at
+    t = 0 .. horizon (inclusive) one at a time, so the state yielded at t
+    is the one after the gates of steps 0..t-1.  The default horizon is
+    the schedule's own.  Within a step, gates are applied in order of
+    their lowest site (they commute regardless — supports are disjoint).
 
-    Returns the list of states at t = 0 .. horizon (inclusive), so
-    `result[t]` is the state after the gates of steps 0..t-1.  The
-    default horizon is the schedule's own.  Within a step, gates are
-    applied in order of their lowest site (they commute regardless —
-    supports are disjoint).
+    The schedule is compiled when this is called, so a bad horizon or
+    gate raises before any state is made; each state is made when the
+    iterator reaches it, and nothing here holds an earlier one.
     """
-    out = [state]
+    return _play(state, compile_schedule(schedule, state.lattice, horizon))
+
+
+def _play(state: PureState, steps: list) -> Iterator:
+    yield state
     table = state.table
-    for step in compile_schedule(schedule, state.lattice, horizon):
+    for step in steps:
         if step:
             table = play_step(table, step)
-            out.append(PureState(state.lattice, table))
-        else:
-            out.append(out[-1])
-    return out
+            state = PureState(state.lattice, table)
+        yield state
+
+
+def run_schedule(state: PureState, schedule: Schedule,
+                 horizon: Optional[int] = None) -> list:
+    """Every state of `run_steps`, as a list: `result[t]` is the state at t."""
+    return list(run_steps(state, schedule, horizon))
 
 
 # ---------------------------------------------------------------------------

@@ -380,6 +380,90 @@ class TestBadInput:
         assert outputs[0] == outputs[1]
 
 
+    @pytest.mark.parametrize("command", ["run", "chsh-scan"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+    def test_out_that_cannot_be_a_directory(self, tmp_path, capsys, monkeypatch,
+                                            command, below):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started before --out was checked")
+
+        monkeypatch.setattr(cli, "run_steps", no_work)
+        monkeypatch.setattr(cli, "record_chsh_scan", no_work)
+        config = write_config(tmp_path, {"scenario": "epr"})
+        taken = tmp_path / "taken"
+        taken.write_text("kept")
+        out = taken / "report" if below else taken
+        argv = {"run": ["run", "--config", config, "--out", str(out)],
+                "chsh-scan": ["chsh-scan", "--config", config, "--sites", "2", "3",
+                              "--out", str(out)]}[command]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --out {out}: {taken} is not a directory\n"
+        assert taken.read_text() == "kept"
+
+
+    @pytest.mark.parametrize("command", ["run", "chsh-scan"])
+    def test_empty_out(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, {"scenario": "epr"})
+        argv = {"run": ["run", "--config", config, "--out", ""],
+                "chsh-scan": ["chsh-scan", "--config", config, "--sites", "2", "3",
+                              "--out", ""]}[command]
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --out must not be empty\n"
+
+
+class TestFailedRun:
+    """An error while a report streams leaves no partial report and no
+    temporary file, and the files of an earlier report as they were."""
+
+    DOC = {"scenario": "epr", "analyses": [
+        "sites", "branches", "clusters", {"type": "correlation", "site_a": 2, "site_b": 3}]}
+
+    @staticmethod
+    def plant(monkeypatch, step, error):
+        """Make the analysis of `step` raise `error`."""
+        real = bs.analysis.StateAnalysis
+        made = []
+
+        def analyse(*args, **kwargs):
+            made.append(None)
+            if len(made) == step + 1:
+                raise error
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(bs.analysis, "StateAnalysis", analyse)
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "earlier-report"])
+    @pytest.mark.parametrize("step", [0, 2, 3])
+    def test_error_mid_stream_leaves_no_partial_report(self, tmp_path, monkeypatch, capsys,
+                                                       step, earlier):
+        config = write_config(tmp_path, self.DOC)
+        out_dir = tmp_path / "out"
+        argv = ["run", "--config", config, "--out", str(out_dir)]
+        before = {}
+        if earlier:
+            assert cli.main(argv) == 0
+            before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+            assert sorted(before) == ["correlations.csv", "report.json", "timeseries.csv"]
+        capsys.readouterr()
+        self.plant(monkeypatch, step, RuntimeError("planted"))
+        with pytest.raises(RuntimeError, match="planted"):
+            cli.main(argv)
+        assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+        assert capsys.readouterr().out == ""
+
+    def test_handled_error_mid_stream_exits_1(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path, self.DOC)
+        out_dir = tmp_path / "out"
+        self.plant(monkeypatch, 2, bs.AnalysisError("planted"))
+        assert cli.main(["run", "--config", config, "--out", str(out_dir)]) == 1
+        assert capsys.readouterr().err == "error: planted\n"
+        assert list(out_dir.iterdir()) == []
+
+
 class TestClosedStdout:
     """A reader that closes stdout early, as ``head`` does, gets exit code
     141 (128 + SIGPIPE) and nothing on stderr, whatever the command."""

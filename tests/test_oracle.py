@@ -184,7 +184,7 @@ class TestIndependence:
                 imported.update(alias.name for alias in node.names)
         assert not any("analysis" in name for name in imported), imported
         sparse = {"apply_columns", "column_action", "apply_gate1", "apply_gate2",
-                  "compile_schedule", "play_step", "run_schedule"}
+                  "compile_schedule", "play_step", "run_schedule", "run_steps"}
         assert not imported & sparse
         assert not hasattr(oracle, "analysis") and not hasattr(oracle, "apply_columns")
 

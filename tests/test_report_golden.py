@@ -9,7 +9,11 @@ while every correlation still built its own two-site matrix, pins
 `correlations.csv` too.  The `wide_unembedded` case, recorded while
 `json.dumps` still wrote `report.json`, pins a custom lattice and
 schedule, a name outside ASCII, an empty analyses list, and states too
-large to embed.
+large to embed.  The `single_n256` and `twelve_negative` cases were
+recorded while `run` still built the whole report before writing it:
+the first pins a 256-site chain, the second a lattice with negative
+indices and more than ten sites (so site keys sort as strings, not as
+numbers), 128 to 256 unembedded terms per step, and every analysis.
 
 The digests are tied to the numpy/LAPACK build they were recorded with
 (numpy 2.4 on x86-64 OpenBLAS): entropies of pure sites carry eigenvalue
@@ -45,6 +49,34 @@ def _wide_unembedded() -> dict:
         "schedule": schedule,
         "analyses": [],
     }
+
+def _twelve_negative() -> dict:
+    """Twelve sites -3 .. 8: six in |+>, site 3 in 0.6|0> + 0.8i|1>, the
+    rest up, so every step holds 128 terms until an H on site 1 doubles
+    them; a brickwork of the three interactions, one rotation, every
+    analysis and one correlation."""
+    r = 0.7071067811865475
+    sites = range(-3, 9)
+    product = {str(s): ([[r, 0], [r, 0]] if s in (-3, -1, 0, 2, 4, 6)
+                        else [[0.6, 0], [0, 0.8]] if s == 3 else [[1, 0], [0, 0]])
+               for s in sites}
+    schedule = [{"time": 5, "sites": [1], "gate": "H"},
+                {"time": 6, "sites": [-2], "gate": "rot(0.4)"}]
+    for t in range(5):
+        for k, a in enumerate(range(-3 + t % 2, 8, 2)):
+            gate = ("U_copy", "U_swap", "U_si")[(k + t) % 3]
+            schedule.append({"time": t, "sites": [a, a + 1], "gate": gate})
+    return {
+        "name": "twelve \u00e9\u00df negative",
+        "lattice": [{"index": s, "kind": "system" if s in (-3, 0) else "field"} for s in sites],
+        "initial": {"product": product},
+        "schedule": schedule,
+        "horizon": 8,
+        "analyses": ["sites", "branches", "clusters",
+                     {"type": "correlation", "site_a": -2, "site_b": 7,
+                      "theta_a": 0.3, "theta_b": -0.9}],
+    }
+
 
 # name -> (config document, report.json sha256, timeseries.csv sha256)
 GOLDEN = {
@@ -82,6 +114,11 @@ GOLDEN = {
         {"scenario": "single", "params": {"alpha": 0.6, "beta": 0.8, "n_sites": 128}},
         "12757578dc105684b3bd51bec3a1c9d4e04610758929134888306a12e84d7d3e",
         "9639af712846badb8a62cbc1525be05c3be13ac26706aec494dae7e2783328b1",
+    ),
+    "single_n256": (
+        {"scenario": "single", "params": {"alpha": 0.6, "beta": 0.8, "n_sites": 256}},
+        "d2ad83b87ce3582e49746f067b86aedb178cf631cc1eb318157889d2b8f2c4d4",
+        "e61b3d54a74248c6c7ec1754a29803de2ba16ff03e9eb002a6dd0125b0459fa5",
     ),
     "wide_unembedded": (
         _wide_unembedded(),
@@ -128,6 +165,22 @@ def test_correlation_report_bytes_match_golden(tmp_path):
     out_dir = tmp_path / "out"
     assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
     assert {name: _sha256(out_dir / name) for name in CORRELATION_DIGESTS} == CORRELATION_DIGESTS
+
+
+TWELVE_NEGATIVE_DIGESTS = {
+    "report.json": "3ecc467baeb898a60ef395a2637362f60a324a5a9ea08527443686042134cad0",
+    "timeseries.csv": "2d768ae3ef433d2b2e7bc52169b3ac3cf00634c4f400c78984478606b10a3402",
+    "correlations.csv": "b5bbad019181115b565bb22e1495f20e1eeff9045d743648e5522fd14ba43fc3",
+}
+
+
+def test_twelve_negative_report_bytes_match_golden(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(_twelve_negative()))
+    out_dir = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
+    assert {name: _sha256(out_dir / name) for name in TWELVE_NEGATIVE_DIGESTS} == \
+        TWELVE_NEGATIVE_DIGESTS
 
 
 def test_wide_unembedded_reaches_its_branches(tmp_path):

@@ -1,16 +1,20 @@
-"""Property tests for the report's JSON writer and its array rounding.
+"""Property tests for the report's JSON writer, its array rounding and
+its streamed steps.
 
 `json_text` must give the bytes of ``json.dumps(doc, sort_keys=True,
 indent=2)`` and a newline for any document of dicts, lists, tuples and
 scalars.  `_g12_array` must give each entry the float that `_g12` gives
-it, down to the sign bit, and `_site_records` the site block that the
-per-entry loop it replaced built.
+it, down to the sign bit.  A streamed report must give, step by step,
+the text and CSV rows that the whole-document assembly it replaced gave:
+`reference_report` below keeps that assembly, `_site_records` its site
+block, and `entry_loop_sites` the per-entry loop before that.
 """
 
 import enum
 import json
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +22,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import branchsim as bs
-from branchsim.analysis import StateAnalysis
-from branchsim.reporting import _g12, _g12_array, _site_records, json_text
+from branchsim import reporting
+from branchsim.analysis import MeasurementSetting, StateAnalysis
+from branchsim.lattice import lattice_to_json, norm, terms_to_json
+from branchsim.reporting import (EMBED_TERMS_LIMIT, _g12, _g12_array, _render, build_report,
+                                 json_text, write_report)
 
 
 def reference_text(doc) -> str:
@@ -66,10 +73,14 @@ class TestJsonText:
         assert json_text(doc) == reference_text(doc)
 
     @pytest.mark.parametrize("scenario", ["single", "bidirectional", "collision", "epr"])
-    def test_scenario_report_matches_json_dumps(self, scenario):
+    def test_scenario_report_matches_json_dumps(self, scenario, tmp_path):
         config = bs.schedule.config_from_document(json.dumps({"scenario": scenario}))
-        report = bs.reporting.build_report(config, config.run(), 1e-9)
-        assert json_text(report) == reference_text(report)
+        states = config.run()
+        write_report(build_report(config, iter(states), 1e-9, config.horizon), tmp_path)
+        doc = reference_report(config, states, 1e-9)
+        assert (tmp_path / "report.json").read_text(encoding="utf-8") == reference_text(doc)
+        assert (tmp_path / "timeseries.csv").read_text() == reference_timeseries(doc)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json", "timeseries.csv"]
 
     @pytest.mark.parametrize("value", [object(), np.bool_(True), np.int64(3), {1, 2},
                                        {"a": [b"x"]}])
@@ -123,6 +134,94 @@ class TestRoundingOnce:
         assert bits(_g12_array(np.array([0.0, -0.0, -0.0, 0.0]))) == bits([0.0, -0.0, -0.0, 0.0])
 
 
+def _site_records(marginals, decohered) -> dict:
+    """The ``sites`` block of a step: every one-site matrix as row-major
+    [re, im] pairs, with its rounded scalars and decohered flag."""
+    m = marginals
+    n = len(m.sites)
+    rows = _g12_array(np.concatenate([
+        np.stack([m.matrices.real, m.matrices.imag], axis=-1).reshape(n, 8),
+        np.stack([m.coherence, m.purity, m.entropy], axis=1)], axis=1))
+    return {
+        str(site): {
+            "rdm": [row[0:2], row[2:4], row[4:6], row[6:8]],
+            "coherence": row[8],
+            "purity": row[9],
+            "entropy": row[10],
+            "decohered": flag,
+        }
+        for site, row, flag in zip(m.sites, rows, decohered.tolist())
+    }
+
+
+def _branch_item(branch) -> dict:
+    return {
+        "weight": _g12(branch.weight),
+        "assignment": {str(site): bit for site, bit in sorted(branch.assignment.items())},
+    }
+
+
+def reference_report(config, states: list, tolerance: float) -> dict:
+    """The whole report document, assembled as before reports were
+    streamed: each state analysed alone, each site block built as dicts."""
+    lattice = lattice_to_json(config.lattice)
+    names = {a for a in config.analyses if isinstance(a, str)}
+    settings = [(MeasurementSetting(a["site_a"], a.get("theta_a", 0.0)),
+                 MeasurementSetting(a["site_b"], a.get("theta_b", 0.0)))
+                for a in config.analyses if isinstance(a, dict)]
+    steps = []
+    for t, state in enumerate(states):
+        record = {"step": t, "norm": _g12(norm(state)), "n_terms": state.n_terms}
+        if state.n_terms <= EMBED_TERMS_LIMIT:
+            record["state"] = {"lattice": lattice, "terms": terms_to_json(state)}
+        summary = StateAnalysis(state, tolerance)
+        if "sites" in names:
+            record["sites"] = _site_records(summary.marginals, summary.decohered)
+        if "branches" in names:
+            decomp = summary.branches
+            record["branches"] = {"count": decomp.n_branches,
+                                  "unbranched": sorted(decomp.unbranched),
+                                  "items": [_branch_item(b) for b in decomp.branches]}
+        if "clusters" in names:
+            clusters = summary.clusters
+            record["clusters"] = {"count": clusters.n_clusters,
+                                  "items": [{"sites": list(c.sites),
+                                             "branches": [_branch_item(b) for b in c.branches]}
+                                            for c in clusters.clusters]}
+        if settings:
+            record["correlations"] = [
+                {"site_a": a.site, "site_b": b.site,
+                 "theta_a": _g12(a.theta), "theta_b": _g12(b.theta), "value": _g12(value)}
+                for (a, b), value in zip(settings, summary.correlations(settings))]
+        steps.append(record)
+    return {
+        "engine": {"name": "branchsim", "version": bs.__version__, "tolerance": _g12(tolerance)},
+        "scenario": {"name": config.name, "horizon": len(states) - 1, "lattice": lattice,
+                     "analyses": list(config.analyses)},
+        "steps": steps,
+    }
+
+
+def reference_timeseries(report: dict) -> str:
+    rows = ["step,site,coherence,purity,entropy,branch_count,cluster_count\n"]
+    for record in report["steps"]:
+        counts = (f'{record.get("branches", {}).get("count", "")},'
+                  f'{record.get("clusters", {}).get("count", "")}\n')
+        for site, data in sorted(record.get("sites", {}).items(), key=lambda kv: int(kv[0])):
+            rows.append(f'{record["step"]},{site},{data["coherence"]:.12g},'
+                        f'{data["purity"]:.12g},{data["entropy"]:.12g},{counts}')
+    return "".join(rows)
+
+
+def reference_correlations(report: dict) -> str:
+    rows = ["step,site_a,site_b,theta_a,theta_b,value\n"]
+    for record in report["steps"]:
+        for c in record.get("correlations", ()):
+            rows.append(f'{record["step"]},{c["site_a"]},{c["site_b"]},{c["theta_a"]:.12g},'
+                        f'{c["theta_b"]:.12g},{c["value"]:.12g}\n')
+    return "".join(rows)
+
+
 def entry_loop_sites(marginals, decohered) -> dict:
     """The site block as built before rounding went by distinct value."""
     def rdm_entries(matrix):
@@ -152,3 +251,67 @@ class TestSiteRecords:
             assert repr(new) == repr(old)
             assert all(type(v) is float for rec in new.values() for pair in rec["rdm"]
                        for v in pair)
+
+
+ANALYSES = ("sites", "branches", "clusters")
+AMPLITUDES = st.sampled_from([0.5, -0.5, 0.0, -0.0, 1e-15, 0.3]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def runs(draw):
+    """A config and the states of a run of it: a scenario's own run, or
+    random states on a lattice of 1 to 14 sites whose indices may be
+    negative, with up to 70 terms, so that some are not embedded."""
+    if draw(st.booleans()):
+        config = bs.SCENARIOS[draw(st.sampled_from(sorted(bs.SCENARIOS)))]()
+        states = config.run()
+    else:
+        n = draw(st.sampled_from([10, 12, 14]) | st.integers(1, 14))
+        start = draw(st.integers(-12, 3))
+        lattice = bs.chain_lattice([start], range(start + 1, start + n))
+        n_terms = min(2 ** n, draw(st.just(EMBED_TERMS_LIMIT + 6) | st.integers(1, 70)))
+        states = []
+        for _ in range(draw(st.integers(1, 4))):
+            rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                                 min_size=n_terms, max_size=n_terms, unique_by=tuple))
+            amps = [complex(draw(AMPLITUDES), draw(AMPLITUDES)) for _ in rows]
+            amps[0] += 1.0
+            states.append(bs.entangled_state(lattice, list(zip(map(tuple, rows), amps))))
+        config = bs.ScenarioConfig("random \u00e9", lattice, states[0], bs.Schedule(()),
+                                   len(states) - 1)
+    indices = config.lattice.indices
+    analyses = [a for a in ANALYSES if draw(st.booleans())]
+    if len(indices) > 1 and draw(st.booleans()):
+        a, b = draw(st.permutations(indices))[:2]
+        analyses.append({"type": "correlation", "site_a": a, "site_b": b,
+                         "theta_a": draw(st.floats(-3.0, 3.0)), "theta_b": 0.5})
+    return bs.ScenarioConfig(config.name, config.lattice, config.initial, config.schedule,
+                             config.horizon, tuple(analyses)), states
+
+
+class TestStreamedSteps:
+    """Each streamed step against `json_text` of the step record that
+    `reference_report` builds, with chunks of one to all steps and a
+    site-row cache that starts again at any size."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(runs(), st.integers(1, 2 ** 14), st.integers(0, 40))
+    def test_each_step_matches_the_reference(self, run, chunk_cells, cache_limit):
+        config, states = run
+        doc = reference_report(config, states, 1e-9)
+        with mock.patch.object(reporting, "CHUNK_CELLS", chunk_cells), \
+                mock.patch.object(reporting, "ROW_CACHE_LIMIT", cache_limit):
+            steps = list(build_report(config, iter(states), 1e-9, len(states) - 1).steps)
+            report = build_report(config, iter(states), 1e-9, len(states) - 1)
+            files = [[] for _ in report.files]
+            reporting._stream(report, *(f.append for f in files))
+
+        assert len(steps) == len(states)
+        for step, record in zip(steps, doc["steps"]):
+            assert _render(step.record, "    ") == json_text(record)[:-1].replace("\n", "\n    ")
+            assert step.series == reference_timeseries({"steps": [record]}).partition("\n")[2]
+        texts = ["".join(f) for f in files]
+        assert texts[0] == reference_text(doc)
+        assert texts[1] == reference_timeseries(doc)
+        assert texts[2:] == ([reference_correlations(doc)]
+                             if any("correlations" in r for r in doc["steps"]) else [])

@@ -72,6 +72,22 @@ class TestRunSchedule:
         for s, t in zip(a, b):
             assert dict(s.amplitudes) == dict(t.amplitudes)
 
+    def test_run_steps_yields_the_run_one_state_at_a_time(self):
+        config = bs.scenario_collision()
+        steps = bs.run_steps(config.initial, config.schedule)
+        assert next(steps) is config.initial
+        rest = list(steps)
+        expected = config.run()
+        assert len(rest) == len(expected) - 1
+        for s, t in zip(rest, expected[1:]):
+            assert s.table.bits.tobytes() == t.table.bits.tobytes()
+            assert s.table.amps.tobytes() == t.table.amps.tobytes()
+
+    def test_run_steps_refuses_a_bad_horizon_before_any_state(self):
+        config = bs.scenario_single(R2, R2, 4)
+        with pytest.raises(bs.ScheduleError, match="negative horizon"):
+            bs.run_steps(config.initial, config.schedule, -1)
+
     def test_non_adjacent_gate_warns(self):
         lat = bs.chain_lattice([0], [1, 2])
         state = bs.product_state(lat, {0: [1, 0], 1: [1, 0], 2: [1, 0]})

@@ -127,11 +127,14 @@ def test_owner_axis_marginals_equal_per_state_marginals(data):
     assert marginals.sites == lattice.indices * len(states)
     owner, bits, weights, branched = analysis.branch_table(block, marginals,
                                                            analysis.BRANCH_TOL)
+    parts = marginals.split(len(states))
     for b, state in enumerate(states):
         alone = analysis.site_marginals(state)
+        assert parts[b].sites == alone.sites
         for field in ("matrices", "coherence", "purity", "entropy"):
             ours = getattr(marginals, field)[b * n_sites:(b + 1) * n_sites]
             assert ours.tobytes() == getattr(alone, field).tobytes()
+            assert getattr(parts[b], field).tobytes() == ours.tobytes()
         decomp = analysis.branch_decompose(state)
         mine = owner == b
         assert np.float64(decomp.weights).tobytes() == weights[mine].tobytes()
