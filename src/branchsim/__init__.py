@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 
 from .lattice import (                                           # noqa: F401
     NORM_TOL, PRUNE_EPS, Lattice, LatticeError, PureState, Site, SiteKind,
-    StateError, chain_lattice, entangled_state, inner_product, norm, overlap,
-    product_state, state_from_document, state_to_document,
+    StateBlock, StateError, chain_lattice, entangled_state, inner_product, norm,
+    overlap, product_state, state_from_document, state_to_document,
 )
 from .gates import (                                             # noqa: F401
     Gate1, Gate2, GateError, UNITARITY_TOL, apply_gate1, apply_gate2,
@@ -32,9 +32,9 @@ from .schedule import (                                          # noqa: F401
     scenario_bidirectional, scenario_collision, scenario_epr, scenario_single,
 )
 from .analysis import (                                          # noqa: F401
-    AnalysisError, Branch, BranchClusters, BranchDecomposition, BRANCH_TOL,
-    ChshScanResult, Cluster, DensityMatrix, MeasurementSetting, SiteMarginals,
-    StateAnalysis, branch_decompose, change_basis, chsh, chsh_grid_max, coherence,
+    AnalysisError, BlockAnalysis, Branch, BranchClusters, BranchDecomposition,
+    BRANCH_TOL, ChshScanResult, Cluster, DensityMatrix, MeasurementSetting,
+    SiteMarginals, branch_decompose, change_basis, chsh, chsh_grid_max, coherence,
     correlation, entanglement_entropy, entropy_of, extended_branch_clusters,
     is_decohered, mutual_information, plane_chsh_max, purity,
     reduced_density_matrix, sample_measurement, site_marginals,

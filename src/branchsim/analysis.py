@@ -16,7 +16,7 @@ approximations beyond floating point.  Conventions:
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -150,9 +150,9 @@ def reduced_density_matrix(state: PureState, keep: Iterable) -> DensityMatrix:
     their bits *outside* the region, and each group contributes one
     outer product.  Cost follows the number of terms, not 2^n, for the
     branchy states this model produces.  Reports do not call this per
-    site: `site_marginals` builds every one-site matrix of a state in
-    one pass, bit for bit equal to this function's, and `StateAnalysis`
-    shares them between all per-state analyses.
+    site: `site_marginals` builds every one-site matrix of a block of
+    states in one pass, bit for bit equal to this function's, and
+    `BlockAnalysis` shares them between all of a block's analyses.
     """
     sites, kpos = _positions(state, keep)
     return DensityMatrix(sites, _region_marginals(state, [kpos])[0])
@@ -242,7 +242,7 @@ def is_decohered(state: PureState, site: int, tol: float = BRANCH_TOL) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# per-state analysis: every one-site marginal once, shared by all consumers
+# block analysis: every one-site marginal once, shared by all consumers
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -261,18 +261,6 @@ class SiteMarginals:
     purity: np.ndarray     # (n,), or (B n,)
     entropy: np.ndarray    # (n,), or (B n,)
 
-    def decohered(self, tol: float) -> np.ndarray:
-        """`is_decohered` of every entry."""
-        return _is_mixture(self.coherence, self.purity, tol)
-
-    def split(self, size: int) -> list:
-        """The marginals of a block of `size` states, as each state's own."""
-        n = len(self.sites) // size
-        return [SiteMarginals(self.sites[lo:lo + n], self.matrices[lo:lo + n],
-                              self.coherence[lo:lo + n], self.purity[lo:lo + n],
-                              self.entropy[lo:lo + n])
-                for lo in range(0, len(self.sites), n)]
-
 
 def site_marginals(states) -> SiteMarginals:
     """All one-site marginals of a state in one pass over its terms.  For
@@ -284,47 +272,64 @@ def site_marginals(states) -> SiteMarginals:
                          _purities(rho), entropies(rho))
 
 
-class StateAnalysis:
-    """One state's analysis inputs, each built on first use and then kept.
+class BlockAnalysis:
+    """The analyses of every state of a `StateBlock`, each built on first
+    use and then kept.
 
-    The site marginals feed the decohered flags and the branch
-    decomposition; the decomposition and the one-site entropies feed
-    the clusters.  Nothing is computed until a result is asked for.
-    `marginals`, when given, are the state's `site_marginals`, such as
-    its part of a block's (`SiteMarginals.split`), which are bit for bit
-    the same.
+    The block's site marginals feed the decohered flags and the branch
+    decompositions; the decompositions and the one-site entropies feed
+    the clusters.  Nothing is computed until a result is asked for.  A
+    single state is the block of one owner (``StateBlock.of([state])``),
+    and a state's results are bit for bit the same in any block.
     """
 
-    def __init__(self, state: PureState, tol: float = BRANCH_TOL,
-                 marginals: Optional[SiteMarginals] = None):
-        self.state = state
+    def __init__(self, block: StateBlock, tol: float = BRANCH_TOL):
+        self.block = block
         self.tol = tol
-        if marginals is not None:
-            self.marginals = marginals
 
     @cached_property
     def marginals(self) -> SiteMarginals:
-        return site_marginals(self.state)
+        return site_marginals(self.block)
 
-    @property
+    @cached_property
     def decohered(self) -> np.ndarray:
-        """`is_decohered` of every site, in lattice order."""
-        return self.marginals.decohered(self.tol)
+        """`is_decohered` of every site of every state, shape (B, n)."""
+        m = self.marginals
+        return _is_mixture(m.coherence, m.purity, self.tol).reshape(self.block.size, -1)
 
     @cached_property
-    def branches(self) -> "BranchDecomposition":
-        return _decompose(self.state, self.marginals, self.tol)
+    def branches(self) -> list:
+        """Each state's `BranchDecomposition`, from one `branch_table` call."""
+        owner, bits, weights, branched = branch_table(self.block, self.marginals, self.tol)
+        indices = self.block.lattice.indices
+        ends = np.bincount(owner, minlength=self.block.size).cumsum().tolist()
+        weights = weights.tolist()
+        decomps = []
+        for lo, hi, mask in zip([0] + ends, ends, branched):
+            sites = [s for s, m in zip(indices, mask.tolist()) if m]
+            support = frozenset(sites)
+            # a tuple of a list, not of a generator (see `_cluster`)
+            decomps.append(BranchDecomposition(tuple([
+                Branch(w, dict(zip(sites, row)), support)
+                for w, row in zip(weights[lo:hi], bits[lo:hi, mask].tolist())
+            ]), frozenset(indices) - support, self.tol))
+        return decomps
 
     @cached_property
-    def clusters(self) -> "BranchClusters":
-        return _cluster(self.state, self.marginals, self.branches, self.tol)
+    def clusters(self) -> list:
+        """Each state's `BranchClusters`, grown one state at a time."""
+        entropy = self.marginals.entropy.reshape(self.block.size, -1)
+        return [_cluster(state, e, decomp, self.tol)
+                for state, e, decomp in zip(self.block.states(), entropy, self.branches)]
 
-    def correlations(self, settings: Sequence) -> list:
-        """`correlation` of each (a, b) pair of `MeasurementSetting`s, bit
-        for bit, with every pair's two-site matrix from one partial-trace
-        pass."""
-        t = _correlators(region_matrices(self.state, [(a.site, b.site) for a, b in settings]))
-        return [float(_units(a.theta) @ m @ _units(b.theta)) for (a, b), m in zip(settings, t)]
+    def correlations(self, settings: Sequence) -> np.ndarray:
+        """`correlation` of each (a, b) pair of `MeasurementSetting`s for
+        every state, bit for bit, as a (B, len(settings)) array; every
+        pair's two-site matrices come from one partial-trace pass."""
+        t = _correlators(region_matrices(self.block, [(a.site, b.site) for a, b in settings]))
+        units = [(_units(a.theta), _units(b.theta)) for a, b in settings]
+        return np.array([[float(ua @ m @ ub) for (ua, ub), m in zip(units, matrices)]
+                         for matrices in t])
 
 
 # ---------------------------------------------------------------------------
@@ -370,34 +375,12 @@ def branch_decompose(state: PureState, tol: float = BRANCH_TOL) -> BranchDecompo
     sum to one, and equal the Born probabilities of the corresponding
     records.
     """
-    return StateAnalysis(state, tol).branches
-
-
-def _decompose(state: PureState, marginals: SiteMarginals, tol: float) -> BranchDecomposition:
-    lattice = state.lattice
-    branched = [s for s, p in zip(marginals.sites, marginals.purity) if p < 1.0 - tol]
-    bpos = [lattice.position(s) for s in branched]
-
-    re, im = state.table.amps.real, state.table.amps.imag
-    merged: dict = {}
-    for key, w in zip(map(tuple, state.table.bits[:, bpos].tolist()),
-                      (re * re + im * im).tolist()):
-        merged[key] = merged.get(key, 0.0) + w
-    merged = {key: w for key, w in merged.items() if w > tol}
-    # left to right, as `branch_table` adds (Python 3.12's `sum` compensates)
-    total = ordered_sum(np.fromiter(merged.values(), dtype=float, count=len(merged)))
-    support = frozenset(branched)
-    branches = tuple([
-        Branch(w / total, dict(zip(branched, key)), support)
-        for key, w in sorted(merged.items())
-    ])
-    unbranched = frozenset(lattice.indices) - support
-    return BranchDecomposition(branches, unbranched, tol)
+    return BlockAnalysis(StateBlock.of([state]), tol).branches[0]
 
 
 def branch_table(block: StateBlock, marginals: SiteMarginals, tol: float) -> tuple:
     """The bit-basis branches of every state of a block, from its
-    `site_marginals`, as `_decompose` finds them one state at a time.
+    `site_marginals`: the one grouping of terms into branches.
 
     A state's branched sites are those whose one-site purity is below
     1 - tol.  Its terms group by their bits on those sites; a group's
@@ -457,18 +440,19 @@ def extended_branch_clusters(state: PureState, tol: float = BRANCH_TOL) -> Branc
     sites, so independently-branching regions are reported separately
     with their local branch counts and weights.
     """
-    return StateAnalysis(state, tol).clusters
+    return BlockAnalysis(StateBlock.of([state]), tol).clusters[0]
 
 
-def _pair_mutual_information(state: PureState, marginals: SiteMarginals,
+def _pair_mutual_information(state: PureState, entropy: np.ndarray,
                              pairs: np.ndarray) -> np.ndarray:
     """I(a:b) for each row (a, b) of lattice positions: one-site entropies
-    from `marginals`, two-site entropies from one (P, 4, 4) stack."""
-    return (marginals.entropy[pairs[:, 0]] + marginals.entropy[pairs[:, 1]]
+    from the state's (n,) `entropy`, two-site entropies from one (P, 4, 4)
+    stack."""
+    return (entropy[pairs[:, 0]] + entropy[pairs[:, 1]]
             - entropies(_region_marginals(state, pairs)))
 
 
-def _cluster(state: PureState, marginals: SiteMarginals, decomp: BranchDecomposition,
+def _cluster(state: PureState, entropy: np.ndarray, decomp: BranchDecomposition,
              tol: float) -> BranchClusters:
     # each cluster grows from its lowest unplaced site: every round pairs
     # the sites that joined last with every unplaced site, lower position
@@ -486,7 +470,7 @@ def _cluster(state: PureState, marginals: SiteMarginals, decomp: BranchDecomposi
             rest = np.flatnonzero(unplaced)
             a, b = np.repeat(frontier, rest.size), np.tile(rest, frontier.size)
             pairs = positions[np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)]
-            linked = _pair_mutual_information(state, marginals, pairs) > tol
+            linked = _pair_mutual_information(state, entropy, pairs) > tol
             frontier = rest[linked.reshape(-1, rest.size).any(axis=0)]
             unplaced[frontier] = False
             members = np.concatenate([members, frontier])

@@ -42,8 +42,10 @@ from .schedule import ScenarioConfig
 EMBED_TERMS_LIMIT = 64
 
 #: A chunk of steps is analysed as one block of states until its terms
-#: times sites squared reach this: the bytes of the largest temporary of
-#: the block's one-site marginals (`analysis._group_vectors`).
+#: times sites times the larger of sites and correlation settings reach
+#: this: the bytes of the largest temporary of the block's one-site
+#: marginals or of its two-site correlation matrices
+#: (`analysis._group_vectors`).
 CHUNK_CELLS = 2 ** 22
 
 #: Distinct site rows `_SiteRows` keeps before it starts again, which
@@ -106,12 +108,12 @@ class _SiteRows:
         self.fields = [f",{key}," for key in keys]
         self.cache: dict = {}
 
-    def chunk(self, marginals: analysis.SiteMarginals, decohered: np.ndarray,
-              size: int) -> list:
-        """The rows of each of a block's `size` states, in lattice order,
-        as (JSON object, CSV fields) text pairs, from the block's
-        marginals and decohered flags."""
-        m = marginals
+    def chunk(self, analysed: analysis.BlockAnalysis) -> list:
+        """The rows of each state of an analysed block, in lattice order,
+        as (JSON object, CSV fields) text pairs, from its marginals and
+        decohered flags."""
+        m = analysed.marginals
+        decohered = analysed.decohered.reshape(-1)
         values = np.concatenate([
             np.stack([m.matrices.real, m.matrices.imag], axis=-1).reshape(-1, 8),
             np.stack([m.coherence, m.purity, m.entropy], axis=1)], axis=1)
@@ -130,7 +132,7 @@ class _SiteRows:
                             _INNER_PAD),
                     f"{r[8]:.12g},{r[9]:.12g},{r[10]:.12g},")
         texts = [self.cache[key] for key in keys]
-        n = len(inverse) // size
+        n = len(inverse) // analysed.block.size
         return [[texts[i] for i in inverse[lo:lo + n].tolist()]
                 for lo in range(0, len(inverse), n)]
 
@@ -217,22 +219,16 @@ def _chunks(states, cells_per_term: int) -> Iterator:
 
 
 def _steps(lattice: Lattice, states, tolerance: float, names: set, settings: list) -> Iterator:
-    """The `Step` of each state, analysed a chunk of states at a time.  A
-    chunk's one-site marginals come from one `site_marginals` call on its
-    `StateBlock`, and each state's analysis gets its own part of them."""
+    """The `Step` of each state, analysed a chunk of states at a time: one
+    `BlockAnalysis` of the chunk's `StateBlock`, read state by state."""
     lattice_text = None  # rendered for the first embedded state
     site_rows = _SiteRows(lattice) if "sites" in names else None
-    needs_marginals = not names.isdisjoint(("sites", "branches", "clusters"))
     t = 0
-    for chunk in _chunks(states, lattice.n_sites ** 2):
-        parts = rows = [None] * len(chunk)
-        if needs_marginals:
-            marginals = analysis.site_marginals(StateBlock.of(chunk))
-            parts = marginals.split(len(chunk))
-            if site_rows:
-                rows = site_rows.chunk(marginals, marginals.decohered(tolerance), len(chunk))
-        for state, part, step_rows in zip(chunk, parts, rows):
-            summary = analysis.StateAnalysis(state, tolerance, part)
+    for chunk in _chunks(states, lattice.n_sites * max(lattice.n_sites, len(settings))):
+        analysed = analysis.BlockAnalysis(StateBlock.of(chunk), tolerance)
+        rows = site_rows.chunk(analysed) if site_rows else [None] * len(chunk)
+        values = analysed.correlations(settings).tolist() if settings else None
+        for i, (state, step_rows) in enumerate(zip(chunk, rows)):
             record = {
                 "step": t,
                 "norm": _g12(norm(state)),
@@ -244,7 +240,7 @@ def _steps(lattice: Lattice, states, tolerance: float, names: set, settings: lis
                 record["state"] = {"lattice": lattice_text, "terms": terms_to_json(state)}
 
             if "branches" in names:
-                decomp = summary.branches
+                decomp = analysed.branches[i]
                 record["branches"] = {
                     "count": decomp.n_branches,
                     "unbranched": sorted(decomp.unbranched),
@@ -252,7 +248,7 @@ def _steps(lattice: Lattice, states, tolerance: float, names: set, settings: lis
                 }
 
             if "clusters" in names:
-                clusters = summary.clusters
+                clusters = analysed.clusters[i]
                 record["clusters"] = {
                     "count": clusters.n_clusters,
                     "items": [
@@ -266,7 +262,7 @@ def _steps(lattice: Lattice, states, tolerance: float, names: set, settings: lis
                 record["correlations"] = [
                     {"site_a": a.site, "site_b": b.site,
                      "theta_a": _g12(a.theta), "theta_b": _g12(b.theta), "value": _g12(value)}
-                    for (a, b), value in zip(settings, summary.correlations(settings))
+                    for (a, b), value in zip(settings, values[i])
                 ]
 
             series = ""

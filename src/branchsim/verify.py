@@ -152,21 +152,20 @@ COMPARE_TOL = 1e-6
 TRIAL_BLOCK = 64
 
 
-def compare_stack(states: list, vectors: np.ndarray) -> np.ndarray:
-    """Worst deviation of each sparse state from its row of a (B, 2^n)
-    dense stack, across overlap, RDMs, entropies and branch weights, as
-    a (B,) array.
+def compare_stack(block: StateBlock, vectors: np.ndarray) -> np.ndarray:
+    """Worst deviation of each state of a sparse block from its row of a
+    (B, 2^n) dense stack, across overlap, RDMs, entropies and branch
+    weights, as a (B,) array.
 
-    The sparse states are joined into one `StateBlock`, and each kind
-    comes from one call on it: the site marginals that reports print,
-    the first two and the last two sites, and `analysis.branch_table`.
-    The dense side is one `oracle.analyse_stack`.  A branch is compared
-    as its bits on its state's branched sites and 2 elsewhere; both
-    engines sort a state's branches by bits, and a state whose branches
-    differ deviates by inf.  Each kind is folded in with `np.maximum`,
-    which keeps a NaN; a row depends on its own state only.
+    Each kind comes from one call on the block: the site marginals that
+    reports print, the first two and the last two sites, and
+    `analysis.branch_table`.  The dense side is one
+    `oracle.analyse_stack`.  A branch is compared as its bits on its
+    state's branched sites and 2 elsewhere; both engines sort a state's
+    branches by bits, and a state whose branches differ deviates by inf.
+    Each kind is folded in with `np.maximum`, which keeps a NaN; a row
+    depends on its own state only.
     """
-    block = StateBlock.of(states)
     lattice, size = block.lattice, block.size
     regions = (lattice.indices[:2], lattice.indices[-2:])
     dense = oracle.analyse_stack(lattice, vectors, regions, COMPARE_TOL)
@@ -206,7 +205,7 @@ def compare_states(state: PureState, dense: oracle.DenseState) -> float:
     """Worst deviation of `state` from `dense`: the one-row `compare_stack`."""
     if state.lattice != dense.lattice:
         raise oracle.OracleError("compared states must be on the same lattice")
-    return float(compare_stack([state], dense.vector[None])[0])
+    return float(compare_stack(StateBlock.of([state]), dense.vector[None])[0])
 
 
 def dense_deviation(config: ScenarioConfig, states: list) -> float:
@@ -288,8 +287,7 @@ def random_trial_block(rng: np.random.Generator, n_trials: int,
             overlaps = oracle.dense_overlaps(oracle.dense_vectors(lattice, table, n_trials),
                                              vectors)
             worst = np.maximum(worst, np.abs(overlaps - 1.0))
-    return np.maximum(worst, compare_stack(StateBlock(lattice, table, n_trials).states(),
-                                           vectors))
+    return np.maximum(worst, compare_stack(StateBlock(lattice, table, n_trials), vectors))
 
 
 def random_differential_trial(rng: np.random.Generator,

@@ -1,10 +1,11 @@
-"""Property tests for the shared per-state analysis path.
+"""Property tests for the shared analysis path.
 
 Random sparse states (at most 6 sites, at most 16 terms) check that the
 one-pass site marginals and the batched pair mutual information agree
-with the one-region functions, that `entropy_of` and `correlation` agree
-with their textbook formulas, and that every density matrix built on
-the way is a valid one.
+with the one-region functions, that the branches of a state, alone or
+in a block, equal the per-state dict loop kept here as the reference,
+that `entropy_of` and `correlation` agree with their textbook formulas,
+and that every density matrix built on the way is a valid one.
 """
 
 import itertools
@@ -16,7 +17,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import branchsim as bs
-from branchsim import analysis
+from branchsim import analysis, verify
+from branchsim.lattice import StateBlock
 
 # includes signed zeros, so sign handling of the partial trace is pinned
 components = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
@@ -24,8 +26,9 @@ components = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
 
 
 @st.composite
-def sparse_states(draw):
-    n_sites = draw(st.integers(1, 6))
+def sparse_states(draw, n_sites=None):
+    if n_sites is None:
+        n_sites = draw(st.integers(1, 6))
     # negative field ids, so site ids and lattice positions differ
     lattice = bs.chain_lattice([0], range(1 - n_sites, 0))
     indices = draw(st.lists(st.integers(0, 2 ** n_sites - 1), min_size=1,
@@ -56,6 +59,30 @@ def loop_rdm(state, sites):
             v[idx] += amp
         rho += v[:, None] * v.conj()
     return rho
+
+
+def loop_decompose(state, tol):
+    """Reference branch decomposition: one dict entry per bit pattern on
+    the sites whose one-site purity is below 1 - tol, weights added in
+    term order, patterns above `tol` kept and divided by their total,
+    added left to right."""
+    marginals = analysis.site_marginals(state)
+    branched = [s for s, p in zip(marginals.sites, marginals.purity) if p < 1.0 - tol]
+    bpos = [state.lattice.position(s) for s in branched]
+    re, im = state.table.amps.real, state.table.amps.imag
+    merged = {}
+    for key, w in zip(map(tuple, state.table.bits[:, bpos].tolist()),
+                      (re * re + im * im).tolist()):
+        merged[key] = merged.get(key, 0.0) + w
+    merged = {key: w for key, w in merged.items() if w > tol}
+    total = 0.0
+    for w in merged.values():
+        total += w
+    support = frozenset(branched)
+    branches = tuple(analysis.Branch(w / total, dict(zip(branched, key)), support)
+                     for key, w in sorted(merged.items()))
+    return analysis.BranchDecomposition(branches, frozenset(state.lattice.indices) - support,
+                                        tol)
 
 
 def assert_valid_density_matrix(m):
@@ -133,7 +160,7 @@ def test_batched_pair_mutual_information_matches_per_pair(state):
     if not pairs.size:
         return
     marginals = analysis.site_marginals(state)
-    batched = analysis._pair_mutual_information(state, marginals, pairs)
+    batched = analysis._pair_mutual_information(state, marginals.entropy, pairs)
     for (a, b), value in zip(pairs, batched):
         assert abs(value - bs.mutual_information(state, [sites[a]], [sites[b]])) <= 1e-12
 
@@ -169,9 +196,36 @@ def test_large_region_sums_groups_in_chunks_bit_for_bit():
 @settings(max_examples=100, deadline=None)
 @given(sparse_states())
 def test_shared_decohered_flags_match_is_decohered(state):
-    shared = analysis.StateAnalysis(state)
-    assert list(shared.decohered) == [bs.is_decohered(state, s)
-                                      for s in state.lattice.indices]
+    shared = analysis.BlockAnalysis(StateBlock.of([state]))
+    assert shared.decohered.shape == (1, state.lattice.n_sites)
+    assert list(shared.decohered[0]) == [bs.is_decohered(state, s)
+                                         for s in state.lattice.indices]
+
+
+TOLERANCES = (0.0, bs.BRANCH_TOL, verify.COMPARE_TOL, 1e-2)
+
+
+def assert_same_decomposition(found, reference):
+    assert (np.float64(found.weights).tobytes()
+            == np.float64(reference.weights).tobytes())
+    assert [b.assignment for b in found.branches] == [b.assignment for b in reference.branches]
+    assert all(type(bit) is int for b in found.branches for bit in b.assignment.values())
+    assert [b.support for b in found.branches] == [b.support for b in reference.branches]
+    assert found.unbranched == reference.unbranched
+    assert found.tolerance == reference.tolerance
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(TOLERANCES))
+def test_branches_equal_the_loop_reference_alone_and_in_blocks(data, tol):
+    n_sites = data.draw(st.integers(1, 6))
+    states = data.draw(st.lists(sparse_states(n_sites), min_size=1, max_size=5))
+    decomps = analysis.BlockAnalysis(StateBlock.of(states), tol).branches
+    assert len(decomps) == len(states)
+    for state, decomp in zip(states, decomps):
+        reference = loop_decompose(state, tol)
+        assert_same_decomposition(bs.branch_decompose(state, tol), reference)
+        assert_same_decomposition(decomp, reference)
 
 
 def all_pairs_clusters(state, tol=bs.BRANCH_TOL):
@@ -186,7 +240,7 @@ def all_pairs_clusters(state, tol=bs.BRANCH_TOL):
     neighbours = {s: set() for s in branched}
     for a, b in itertools.combinations(branched, 2):
         pair = np.array([[position(a), position(b)]], dtype=np.intp)
-        if analysis._pair_mutual_information(state, marginals, pair)[0] > tol:
+        if analysis._pair_mutual_information(state, marginals.entropy, pair)[0] > tol:
             neighbours[a].add(b)
             neighbours[b].add(a)
     clusters, placed = [], set()
@@ -312,7 +366,7 @@ def test_and_chain_needs_a_second_round():
     state = and_chain_state()
     marginals = analysis.site_marginals(state)
     mi = lambda a, b: analysis._pair_mutual_information(
-        state, marginals, np.array([[a, b]], dtype=np.intp))[0]
+        state, marginals.entropy, np.array([[a, b]], dtype=np.intp))[0]
     assert mi(0, 2) <= bs.BRANCH_TOL and mi(0, 4) <= bs.BRANCH_TOL
     assert mi(0, 1) > bs.BRANCH_TOL and mi(1, 2) > bs.BRANCH_TOL
 
@@ -322,10 +376,10 @@ def test_growth_evaluates_each_pair_at_most_once(monkeypatch, name):
     state = FIXED_STATES[name]()
     seen, original = [], analysis._pair_mutual_information
 
-    def recorded(state, marginals, pairs):
+    def recorded(state, entropy, pairs):
         seen.extend(map(tuple, pairs.tolist()))
         assert (pairs[:, 0] < pairs[:, 1]).all()   # lower lattice position first
-        return original(state, marginals, pairs)
+        return original(state, entropy, pairs)
 
     monkeypatch.setattr(analysis, "_pair_mutual_information", recorded)
     k = len(bs.branch_decompose(state).branches[0].support)

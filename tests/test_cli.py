@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import branchsim as bs
-from branchsim import cli
+from branchsim import cli, reporting
 
 
 def write_config(tmp_path, doc) -> str:
@@ -424,17 +424,18 @@ class TestFailedRun:
 
     @staticmethod
     def plant(monkeypatch, step, error):
-        """Make the analysis of `step` raise `error`."""
-        real = bs.analysis.StateAnalysis
+        """Make the record of `step` raise `error`, from the `norm` call
+        that `reporting._steps` makes once per step."""
+        real = reporting.norm
         made = []
 
-        def analyse(*args, **kwargs):
+        def norm(state):
             made.append(None)
             if len(made) == step + 1:
                 raise error
-            return real(*args, **kwargs)
+            return real(state)
 
-        monkeypatch.setattr(bs.analysis, "StateAnalysis", analyse)
+        monkeypatch.setattr(reporting, "norm", norm)
 
     @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "earlier-report"])
     @pytest.mark.parametrize("step", [0, 2, 3])

@@ -1,10 +1,11 @@
 """`verify.compare_stack` and `compare_states` on the shared analysis path.
 
-The cross-check reads one `StateAnalysis` per compared state.  These
-tests pin it bit for bit to the per-region loop it replaced (kept here
-as the reference), show that a row of a stacked comparison depends on
-its own state only, and that a fault in the shared marginals, the ones
-reports print, makes it fail.
+The cross-check analyses a whole `StateBlock` of compared states at
+once; `compare_states` compares the block of one state.  These tests pin
+it bit for bit to the per-region loop it replaced (kept here as the
+reference), show that a row of a stacked comparison depends on its own
+state only, and that a fault in the shared marginals, the ones reports
+print, makes it fail.
 """
 
 import dataclasses
@@ -16,7 +17,9 @@ from hypothesis import given, settings
 
 import branchsim as bs
 from branchsim import analysis, oracle, verify
-from test_analysis_properties import eigenvalue_entropy, loop_rdm, sparse_states
+from branchsim.lattice import StateBlock
+from test_analysis_properties import (eigenvalue_entropy, loop_decompose, loop_rdm,
+                                      sparse_states)
 
 
 def loop_compare_states(state, dense):
@@ -28,7 +31,7 @@ def loop_compare_states(state, dense):
         rho = loop_rdm(state, region)
         worst = max(worst, float(np.abs(rho - oracle.dense_rdm(dense, region)).max()))
         worst = max(worst, abs(eigenvalue_entropy(rho) - oracle.dense_entropy(dense, region)))
-    decomp = analysis.branch_decompose(state, tol=1e-6)
+    decomp = loop_decompose(state, 1e-6)
     sparse_weights = {b.key(): b.weight for b in decomp.branches}
     dense_weights = oracle.dense_branch_weights(dense, tol=1e-6)
     if set(sparse_weights) != set(dense_weights):
@@ -50,9 +53,9 @@ def compared_block(monkeypatch, n_trials, seed=5):
     that a random block of `n_trials` makes."""
     calls, original = [], verify.compare_stack
 
-    def recorded(states, vectors):
-        rows = original(states, vectors)
-        calls.append((states, vectors, rows))
+    def recorded(block, vectors):
+        rows = original(block, vectors)
+        calls.append((block.states(), vectors, rows))
         return rows
 
     monkeypatch.setattr(verify, "compare_stack", recorded)
@@ -76,9 +79,11 @@ def test_a_row_does_not_depend_on_the_rest_of_its_stack(monkeypatch):
     alone = [verify.compare_states(state, oracle.DenseState(lattice, vector))
              for state, vector in zip(states, vectors)]
     assert bits(rows) == bits(alone)
-    assert bits(verify.compare_stack(states[::-1], vectors[::-1])) == bits(alone[::-1])
+    assert bits(verify.compare_stack(StateBlock.of(states[::-1]), vectors[::-1])) \
+        == bits(alone[::-1])
     # a row that disagrees, first in the stack, changes no other row
-    mixed = verify.compare_stack([states[0]] + states, np.concatenate([vectors[1:2], vectors]))
+    mixed = verify.compare_stack(StateBlock.of([states[0]] + states),
+                                 np.concatenate([vectors[1:2], vectors]))
     assert mixed[0] > 1e-3
     assert bits(mixed[1:]) == bits(alone)
 

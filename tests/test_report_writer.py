@@ -11,6 +11,7 @@ block, and `entry_loop_sites` the per-entry loop before that.
 """
 
 import enum
+import itertools
 import json
 import math
 import struct
@@ -23,8 +24,8 @@ from hypothesis import strategies as st
 
 import branchsim as bs
 from branchsim import reporting
-from branchsim.analysis import MeasurementSetting, StateAnalysis
-from branchsim.lattice import lattice_to_json, norm, terms_to_json
+from branchsim.analysis import BlockAnalysis, MeasurementSetting
+from branchsim.lattice import StateBlock, lattice_to_json, norm, terms_to_json
 from branchsim.reporting import (EMBED_TERMS_LIMIT, _g12, _g12_array, _render, build_report,
                                  json_text, write_report)
 
@@ -163,7 +164,8 @@ def _branch_item(branch) -> dict:
 
 def reference_report(config, states: list, tolerance: float) -> dict:
     """The whole report document, assembled as before reports were
-    streamed: each state analysed alone, each site block built as dicts."""
+    streamed: each state analysed alone, as the block of one owner, and
+    each site block built as dicts."""
     lattice = lattice_to_json(config.lattice)
     names = {a for a in config.analyses if isinstance(a, str)}
     settings = [(MeasurementSetting(a["site_a"], a.get("theta_a", 0.0)),
@@ -174,16 +176,16 @@ def reference_report(config, states: list, tolerance: float) -> dict:
         record = {"step": t, "norm": _g12(norm(state)), "n_terms": state.n_terms}
         if state.n_terms <= EMBED_TERMS_LIMIT:
             record["state"] = {"lattice": lattice, "terms": terms_to_json(state)}
-        summary = StateAnalysis(state, tolerance)
+        summary = BlockAnalysis(StateBlock.of([state]), tolerance)
         if "sites" in names:
-            record["sites"] = _site_records(summary.marginals, summary.decohered)
+            record["sites"] = _site_records(summary.marginals, summary.decohered[0])
         if "branches" in names:
-            decomp = summary.branches
+            decomp = summary.branches[0]
             record["branches"] = {"count": decomp.n_branches,
                                   "unbranched": sorted(decomp.unbranched),
                                   "items": [_branch_item(b) for b in decomp.branches]}
         if "clusters" in names:
-            clusters = summary.clusters
+            clusters = summary.clusters[0]
             record["clusters"] = {"count": clusters.n_clusters,
                                   "items": [{"sites": list(c.sites),
                                              "branches": [_branch_item(b) for b in c.branches]}
@@ -192,7 +194,7 @@ def reference_report(config, states: list, tolerance: float) -> dict:
             record["correlations"] = [
                 {"site_a": a.site, "site_b": b.site,
                  "theta_a": _g12(a.theta), "theta_b": _g12(b.theta), "value": _g12(value)}
-                for (a, b), value in zip(settings, summary.correlations(settings))]
+                for (a, b), value in zip(settings, summary.correlations(settings)[0])]
         steps.append(record)
     return {
         "engine": {"name": "branchsim", "version": bs.__version__, "tolerance": _g12(tolerance)},
@@ -244,9 +246,9 @@ class TestSiteRecords:
                                          "collision_states", "epr_states"])
     def test_equal_to_the_entry_loop(self, fixture, request):
         for state in request.getfixturevalue(fixture):
-            summary = StateAnalysis(state)
-            new = _site_records(summary.marginals, summary.decohered)
-            old = entry_loop_sites(summary.marginals, summary.decohered)
+            summary = BlockAnalysis(StateBlock.of([state]))
+            new = _site_records(summary.marginals, summary.decohered[0])
+            old = entry_loop_sites(summary.marginals, summary.decohered[0])
             # repr keeps the sign of zero that == ignores
             assert repr(new) == repr(old)
             assert all(type(v) is float for rec in new.values() for pair in rec["rdm"]
@@ -315,3 +317,29 @@ class TestStreamedSteps:
         assert texts[1] == reference_timeseries(doc)
         assert texts[2:] == ([reference_correlations(doc)]
                              if any("correlations" in r for r in doc["steps"]) else [])
+
+    def test_chunks_bound_the_correlation_matrices(self, monkeypatch):
+        # with more correlation settings than sites, a chunk's largest
+        # temporaries are its two-site matrices, not its one-site marginals
+        single = bs.scenario_single(0.6, 0.8, 5)
+        n = single.lattice.n_sites
+        pairs = list(itertools.combinations(single.lattice.indices, 2))
+        assert len(pairs) > n
+        config = bs.ScenarioConfig(single.name, single.lattice, single.initial,
+                                   single.schedule, single.horizon, ("sites",) + tuple(
+                                       {"type": "correlation", "site_a": a, "site_b": b}
+                                       for a, b in pairs))
+        states = config.run()
+        blocks, real = [], reporting.analysis.BlockAnalysis
+
+        def recorded(block, tol):
+            blocks.append(block)
+            return real(block, tol)
+
+        monkeypatch.setattr(reporting.analysis, "BlockAnalysis", recorded)
+        monkeypatch.setattr(reporting, "CHUNK_CELLS", n * len(pairs) * 4)
+        steps = list(build_report(config, iter(states), 1e-9, len(states) - 1).steps)
+        assert len(steps) == sum(block.size for block in blocks) == len(states)
+        assert max(block.size for block in blocks) > 1
+        assert all(len(block.table) * n * len(pairs) <= reporting.CHUNK_CELLS
+                   for block in blocks)

@@ -4,7 +4,8 @@
 whose rows carry an owner and never merge across owners.  Each result on
 a block must equal the per-state result it replaces, term for term and
 bit for bit, down to the sign of zero: `run_schedule` for evolution and
-the per-state `_region_marginals` and `branch_decompose` for analysis.
+the per-state `_region_marginals` and the branch dict loop
+(`test_analysis_properties.loop_decompose`) for analysis.
 A golden digest pins the first 2,048 per-trial deviations of the random
 suite.
 """
@@ -20,6 +21,7 @@ import branchsim as bs
 from branchsim import analysis, gates, oracle, verify
 from branchsim.lattice import StateBlock, first_appearance, row_keys
 from branchsim.schedule import GateApplication, Schedule, run_schedule
+from test_analysis_properties import loop_decompose
 
 components = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
                        st.floats(-1.0, 1.0, allow_nan=False))
@@ -127,15 +129,12 @@ def test_owner_axis_marginals_equal_per_state_marginals(data):
     assert marginals.sites == lattice.indices * len(states)
     owner, bits, weights, branched = analysis.branch_table(block, marginals,
                                                            analysis.BRANCH_TOL)
-    parts = marginals.split(len(states))
     for b, state in enumerate(states):
         alone = analysis.site_marginals(state)
-        assert parts[b].sites == alone.sites
         for field in ("matrices", "coherence", "purity", "entropy"):
             ours = getattr(marginals, field)[b * n_sites:(b + 1) * n_sites]
             assert ours.tobytes() == getattr(alone, field).tobytes()
-            assert getattr(parts[b], field).tobytes() == ours.tobytes()
-        decomp = analysis.branch_decompose(state)
+        decomp = loop_decompose(state, analysis.BRANCH_TOL)
         mine = owner == b
         assert np.float64(decomp.weights).tobytes() == weights[mine].tobytes()
         assert [list(br.assignment.values()) for br in decomp.branches] == \
