@@ -100,9 +100,9 @@ def _positions(state: PureState, region: Iterable) -> tuple:
     return sites, tuple(state.lattice.position(s) for s in sites)
 
 
-def _region_marginals(states, regions) -> np.ndarray:
-    """Reduced density matrices of equal-size regions of a state, shape
-    (R, d, d), or of every state of a `StateBlock`, shape (B, R, d, d).
+def _region_marginals(block, regions) -> np.ndarray:
+    """Reduced density matrices of equal-size regions of every state of a
+    `StateBlock`, or of a state (the block of one), shape (B, R, d, d).
 
     `regions` lists R tuples of k lattice positions each; d = 2^k.  For
     every state and region the terms are grouped by their bits *outside*
@@ -111,18 +111,16 @@ def _region_marginals(states, regions) -> np.ndarray:
     state's term order and summed in that order, so a region's matrix
     does not depend on which other regions or states share the call.
     """
-    size = states.size if isinstance(states, StateBlock) else 1
     regions = np.asarray(regions, dtype=np.intp)
     n_regions, k = regions.shape
     dim = 2 ** k
-    vectors, target = _group_vectors(states.table, regions)
-    rho = np.zeros((size * n_regions, dim, dim), dtype=complex)
+    vectors, target = _group_vectors(block.table, regions)
+    rho = np.zeros((block.size * n_regions, dim, dim), dtype=complex)
     step = max(1, _OUTER_CHUNK // (dim * dim))  # bounds the outer-product buffer
     for lo in range(0, len(vectors), step):
         v = vectors[lo:lo + step]
         np.add.at(rho, target[lo:lo + step], v[:, :, None] * v.conj()[:, None, :])
-    rho = rho.reshape(size, n_regions, dim, dim)
-    return rho if isinstance(states, StateBlock) else rho[0]
+    return rho.reshape(block.size, n_regions, dim, dim)
 
 
 def _group_vectors(table: TermTable, regions: np.ndarray) -> tuple:
@@ -135,8 +133,7 @@ def _group_vectors(table: TermTable, regions: np.ndarray) -> tuple:
     index = (inside.astype(np.intp) << np.arange(k - 1, -1, -1)).sum(-1)
     outside = np.repeat(table.bits[None], n_regions, axis=0)  # (R, T, n)
     outside[np.arange(n_regions)[:, None], :, regions] = 0
-    owner = np.zeros(len(table), dtype=np.intp) if table.owner is None else table.owner
-    tag = (owner * n_regions + np.arange(n_regions)[:, None]).ravel()
+    tag = (table.owner * n_regions + np.arange(n_regions)[:, None]).ravel()
     group, first = first_appearance(row_keys(outside.reshape(len(tag), -1), tag))
     vectors = np.zeros((first.size, 2 ** k), dtype=complex)
     vectors[group, index.T.ravel()] += np.tile(table.amps, n_regions)
@@ -155,14 +152,14 @@ def reduced_density_matrix(state: PureState, keep: Iterable) -> DensityMatrix:
     `BlockAnalysis` shares them between all of a block's analyses.
     """
     sites, kpos = _positions(state, keep)
-    return DensityMatrix(sites, _region_marginals(state, [kpos])[0])
+    return DensityMatrix(sites, _region_marginals(state, [kpos])[0, 0])
 
 
-def region_matrices(states, regions: Iterable) -> np.ndarray:
-    """`reduced_density_matrix` of several equal-size regions, bit for bit,
-    as one (R, d, d) stack built in one pass over the terms; for a
-    `StateBlock`, one (B, R, d, d) stack of every state's."""
-    return _region_marginals(states, [_positions(states, r)[1] for r in regions])
+def region_matrices(block, regions: Iterable) -> np.ndarray:
+    """`reduced_density_matrix` of several equal-size regions of every
+    state of a `StateBlock`, or of a state, bit for bit, as one
+    (B, R, d, d) stack built in one pass over the terms."""
+    return _region_marginals(block, [_positions(block, r)[1] for r in regions])
 
 
 def change_basis(rho: DensityMatrix, rotations: Mapping) -> DensityMatrix:
@@ -262,13 +259,13 @@ class SiteMarginals:
     entropy: np.ndarray    # (n,), or (B n,)
 
 
-def site_marginals(states) -> SiteMarginals:
-    """All one-site marginals of a state in one pass over its terms.  For
-    a `StateBlock` of B states, the B n marginals of all of them, in one
-    pass: entry b n + i is site i of state b."""
-    n = states.lattice.n_sites
-    rho = _region_marginals(states, [(p,) for p in range(n)]).reshape(-1, 2, 2)
-    return SiteMarginals(states.lattice.indices * (len(rho) // n), rho, _coherences(rho),
+def site_marginals(block) -> SiteMarginals:
+    """The B n one-site marginals of every state of a `StateBlock`, or the
+    n of a state, in one pass over the terms: entry b n + i is site i of
+    state b."""
+    n = block.lattice.n_sites
+    rho = _region_marginals(block, [(p,) for p in range(n)]).reshape(-1, 2, 2)
+    return SiteMarginals(block.lattice.indices * block.size, rho, _coherences(rho),
                          _purities(rho), entropies(rho))
 
 
@@ -279,11 +276,11 @@ class BlockAnalysis:
     The block's site marginals feed the decohered flags and the branch
     decompositions; the decompositions and the one-site entropies feed
     the clusters.  Nothing is computed until a result is asked for.  A
-    single state is the block of one owner (``StateBlock.of([state])``),
-    and a state's results are bit for bit the same in any block.
+    `PureState` is the block of one and is taken as it is; a state's
+    results are bit for bit the same in any block.
     """
 
-    def __init__(self, block: StateBlock, tol: float = BRANCH_TOL):
+    def __init__(self, block, tol: float = BRANCH_TOL):
         self.block = block
         self.tol = tol
 
@@ -317,10 +314,14 @@ class BlockAnalysis:
 
     @cached_property
     def clusters(self) -> list:
-        """Each state's `BranchClusters`, grown one state at a time."""
-        entropy = self.marginals.entropy.reshape(self.block.size, -1)
-        return [_cluster(state, e, decomp, self.tol)
-                for state, e, decomp in zip(self.block.states(), entropy, self.branches)]
+        """Each state's `BranchClusters`, grown one state at a time from
+        its rows of the block, taken as a block of one."""
+        lattice, t, size = self.block.lattice, self.block.table, self.block.size
+        entropy = self.marginals.entropy.reshape(size, -1)
+        ends = np.bincount(t.owner, minlength=size).cumsum().tolist()
+        return [_cluster(StateBlock(lattice, TermTable(t.bits[lo:hi], t.amps[lo:hi]), 1),
+                         e, decomp, self.tol)
+                for lo, hi, e, decomp in zip([0] + ends, ends, entropy, self.branches)]
 
     def correlations(self, settings: Sequence) -> np.ndarray:
         """`correlation` of each (a, b) pair of `MeasurementSetting`s for
@@ -375,10 +376,10 @@ def branch_decompose(state: PureState, tol: float = BRANCH_TOL) -> BranchDecompo
     sum to one, and equal the Born probabilities of the corresponding
     records.
     """
-    return BlockAnalysis(StateBlock.of([state]), tol).branches[0]
+    return BlockAnalysis(state, tol).branches[0]
 
 
-def branch_table(block: StateBlock, marginals: SiteMarginals, tol: float) -> tuple:
+def branch_table(block, marginals: SiteMarginals, tol: float) -> tuple:
     """The bit-basis branches of every state of a block, from its
     `site_marginals`: the one grouping of terms into branches.
 
@@ -440,19 +441,18 @@ def extended_branch_clusters(state: PureState, tol: float = BRANCH_TOL) -> Branc
     sites, so independently-branching regions are reported separately
     with their local branch counts and weights.
     """
-    return BlockAnalysis(StateBlock.of([state]), tol).clusters[0]
+    return BlockAnalysis(state, tol).clusters[0]
 
 
-def _pair_mutual_information(state: PureState, entropy: np.ndarray,
-                             pairs: np.ndarray) -> np.ndarray:
-    """I(a:b) for each row (a, b) of lattice positions: one-site entropies
-    from the state's (n,) `entropy`, two-site entropies from one (P, 4, 4)
-    stack."""
+def _pair_mutual_information(state, entropy: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """I(a:b) for each row (a, b) of lattice positions of a state, or of a
+    block of one: one-site entropies from its (n,) `entropy`, two-site
+    entropies from one (P, 4, 4) stack."""
     return (entropy[pairs[:, 0]] + entropy[pairs[:, 1]]
-            - entropies(_region_marginals(state, pairs)))
+            - entropies(_region_marginals(state, pairs)[0]))
 
 
-def _cluster(state: PureState, entropy: np.ndarray, decomp: BranchDecomposition,
+def _cluster(state, entropy: np.ndarray, decomp: BranchDecomposition,
              tol: float) -> BranchClusters:
     # each cluster grows from its lowest unplaced site: every round pairs
     # the sites that joined last with every unplaced site, lower position

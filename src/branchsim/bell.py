@@ -18,9 +18,9 @@ rotation is linear in the half-angle, R(theta) = cos(theta/2) I +
 sin(theta/2) J with J = [[0, 1], [-1, 0]], so every experiment's final
 state is a real combination of the four evolved states
 phi_kl = U (A_k x B_l) psi_0, A, B in {I, J}.  The schedule is played
-once on the four starts stacked, the records' <Z Z> is taken between
-those four states once
-(a real 4x4 Gram matrix G), and the whole grid follows as
+once on the four starts, held as the owners of one table; the records'
+<Z Z> is taken between those four states once (a real 4x4 Gram matrix
+G), and the whole grid follows as
 E(theta_a, theta_b) = sum v_k(a) v_m(a) v_l(b) v_n(b) G[kl, mn] with
 v(theta) = (cos theta/2, sin theta/2).  The CHSH combination is then
 maximised over all setting 4-tuples drawn from the grid, in O(k^2):
@@ -103,35 +103,31 @@ class RecordScanResult:
     e_grid: np.ndarray    # E[i, j] at (angles[i], angles[j])
 
 
-def _evolved_basis(base: TermTable, spos: tuple, compiled: list) -> tuple:
-    """The four evolved states phi_kl = U (A_k x B_l) psi_0, A, B in {I, J}.
+def _evolved_basis(base: TermTable, spos: tuple, compiled: list) -> TermTable:
+    """The four evolved states phi_kl = U (A_k x B_l) psi_0, A, B in {I, J},
+    as one table whose rows of owner 2k + l are phi_kl's terms.
 
-    Returns one table of all their terms and, per row, the index 2k + l
-    of its state.  The four inputs are stacked, each row tagged with its
-    k and l in two extra bit columns, and the schedule is played once:
-    rows with different tags never merge, so each state's rows come out
-    in its own term order with its own sums.
+    The four inputs are stacked as owners 0 to 3 and the schedule is
+    played once, each gate on every owner: rows of different owners
+    never merge, so each state's rows come out in its own term order with
+    its own sums.
     """
     a = apply_columns(base, (spos[0],), _J_ACTION)
     inputs = (base, apply_columns(base, (spos[1],), _J_ACTION),
               a, apply_columns(a, (spos[1],), _J_ACTION))
-    tags = np.repeat(np.array([[0, 0], [0, 1], [1, 0], [1, 1]], dtype=np.uint8),
-                     [len(t) for t in inputs], axis=0)
-    stacked = TermTable(np.concatenate([np.concatenate([t.bits for t in inputs]), tags], axis=1),
-                        np.concatenate([t.amps for t in inputs]))
-    played = play_step(stacked, compiled)
-    n = base.bits.shape[1]
-    owner = 2 * played.bits[:, n] + played.bits[:, n + 1]
-    return TermTable(played.bits[:, :n], played.amps), owner
+    stacked = TermTable(np.concatenate([t.bits for t in inputs]),
+                        np.concatenate([t.amps for t in inputs]),
+                        np.arange(4).repeat([len(t) for t in inputs]))
+    return play_step(stacked, compiled)
 
 
-def _record_gram(phis: TermTable, owner: np.ndarray, rpos: tuple) -> np.ndarray:
+def _record_gram(phis: TermTable, rpos: tuple) -> np.ndarray:
     """G[kl, mn] = Re <phi_kl| Z x Z |phi_mn> at the record positions,
-    summed over the union of the four supports (`owner` says which
-    phi_kl each row of `phis` belongs to)."""
+    summed over the union of the four supports (owner 2k + l of `phis`
+    is phi_kl)."""
     column, first = first_appearance(row_keys(phis.bits))
     m = np.zeros((4, len(first)), dtype=complex)
-    m[owner, column] = phis.amps
+    m[phis.owner, column] = phis.amps
     z = _record_signs(phis.bits[first], rpos)
     return ((m.conj() * z) @ m.T).real
 
@@ -157,7 +153,7 @@ def record_chsh_scan(config: ScenarioConfig, record_sites,
     and search the grid in O(k^2) with `max_chsh_from_grid`."""
     angles = scan_angles(resolution_deg)
     base, spos, compiled, rpos = _experiment_frame(config, record_sites)
-    g = _record_gram(*_evolved_basis(base, spos, compiled), rpos)
+    g = _record_gram(_evolved_basis(base, spos, compiled), rpos)
     e_grid, coeffs = record_grid(g, angles)
     value, settings = max_chsh_from_grid(angles, e_grid, coeffs)
     return RecordScanResult(value, settings, angles, e_grid)

@@ -249,22 +249,25 @@ def apply_columns(table: TermTable, positions, action: ColumnAction) -> TermTabl
     first contribution: output terms are in order of first appearance,
     and each amplitude is its contributions summed in that order.
 
-    A tagged table (see `StateBlock`) plays one gate per owner: row b of
-    the (B, k) array `positions` holds owner b's positions, and `action`
-    joins the B gates' actions in owner order.  Each row reads its
-    owner's positions and block of columns, and rows of different owners
-    never merge, so every owner's rows come out as a call on them alone
-    gives them.
+    The shape of `positions` picks the gate of each owner (see
+    `StateBlock`).  k ints play one gate, `action`, on every owner at
+    those positions, as runs and record scans do.  A (B, k) array plays
+    gate b on owner b: row b holds its positions, and `action` joins the
+    B gates' actions in owner order, so each row reads its owner's
+    positions and block of columns, as verification's random blocks do.
+    Rows of different owners never merge, so every owner's rows come
+    out as a call on them alone gives them.
     """
     bits, amps, owner = table.bits, table.amps, table.owner
+    shared = getattr(positions, "ndim", 1) == 1   # k ints, or a (B, k) array
     # one index per gate slot, selecting each row's bit at that slot
-    if owner is None:                          # the same positions on every row
+    if shared:                                 # the same positions on every row
         at = [(slice(None), p) for p in positions]
     else:                                      # each row its owner's positions
         rows = np.arange(len(bits))
         at = [(rows, p[owner]) for p in np.asarray(positions).T]
     col = bits[at[0]] if len(at) == 1 else 2 * bits[at[0]] + bits[at[1]]
-    if owner is not None:                      # and its owner's block of columns
+    if not shared:                             # and its owner's block of columns
         col = col + owner * (1 << len(at))
     if action.permutation:  # term t moves to row_bits[col[t]], nothing merges
         re, im = complex_product(action.re[col], action.im[col], amps.real, amps.imag)
@@ -281,16 +284,15 @@ def apply_columns(table: TermTable, positions, action: ColumnAction) -> TermTabl
     re, im = complex_product(action.re[entry], action.im[entry],
                              amps.real[term], amps.imag[term])
     expanded = bits[term]                      # each entry's output basis string
-    if owner is not None:
-        owner = owner[term]
+    owner = owner[term]
+    if not shared:
         at = [(np.arange(len(term)), p[term]) for _, p in at]
     _write(expanded, at, action.row_bits[entry])
     slot, source = first_appearance(row_keys(expanded, owner))
     out_re, out_im = np.zeros(len(source)), np.zeros(len(source))
     np.add.at(out_re, slot, re)                # adds in entry order, onto 0.0
     np.add.at(out_im, slot, im)
-    return TermTable.pruned(expanded[source], out_re, out_im,
-                            None if owner is None else owner[source])
+    return TermTable.pruned(expanded[source], out_re, out_im, owner[source])
 
 
 def _write(bits: np.ndarray, at: list, new: np.ndarray):

@@ -28,6 +28,7 @@ PureState objects are immutable: every operation returns a new state.
 import cmath
 import json
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import Enum
@@ -120,13 +121,22 @@ def chain_lattice(system: Iterable[int], fields: Iterable[int]) -> Lattice:
     return Lattice(tuple(Site(i, k) for i, k in tagged))
 
 
+#: The spellings of a bit: in a basis string, and as an item of a bit sequence.
+_CHAR_BITS = {"0": 0, "1": 1}
+_NUMBER_BITS = {0: 0, 1: 1}
+
+
 def _as_bits(basis, n_sites: int) -> BasisString:
-    """Normalise a basis-string argument ('0110' or iterable of bits)."""
-    if isinstance(basis, str):
-        bits = tuple(int(c) for c in basis)
-    else:
-        bits = tuple(int(b) for b in basis)
-    if len(bits) != n_sites or any(b not in (0, 1) for b in bits):
+    """Normalise a basis-string argument: a string of the characters '0'
+    and '1', or an iterable of the numbers 0 and 1.  Anything else, such
+    as a space, a Unicode digit or the string '1' in a tuple, is a
+    StateError."""
+    spelling = _CHAR_BITS if isinstance(basis, str) else _NUMBER_BITS
+    try:
+        bits = tuple([spelling[b] for b in basis])
+    except (KeyError, TypeError):   # a foreign item, or one that cannot be a key
+        bits = ()                   # no lattice is empty
+    if len(bits) != n_sites:
         raise StateError(f"basis string {basis!r} is not {n_sites} bits of 0/1")
     return bits
 
@@ -205,25 +215,30 @@ def first_appearance(keys: np.ndarray) -> tuple:
     return group, first[order]
 
 
+#: Owner 0 for any number of rows, the owner of a one-state table's rows:
+#: a zero-stride view that holds one integer, sliced to each table's
+#: length (a slice is far cheaper than a new broadcast view).
+_OWNER_0 = np.broadcast_to(np.intp(0), (sys.maxsize // 8,))
+
+
 class TermTable:
-    """The terms of a sparse state as two read-only arrays, in term order.
+    """The terms of one or several sparse states as read-only arrays.
 
     ``bits`` is (T, n) uint8, one basis string per row; ``amps`` holds the
-    T complex128 amplitudes, none of them below PRUNE_EPS in modulus and
-    no basis string twice.  Gates and constructors build tables directly;
-    `len` is the number of terms.
-
-    A tagged table holds the terms of several states (a `StateBlock`):
-    ``owner`` then gives the state of each row, and the no-repeat rule
-    holds per owner.  A plain state's table has ``owner`` None.
+    T complex128 amplitudes, none of them below PRUNE_EPS in modulus;
+    ``owner`` gives the state of each row.  Rows run owner by owner, each
+    owner's in its term order, and no owner holds a basis string twice.
+    The table of one state has owner 0 on every row: the default, a
+    zero-stride view that holds no memory.  Gates and constructors build
+    tables directly; `len` is the number of rows.
     """
 
     __slots__ = ("bits", "amps", "owner")
 
-    def __init__(self, bits: np.ndarray, amps: np.ndarray, owner=None):
+    def __init__(self, bits: np.ndarray, amps: np.ndarray, owner: np.ndarray = _OWNER_0):
+        owner = owner[:len(amps)]
         for array in (bits, amps, owner):
-            if array is not None:
-                array.setflags(write=False)
+            array.setflags(write=False)
         self.bits = bits
         self.amps = amps
         self.owner = owner
@@ -233,15 +248,15 @@ class TermTable:
 
     @classmethod
     def pruned(cls, bits: np.ndarray, re: np.ndarray, im: np.ndarray,
-               owner=None) -> "TermTable":
+               owner: np.ndarray = _OWNER_0) -> "TermTable":
         """Table of the rows whose amplitude re + i im is at least PRUNE_EPS."""
         amps = np.empty(len(re), dtype=complex)
         amps.real = re
         amps.imag = im
+        owner = owner[:len(re)]
         keep = np.hypot(re, im) >= PRUNE_EPS
         if np.count_nonzero(keep) < len(keep):
-            bits, amps = bits[keep], amps[keep]
-            owner = None if owner is None else owner[keep]
+            bits, amps, owner = bits[keep], amps[keep], owner[keep]
         return cls(bits, amps, owner)
 
 
@@ -304,20 +319,27 @@ class PureState:
     mutated in place.  Constructors (`product_state`, `entangled_state`)
     and gate application keep states normalised; `norm` lets callers
     check.
+
+    A state is the block of one: like a `StateBlock` it has a
+    ``lattice``, a ``table`` (every row of owner 0) and a ``size``, 1, so
+    every block kernel takes it as it is.
     """
 
     lattice: Lattice
     amplitudes: Mapping
+    size = 1   # a class attribute, not a field
 
     def __post_init__(self):
         table, checked = self.amplitudes, None
         if not isinstance(table, TermTable):
             n = self.lattice.n_sites
-            checked = {}
+            given = {}
             for basis, amp in table.items():
-                amp = _amplitude(basis, amp)
-                if abs(amp) >= PRUNE_EPS:
-                    checked[_as_bits(basis, n)] = amp
+                bits = _as_bits(basis, n)
+                if bits in given:   # the same basis string in two spellings
+                    raise StateError(f"duplicate basis string {basis!r}")
+                given[bits] = _amplitude(basis, amp)
+            checked = {bits: amp for bits, amp in given.items() if abs(amp) >= PRUNE_EPS}
             table = TermTable(
                 np.array(list(checked), dtype=np.uint8).reshape(len(checked), n),
                 np.fromiter(checked.values(), dtype=complex, count=len(checked)))
@@ -346,12 +368,13 @@ class PureState:
 
 @dataclass(frozen=True)
 class StateBlock:
-    """B states of one lattice held as one tagged `TermTable`.
+    """B states of one lattice held as one `TermTable`.
 
     The rows of state b are its terms, in its own term order, with
     ``table.owner`` b; the states follow one another (owner-major).
     Gates and analyses on a block never merge rows of different owners,
     so each state keeps the terms, order and sums it would have alone.
+    A `PureState` is the block of one.
     """
 
     lattice: Lattice

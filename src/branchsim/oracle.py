@@ -95,14 +95,12 @@ class DenseState:
 def dense_vectors(lattice: Lattice, table, size: int) -> np.ndarray:
     """The full vectors of `size` sparse states on `lattice`, as a
     (size, 2^n) stack scattered from the rows of one term table: row t is
-    a term of state ``table.owner[t]``, or of the one state when
-    ``owner`` is None."""
+    a term of state ``table.owner[t]``."""
     n = lattice.n_sites
     if n > MAX_DENSE_SITES:
         raise OracleError(f"{n} sites needs a 2^{n} vector; cap is {MAX_DENSE_SITES}")
-    owner = 0 if table.owner is None else table.owner
     out = np.zeros((size, 2 ** n), dtype=complex)
-    out[owner, table.bits @ (1 << np.arange(n - 1, -1, -1))] = table.amps
+    out[table.owner, table.bits @ (1 << np.arange(n - 1, -1, -1))] = table.amps
     return out
 
 

@@ -48,10 +48,6 @@ EMBED_TERMS_LIMIT = 64
 #: (`analysis._group_vectors`).
 CHUNK_CELLS = 2 ** 22
 
-#: Distinct site rows `_SiteRows` keeps before it starts again, which
-#: bounds its memory on runs whose rows rarely repeat.
-ROW_CACHE_LIMIT = 4096
-
 _SERIES_HEADER = "step,site,coherence,purity,entropy,branch_count,cluster_count\n"
 _CORRELATIONS_HEADER = "step,site_a,site_b,theta_a,theta_b,value\n"
 
@@ -65,19 +61,6 @@ def _g12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _g12_array(values: np.ndarray) -> list:
-    """`_g12` of every entry of a float64 array, as nested lists of its shape.
-
-    `_g12` runs once per distinct bit pattern, not once per entry.  The
-    patterns, not the values, are the keys: keyed on values, -0.0 would
-    share 0.0's result and lose its sign.
-    """
-    flat = np.ascontiguousarray(values, dtype=np.float64).reshape(-1)
-    keys, inverse = np.unique(flat.view(np.int64), return_inverse=True)
-    rounded = np.array([_g12(x) for x in keys.view(np.float64).tolist()], dtype=np.float64)
-    return rounded[inverse].reshape(np.shape(values)).tolist()
-
-
 class Rendered:
     """A value's JSON text, which `_write` emits as it is.  It must have
     been rendered (`_render`) at the indent where it is written."""
@@ -89,16 +72,17 @@ class Rendered:
 
 
 class _SiteRows:
-    """The site blocks of one run's steps, rendered from cached text.
+    """The site blocks of one run's steps, rendered once per distinct row.
 
     A site's row is its 11 float64 values (the matrix's four [re, im]
     pairs, coherence, purity and entropy) and its decohered flag, which
     follows from the coherence and purity at the run's tolerance.  Each
-    distinct row is rendered once, as its JSON object at the indent of a
-    step's site block and as its timeseries.csv fields, and the bit
-    patterns of a chunk's new rows are each rounded once.  Sites go in
-    `str` order in the JSON, as `json` sorts keys ("-1" before "-2",
-    "10" before "2"), and in lattice order in the CSV.
+    distinct row of a chunk of steps, told apart by the bit patterns of
+    its values (so -0.0 is not 0.0), is rounded and rendered once, as its
+    JSON object at the indent of a step's site block and as its
+    timeseries.csv fields.  Sites go in `str` order in the JSON, as
+    `json` sorts keys ("-1" before "-2", "10" before "2"), and in
+    lattice order in the CSV.
     """
 
     def __init__(self, lattice: Lattice):
@@ -106,7 +90,6 @@ class _SiteRows:
         self.order = sorted(range(len(keys)), key=keys.__getitem__)
         self.leads = [f"{_INNER_PAD}{_quote(keys[i])}: " for i in self.order]
         self.fields = [f",{key}," for key in keys]
-        self.cache: dict = {}
 
     def chunk(self, analysed: analysis.BlockAnalysis) -> list:
         """The rows of each state of an analysed block, in lattice order,
@@ -118,20 +101,14 @@ class _SiteRows:
             np.stack([m.matrices.real, m.matrices.imag], axis=-1).reshape(-1, 8),
             np.stack([m.coherence, m.purity, m.entropy], axis=1)], axis=1)
         codes = values.view(np.dtype((np.void, 8 * 11))).ravel()
-        distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        if len(self.cache) > ROW_CACHE_LIMIT:
-            self.cache.clear()
-        keys = distinct.tolist()
-        new = [i for i, key in enumerate(keys) if key not in self.cache]
-        if new:
-            where = first[new]
-            for i, r, flag in zip(new, _g12_array(values[where]), decohered[where].tolist()):
-                self.cache[keys[i]] = (
-                    _render({"rdm": [r[0:2], r[2:4], r[4:6], r[6:8]], "coherence": r[8],
-                             "purity": r[9], "entropy": r[10], "decohered": flag},
-                            _INNER_PAD),
-                    f"{r[8]:.12g},{r[9]:.12g},{r[10]:.12g},")
-        texts = [self.cache[key] for key in keys]
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        texts = []
+        for row, flag in zip(values[first].tolist(), decohered[first].tolist()):
+            r = [_g12(x) for x in row]
+            texts.append((_render({"rdm": [r[0:2], r[2:4], r[4:6], r[6:8]], "coherence": r[8],
+                                   "purity": r[9], "entropy": r[10], "decohered": flag},
+                                  _INNER_PAD),
+                          f"{r[8]:.12g},{r[9]:.12g},{r[10]:.12g},"))
         n = len(inverse) // analysed.block.size
         return [[texts[i] for i in inverse[lo:lo + n].tolist()]
                 for lo in range(0, len(inverse), n)]
@@ -316,10 +293,6 @@ def _write(value, pad: str, out) -> None:
             out("[]")
             return
         inner = pad + "  "
-        if len(value) == 2 and type(value[0]) is float and type(value[1]) is float:
-            # the hot leaf: an [re, im] pair
-            out(f"[\n{inner}{_float_text(value[0])},\n{inner}{_float_text(value[1])}\n{pad}]")
-            return
         lead = "[\n" + inner
         for item in value:
             leaf = _LEAVES.get(type(item))

@@ -152,10 +152,10 @@ COMPARE_TOL = 1e-6
 TRIAL_BLOCK = 64
 
 
-def compare_stack(block: StateBlock, vectors: np.ndarray) -> np.ndarray:
-    """Worst deviation of each state of a sparse block from its row of a
-    (B, 2^n) dense stack, across overlap, RDMs, entropies and branch
-    weights, as a (B,) array.
+def compare_stack(block, vectors: np.ndarray) -> np.ndarray:
+    """Worst deviation of each state of a sparse `StateBlock`, or of a
+    state (the block of one), from its row of a (B, 2^n) dense stack,
+    across overlap, RDMs, entropies and branch weights, as a (B,) array.
 
     Each kind comes from one call on the block: the site marginals that
     reports print, the first two and the last two sites, and
@@ -205,7 +205,7 @@ def compare_states(state: PureState, dense: oracle.DenseState) -> float:
     """Worst deviation of `state` from `dense`: the one-row `compare_stack`."""
     if state.lattice != dense.lattice:
         raise oracle.OracleError("compared states must be on the same lattice")
-    return float(compare_stack(StateBlock.of([state]), dense.vector[None])[0])
+    return float(compare_stack(state, dense.vector[None])[0])
 
 
 def dense_deviation(config: ScenarioConfig, states: list) -> float:
@@ -265,8 +265,8 @@ def random_trial_block(rng: np.random.Generator, n_trials: int,
     returns.
 
     Each sequence plays one two-site gate per step.  The sparse side
-    plays the block as one tagged table, one `apply_columns` per step,
-    which gives every trial the terms `run_schedule` gives it alone; the
+    plays the block as one table, trial b as owner b, one
+    `apply_columns` per step with each owner's gate, which gives every trial the terms `run_schedule` gives it alone; the
     dense side as one (B, 2^n) stack.  Their overlaps are compared after
     every step, and every derived quantity by one final `compare_stack`.
     """

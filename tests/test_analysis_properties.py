@@ -176,7 +176,9 @@ def test_every_rdm_is_a_density_matrix(state, data):
     assert_valid_density_matrix(rho)
     pairs = list(itertools.combinations(range(len(sites)), 2))
     if pairs:
-        for m in analysis._region_marginals(state, pairs):
+        stacked = analysis._region_marginals(state, pairs)
+        assert stacked.shape == (1, len(pairs), 4, 4)   # a state is the block of one
+        for m in stacked[0]:
             assert_valid_density_matrix(m)
 
 
@@ -203,6 +205,31 @@ def test_shared_decohered_flags_match_is_decohered(state):
 
 
 TOLERANCES = (0.0, bs.BRANCH_TOL, verify.COMPARE_TOL, 1e-2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_states(), st.sampled_from(TOLERANCES), st.data())
+def test_a_state_is_analysed_as_the_block_of_one(state, tol, data):
+    # the state taken as it is, and copied into a block of one
+    ours, copied = analysis.BlockAnalysis(state, tol), analysis.BlockAnalysis(
+        StateBlock.of([state]), tol)
+    for field in ("matrices", "coherence", "purity", "entropy"):
+        assert (getattr(ours.marginals, field).tobytes()
+                == getattr(copied.marginals, field).tobytes())
+    assert ours.marginals.sites == copied.marginals.sites == state.lattice.indices
+    assert ours.decohered.shape == (1, state.lattice.n_sites)
+    assert np.array_equal(ours.decohered, copied.decohered)
+    assert ours.branches == copied.branches
+    assert ours.clusters == copied.clusters
+    sites = state.lattice.indices
+    if len(sites) > 1:
+        settings_ = [(bs.MeasurementSetting(a, ta), bs.MeasurementSetting(b, tb))
+                     for (a, b), ta, tb in data.draw(st.lists(st.tuples(
+                         st.permutations(sites).map(lambda p: tuple(p[:2])),
+                         st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)), min_size=1, max_size=4))]
+        values = ours.correlations(settings_)
+        assert values.shape == (1, len(settings_))
+        assert values.tobytes() == copied.correlations(settings_).tobytes()
 
 
 def assert_same_decomposition(found, reference):

@@ -89,16 +89,17 @@ def test_fine_scan_stays_within_tsirelson(case):
 @settings(max_examples=120, deadline=None)
 @given(experiments())
 def test_stacked_evolution_equals_four_separate_plays(case):
-    # the scan plays its four input states as one tagged table; each
-    # state's rows must come out exactly as a play of that state alone
+    # the scan plays its four input states as the owners of one table;
+    # each state's rows must come out exactly as a play of that state alone
     config, record_sites = case
     base, spos, compiled, _ = bell._experiment_frame(config, record_sites)
-    phis, owner = bell._evolved_basis(base, spos, compiled)
+    phis = bell._evolved_basis(base, spos, compiled)
+    assert phis.bits.shape[1] == base.bits.shape[1]   # no tag columns
     a = gates.apply_columns(base, (spos[0],), bell._J_ACTION)
     inputs = (base, gates.apply_columns(base, (spos[1],), bell._J_ACTION),
               a, gates.apply_columns(a, (spos[1],), bell._J_ACTION))
     for kl, table in enumerate(inputs):
         alone = play_step(table, compiled)
-        rows = owner == kl
+        rows = phis.owner == kl
         assert np.array_equal(phis.bits[rows], alone.bits)
         assert phis.amps[rows].tobytes() == alone.amps.tobytes()

@@ -164,6 +164,48 @@ class TestPruning:
             state.amplitudes[(0, 0)] = 2.0
 
 
+#: A basis given twice in two spellings, a basis in full-width digits
+#: beside its ASCII spelling, and a basis with a space.  All three were
+#: accepted or raised a bare ValueError: the second "01" won (1 term,
+#: norm 0.64), `int` read "０１" as 01, and `int(" ")` failed.
+FOREIGN = [[("01", 0.6), ((0, 1), 0.8)], [("01", 0.6), ("\uff10\uff11", 0.8)], [("0 ", 1.0)]]
+FOREIGN_IDS = ["twice", "full-width-digits", "space"]
+
+
+class TestBasisSpelling:
+    @pytest.mark.parametrize("terms", FOREIGN, ids=FOREIGN_IDS)
+    def test_rejected_by_the_constructor(self, terms):
+        with pytest.raises(bs.StateError):
+            bs.PureState(two_site_lattice(), dict(terms))
+        with pytest.raises(bs.StateError):
+            bs.entangled_state(two_site_lattice(), terms)
+
+    @pytest.mark.parametrize("terms", FOREIGN, ids=FOREIGN_IDS)
+    def test_rejected_in_a_document(self, terms):
+        # a document spells every basis as a string, so "01" comes twice
+        doc = {"lattice": lattice_to_json(two_site_lattice()),
+               "terms": [{"basis": b if isinstance(b, str) else "01", "re": re, "im": 0.0}
+                         for b, re in terms]}
+        with pytest.raises(bs.StateError):
+            bs.state_from_document(json.dumps(doc))
+
+    def test_a_basis_given_twice_is_found_before_dust_is_pruned(self):
+        with pytest.raises(bs.StateError, match="duplicate"):
+            bs.PureState(two_site_lattice(), {"01": 1.0, (0, 1): 1e-15})
+
+    @pytest.mark.parametrize("basis", ["0", "012", "0\u0661", ("0", "1"), (0, 2), (0.5, 1),
+                                       (math.nan, 1), b"01", 1, [[0], [1]]])
+    def test_only_the_characters_or_numbers_0_and_1_are_bits(self, basis):
+        state = bs.entangled_state(two_site_lattice(), [("01", 1.0)])
+        with pytest.raises(bs.StateError, match="bits of 0/1"):
+            state.amplitude(basis)
+
+    def test_numbers_equal_to_0_and_1_are_bits(self):
+        state = bs.PureState(two_site_lattice(), {(1.0, np.uint8(0)): 0.6, "01": 0.8})
+        assert list(state.amplitudes) == [(1, 0), (0, 1)]
+        assert all(type(bit) is int for bits in state.amplitudes for bit in bits)
+
+
 def term_bits(state) -> list:
     """A state's sorted terms with each amplitude as its 16 bytes."""
     return [(bits, struct.pack("<dd", amp.real, amp.imag)) for bits, amp in state.terms()]

@@ -1,13 +1,14 @@
-"""Property tests for the report's JSON writer, its array rounding and
-its streamed steps.
+"""Property tests for the report's JSON writer, its site rows and its
+streamed steps.
 
 `json_text` must give the bytes of ``json.dumps(doc, sort_keys=True,
 indent=2)`` and a newline for any document of dicts, lists, tuples and
-scalars.  `_g12_array` must give each entry the float that `_g12` gives
-it, down to the sign bit.  A streamed report must give, step by step,
-the text and CSV rows that the whole-document assembly it replaced gave:
-`reference_report` below keeps that assembly, `_site_records` its site
-block, and `entry_loop_sites` the per-entry loop before that.
+scalars.  `_SiteRows.chunk` must render each site row as `json.dumps`
+does once every value is rounded by `_g12` alone, down to the sign
+bit.  A streamed report must give, step by step, the text and CSV rows
+that the whole-document assembly it replaced gave: `reference_report`
+below keeps that assembly, `_site_records` its site block, and
+`entry_loop_sites` the per-entry loop before that.
 """
 
 import enum
@@ -15,6 +16,7 @@ import itertools
 import json
 import math
 import struct
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -24,10 +26,10 @@ from hypothesis import strategies as st
 
 import branchsim as bs
 from branchsim import reporting
-from branchsim.analysis import BlockAnalysis, MeasurementSetting
+from branchsim.analysis import BlockAnalysis, MeasurementSetting, SiteMarginals
 from branchsim.lattice import StateBlock, lattice_to_json, norm, terms_to_json
-from branchsim.reporting import (EMBED_TERMS_LIMIT, _g12, _g12_array, _render, build_report,
-                                 json_text, write_report)
+from branchsim.reporting import (EMBED_TERMS_LIMIT, _g12, _render, build_report, json_text,
+                                 write_report)
 
 
 def reference_text(doc) -> str:
@@ -98,10 +100,6 @@ class TestJsonText:
             json_text(value)
 
 
-def bits(values) -> list:
-    return np.asarray(values, dtype=np.float64).view(np.int64).tolist()
-
-
 def from_bits(pattern: int) -> float:
     return struct.unpack("<d", struct.pack("<q", pattern))[0]
 
@@ -115,24 +113,58 @@ EDGE_FLOATS = (0.0, -0.0, math.nan, -math.nan, from_bits(0x7FF8000000000123),
                -9999999999995.0, 1000000000000.5, 0.30000000000000004, 1e16, 1.0, -1.0)
 
 
-class TestRoundingOnce:
-    @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True)
-                    | st.sampled_from(EDGE_FLOATS)
-                    | st.integers(-2 ** 63, 2 ** 63 - 1).map(from_bits), max_size=40),
-           st.sampled_from([1, 2, 4]))
-    @example(list(EDGE_FLOATS), 4)
-    @example([0.0, -0.0, 0.0, -0.0], 2)
-    def test_bit_identical_to_each_entry(self, values, width):
-        values = values[: len(values) // width * width]
-        table = np.array(values, dtype=np.float64).reshape(-1, width)
-        rows = _g12_array(table)
-        assert len(rows) == table.shape[0] and all(len(row) == width for row in rows)
-        assert [bits(row) for row in rows] == [bits([_g12(x) for x in row])
-                                               for row in table.tolist()]
+def site_rows_of(values: np.ndarray, flags: np.ndarray, size: int) -> list:
+    """`_SiteRows.chunk` of `size` states whose site rows are the rows of
+    `values`, an (size n, 11) float64 array, with decohered `flags`."""
+    n = len(values) // size
+    matrices = np.empty((len(values), 4), dtype=complex)
+    matrices.real, matrices.imag = values[:, 0:8:2], values[:, 1:8:2]   # bit for bit
+    marginals = SiteMarginals(tuple(range(n)) * size, matrices.reshape(-1, 2, 2),
+                              values[:, 8], values[:, 9], values[:, 10])
+    analysed = SimpleNamespace(marginals=marginals, decohered=flags.reshape(size, n),
+                               block=SimpleNamespace(size=size))
+    return reporting._SiteRows(bs.chain_lattice([0], range(1, n))).chunk(analysed)
 
-    def test_signed_zero_keeps_its_sign(self):
-        assert bits(_g12_array(np.array([0.0, -0.0, -0.0, 0.0]))) == bits([0.0, -0.0, -0.0, 0.0])
+
+def reference_site_row(row: list, flag: bool) -> tuple:
+    """A site row's JSON object, by `json.dumps` at a site block's indent,
+    and its CSV fields, each value rounded by `_g12` on its own."""
+    r = [_g12(x) for x in row]
+    obj = {"rdm": [r[0:2], r[2:4], r[4:6], r[6:8]], "coherence": r[8], "purity": r[9],
+           "entropy": r[10], "decohered": flag}
+    return (json.dumps(obj, sort_keys=True, indent=2).replace("\n", "\n" + " " * 8),
+            f"{r[8]:.12g},{r[9]:.12g},{r[10]:.12g},")
+
+
+edge_values = (st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGE_FLOATS)
+               | st.integers(-2 ** 63, 2 ** 63 - 1).map(from_bits))
+
+
+class TestSiteRowRounding:
+    """`_SiteRows.chunk` rounds and renders each distinct row once; every
+    row must come out as rounding each of its values alone gives it."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(edge_values, min_size=11, max_size=11), min_size=1, max_size=4),
+           st.integers(1, 3), st.integers(1, 3), st.data())
+    @example([list(EDGE_FLOATS[:11]), list(EDGE_FLOATS[9:])], 2, 2, None)
+    def test_each_row_renders_as_its_values_rounded_alone(self, distinct, n, size, data):
+        # rows repeat within and across states, so some are rendered once for many sites
+        picks = (data.draw(st.lists(st.integers(0, len(distinct) - 1), min_size=n * size,
+                                    max_size=n * size))
+                 if data is not None else [i % len(distinct) for i in range(n * size)])
+        values = np.array([distinct[i] for i in picks], dtype=np.float64)
+        flags = values.view(np.int64)[:, 8] % 2 == 0   # a function of the row, as in a run
+        rows = site_rows_of(values, flags, size)
+        assert [text for state in rows for text in state] == [
+            reference_site_row(row, bool(flag)) for row, flag in zip(values.tolist(), flags)]
+
+    def test_rows_that_differ_in_the_sign_of_zero_keep_their_own(self):
+        values = np.array([[0.0] * 11, [-0.0] * 11, [0.0] * 11], dtype=np.float64)
+        rows = site_rows_of(values, np.zeros(3, dtype=bool), 1)[0]
+        assert rows[0] == rows[2] != rows[1]
+        assert "-0.0" not in rows[0][0] and rows[1][0].count("-0.0") == 11
+        assert rows[1][1] == "-0,-0,-0,"
 
 
 def _site_records(marginals, decohered) -> dict:
@@ -140,9 +172,9 @@ def _site_records(marginals, decohered) -> dict:
     [re, im] pairs, with its rounded scalars and decohered flag."""
     m = marginals
     n = len(m.sites)
-    rows = _g12_array(np.concatenate([
+    rows = [[_g12(x) for x in row] for row in np.concatenate([
         np.stack([m.matrices.real, m.matrices.imag], axis=-1).reshape(n, 8),
-        np.stack([m.coherence, m.purity, m.entropy], axis=1)], axis=1))
+        np.stack([m.coherence, m.purity, m.entropy], axis=1)], axis=1).tolist()]
     return {
         str(site): {
             "rdm": [row[0:2], row[2:4], row[4:6], row[6:8]],
@@ -294,15 +326,14 @@ def runs(draw):
 class TestStreamedSteps:
     """Each streamed step against `json_text` of the step record that
     `reference_report` builds, with chunks of one to all steps and a
-    site-row cache that starts again at any size."""
+    run's site rows rendered once per distinct row of a chunk."""
 
     @settings(max_examples=100, deadline=None)
-    @given(runs(), st.integers(1, 2 ** 14), st.integers(0, 40))
-    def test_each_step_matches_the_reference(self, run, chunk_cells, cache_limit):
+    @given(runs(), st.integers(1, 2 ** 14))
+    def test_each_step_matches_the_reference(self, run, chunk_cells):
         config, states = run
         doc = reference_report(config, states, 1e-9)
-        with mock.patch.object(reporting, "CHUNK_CELLS", chunk_cells), \
-                mock.patch.object(reporting, "ROW_CACHE_LIMIT", cache_limit):
+        with mock.patch.object(reporting, "CHUNK_CELLS", chunk_cells):
             steps = list(build_report(config, iter(states), 1e-9, len(states) - 1).steps)
             report = build_report(config, iter(states), 1e-9, len(states) - 1)
             files = [[] for _ in report.files]

@@ -108,6 +108,28 @@ def test_a_tagged_play_equals_per_trial_runs(n_sites, n_steps, n_trials, haar, s
         assert all(same_table(p.table, run[t + 1].table) for p, run in zip(played, runs))
 
 
+@settings(max_examples=60, deadline=None)
+@given(n_sites=st.integers(2, 6), n_steps=st.integers(1, 4), n_states=st.integers(1, 6),
+       haar=st.lists(st.integers(0, 2 ** 32 - 1), max_size=2), seed=st.integers(0, 2 ** 32 - 1))
+def test_a_shared_gate_plays_every_owner_as_alone(n_sites, n_steps, n_states, haar, seed):
+    # k positions play one gate on every owner, as runs and record scans do;
+    # the library mixes permutation gates with Haar, dust and one-site gates
+    rng = np.random.default_rng(seed)
+    lattice = bs.chain_lattice([0], range(1, n_sites))
+    gate_list = library(haar) + [bs.hadamard_gate(), bs.rotation_gate(0.3)]
+    states = seeded_states(rng, lattice, n_states)
+    table = StateBlock.of(states).table
+    alone = [state.table for state in states]
+    for _ in range(n_steps):
+        gate = gate_list[rng.integers(len(gate_list))]
+        positions = tuple(rng.permutation(n_sites)[:gate.n_sites].tolist())
+        table = gates.apply_columns(table, positions, gate.action)
+        alone = [gates.apply_columns(t, positions, gate.action) for t in alone]
+        assert np.array_equal(table.owner, np.arange(n_states).repeat(list(map(len, alone))))
+        played = StateBlock(lattice, table, n_states).states()
+        assert all(same_table(p.table, t) for p, t in zip(played, alone))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_owner_axis_marginals_equal_per_state_marginals(data):
@@ -123,7 +145,7 @@ def test_owner_axis_marginals_equal_per_state_marginals(data):
     stacked = analysis._region_marginals(block, regions)
     assert stacked.shape == (len(states), len(regions), 2 ** k, 2 ** k)
     for state, rho in zip(states, stacked):
-        assert rho.tobytes() == analysis._region_marginals(state, regions).tobytes()
+        assert rho.tobytes() == analysis._region_marginals(state, regions)[0].tobytes()
 
     marginals = analysis.site_marginals(block)
     assert marginals.sites == lattice.indices * len(states)
