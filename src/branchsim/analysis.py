@@ -20,9 +20,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gates import rotation_gate, apply_gate1
-from .lattice import (PureState, StateBlock, TermTable, complex_product, first_appearance,
-                      ordered_sum, row_keys)
+from .gates import _ranges, rotation_gate, apply_gate1
+from .lattice import (PureState, TermTable, complex_product, first_appearance, ordered_sum,
+                      row_keys)
 
 #: Default tolerance for calling a site decohered / a weight a branch.
 BRANCH_TOL = 1e-9
@@ -100,44 +100,50 @@ def _positions(state: PureState, region: Iterable) -> tuple:
     return sites, tuple(state.lattice.position(s) for s in sites)
 
 
-def _region_marginals(block, regions) -> np.ndarray:
-    """Reduced density matrices of equal-size regions of every state of a
-    `StateBlock`, or of a state (the block of one), shape (B, R, d, d).
-
-    `regions` lists R tuples of k lattice positions each; d = 2^k.  For
-    every state and region the terms are grouped by their bits *outside*
-    the region, and each group contributes the outer product of its
-    amplitude vector.  Groups are numbered by first appearance in the
-    state's term order and summed in that order, so a region's matrix
-    does not depend on which other regions or states share the call.
+def _pair_marginals(table: TermTable, owners, regions) -> np.ndarray:
+    """The one partial trace: the (P, d, d) reduced density matrices of P
+    (owner, region) pairs.  Pair p keeps the k lattice positions
+    ``regions[p]`` of the table's state ``owners[p]``; d = 2^k.  That
+    state's terms are grouped by their bits *outside* the region, and the
+    outer products of the groups' amplitude vectors are summed in order of
+    first appearance, so a pair's matrix is the same whatever shares the call.
     """
-    regions = np.asarray(regions, dtype=np.intp)
-    n_regions, k = regions.shape
+    owners, regions = np.asarray(owners, dtype=np.intp), np.asarray(regions, dtype=np.intp)
+    n_pairs, k = regions.shape
     dim = 2 ** k
-    vectors, target = _group_vectors(block.table, regions)
-    rho = np.zeros((block.size * n_regions, dim, dim), dtype=complex)
+    sizes = np.bincount(table.owner, minlength=owners.max(initial=0) + 1)
+    counts = sizes[owners]
+    rows = _ranges(sizes.cumsum()[owners] - counts, counts)   # each pair's rows in turn
+    outside, index = np.take(table.bits, rows, axis=0), np.zeros(len(rows), dtype=np.intp)
+    flat = outside.reshape(-1)
+    for column in regions.T:   # one slot at a time, most significant first
+        at = column.repeat(counts)
+        at += np.arange(0, flat.size, outside.shape[1])
+        index = 2 * index + flat[at]
+        flat[at] = 0
+    tag = np.arange(n_pairs).repeat(counts)
+    keys = row_keys(outside, tag)
+    del outside, flat, at   # freed before the amplitude vectors are formed
+    group, first = first_appearance(keys)
+    amps, target = table.amps[rows], tag[first]
+    del keys, tag, rows
+    vectors = np.zeros((first.size, dim), dtype=complex)
+    vectors[group, index] = amps
+    rho = np.zeros((n_pairs, dim, dim), dtype=complex)
     step = max(1, _OUTER_CHUNK // (dim * dim))  # bounds the outer-product buffer
     for lo in range(0, len(vectors), step):
         v = vectors[lo:lo + step]
         np.add.at(rho, target[lo:lo + step], v[:, :, None] * v.conj()[:, None, :])
-    return rho.reshape(block.size, n_regions, dim, dim)
+    return rho
 
 
-def _group_vectors(table: TermTable, regions: np.ndarray) -> tuple:
-    """The groups of `_region_marginals`: one amplitude vector per
-    (owner, region, outside bits), numbered region-major and then in term
-    order, and the owner and region of each, as owner R + region.  Its
-    temporaries are freed before the outer products are formed."""
-    n_regions, k = regions.shape
-    inside = table.bits[:, regions]                            # (T, R, k)
-    index = (inside.astype(np.intp) << np.arange(k - 1, -1, -1)).sum(-1)
-    outside = np.repeat(table.bits[None], n_regions, axis=0)  # (R, T, n)
-    outside[np.arange(n_regions)[:, None], :, regions] = 0
-    tag = (table.owner * n_regions + np.arange(n_regions)[:, None]).ravel()
-    group, first = first_appearance(row_keys(outside.reshape(len(tag), -1), tag))
-    vectors = np.zeros((first.size, 2 ** k), dtype=complex)
-    vectors[group, index.T.ravel()] += np.tile(table.amps, n_regions)
-    return vectors, tag[first]
+def _region_marginals(block, regions) -> np.ndarray:
+    """`_pair_marginals` of equal-size regions of every state of a
+    `StateBlock`, or of a state (the block of one), shape (B, R, d, d)."""
+    regions = np.asarray(regions, dtype=np.intp)
+    rho = _pair_marginals(block.table, np.arange(block.size).repeat(len(regions)),
+                          np.tile(regions, (block.size, 1)))
+    return rho.reshape(block.size, len(regions), *rho.shape[1:])
 
 
 def reduced_density_matrix(state: PureState, keep: Iterable) -> DensityMatrix:
@@ -305,7 +311,7 @@ class BlockAnalysis:
         for lo, hi, mask in zip([0] + ends, ends, branched):
             sites = [s for s, m in zip(indices, mask.tolist()) if m]
             support = frozenset(sites)
-            # a tuple of a list, not of a generator (see `_cluster`)
+            # a tuple of a list, not of a generator (see `_branch_clusters`)
             decomps.append(BranchDecomposition(tuple([
                 Branch(w, dict(zip(sites, row)), support)
                 for w, row in zip(weights[lo:hi], bits[lo:hi, mask].tolist())
@@ -314,14 +320,34 @@ class BlockAnalysis:
 
     @cached_property
     def clusters(self) -> list:
-        """Each state's `BranchClusters`, grown one state at a time from
-        its rows of the block, taken as a block of one."""
-        lattice, t, size = self.block.lattice, self.block.table, self.block.size
-        entropy = self.marginals.entropy.reshape(size, -1)
-        ends = np.bincount(t.owner, minlength=size).cumsum().tolist()
-        return [_cluster(StateBlock(lattice, TermTable(t.bits[lo:hi], t.amps[lo:hi]), 1),
-                         e, decomp, self.tol)
-                for lo, hi, e, decomp in zip([0] + ends, ends, entropy, self.branches)]
+        """Each state's `BranchClusters`, grown for all states at once: each
+        round pairs every state's frontier (the sites that joined last) with
+        its unplaced branched sites, none if it kept no branch, in one call;
+        a state with an empty frontier first starts a cluster at its lowest
+        unplaced site."""
+        entropy = self.marginals.entropy.reshape(self.block.size, -1)
+        kept = np.array([decomp.n_branches > 0 for decomp in self.branches])
+        unplaced = (self.marginals.purity.reshape(entropy.shape) < 1.0 - self.tol) & kept[:, None]
+        frontier = np.zeros_like(unplaced)
+        indices, members = self.block.lattice.indices, [[] for _ in self.branches]
+        while True:
+            idle = np.flatnonzero(~frontier.any(1) & unplaced.any(1))
+            start = unplaced[idle].argmax(1)   # the lowest unplaced site
+            frontier[idle, start], unplaced[idle, start] = True, False
+            for o, p in zip(idle.tolist(), start.tolist()):
+                members[o].append([indices[p]])
+            owner, a, b = np.nonzero(frontier[:, :, None] & unplaced[:, None, :])
+            if not owner.size:
+                break
+            low, high = np.minimum(a, b), np.maximum(a, b)
+            rho = _pair_marginals(self.block.table, owner, np.stack([low, high], axis=1))
+            linked = entropy[owner, low] + entropy[owner, high] - entropies(rho) > self.tol
+            frontier[:] = False
+            frontier[owner[linked], b[linked]] = True
+            unplaced &= ~frontier
+            for o, p in np.argwhere(frontier).tolist():
+                members[o][-1].append(indices[p])
+        return [_branch_clusters(m, decomp, self.tol) for m, decomp in zip(members, self.branches)]
 
     def correlations(self, settings: Sequence) -> np.ndarray:
         """`correlation` of each (a, b) pair of `MeasurementSetting`s for
@@ -444,41 +470,15 @@ def extended_branch_clusters(state: PureState, tol: float = BRANCH_TOL) -> Branc
     return BlockAnalysis(state, tol).clusters[0]
 
 
-def _pair_mutual_information(state, entropy: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """I(a:b) for each row (a, b) of lattice positions of a state, or of a
-    block of one: one-site entropies from its (n,) `entropy`, two-site
-    entropies from one (P, 4, 4) stack."""
-    return (entropy[pairs[:, 0]] + entropy[pairs[:, 1]]
-            - entropies(_region_marginals(state, pairs)[0]))
-
-
-def _cluster(state, entropy: np.ndarray, decomp: BranchDecomposition,
-             tol: float) -> BranchClusters:
-    # each cluster grows from its lowest unplaced site: every round pairs
-    # the sites that joined last with every unplaced site, lower position
-    # first, in one call, and the linked ones join
-    branched = sorted({s for b in decomp.branches for s in b.support})
-    positions = np.array([state.lattice.position(s) for s in branched], dtype=np.intp)
-    unplaced = np.ones(len(branched), dtype=bool)
+def _branch_clusters(members: list, decomp: BranchDecomposition, tol: float) -> BranchClusters:
+    """A state's clusters from each one's sites, with its branches."""
     clusters = []
-    for start in range(len(branched)):
-        if not unplaced[start]:
-            continue
-        unplaced[start] = False
-        members = frontier = np.array([start])
-        while frontier.size and unplaced.any():
-            rest = np.flatnonzero(unplaced)
-            a, b = np.repeat(frontier, rest.size), np.tile(rest, frontier.size)
-            pairs = positions[np.stack([np.minimum(a, b), np.maximum(a, b)], axis=1)]
-            linked = _pair_mutual_information(state, entropy, pairs) > tol
-            frontier = rest[linked.reshape(-1, rest.size).any(axis=0)]
-            unplaced[frontier] = False
-            members = np.concatenate([members, frontier])
+    for sites in members:
         # tuples of lists, not of generators: `tuple` sizes a generator's
         # result by a guess and then resizes it, which shifts one cached
         # tuple between the interpreter's free lists per call, and a long
         # in-process run holds them until a full collection
-        sites = tuple([branched[i] for i in np.sort(members)])
+        sites = tuple(sorted(sites))
         local: dict = {}
         for br in decomp.branches:
             key = tuple([(s, br.assignment[s]) for s in sites])

@@ -34,7 +34,8 @@ from typing import Union
 
 import numpy as np
 
-from .lattice import PureState, TermTable, complex_product, first_appearance, row_keys
+from .lattice import (PureState, TermTable, complex_product, first_appearance, owner_rows,
+                      row_keys)
 
 #: Gate matrices must be unitary to this tolerance.
 UNITARITY_TOL = 1e-12
@@ -284,7 +285,7 @@ def apply_columns(table: TermTable, positions, action: ColumnAction) -> TermTabl
     re, im = complex_product(action.re[entry], action.im[entry],
                              amps.real[term], amps.imag[term])
     expanded = bits[term]                      # each entry's output basis string
-    owner = owner[term]
+    owner = owner_rows(owner, term)
     if not shared:
         at = [(np.arange(len(term)), p[term]) for _, p in at]
     _write(expanded, at, action.row_bits[entry])
@@ -292,7 +293,8 @@ def apply_columns(table: TermTable, positions, action: ColumnAction) -> TermTabl
     out_re, out_im = np.zeros(len(source)), np.zeros(len(source))
     np.add.at(out_re, slot, re)                # adds in entry order, onto 0.0
     np.add.at(out_im, slot, im)
-    return TermTable.pruned(expanded[source], out_re, out_im, owner[source])
+    return TermTable.pruned(expanded[source], out_re, out_im,
+                             owner_rows(owner, source))
 
 
 def _write(bits: np.ndarray, at: list, new: np.ndarray):

@@ -221,6 +221,13 @@ def first_appearance(keys: np.ndarray) -> tuple:
 _OWNER_0 = np.broadcast_to(np.intp(0), (sys.maxsize // 8,))
 
 
+def owner_rows(owner: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``owner[rows]`` for an index array `rows`.  The owner of a
+    one-state table, a zero-stride slice of `_OWNER_0`, stays such a
+    slice, since every row it gathers is owner 0."""
+    return _OWNER_0[:len(rows)] if owner.strides == (0,) else owner[rows]
+
+
 class TermTable:
     """The terms of one or several sparse states as read-only arrays.
 
@@ -253,10 +260,10 @@ class TermTable:
         amps = np.empty(len(re), dtype=complex)
         amps.real = re
         amps.imag = im
-        owner = owner[:len(re)]
         keep = np.hypot(re, im) >= PRUNE_EPS
         if np.count_nonzero(keep) < len(keep):
-            bits, amps, owner = bits[keep], amps[keep], owner[keep]
+            keep = np.flatnonzero(keep)
+            bits, amps, owner = bits[keep], amps[keep], owner_rows(owner, keep)
         return cls(bits, amps, owner)
 
 
@@ -497,8 +504,9 @@ def entangled_state(lattice: Lattice, terms: Iterable) -> PureState:
 # The document's "lattice" list of {"index", "kind"} objects and its
 # "terms" list of {"basis", "re", "im"} objects are also how a scenario
 # config spells a lattice and an initial superposition; both documents
-# are read by `read_lattice` and `read_terms`, and every number in
-# either goes through `read_number` or `read_whole`.
+# are read by `read_lattice` and `read_terms`, every list in either goes
+# through `read_list`, and every number through `read_number` or
+# `read_whole`.
 
 def _is_number(value) -> bool:
     """A JSON number is an int or a float, never a boolean (which Python
@@ -522,11 +530,19 @@ def read_whole(value, key: str) -> int:
     return int(value)
 
 
+def read_list(value, key: str) -> list:
+    """`value`, unchanged, if it is a JSON list; `key` names it in the
+    error (an object would otherwise be read as its list of keys)."""
+    if not isinstance(value, list):
+        raise StateError(f"'{key}' must be a list, got {value!r}")
+    return value
+
+
 def read_lattice(entries) -> Lattice:
     """A lattice from a list of {"index": whole number, "kind": "system"
     or "field"} objects, in index order."""
     return Lattice(tuple(Site(read_whole(s["index"], "index"), SiteKind(s["kind"]))
-                         for s in entries))
+                         for s in read_list(entries, "lattice")))
 
 
 def read_terms(entries) -> dict:
@@ -534,7 +550,7 @@ def read_terms(entries) -> dict:
     "re": number, "im": number} objects; "im" may be left out.  A basis
     string may not repeat.  Amplitudes are not rescaled."""
     amps = {}
-    for t in entries:
+    for t in read_list(entries, "terms"):
         basis = t["basis"]
         if not isinstance(basis, str):
             raise StateError(f"basis {basis!r} is not a string")

@@ -43,9 +43,9 @@ EMBED_TERMS_LIMIT = 64
 
 #: A chunk of steps is analysed as one block of states until its terms
 #: times sites times the larger of sites and correlation settings reach
-#: this: the bytes of the largest temporary of the block's one-site
-#: marginals or of its two-site correlation matrices
-#: (`analysis._group_vectors`).
+#: this: the bytes of the outside bits that the partial trace
+#: (`analysis._pair_marginals`) gathers for the block's one-site
+#: marginals or for its two-site correlation matrices.
 CHUNK_CELLS = 2 ** 22
 
 _SERIES_HEADER = "step,site,coherence,purity,entropy,branch_count,cluster_count\n"

@@ -40,7 +40,8 @@ import numpy as np
 from .gates import Gate, Gate1, Gate2, GateError, apply_columns, gate_by_name
 from .gates import apply_gate2  # noqa: F401 - a binding the benchmark's trace self-test checks
 from .lattice import (Lattice, PureState, TermTable, chain_lattice, entangled_state,
-                      product_state, read_lattice, read_number, read_terms, read_whole)
+                      product_state, read_lattice, read_list, read_number, read_terms,
+                      read_whole)
 
 
 #: Longest horizon a schedule is played to: 40 times the 256-site chain's
@@ -460,9 +461,10 @@ def config_from_document(text: str) -> ScenarioConfig:
             initial = _initial_from_config(doc["initial"], lattice)
             sched = Schedule(tuple(
                 GateApplication(read_whole(e["time"], "time"),
-                                tuple(read_whole(site, "sites") for site in e["sites"]),
+                                tuple(read_whole(site, "sites")
+                                      for site in read_list(e["sites"], "sites")),
                                 _gate_from_config(e["gate"]))
-                for e in doc.get("schedule", ())))
+                for e in read_list(doc.get("schedule", []), "schedule")))
             horizon = read_whole(doc.get("horizon", sched.horizon), "horizon")
             config = ScenarioConfig(str(doc.get("name", "custom")), lattice, initial,
                                     sched, horizon)

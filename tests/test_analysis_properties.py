@@ -4,8 +4,10 @@ Random sparse states (at most 6 sites, at most 16 terms) check that the
 one-pass site marginals and the batched pair mutual information agree
 with the one-region functions, that the branches of a state, alone or
 in a block, equal the per-state dict loop kept here as the reference,
-that `entropy_of` and `correlation` agree with their textbook formulas,
-and that every density matrix built on the way is a valid one.
+that the clusters of every state of a block, grown together, equal the
+components of that state's all-pairs graph, that `entropy_of` and
+`correlation` agree with their textbook formulas, and that every
+density matrix built on the way is a valid one.
 """
 
 import itertools
@@ -159,10 +161,13 @@ def test_batched_pair_mutual_information_matches_per_pair(state):
     pairs = np.array(list(itertools.combinations(range(len(sites)), 2)), dtype=np.intp)
     if not pairs.size:
         return
-    marginals = analysis.site_marginals(state)
-    batched = analysis._pair_mutual_information(state, marginals.entropy, pairs)
+    # the growth's formula on one kernel call, against the public one pair
+    # at a time: the same matrices and entropies, so the same bits
+    entropy = analysis.site_marginals(state).entropy
+    rho = analysis._pair_marginals(state.table, np.zeros(len(pairs), dtype=np.intp), pairs)
+    batched = entropy[pairs[:, 0]] + entropy[pairs[:, 1]] - analysis.entropies(rho)
     for (a, b), value in zip(pairs, batched):
-        assert abs(value - bs.mutual_information(state, [sites[a]], [sites[b]])) <= 1e-12
+        assert value == bs.mutual_information(state, [sites[a]], [sites[b]])
 
 
 @settings(max_examples=200, deadline=None)
@@ -262,12 +267,9 @@ def all_pairs_clusters(state, tol=bs.BRANCH_TOL):
     Returns (sites, {assignment: weight}) per cluster."""
     decomp = bs.branch_decompose(state, tol)
     branched = sorted(decomp.branches[0].support) if decomp.branches else []
-    marginals = analysis.site_marginals(state)
-    position = state.lattice.position
     neighbours = {s: set() for s in branched}
-    for a, b in itertools.combinations(branched, 2):
-        pair = np.array([[position(a), position(b)]], dtype=np.intp)
-        if analysis._pair_mutual_information(state, marginals.entropy, pair)[0] > tol:
+    for a, b in itertools.combinations(branched, 2):   # lower site, and position, first
+        if bs.mutual_information(state, [a], [b]) > tol:
             neighbours[a].add(b)
             neighbours[b].add(a)
     clusters, placed = [], set()
@@ -289,23 +291,26 @@ def all_pairs_clusters(state, tol=bs.BRANCH_TOL):
     return clusters
 
 
-def assert_clusters_match_all_pairs(state):
-    found = bs.extended_branch_clusters(state)
-    reference = all_pairs_clusters(state)
+def assert_clusters_match_all_pairs(state, found=None, tol=bs.BRANCH_TOL):
+    """`found`, the state's clusters (by default its own), against the
+    all-pairs reference."""
+    found = found or bs.extended_branch_clusters(state, tol)
+    reference = all_pairs_clusters(state, tol)
     assert [c.sites for c in found.clusters] == [sites for sites, _ in reference]
     for cluster, (sites, local) in zip(found.clusters, reference):
         assert [(b.key(), b.weight) for b in cluster.branches] == sorted(local.items())
         assert all(b.support == frozenset(sites) for b in cluster.branches)
-    assert found.unbranched == bs.branch_decompose(state).unbranched
+    assert found.unbranched == bs.branch_decompose(state, tol).unbranched
+    assert found.tolerance == tol
 
 
 @st.composite
-def function_states(draw):
+def function_states(draw, n_sites=None):
     """Even superpositions over m free bits on which every other site is a
     Boolean function, in a shuffled site order: records, parities and
     constants, whose pairs are often exactly uncorrelated."""
-    m = draw(st.integers(1, 3))
-    n = draw(st.integers(m, 7))
+    m = draw(st.integers(1, min(3, n_sites or 3)))
+    n = n_sites or draw(st.integers(m, 7))
     tables = [draw(st.integers(0, 2 ** 2 ** m - 1)) for _ in range(n - m)]
     order = draw(st.permutations(range(n)))
     terms = []
@@ -391,24 +396,82 @@ def test_fixed_states_have_the_expected_clusters():
 def test_and_chain_needs_a_second_round():
     # in the reference graph sites 2 and 4 are not neighbours of site 0
     state = and_chain_state()
-    marginals = analysis.site_marginals(state)
-    mi = lambda a, b: analysis._pair_mutual_information(
-        state, marginals.entropy, np.array([[a, b]], dtype=np.intp))[0]
+    mi = lambda a, b: bs.mutual_information(state, [a], [b])
     assert mi(0, 2) <= bs.BRANCH_TOL and mi(0, 4) <= bs.BRANCH_TOL
     assert mi(0, 1) > bs.BRANCH_TOL and mi(1, 2) > bs.BRANCH_TOL
+
+
+def recorded_growth(monkeypatch, block, tol=bs.BRANCH_TOL):
+    """Grow a block's clusters with every kernel call recorded: returns
+    the clusters and, per call, its (owner, low, high) position triples."""
+    calls, original = [], analysis._pair_marginals
+
+    def recorded(table, owners, regions):
+        assert (regions[:, 0] < regions[:, 1]).all()   # lower lattice position first
+        calls.append(list(zip(owners.tolist(), *regions.T.tolist())))
+        return original(table, owners, regions)
+
+    shared = analysis.BlockAnalysis(block, tol)
+    shared.branches   # the marginals and branches first, outside the record
+    monkeypatch.setattr(analysis, "_pair_marginals", recorded)
+    clusters = shared.clusters
+    monkeypatch.undo()
+    return clusters, calls
 
 
 @pytest.mark.parametrize("name", sorted(FIXED_STATES))
 def test_growth_evaluates_each_pair_at_most_once(monkeypatch, name):
     state = FIXED_STATES[name]()
-    seen, original = [], analysis._pair_mutual_information
-
-    def recorded(state, entropy, pairs):
-        seen.extend(map(tuple, pairs.tolist()))
-        assert (pairs[:, 0] < pairs[:, 1]).all()   # lower lattice position first
-        return original(state, entropy, pairs)
-
-    monkeypatch.setattr(analysis, "_pair_mutual_information", recorded)
     k = len(bs.branch_decompose(state).branches[0].support)
-    bs.extended_branch_clusters(state)
+    _, calls = recorded_growth(monkeypatch, state)
+    seen = [triple for call in calls for triple in call]
     assert len(seen) == len(set(seen)) <= k * (k - 1) // 2
+    assert {owner for owner, _, _ in seen} <= {0}
+
+
+def two_plus_state(lattice):
+    """Sites 0 and 1 in |+>, the rest up: four branches of weight 1/4."""
+    terms = [(f"{a}{b}" + "0" * (lattice.n_sites - 2), 1.0) for a in (0, 1) for b in (0, 1)]
+    return bs.entangled_state(lattice, terms)
+
+
+def bell_state(lattice):
+    """A Bell pair on sites 0 and 1, the rest up: two branches of weight 1/2."""
+    return bs.entangled_state(lattice, [("0" * lattice.n_sites, 1.0),
+                                        ("11" + "0" * (lattice.n_sites - 2), 1.0)])
+
+
+@pytest.mark.parametrize("tol", [bs.BRANCH_TOL, 0.3])
+def test_a_block_takes_the_calls_of_its_slowest_owner(monkeypatch, tol):
+    # and_chain needs two rounds for its one cluster and the five-qubit
+    # code four for its five; at tol 0.3 only the Bell pair keeps a branch
+    lattice = bs.chain_lattice([0], [1, 2, 3, 4])
+    states = [and_chain_state(), five_qubit_code_state(), two_plus_state(lattice),
+              bell_state(lattice), and_chain_state()]
+    found, calls = recorded_growth(monkeypatch, StateBlock.of(states), tol)
+    alone = [len(recorded_growth(monkeypatch, state, tol)[1]) for state in states]
+    assert len(calls) == max(alone)
+    seen = [triple for call in calls for triple in call]
+    assert len(seen) == len(set(seen))
+    for b, (state, clusters) in enumerate(zip(states, found)):
+        assert sorted((lo, hi) for owner, lo, hi in seen if owner == b) == sorted(
+            (lo, hi) for call in recorded_growth(monkeypatch, state, tol)[1]
+            for _, lo, hi in call)
+        assert_clusters_match_all_pairs(state, clusters, tol)
+    if tol == 0.3:
+        assert [c.n_clusters for c in found] == [0, 0, 0, 1, 0]
+    else:
+        assert alone[:2] == [2, 4]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from(TOLERANCES + (0.3,)))
+def test_block_clusters_equal_each_states_all_pairs_clusters(data, tol):
+    n_sites = data.draw(st.integers(1, 6))
+    lattice = bs.chain_lattice([0], range(1, n_sites))
+    states = [bs.PureState(lattice, state.table) for state in data.draw(st.lists(
+        st.one_of(sparse_states(n_sites), function_states(n_sites)), min_size=1, max_size=5))]
+    found = analysis.BlockAnalysis(StateBlock.of(states), tol).clusters
+    assert len(found) == len(states)
+    for state, clusters in zip(states, found):
+        assert_clusters_match_all_pairs(state, clusters, tol)

@@ -305,6 +305,19 @@ class TestBadInput:
         err = self.run_fails_cleanly(tmp_path, capsys, doc)
         assert "'product' must be an object" in err
 
+    @pytest.mark.parametrize("key, doc", [
+        ("schedule", dict(EXPLICIT, schedule={"a": 1})),
+        ("lattice", dict(EXPLICIT, lattice={"index": 0, "kind": "system"})),
+        ("terms", dict(EXPLICIT, initial={"terms": {"basis": "00", "re": 1.0}})),
+        ("sites", dict(EXPLICIT, schedule=[{"time": 0, "sites": 0, "gate": "U_si"}])),
+    ])
+    def test_object_or_number_where_a_list_belongs(self, tmp_path, capsys, key, doc):
+        # an object was read as its list of keys, and the error named no key
+        # ("string indices must be integers", "'int' object is not iterable")
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        assert f"'{key}' must be a list" in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("part, value", [("re", math.nan), ("im", math.inf)],
                              ids=["re-nan", "im-infinity"])
     def test_term_amplitude_that_is_not_finite(self, tmp_path, capsys, part, value):

@@ -14,6 +14,8 @@ recorded while `run` still built the whole report before writing it:
 the first pins a 256-site chain, the second a lattice with negative
 indices and more than ten sites (so site keys sort as strings, not as
 numbers), 128 to 256 unembedded terms per step, and every analysis.
+The `wide_brickwork` case, recorded while clusters still grew one state
+at a time, pins the default analyses on 1,024-term states of 32 sites.
 
 The digests are tied to the numpy/LAPACK build they were recorded with
 (numpy 2.4 on x86-64 OpenBLAS): entropies of pure sites carry eigenvalue
@@ -78,6 +80,27 @@ def _twelve_negative() -> dict:
     }
 
 
+def _wide_brickwork() -> dict:
+    """The many-term shape: 32 sites, ten of them in |+> and the rest
+    up, so every step holds 1,024 terms; an 8-step brickwork of U_si on
+    the first pair and U_copy or U_swap elsewhere; the default analyses."""
+    r = 0.7071067811865475
+    plus = {1, 3, 6, 10, 13, 17, 20, 24, 27, 30}
+    schedule = []
+    for t in range(8):
+        for a in range(t % 2, 31, 2):
+            gate = "U_si" if a == 0 else ("U_copy", "U_swap")[(3 * a + t) % 5 < 2]
+            schedule.append({"time": t, "sites": [a, a + 1], "gate": gate})
+    return {
+        "name": "wide brickwork",
+        "lattice": [{"index": s, "kind": "system" if s == 0 else "field"} for s in range(32)],
+        "initial": {"product": {str(s): [[r, 0], [r, 0]] if s in plus else [[1, 0], [0, 0]]
+                                for s in range(32)}},
+        "schedule": schedule,
+        "horizon": 8,
+    }
+
+
 # name -> (config document, report.json sha256, timeseries.csv sha256)
 GOLDEN = {
     "single": (
@@ -124,6 +147,11 @@ GOLDEN = {
         _wide_unembedded(),
         "ca0a0fd14c86614c2b4cf679a6457fd042d137c20b958b35dd5f0f16b3e158eb",
         "ad17925f01bdf5b917c17df10a28e0d52a4e07a709746a270dd458ea2b84e9bc",
+    ),
+    "wide_brickwork": (
+        _wide_brickwork(),
+        "ce7c9d0fd4babfc9f0496ddeee0a8e0130f8606195bbf0bfa5704769be36bc7d",
+        "4a9052ae88ba577068c58aece8892c7cff08ef76fbf1969eb1b0307fa1dcb80a",
     ),
 }
 

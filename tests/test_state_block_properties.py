@@ -4,8 +4,10 @@
 whose rows carry an owner and never merge across owners.  Each result on
 a block must equal the per-state result it replaces, term for term and
 bit for bit, down to the sign of zero: `run_schedule` for evolution and
-the per-state `_region_marginals` and the branch dict loop
-(`test_analysis_properties.loop_decompose`) for analysis.
+the per-state `_region_marginals`, the dict-loop partial trace
+(`test_analysis_properties.loop_rdm`) and the branch dict loop
+(`test_analysis_properties.loop_decompose`) for analysis.  A one-state
+table keeps its zero-stride owner through every gate.
 A golden digest pins the first 2,048 per-trial deviations of the random
 suite.
 """
@@ -19,9 +21,9 @@ from hypothesis import strategies as st
 
 import branchsim as bs
 from branchsim import analysis, gates, oracle, verify
-from branchsim.lattice import StateBlock, first_appearance, row_keys
+from branchsim.lattice import StateBlock, TermTable, first_appearance, row_keys
 from branchsim.schedule import GateApplication, Schedule, run_schedule
-from test_analysis_properties import loop_decompose
+from test_analysis_properties import loop_decompose, loop_rdm
 
 components = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
                        st.floats(-1.0, 1.0, allow_nan=False))
@@ -161,6 +163,59 @@ def test_owner_axis_marginals_equal_per_state_marginals(data):
         assert np.float64(decomp.weights).tobytes() == weights[mine].tobytes()
         assert [list(br.assignment.values()) for br in decomp.branches] == \
             bits[mine][:, branched[b]].tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_the_kernel_equals_the_loop_on_shuffled_pairs(data):
+    # (owner, region) pairs in any order, repeats included; site ids are
+    # lattice positions here, so a region is both
+    n_sites = data.draw(st.integers(1, 8))
+    lattice = bs.chain_lattice([0], range(1, n_sites))
+    states = data.draw(st.lists(states_on(lattice), min_size=1, max_size=5))
+    k = data.draw(st.integers(1, min(3, n_sites)))
+    pairs = data.draw(st.lists(st.tuples(
+        st.integers(0, len(states) - 1),
+        st.permutations(range(n_sites)).map(lambda p: tuple(p[:k]))), min_size=1, max_size=12))
+    table = StateBlock.of(states).table
+    owners = np.array([owner for owner, _ in pairs], dtype=np.intp)
+    regions = np.array([region for _, region in pairs], dtype=np.intp)
+    rho = analysis._pair_marginals(table, owners, regions)
+    assert rho.shape == (len(pairs), 2 ** k, 2 ** k)
+    for (owner, region), m in zip(pairs, rho):
+        assert m.tobytes() == loop_rdm(states[owner], region).tobytes()
+    # every owner but the last left without a pair
+    last = analysis._pair_marginals(table, np.full(len(pairs), len(states) - 1), regions)
+    for region, m in zip(regions.tolist(), last):
+        assert m.tobytes() == loop_rdm(states[-1], region).tobytes()
+
+
+def owned(table):
+    """The table with its owner 0 held as a real array, one word per row."""
+    return TermTable(table.bits, table.amps, np.zeros(len(table), dtype=np.intp))
+
+
+@pytest.mark.parametrize("gate", [
+    bs.hadamard_gate(), bs.rotation_gate(0.3), oracle.random_gate2(np.random.default_rng(5)),
+    gates.Gate2("dust", np.kron(bs.rotation_gate(1e-15).matrix, np.eye(2)))],
+    ids=["H", "rotation", "Haar", "dust"])
+def test_a_one_state_table_keeps_its_zero_stride_owner(gate):
+    # merging, pruning and Haar gates gather rows; a one-state owner stays
+    # a view of no memory and the terms are those of a real owner array
+    table = bs.scenario_single(0.6, 0.8, 4).initial.table
+    positions = tuple(range(gate.n_sites))
+    for _ in range(3):
+        ours = gates.apply_columns(table, positions, gate.action)
+        theirs = gates.apply_columns(owned(table), positions, gate.action)
+        assert ours.owner.strides == (0,) and theirs.owner.strides == (8,)
+        assert same_table(ours, theirs) and not theirs.owner.any()
+        assert len(ours.owner) == len(ours)
+        table = ours
+    re = np.array([0.6, 1e-15, -0.0, 0.8])
+    pruned = TermTable.pruned(np.eye(4, dtype=np.uint8), re, np.zeros(4))
+    assert pruned.owner.strides == (0,) and len(pruned.owner) == 2
+    assert pruned.bits.tolist() == [[1, 0, 0, 0], [0, 0, 0, 1]]
+    assert pruned.amps.tobytes() == np.array([0.6, 0.8], dtype=complex).tobytes()
 
 
 @settings(max_examples=150, deadline=None)
