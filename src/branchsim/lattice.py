@@ -484,7 +484,11 @@ def entangled_state(lattice: Lattice, terms: Iterable) -> PureState:
         if bits in amps:
             raise StateError(f"duplicate basis string {basis!r}")
         amps[bits] = _amplitude(basis, amp)
-    total = sum(a.real * a.real + a.imag * a.imag for a in amps.values())
+    # left to right, so the bits do not depend on the Python version
+    # (`sum` of floats is compensated from Python 3.12)
+    values = np.array(list(amps.values()), dtype=complex)
+    with np.errstate(over="ignore"):
+        total = ordered_sum(values.real * values.real + values.imag * values.imag)
     if total < PRUNE_EPS:
         raise StateError("zero-norm term list")
     if total == math.inf:   # would scale every amplitude to 0
@@ -505,8 +509,8 @@ def entangled_state(lattice: Lattice, terms: Iterable) -> PureState:
 # "terms" list of {"basis", "re", "im"} objects are also how a scenario
 # config spells a lattice and an initial superposition; both documents
 # are read by `read_lattice` and `read_terms`, every list in either goes
-# through `read_list`, and every number through `read_number` or
-# `read_whole`.
+# through `read_list`, every entry of a list of objects through
+# `read_object`, and every number through `read_number` or `read_whole`.
 
 def _is_number(value) -> bool:
     """A JSON number is an int or a float, never a boolean (which Python
@@ -538,11 +542,31 @@ def read_list(value, key: str) -> list:
     return value
 
 
+class _Entry(dict):
+    """A list entry read by `read_object`: a missing field names the list."""
+
+    def __init__(self, value, key: str):
+        super().__init__(value)
+        self.key = key
+
+    def __missing__(self, field):
+        raise StateError(f"'{self.key}' entry {dict(self)!r} has no '{field}'")
+
+
+def read_object(value, key: str) -> dict:
+    """An entry of the list `key`, if it is a JSON object; `key` names the
+    list in the error, and in the error for a missing field."""
+    if not isinstance(value, dict):
+        raise StateError(f"'{key}' entries must be objects, got {value!r}")
+    return _Entry(value, key)
+
+
 def read_lattice(entries) -> Lattice:
     """A lattice from a list of {"index": whole number, "kind": "system"
     or "field"} objects, in index order."""
+    sites = [read_object(s, "lattice") for s in read_list(entries, "lattice")]
     return Lattice(tuple(Site(read_whole(s["index"], "index"), SiteKind(s["kind"]))
-                         for s in read_list(entries, "lattice")))
+                         for s in sites))
 
 
 def read_terms(entries) -> dict:
@@ -551,6 +575,7 @@ def read_terms(entries) -> dict:
     string may not repeat.  Amplitudes are not rescaled."""
     amps = {}
     for t in read_list(entries, "terms"):
+        t = read_object(t, "terms")
         basis = t["basis"]
         if not isinstance(basis, str):
             raise StateError(f"basis {basis!r} is not a string")

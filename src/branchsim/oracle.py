@@ -8,11 +8,15 @@ evidence of correctness, not a tautology.
 
 The engine works on stacks: B states of one lattice as a (B, 2^n)
 array.  `apply_stack` plays one gate per state with one batched matmul
-per set of sites, and `analyse_stack` builds the marginals of every
-state at once.  The single-state functions (`dense_apply`, `dense_rdm`,
-`dense_entropy`, `dense_branch_weights`, ...) are the B = 1 case, and
-give the same bits as a stack row: numpy's stacked matmul, QR and
-eigvalsh compute each item as the single call does, which the tests pin.
+per set of sites, and `analyse_stack` builds the marginals and branches
+of every state at once.  Its branches take the layout of the sparse
+`branch_table`, one row per branch ordered by state and then by bits,
+so the two tables are compared row for row; the layout is shared, the
+code that fills it is not.  The single-state functions (`dense_apply`,
+`dense_rdm`, `dense_entropy`, `dense_branch_weights`, ...) are the
+B = 1 case, and give the same bits as a stack row: numpy's stacked
+matmul, QR and eigvalsh compute each item as the single call does,
+which the tests pin.
 
 Capped at 20 sites (a 2^20 vector); the sparse engine has no such cap.
 """
@@ -33,32 +37,18 @@ class OracleError(ValueError):
     """Lattice too large for a dense vector, or mismatched operands."""
 
 
-class DenseBranches(NamedTuple):
-    """The bit-basis branches of one dense state (see `dense_branch_weights`).
-
-    `sites` are the branched sites, in lattice order.  Branch g has the
-    bits ``bits[g]`` on them and the weight ``weights[g]``; branches are
-    listed by their bits, ascending, as `branch_decompose` lists them.
-    """
-
-    sites: tuple
-    bits: np.ndarray     # (G, len(sites)) uint8
-    weights: np.ndarray  # (G,)
-
-    def as_dict(self) -> dict:
-        """assignment -> weight, assignments as ((site, bit), ...) tuples."""
-        return {tuple(zip(self.sites, row)): w
-                for row, w in zip(self.bits.tolist(), self.weights.tolist())}
-
-
 class DenseAnalysis(NamedTuple):
-    """The marginals of a (B, 2^n) stack of dense states, as `analyse_stack`
-    builds them; the first axis of every field runs over the states.
+    """The marginals and branches of a (B, 2^n) stack of dense states, as
+    `analyse_stack` builds them.
 
     ``site_rdms[b, i]`` is the density matrix of state b's i-th lattice
     site and ``site_entropy[b, i]`` its entropy; ``region_rdms[b, r]``
-    and ``region_entropy[b, r]`` belong to the r-th region analysed, and
-    ``branches[b]`` are state b's branches at the tolerance analysed.
+    and ``region_entropy[b, r]`` belong to the r-th region analysed.
+    ``branches`` is every state's branches at the tolerance analysed, as
+    the sparse `branch_table` lays them out, (owner, bits, weights,
+    branched): per branch, ordered by state and then by bits, its state,
+    its (n,) uint8 bit row with zeros off the state's branched sites and
+    its weight; and the (B, n) mask of each state's branched sites.
     Each value has the bits of the single-state function that computes it.
     """
 
@@ -66,7 +56,7 @@ class DenseAnalysis(NamedTuple):
     site_entropy: np.ndarray    # (B, n)
     region_rdms: np.ndarray     # (B, R, d, d)
     region_entropy: np.ndarray  # (B, R)
-    branches: list              # B DenseBranches
+    branches: tuple             # (G,) owner, (G, n) bits, (G,) weights, (B, n) branched
 
 
 @dataclass(frozen=True)
@@ -224,14 +214,15 @@ def _purities(rdms: np.ndarray) -> np.ndarray:
 
 
 def _branches(lattice: Lattice, vectors: np.ndarray, purities: np.ndarray,
-              tol: float) -> list:
-    """The `DenseBranches` of every state of a stack, from its one-site
-    purities (B, n).
+              tol: float) -> tuple:
+    """The `DenseAnalysis.branches` of every state of a stack, from its
+    one-site purities (B, n).
 
     The indices of state b group by their bits on its branched sites,
     with one `bincount`, which adds each group's probabilities in index
     order as a loop over the indices would.  Groups above `tol` are
-    kept, and their total is summed in order of first nonzero index.
+    kept, and their total is added onto 0.0 in order of first nonzero
+    index.
     """
     n, dim = lattice.n_sites, vectors.shape[1]
     shifts = np.arange(n - 1, -1, -1)
@@ -244,17 +235,14 @@ def _branches(lattice: Lattice, vectors: np.ndarray, purities: np.ndarray,
     seen, first = np.unique(groups[probs != 0.0], return_index=True)
     seen = seen[np.argsort(first)]                # by state, then first appearance
     seen = seen[sums[seen] > tol]
-    bounds = np.searchsorted(seen // dim, np.arange(len(vectors) + 1))
+    owner, codes = np.divmod(seen, dim)
     weights = sums[seen]
-    totals = np.array([sum(weights[lo:hi].tolist()) for lo, hi in zip(bounds, bounds[1:])])
-    weights /= totals[seen // dim]
+    totals = np.zeros(len(vectors))
+    np.add.at(totals, owner, weights)
+    weights /= totals[owner]
     order = np.argsort(seen)                      # by state, then bits
-    codes, weights = seen[order] % dim, weights[order]
-    indices = np.array(lattice.indices)
-    return [DenseBranches(tuple(indices[mask].tolist()),
-                          ((codes[lo:hi, None] >> shifts[mask]) & 1).astype(np.uint8),
-                          weights[lo:hi])
-            for mask, lo, hi in zip(branched, bounds, bounds[1:])]
+    bits = ((codes[order, None] >> shifts) & 1).astype(np.uint8)
+    return owner[order], bits, weights[order], branched
 
 
 def analyse_stack(lattice: Lattice, vectors: np.ndarray, regions: Iterable,
@@ -305,7 +293,10 @@ def dense_branch_weights(dense: DenseState, tol: float = 1e-9) -> dict:
     """
     vectors = dense.vector[None]
     purities = _purities(_site_rdms(dense.lattice, vectors))
-    return _branches(dense.lattice, vectors, purities, tol)[0].as_dict()
+    _, bits, weights, (mask,) = _branches(dense.lattice, vectors, purities, tol)
+    sites = [s for s, m in zip(dense.lattice.indices, mask.tolist()) if m]
+    return {tuple(zip(sites, row)): w
+            for row, w in zip(bits[:, mask].tolist(), weights.tolist())}
 
 
 # ---------------------------------------------------------------------------

@@ -40,8 +40,8 @@ import numpy as np
 from .gates import Gate, Gate1, Gate2, GateError, apply_columns, gate_by_name
 from .gates import apply_gate2  # noqa: F401 - a binding the benchmark's trace self-test checks
 from .lattice import (Lattice, PureState, TermTable, chain_lattice, entangled_state,
-                      product_state, read_lattice, read_list, read_number, read_terms,
-                      read_whole)
+                      product_state, read_lattice, read_list, read_number, read_object,
+                      read_terms, read_whole)
 
 
 #: Longest horizon a schedule is played to: 40 times the 256-site chain's
@@ -259,6 +259,9 @@ def scenario_bidirectional(n_right: int = 4) -> ScenarioConfig:
     """
     if n_right < 3:
         raise ConfigError("need at least three field sites on the right")
+    if n_right > MAX_HORIZON:
+        # the horizon stays 4, so bound the chain as `single`'s is bounded
+        raise ConfigError(f"n_right {n_right} is past the limit of {MAX_HORIZON} sites")
     lattice = chain_lattice([0], [-1, *range(1, n_right + 1)])
     site_states: dict = {0: np.array([1, 1], dtype=complex) / math.sqrt(2), -1: _up()}
     site_states.update({i: _up() for i in range(1, n_right + 1)})
@@ -459,12 +462,14 @@ def config_from_document(text: str) -> ScenarioConfig:
         else:
             lattice = read_lattice(doc["lattice"])
             initial = _initial_from_config(doc["initial"], lattice)
+            entries = [read_object(e, "schedule") for e in read_list(doc.get("schedule", []),
+                                                                     "schedule")]
             sched = Schedule(tuple(
                 GateApplication(read_whole(e["time"], "time"),
                                 tuple(read_whole(site, "sites")
                                       for site in read_list(e["sites"], "sites")),
                                 _gate_from_config(e["gate"]))
-                for e in read_list(doc.get("schedule", []), "schedule")))
+                for e in entries))
             horizon = read_whole(doc.get("horizon", sched.horizon), "horizon")
             config = ScenarioConfig(str(doc.get("name", "custom")), lattice, initial,
                                     sched, horizon)

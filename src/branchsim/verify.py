@@ -160,11 +160,12 @@ def compare_stack(block, vectors: np.ndarray) -> np.ndarray:
     Each kind comes from one call on the block: the site marginals that
     reports print, the first two and the last two sites, and
     `analysis.branch_table`.  The dense side is one
-    `oracle.analyse_stack`.  A branch is compared as its bits on its
-    state's branched sites and 2 elsewhere; both engines sort a state's
-    branches by bits, and a state whose branches differ deviates by inf.
-    Each kind is folded in with `np.maximum`, which keeps a NaN; a row
-    depends on its own state only.
+    `oracle.analyse_stack`, whose branches have `branch_table`'s layout,
+    so the two tables are compared as they are.  A state whose branched
+    sites, branch count or any branch's bits differ deviates by inf;
+    otherwise by its largest weight difference.  Each kind is folded in
+    with `np.maximum`, which keeps a NaN; a row depends on its own state
+    only.
     """
     lattice, size = block.lattice, block.size
     regions = (lattice.indices[:2], lattice.indices[-2:])
@@ -182,22 +183,14 @@ def compare_stack(block, vectors: np.ndarray) -> np.ndarray:
         worst = np.maximum(worst, deviation.reshape(size, -1).max(1))
 
     owner, bits, weights, branched = analysis.branch_table(block, marginals, COMPARE_TOL)
-    sites, dense_bits, dense_weights = zip(*dense.branches)
-    counts = np.array(list(map(len, dense_weights)))
-    dense_owner = np.arange(size).repeat(counts)
-    covered = np.zeros_like(branched)
-    covered[np.arange(size).repeat(list(map(len, sites))),
-            np.searchsorted(lattice.indices, np.concatenate(sites))] = True
-    dense_rows = np.full((len(dense_owner), lattice.n_sites), 2, dtype=np.uint8)
-    dense_rows[covered[dense_owner]] = np.concatenate(dense_bits, axis=None)
-    bad = np.bincount(owner, minlength=size) != counts
+    dense_owner, dense_bits, dense_weights, dense_branched = dense.branches
+    bad = ((branched != dense_branched).any(1)
+           | (np.bincount(owner, minlength=size) != np.bincount(dense_owner, minlength=size)))
     mine, theirs = ~bad[owner], ~bad[dense_owner]      # the same branches, in order
-    rows = np.where(branched[owner], bits, 2)[mine]
-    bad[owner[mine][(rows != dense_rows[theirs]).any(1)]] = True
+    bad[owner[mine][(bits[mine] != dense_bits[theirs]).any(1)]] = True
     deviation = np.zeros(size)
-    present, starts = np.unique(owner[mine], return_index=True)
-    deviation[present] = np.maximum.reduceat(
-        np.abs(weights[mine] - np.concatenate(dense_weights)[theirs]), starts)
+    with np.errstate(invalid="ignore"):                # a NaN is kept, not warned about
+        np.maximum.at(deviation, owner[mine], np.abs(weights[mine] - dense_weights[theirs]))
     return np.maximum(worst, np.where(bad, math.inf, deviation))
 
 

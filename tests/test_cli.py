@@ -141,6 +141,15 @@ class TestBadInput:
                                      {"scenario": name, "params": {key: 100000}})
         assert f"{key} 100000 gives a horizon of {horizon} steps" in err
 
+    def test_bidirectional_chain_past_the_limit(self, tmp_path, capsys, monkeypatch):
+        # its horizon is 4 whatever n_right is, so n_right = 10^8 built 10^8
+        # sites before anything could refuse it
+        monkeypatch.setattr(bs.schedule, "chain_lattice", None)   # never reached
+        n_right = bs.schedule.MAX_HORIZON + 1
+        err = self.run_fails_cleanly(tmp_path, capsys, {"scenario": "bidirectional",
+                                                        "params": {"n_right": n_right}})
+        assert f"n_right {n_right} is past the limit of {bs.schedule.MAX_HORIZON} sites" in err
+
     def test_correlation_without_site_b(self, tmp_path, capsys):
         err = self.run_fails_cleanly(
             tmp_path, capsys,
@@ -316,6 +325,20 @@ class TestBadInput:
         # ("string indices must be integers", "'int' object is not iterable")
         err = self.run_fails_cleanly(tmp_path, capsys, doc)
         assert f"'{key}' must be a list" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, mention", [
+        (dict(EXPLICIT, lattice=[1, 2]), "'lattice' entries must be objects, got 1"),
+        (dict(EXPLICIT, initial={"terms": ["0"]}), "'terms' entries must be objects, got '0'"),
+        (dict(EXPLICIT, schedule=[[0, 1]]), "'schedule' entries must be objects, got [0, 1]"),
+        (dict(EXPLICIT, lattice=[{"index": 0}]), "'lattice' entry {'index': 0} has no 'kind'"),
+    ], ids=["lattice-int", "terms-string", "schedule-list", "lattice-missing-kind"])
+    def test_list_entry_that_is_not_a_whole_object(self, tmp_path, capsys, doc, mention):
+        # "'int' object is not subscriptable", "string indices must be
+        # integers", "list indices must be integers or slices" and "'kind'"
+        # named neither the list nor the field
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        assert mention in err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("part, value", [("re", math.nan), ("im", math.inf)],

@@ -131,3 +131,52 @@ def test_a_perturbed_shared_marginal_fails_the_check(monkeypatch, field, index):
         assert worst >= 1e-6
     else:
         assert worst == pytest.approx(1e-6, rel=1e-9)
+
+
+def plant_dense_branches(monkeypatch, change):
+    """`oracle.analyse_stack` returns its branch table after `change` has
+    edited copies of its four arrays in place."""
+    original = oracle.analyse_stack
+
+    def analyse_stack(*args):
+        dense = original(*args)
+        table = tuple(part.copy() for part in dense.branches)
+        change(*table)
+        return dense._replace(branches=table)
+
+    monkeypatch.setattr(oracle, "analyse_stack", analyse_stack)
+
+
+def extra_branched_site(target):
+    """The dense side counts one more site of state `target` as branched;
+    its rows, zero there, are unchanged."""
+    def change(owner, branch_bits, weights, branched):
+        branched[target, np.flatnonzero(~branched[target])[0]] = True
+    return change
+
+
+def swapped_rows(target):
+    """The dense side lists state `target`'s first two branches, bits and
+    weights, the other way round."""
+    def change(owner, branch_bits, weights, branched):
+        pair = np.flatnonzero(owner == target)[:2]
+        branch_bits[pair], weights[pair] = branch_bits[pair[::-1]], weights[pair[::-1]]
+    return change
+
+
+@pytest.mark.parametrize("fault", [extra_branched_site, swapped_rows])
+def test_a_planted_branch_table_fault_fails_its_state_only(monkeypatch, fault):
+    states, vectors, rows = compared_block(monkeypatch, 40)
+    block = StateBlock.of(states)
+    owner, _, _, branched = oracle.analyse_stack(
+        block.lattice, vectors, [block.lattice.indices[:1]], verify.COMPARE_TOL).branches
+    # the last state that the fault can touch, so states before it are checked too
+    candidates = ~branched.all(1) if fault is extra_branched_site else \
+        np.bincount(owner, minlength=len(states)) >= 2
+    target = int(np.flatnonzero(candidates)[-1])
+    assert target > 0 and rows[target] <= verify.DEFAULT_TOL
+    plant_dense_branches(monkeypatch, fault(target))
+    faulty = verify.compare_stack(block, vectors)
+    assert faulty[target] == math.inf
+    others = np.arange(len(states)) != target
+    assert bits(faulty[others]) == bits(rows[others])

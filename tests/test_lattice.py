@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 
 import numpy as np
@@ -109,6 +110,22 @@ class TestEntangledState:
         # state had no terms; `run` on it died with a reshape traceback
         with pytest.raises(bs.StateError, match="overflows"):
             bs.entangled_state(two_site_lattice(), [("01", 1e200), ("10", 1.0)])
+
+    def test_norm_is_added_left_to_right_whatever_sum_does(self, monkeypatch):
+        # Python 3.12's `sum` of floats is compensated, as `math.fsum` is:
+        # it gives 0.10000000000000002 for the ten squares below, where
+        # 3.10/3.11 add left to right to 0.10000000000000003, and the
+        # amplitudes (which reports print in full) would follow it
+        monkeypatch.setattr(bs.lattice, "sum", math.fsum, raising=False)
+        squares = [0.1 * 0.1] * 10
+        total = 0.0
+        for x in squares:
+            total += x
+        assert math.fsum(squares) != total
+        lattice = bs.chain_lattice([0], [1, 2, 3])
+        state = bs.entangled_state(lattice, [(format(i, "04b"), 0.1) for i in range(10)])
+        want = np.full(10, 0.1 * (1.0 / math.sqrt(total)), dtype=complex)
+        assert state.table.amps.tobytes() == want.tobytes()
 
     def test_amplitude_whose_modulus_overflows_rejected(self):
         # both parts are finite, but abs() raised OverflowError
@@ -261,6 +278,17 @@ class TestSerialisation:
         # the first five were accepted: the index went through int(), the
         # last of two equal basis strings won (norm 0.25), true was 1
         with pytest.raises(bs.StateError):
+            bs.state_from_document(json.dumps({"lattice": lattice, "terms": terms}))
+
+    @pytest.mark.parametrize("lattice, terms, mention", [
+        ([1, 2], TERMS, "'lattice' entries must be objects, got 1"),
+        (LATTICE, ["0"], "'terms' entries must be objects, got '0'"),
+        ([{"index": 0}], TERMS, "'lattice' entry {'index': 0} has no 'kind'"),
+        (LATTICE, [{"re": 1.0}], "'terms' entry {'re': 1.0} has no 'basis'"),
+    ], ids=["lattice-int", "terms-string", "lattice-missing-kind", "terms-missing-basis"])
+    def test_list_entry_that_is_not_a_whole_object_names_its_list(self, lattice, terms,
+                                                                   mention):
+        with pytest.raises(bs.StateError, match=re.escape(mention)):
             bs.state_from_document(json.dumps({"lattice": lattice, "terms": terms}))
 
     @settings(max_examples=25, deadline=None)

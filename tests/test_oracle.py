@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import branchsim as bs
 from branchsim import analysis, oracle, verify
+from branchsim.lattice import StateBlock
 from conftest import random_state
 from test_analysis_properties import sparse_states
 
@@ -215,7 +216,9 @@ def loop_dense_branch_weights(dense, tol):
         key = tuple((site, (int(idx) >> (n - 1 - p)) & 1) for p, site in branched)
         merged[key] = merged.get(key, 0.0) + float(probs[idx])
     merged = {key: w for key, w in merged.items() if w > tol}
-    total = sum(merged.values())
+    total = 0.0
+    for w in merged.values():   # left to right, as `sum` is before Python 3.12
+        total += w
     return {key: w / total for key, w in merged.items()}
 
 
@@ -305,7 +308,12 @@ def test_stack_rows_equal_the_single_state_functions(n_states, n_sites, region_s
     assert stack.site_entropy.shape == (n_states, n_sites)
     assert stack.region_rdms.shape == (n_states, len(regions), dim, dim)
     assert stack.region_entropy.shape == (n_states, len(regions))
-    assert len(stack.branches) == n_states
+    owner, branch_bits, weights, branched = stack.branches
+    assert owner.dtype == np.intp and branch_bits.dtype == np.uint8
+    assert weights.dtype == np.float64 and branched.dtype == bool
+    assert branch_bits.shape == (len(owner), n_sites) and weights.shape == owner.shape
+    assert branched.shape == (n_states, n_sites)
+    assert (np.diff(owner) >= 0).all()
     for b, vector in enumerate(vectors):
         dense = oracle.DenseState(lattice, vector)
         for i, site in enumerate(indices):
@@ -314,4 +322,28 @@ def test_stack_rows_equal_the_single_state_functions(n_states, n_sites, region_s
         for r, region in enumerate(regions):
             assert same_bits(stack.region_rdms[b, r], oracle.dense_rdm(dense, region))
             assert same_bits(stack.region_entropy[b, r], oracle.dense_entropy(dense, region))
-        assert_same_weights(stack.branches[b].as_dict(), oracle.dense_branch_weights(dense, tol))
+        # state b's rows, on its branched sites only, are its branches alone
+        mine = owner == b
+        assert not branch_bits[mine][:, ~branched[b]].any()
+        sites = [s for s, m in zip(indices, branched[b].tolist()) if m]
+        rows = {tuple(zip(sites, row)): w for row, w in
+                zip(branch_bits[mine][:, branched[b]].tolist(), weights[mine].tolist())}
+        want = oracle.dense_branch_weights(dense, tol)
+        assert list(rows) == list(want)       # in the same order, by bits
+        assert_same_weights(rows, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8).flatmap(lambda n: st.lists(sparse_states(n), min_size=1, max_size=5)),
+       st.sampled_from([verify.COMPARE_TOL, 1e-2]))
+def test_stack_branches_equal_the_sparse_branch_table(states, tol):
+    # the two engines fill one layout with their own code
+    block = StateBlock.of(states)
+    vectors = oracle.dense_vectors(block.lattice, block.table, block.size)
+    indices = block.lattice.indices
+    dense = oracle.analyse_stack(block.lattice, vectors, [indices[:1]], tol).branches
+    sparse = analysis.branch_table(block, analysis.site_marginals(block), tol)
+    for got, want in zip(dense[:2] + dense[3:], sparse[:2] + sparse[3:]):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert dense[2].shape == sparse[2].shape
+    assert np.abs(dense[2] - sparse[2]).max(initial=0.0) <= 1e-12

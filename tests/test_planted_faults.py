@@ -119,8 +119,8 @@ def biased_dense_branch_weight(name, bias=1e-9):
             dense = original(at, vectors, regions, tol)
             if at != lattice:
                 return dense
-            return dense._replace(branches=[b._replace(weights=b.weights + bias)
-                                            for b in dense.branches])
+            owner, bits, weights, branched = dense.branches
+            return dense._replace(branches=(owner, bits, weights + bias, branched))
 
         monkeypatch.setattr(oracle, "analyse_stack", analyse_stack)
     return plant
