@@ -80,6 +80,7 @@ class ColumnAction:
     re: np.ndarray
     im: np.ndarray
     permutation: bool
+    classical: bool
 
 
 def _action(counts, row_bits, re, im) -> ColumnAction:
@@ -87,7 +88,9 @@ def _action(counts, row_bits, re, im) -> ColumnAction:
               re, im)
     for array in arrays:  # gates share their action with every caller
         array.setflags(write=False)
-    return ColumnAction(*arrays, bool((counts == 1).all()))
+    permutation = bool((counts == 1).all())
+    return ColumnAction(*arrays, permutation,
+                        permutation and bool(((re == 1.0) & (im == 0.0)).all()))
 
 
 def column_action(matrices) -> ColumnAction:
@@ -238,8 +241,12 @@ def gate_by_name(name: str) -> Gate:
 # Every gate carries its column action: the nonzero entries of each
 # column, which say where one basis state goes.  Application is then
 # array lookups on the column index of every term.  For permutation
-# gates, the built-in interactions among them, each term moves to
-# exactly one new basis string and no two terms meet.
+# gates each term moves to exactly one new basis string and no two
+# terms meet.  The classical ones, whose coefficients are all 1 (the
+# built-in interactions and I), move bits and leave amplitudes alone:
+# `move_bits` plays them in place on one copy of the bits, so a run of
+# them (`schedule.play_step`) costs one copy and one prune in all, where
+# `apply_columns` takes a product, a copy and a prune per gate.
 
 def apply_columns(table: TermTable, positions, action: ColumnAction) -> TermTable:
     """Apply a precomputed column action at basis-string positions.
@@ -267,7 +274,7 @@ def apply_columns(table: TermTable, positions, action: ColumnAction) -> TermTabl
     else:                                      # each row its owner's positions
         rows = np.arange(len(bits))
         at = [(rows, p[owner]) for p in np.asarray(positions).T]
-    col = bits[at[0]] if len(at) == 1 else 2 * bits[at[0]] + bits[at[1]]
+    col = _columns(bits, at)
     if not shared:                             # and its owner's block of columns
         col = col + owner * (1 << len(at))
     if action.permutation:  # term t moves to row_bits[col[t]], nothing merges
@@ -295,6 +302,29 @@ def apply_columns(table: TermTable, positions, action: ColumnAction) -> TermTabl
     np.add.at(out_im, slot, im)
     return TermTable.pruned(expanded[source], out_re, out_im,
                              owner_rows(owner, source))
+
+
+def move_bits(bits: np.ndarray, positions, action: ColumnAction):
+    """Play a classical gate (`ColumnAction.classical`) at k basis-string
+    positions on a writable (T, n) bit matrix, in place: each row's bits
+    at the positions become the row bits of its column.
+
+    `apply_columns` moves the bits the same way, and its amplitudes
+    1 re - 0 im and 1 im + 0 re differ from (re, im) only in the sign of
+    a zero part, which its ``0.0 +`` clears.  So for finite amplitudes,
+    `TermTable.pruned` of the moved bits, ``0.0 +`` the amplitudes and
+    the owners is the table that `apply_columns` gives, bit for bit,
+    after one such gate or after a run of them.
+    """
+    at = [(slice(None), p) for p in positions]
+    col = _columns(bits, at)
+    for j, index in enumerate(at):    # slot by slot: one 1-D lookup each
+        bits[index] = action.row_bits[:, j].take(col)
+
+
+def _columns(bits: np.ndarray, at: list) -> np.ndarray:
+    """Each row's gate column: its bits at the gate slots `at`, as one index."""
+    return bits[at[0]] if len(at) == 1 else 2 * bits[at[0]] + bits[at[1]]
 
 
 def _write(bits: np.ndarray, at: list, new: np.ndarray):

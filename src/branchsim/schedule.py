@@ -37,7 +37,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .gates import Gate, Gate1, Gate2, GateError, apply_columns, gate_by_name
+from .gates import Gate, Gate1, Gate2, GateError, apply_columns, gate_by_name, move_bits
 from .gates import apply_gate2  # noqa: F401 - a binding the benchmark's trace self-test checks
 from .lattice import (Lattice, PureState, TermTable, chain_lattice, entangled_state,
                       product_state, read_lattice, read_list, read_number, read_object,
@@ -155,10 +155,35 @@ def compile_schedule(schedule: Schedule, lattice: Lattice,
 
 def play_step(table: TermTable, step) -> TermTable:
     """Apply compiled ``(positions, action)`` pairs in order to a state's
-    `TermTable`; returns the new table."""
+    `TermTable`, or to a table of several owners; returns the new table.
+
+    A run of consecutive classical pairs (`U_si`, `U_copy`, `U_swap`,
+    `I`: permutations whose coefficients are all 1) is played in place
+    on one copy of the bits by `gates.move_bits`, and the amplitudes are
+    carried over once, with ``0.0 +`` and one prune, at the end of the
+    run.  That is the table that playing the run gate by gate with
+    `apply_columns` gives, bit for bit: such a gate changes no modulus,
+    so the prune keeps the same rows, and it merges no rows, so their
+    order and owners stay.  Every other gate goes through
+    `apply_columns`.
+    """
+    bits = None                     # the copy a run of classical gates moves
     for positions, action in step:
+        if action.classical:
+            if bits is None:
+                bits = table.bits.copy()
+            move_bits(bits, positions, action)
+            continue
+        if bits is not None:
+            table, bits = _moved(table, bits), None
         table = apply_columns(table, positions, action)
-    return table
+    return table if bits is None else _moved(table, bits)
+
+
+def _moved(table: TermTable, bits: np.ndarray) -> TermTable:
+    """`table` with its rows' bits replaced by `bits`, as gates return it."""
+    amps = table.amps
+    return TermTable.pruned(bits, 0.0 + amps.real, 0.0 + amps.imag, table.owner)
 
 
 def run_steps(state: PureState, schedule: Schedule,

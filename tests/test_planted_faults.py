@@ -221,19 +221,65 @@ def test_a_nan_dense_branch_weight_fails_the_comparison(monkeypatch):
     assert check.detail == "worst deviation nan"
 
 
+def nan_at_step(monkeypatch, step):
+    """Make `compare_stack` report NaN for step `step` of the run it is
+    called on, counting rows across calls (a step past the run plants
+    nothing); returns the list of each call's row count."""
+    sizes = []
+    original = verify.compare_stack
+
+    def compare(block, vectors):
+        worst = original(block, vectors)
+        first = sum(sizes)
+        sizes.append(len(worst))
+        if first <= step < first + len(worst):
+            worst[step - first] = math.nan
+        return worst
+
+    monkeypatch.setattr(verify, "compare_stack", compare)
+    return sizes
+
+
 def test_a_nan_after_the_first_step_fails_the_dense_deviation(monkeypatch):
     # Python's `max` over the steps dropped a NaN after step 0
-    calls = []
-    original = verify.compare_states
-
-    def compare(state, dense):
-        calls.append(state)
-        return math.nan if len(calls) == 2 else original(state, dense)
-
-    monkeypatch.setattr(verify, "compare_states", compare)
+    sizes = nan_at_step(monkeypatch, 1)
     config = bs.scenario_single()
     assert math.isnan(verify.dense_deviation(config, config.run()))
-    assert len(calls) == config.horizon + 1
+    assert sizes == [config.horizon + 1]       # the whole run is one stack
+
+
+def test_a_run_split_over_several_stacks_deviates_as_one_stack(monkeypatch):
+    config = bs.scenario_single()
+    states = config.run()
+    whole = verify.dense_deviation(config, states)
+    # 2^6 >> 5 sites: two steps per stack, so the run's 5 states take 3
+    monkeypatch.setattr(verify, "STACK_AMPLITUDES", 2 ** 6)
+    sizes = nan_at_step(monkeypatch, math.inf)
+    split = verify.dense_deviation(config, states)
+    assert sizes == [2, 2, 1]
+    assert np.float64(split).tobytes() == np.float64(whole).tobytes()
+
+
+def test_a_lattice_past_fourteen_sites_compares_one_state_per_stack(monkeypatch):
+    config = bs.scenario_single(n_sites=14)           # 15 sites
+    sizes = nan_at_step(monkeypatch, math.inf)
+    assert verify.dense_deviation(config, config.run()) <= verify.DEFAULT_TOL
+    assert sizes == [1] * (config.horizon + 1)
+
+
+def test_a_nan_in_the_last_stack_fails_the_dense_deviation(monkeypatch):
+    config = bs.scenario_single()
+    monkeypatch.setattr(verify, "STACK_AMPLITUDES", 2 ** 6)
+    sizes = nan_at_step(monkeypatch, config.horizon)
+    assert math.isnan(verify.dense_deviation(config, config.run()))
+    assert sizes == [2, 2, 1]
+
+
+def test_the_scenario_checks_compare_one_stack_per_scenario(monkeypatch):
+    sizes = nan_at_step(monkeypatch, math.inf)
+    assert all(result.passed for result in verify.check_scenario_differential())
+    assert sizes == [config.horizon + 1 for config in
+                     (factory() for factory in bs.SCENARIOS.values())]
 
 
 def test_nan_trials_fail_the_random_check(monkeypatch):
