@@ -16,6 +16,7 @@ approximations beyond floating point.  Conventions:
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -279,11 +280,17 @@ class BlockAnalysis:
     """The analyses of every state of a `StateBlock`, each built on first
     use and then kept.
 
-    The block's site marginals feed the decohered flags and the branch
-    decompositions; the decompositions and the one-site entropies feed
-    the clusters.  Nothing is computed until a result is asked for.  A
-    `PureState` is the block of one and is taken as it is; a state's
-    results are bit for bit the same in any block.
+    Arrays, each built once: `marginals`, the `decohered` flags, the
+    `branch_table` (`branch_table`'s (owner, bits, weights, branched)),
+    the `cluster_sites` the growth finds, and the `cluster_table` of
+    every cluster's branch list.  The site marginals feed the flags and
+    the branch table; the branch table and the one-site entropies feed
+    the clusters.  `branches` and `clusters` are the library's
+    `BranchDecomposition` and `BranchClusters` of each state, built from
+    these arrays only when asked for; reports render the arrays instead.
+    Nothing is computed until a result is asked for.  A `PureState` is
+    the block of one and is taken as it is; a state's results are bit for
+    bit the same in any block.
     """
 
     def __init__(self, block, tol: float = BRANCH_TOL):
@@ -301,41 +308,31 @@ class BlockAnalysis:
         return _is_mixture(m.coherence, m.purity, self.tol).reshape(self.block.size, -1)
 
     @cached_property
-    def branches(self) -> list:
-        """Each state's `BranchDecomposition`, from one `branch_table` call."""
-        owner, bits, weights, branched = branch_table(self.block, self.marginals, self.tol)
-        indices = self.block.lattice.indices
-        ends = np.bincount(owner, minlength=self.block.size).cumsum().tolist()
-        weights = weights.tolist()
-        decomps = []
-        for lo, hi, mask in zip([0] + ends, ends, branched):
-            sites = [s for s, m in zip(indices, mask.tolist()) if m]
-            support = frozenset(sites)
-            # a tuple of a list, not of a generator (see `_branch_clusters`)
-            decomps.append(BranchDecomposition(tuple([
-                Branch(w, dict(zip(sites, row)), support)
-                for w, row in zip(weights[lo:hi], bits[lo:hi, mask].tolist())
-            ]), frozenset(indices) - support, self.tol))
-        return decomps
+    def branch_table(self) -> tuple:
+        """`branch_table` of the block, from its marginals."""
+        return branch_table(self.block, self.marginals, self.tol)
 
     @cached_property
-    def clusters(self) -> list:
-        """Each state's `BranchClusters`, grown for all states at once: each
-        round pairs every state's frontier (the sites that joined last) with
-        its unplaced branched sites, none if it kept no branch, in one call;
-        a state with an empty frontier first starts a cluster at its lowest
-        unplaced site."""
-        entropy = self.marginals.entropy.reshape(self.block.size, -1)
-        kept = np.array([decomp.n_branches > 0 for decomp in self.branches])
-        unplaced = (self.marginals.purity.reshape(entropy.shape) < 1.0 - self.tol) & kept[:, None]
+    def cluster_sites(self) -> tuple:
+        """Every state's clusters, grown for all states at once: (owner,
+        sites), each cluster's state and (n,) mask of its sites, ordered by
+        state and then by lowest site.  Each round pairs every state's
+        frontier (the sites that joined last) with its unplaced branched
+        sites, none if it kept no branch, in one call; a state with an
+        empty frontier first starts a cluster at its lowest unplaced site."""
+        size = self.block.size
+        owner, _, _, branched = self.branch_table
+        entropy = self.marginals.entropy.reshape(size, -1)
+        unplaced = branched & (np.bincount(owner, minlength=size) > 0)[:, None]
         frontier = np.zeros_like(unplaced)
-        indices, members = self.block.lattice.indices, [[] for _ in self.branches]
+        label = np.full(unplaced.shape, -1)   # each site's cluster within its state
+        count = np.zeros(size, dtype=np.intp)
         while True:
             idle = np.flatnonzero(~frontier.any(1) & unplaced.any(1))
             start = unplaced[idle].argmax(1)   # the lowest unplaced site
             frontier[idle, start], unplaced[idle, start] = True, False
-            for o, p in zip(idle.tolist(), start.tolist()):
-                members[o].append([indices[p]])
+            label[idle, start] = count[idle]
+            count[idle] += 1
             owner, a, b = np.nonzero(frontier[:, :, None] & unplaced[:, None, :])
             if not owner.size:
                 break
@@ -345,9 +342,63 @@ class BlockAnalysis:
             frontier[:] = False
             frontier[owner[linked], b[linked]] = True
             unplaced &= ~frontier
-            for o, p in np.argwhere(frontier).tolist():
-                members[o][-1].append(indices[p])
-        return [_branch_clusters(m, decomp, self.tol) for m, decomp in zip(members, self.branches)]
+            joined, site = np.nonzero(frontier)
+            label[joined, site] = count[joined] - 1
+        state, site = np.nonzero(label >= 0)
+        sites = np.zeros((count.sum(), unplaced.shape[1]), dtype=bool)
+        sites[(count.cumsum() - count)[state] + label[state, site], site] = True
+        return np.arange(size).repeat(count), sites
+
+    @cached_property
+    def cluster_table(self) -> tuple:
+        """Every cluster's branch list, in one grouping for all clusters:
+        (cluster, bits, weights) per cluster branch, ordered by cluster and
+        then by bits.  A cluster's branches are its state's branches grouped
+        by their bits on its sites, tagged by cluster; ``bits`` is zero off
+        the cluster's sites, and a weight is its group's branch weights
+        added in branch order onto 0.0."""
+        owner, bits, weights, _ = self.branch_table
+        cluster_owner, sites = self.cluster_sites
+        sizes = np.bincount(owner, minlength=self.block.size)
+        counts = sizes[cluster_owner]
+        rows = _ranges((sizes.cumsum() - sizes)[cluster_owner], counts)
+        tag = np.arange(len(sites)).repeat(counts)
+        masked = bits[rows] * sites[tag]
+        keys = row_keys(masked, tag)
+        group, first = first_appearance(keys)
+        sums = np.zeros(first.size)
+        np.add.at(sums, group, weights[rows])   # in branch order, onto 0.0
+        order = keys[first].argsort()
+        return tag[first[order]], masked[first[order]], sums[order]
+
+    @cached_property
+    def branches(self) -> list:
+        """Each state's `BranchDecomposition`, built from `branch_table`."""
+        owner, bits, weights, branched = self.branch_table
+        indices = self.block.lattice.indices
+        ends = np.bincount(owner, minlength=self.block.size).cumsum().tolist()
+        return [BranchDecomposition(
+                    _branch_objects(list(compress(indices, mask.tolist())), weights[lo:hi],
+                                    bits[lo:hi, mask]),
+                    frozenset(compress(indices, (~mask).tolist())), self.tol)
+                for lo, hi, mask in zip([0] + ends, ends, branched)]
+
+    @cached_property
+    def clusters(self) -> list:
+        """Each state's `BranchClusters`, built from `cluster_sites` and
+        `cluster_table`."""
+        cluster, bits, weights = self.cluster_table
+        cluster_owner, sites = self.cluster_sites
+        indices = self.block.lattice.indices
+        ends = np.bincount(cluster, minlength=len(sites)).cumsum().tolist()
+        found = [[] for _ in range(self.block.size)]
+        for o, mask, lo, hi in zip(cluster_owner.tolist(), sites, [0] + ends, ends):
+            members = tuple([s for s, m in zip(indices, mask.tolist()) if m])
+            found[o].append(Cluster(members, _branch_objects(members, weights[lo:hi],
+                                                             bits[lo:hi, mask])))
+        return [BranchClusters(tuple(clusters), frozenset(compress(indices, (~mask).tolist())),
+                               self.tol)
+                for clusters, mask in zip(found, self.branch_table[3])]
 
     def correlations(self, settings: Sequence) -> np.ndarray:
         """`correlation` of each (a, b) pair of `MeasurementSetting`s for
@@ -470,24 +521,16 @@ def extended_branch_clusters(state: PureState, tol: float = BRANCH_TOL) -> Branc
     return BlockAnalysis(state, tol).clusters[0]
 
 
-def _branch_clusters(members: list, decomp: BranchDecomposition, tol: float) -> BranchClusters:
-    """A state's clusters from each one's sites, with its branches."""
-    clusters = []
-    for sites in members:
-        # tuples of lists, not of generators: `tuple` sizes a generator's
-        # result by a guess and then resizes it, which shifts one cached
-        # tuple between the interpreter's free lists per call, and a long
-        # in-process run holds them until a full collection
-        sites = tuple(sorted(sites))
-        local: dict = {}
-        for br in decomp.branches:
-            key = tuple([(s, br.assignment[s]) for s in sites])
-            local[key] = local.get(key, 0.0) + br.weight
-        branches = tuple([
-            Branch(w, dict(key), frozenset(sites)) for key, w in sorted(local.items())
-        ])
-        clusters.append(Cluster(sites, branches))
-    return BranchClusters(tuple(clusters), decomp.unbranched, tol)
+def _branch_objects(sites: Sequence, weights: np.ndarray, rows: np.ndarray) -> tuple:
+    """The `Branch` of each weight and bit row on `sites` of a branch or
+    cluster table."""
+    support = frozenset(sites)
+    # tuples of lists, not of generators or iterators: `tuple` sizes their
+    # result by a guess and then resizes it, which shifts one cached tuple
+    # between the interpreter's free lists per call, and a long in-process
+    # run holds them until a full collection
+    return tuple([Branch(w, dict(zip(sites, row)), support)
+                  for w, row in zip(weights.tolist(), rows.tolist())])
 
 
 # ---------------------------------------------------------------------------

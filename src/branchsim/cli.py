@@ -129,8 +129,9 @@ def _cmd_run(args) -> int:
     report = build_report(config, states, args.tolerance, horizon)
     written = write_report(report, args.out)
     elapsed = time.perf_counter() - started
+    n_branches = report.final.n_branches
     print(f"scenario {config.name}: {horizon} steps, "
-          f"{report.final.get('branches', {}).get('count', '?')} final branches")
+          f"{'?' if n_branches is None else n_branches} final branches")
     for path in written:
         print(f"wrote {path}")
     print(f"wall time {elapsed:.3f} s")

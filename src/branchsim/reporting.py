@@ -19,15 +19,18 @@ indent=2)`` and a newline for the document the run describes, written
 without the pure-Python encoder that ``indent`` selects (`json_text` is
 that writer).  The document's top-level keys sort as ``engine``,
 ``scenario``, ``steps``, so its head goes first and each step follows
-as it is analysed.  A step's site block, the bulk of the file, is
-spliced in as text rendered once per distinct site row (`_SiteRows`),
-and the scenario lattice's text is rendered once for every embedded
-state.
+as it is analysed.  A step's site, branch and cluster blocks are
+spliced in as text rendered from arrays: the site block once per
+distinct site row (`_SiteRows`), the branch and cluster blocks from the
+analysed block's branch and cluster tables (`_BranchRows`), with no
+`analysis.Branch` object in between.  The scenario lattice's text is
+rendered once for every embedded state.
 """
 
 import contextlib
 import os
 from dataclasses import dataclass
+from itertools import compress
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterator, Mapping, NamedTuple, Optional
 
@@ -124,19 +127,109 @@ class _SiteRows:
         return "".join([f"{step}{lead}{row[1]}{counts}" for lead, row in zip(self.fields, rows)])
 
 
-def _branch_item(branch) -> dict:
-    return {
-        "weight": _g12(branch.weight),
-        "assignment": {str(site): bit for site, bit in sorted(branch.assignment.items())},
-    }
+class _BranchRows:
+    """The ``branches`` and ``clusters`` blocks of one run's steps,
+    rendered from an analysed block's branch and cluster tables.
+
+    A branch is written as its ``assignment`` object and its weight.  The
+    ``"<site>": <bit>`` texts of every site are made once per run, at the
+    indent of an assignment in a step's branch list (depth 0) and in a
+    cluster's (depth 1), and an assignment's sites go in `str` order, as
+    `json` sorts keys ("-1" before "-2", "10" before "2").  Weights are
+    rounded by `_g12` and written as `float.__repr__` writes them.
+
+    A cluster whose sites are all of its state's branched sites has one
+    branch in each of its groups, added onto 0.0 alone and in the same
+    order, so its branch list is its state's: its text is the state's
+    branch list indented one level deeper, which is exact because no JSON
+    string in it holds a newline.
+    """
+
+    def __init__(self, lattice: Lattice, names: set):
+        self.branches, self.clusters = "branches" in names, "clusters" in names
+        keys = [str(site) for site in lattice.indices]
+        self.order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+        # per depth, at 2 p + bit: position p's key and that bit
+        self.keys = [[f"{_INNER_PAD}{' ' * (6 + 4 * depth)}{_quote(key)}: {bit}"
+                      for key in keys for bit in (0, 1)] for depth in (0, 1)]
+        self.unbranched = [f"{_INNER_PAD}  {_leaf_text(site)}" for site in lattice.indices]
+        self.sites = [f"{_INNER_PAD}      {_leaf_text(site)}" for site in lattice.indices]
+
+    def _items(self, depth: int, mask: np.ndarray, bits: np.ndarray, weights: list) -> str:
+        """A branch list at `depth`: one branch per row of `bits`, on the
+        positions `mask` marks, and its weight's text."""
+        if not weights:
+            return "[]"
+        pad = _INNER_PAD + " " * (4 * depth)   # the list's indent
+        item, key = pad + "  ", pad + "    "
+        positions = self.order[mask[self.order]]
+        if positions.size:
+            texts = self.keys[depth]
+            assignments = ["{\n" + ",\n".join(map(texts.__getitem__, row)) + f"\n{key}}}"
+                           for row in (bits[:, positions] + 2 * positions).tolist()]
+        else:
+            assignments = ["{}"] * len(weights)
+        return f"[\n{item}" + f",\n{item}".join([
+            f'{{\n{key}"assignment": {a},\n{key}"weight": {w}\n{item}}}'
+            for a, w in zip(assignments, weights)]) + f"\n{pad}]"
+
+    def chunk(self, analysed: analysis.BlockAnalysis) -> list:
+        """Each state's (branch count, ``branches`` object, cluster count,
+        ``clusters`` object) of an analysed block, the branch pair None
+        unless the run asks for branches and the cluster pair None unless
+        it asks for clusters."""
+        owner, bits, weights, branched = analysed.branch_table
+        counts = np.bincount(owner, minlength=analysed.block.size)
+        ends = counts.cumsum().tolist()
+        texts = [_float_text(_g12(w)) for w in weights.tolist()]
+        lists = [self._items(0, mask, bits[lo:hi], texts[lo:hi])
+                 for lo, hi, mask in zip([0] + ends, ends, branched)]
+        found = [[] for _ in lists]
+        if self.clusters:
+            cluster_owner, sites = analysed.cluster_sites
+            full = sites.sum(1) == branched.sum(1)[cluster_owner]
+            if not full.all():   # the grouping is needed
+                cluster, cluster_bits, cluster_weights = analysed.cluster_table
+                cluster_ends = np.bincount(cluster, minlength=len(sites)).cumsum().tolist()
+                cluster_texts = [_float_text(_g12(w)) for w in cluster_weights.tolist()]
+            for c, (o, mask) in enumerate(zip(cluster_owner.tolist(), sites)):
+                if full[c]:
+                    items = lists[o].replace("\n", "\n    ")
+                else:
+                    lo, hi = cluster_ends[c - 1] if c else 0, cluster_ends[c]
+                    items = self._items(1, mask, cluster_bits[lo:hi], cluster_texts[lo:hi])
+                members = ",\n".join(compress(self.sites, mask.tolist()))
+                found[o].append(f'{{\n{_INNER_PAD}    "branches": {items},\n'
+                                f'{_INNER_PAD}    "sites": [\n{members}\n'
+                                f'{_INNER_PAD}    ]\n{_INNER_PAD}  }}')
+        rows = []
+        for count, items, mask, state in zip(counts.tolist(), lists, branched, found):
+            branches = clusters = None
+            if self.branches:
+                unbranched = ",\n".join(compress(self.unbranched, (~mask).tolist()))
+                unbranched = f"[\n{unbranched}\n{_INNER_PAD}]" if unbranched else "[]"
+                branches = Rendered(
+                    f'{{\n{_INNER_PAD}"count": {count},\n{_INNER_PAD}"items": {items},'
+                    f'\n{_INNER_PAD}"unbranched": {unbranched}\n{_STEP_PAD}  }}')
+            if self.clusters:
+                listed = (f"[\n{_INNER_PAD}  " + f",\n{_INNER_PAD}  ".join(state)
+                          + f"\n{_INNER_PAD}]") if state else "[]"
+                clusters = Rendered(f'{{\n{_INNER_PAD}"count": {len(state)},'
+                                    f'\n{_INNER_PAD}"items": {listed}\n{_STEP_PAD}  }}')
+            rows.append((count if self.branches else None, branches,
+                         len(state) if self.clusters else None, clusters))
+        return rows
 
 
 class Step(NamedTuple):
-    """One step of a report: its record in `report.json`, whose site
-    block is pre-rendered, and its lines of timeseries.csv."""
+    """One step of a report: its record in `report.json`, whose site,
+    branch and cluster blocks are pre-rendered, its lines of
+    timeseries.csv, and its branch count, None unless the run asks for
+    branches."""
 
     record: dict
     series: str
+    n_branches: Optional[int]
 
 
 @dataclass
@@ -145,14 +238,14 @@ class Report:
 
     `head` holds the document's ``engine`` and ``scenario`` objects,
     `steps` yields each `Step` once, analysing its state as it goes, and
-    `files` names the files the report fills.  `final` is the record of
-    the last step written.
+    `files` names the files the report fills.  `final` is the last
+    `Step` written.
     """
 
     head: dict
     steps: Iterator
     files: tuple
-    final: Optional[dict] = None
+    final: Optional[Step] = None
 
 
 def build_report(config: ScenarioConfig, states, tolerance: float, horizon: int) -> Report:
@@ -200,10 +293,12 @@ def _steps(lattice: Lattice, states, tolerance: float, names: set, settings: lis
     `BlockAnalysis` of the chunk's `StateBlock`, read state by state."""
     lattice_text = None  # rendered for the first embedded state
     site_rows = _SiteRows(lattice) if "sites" in names else None
+    branch_rows = _BranchRows(lattice, names) if names & {"branches", "clusters"} else None
     t = 0
     for chunk in _chunks(states, lattice.n_sites * max(lattice.n_sites, len(settings))):
         analysed = analysis.BlockAnalysis(StateBlock.of(chunk), tolerance)
         rows = site_rows.chunk(analysed) if site_rows else [None] * len(chunk)
+        blocks = branch_rows.chunk(analysed) if branch_rows else [(None,) * 4] * len(chunk)
         values = analysed.correlations(settings).tolist() if settings else None
         for i, (state, step_rows) in enumerate(zip(chunk, rows)):
             record = {
@@ -216,24 +311,11 @@ def _steps(lattice: Lattice, states, tolerance: float, names: set, settings: lis
                     lattice_text = Rendered(_render(lattice_to_json(lattice), _INNER_PAD))
                 record["state"] = {"lattice": lattice_text, "terms": terms_to_json(state)}
 
-            if "branches" in names:
-                decomp = analysed.branches[i]
-                record["branches"] = {
-                    "count": decomp.n_branches,
-                    "unbranched": sorted(decomp.unbranched),
-                    "items": [_branch_item(b) for b in decomp.branches],
-                }
-
-            if "clusters" in names:
-                clusters = analysed.clusters[i]
-                record["clusters"] = {
-                    "count": clusters.n_clusters,
-                    "items": [
-                        {"sites": list(c.sites),
-                         "branches": [_branch_item(b) for b in c.branches]}
-                        for c in clusters.clusters
-                    ],
-                }
+            n_branches, branches, n_clusters, clusters = blocks[i]
+            if branches is not None:
+                record["branches"] = branches
+            if clusters is not None:
+                record["clusters"] = clusters
 
             if settings:
                 record["correlations"] = [
@@ -245,10 +327,10 @@ def _steps(lattice: Lattice, states, tolerance: float, names: set, settings: lis
             series = ""
             if site_rows:
                 record["sites"] = site_rows.block(step_rows)
-                counts = (f'{record.get("branches", {}).get("count", "")},'
-                          f'{record.get("clusters", {}).get("count", "")}\n')
+                counts = (f'{"" if n_branches is None else n_branches},'
+                          f'{"" if n_clusters is None else n_clusters}\n')
                 series = site_rows.series(step_rows, t, counts)
-            yield Step(record, series)
+            yield Step(record, series, n_branches)
             t += 1
 
 
@@ -365,7 +447,7 @@ def _stream(report: Report, json_out, series_out, correlations_out=None) -> None
                 f'{t},{c["site_a"]},{c["site_b"]},{c["theta_a"]:.12g},'
                 f'{c["theta_b"]:.12g},{c["value"]:.12g}\n'
                 for c in step.record["correlations"]]))
-        report.final = step.record
+        report.final = step
     json_out("\n  ]\n}\n" if report.final is not None else "]\n}\n")
 
 

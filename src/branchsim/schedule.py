@@ -372,6 +372,7 @@ SCENARIOS = {
 #   {"scenario": "single", "params": {"alpha": [0.8164965809277261, 0.0],
 #                                     "beta":  [0.5773502691896257, 0.0],
 #                                     "n_sites": 4}}
+#   {"scenario": "epr", "horizon": 5}
 #
 # or it spells everything out:
 #
@@ -463,15 +464,28 @@ def _analyses_from_config(entry, lattice: Lattice) -> tuple:
     return tuple(analyses)
 
 
+def _horizon_from_config(doc: Mapping) -> Optional[int]:
+    """A config's top-level ``horizon``, a whole number, or None if it has
+    none; one past MAX_HORIZON is refused before anything is built."""
+    if "horizon" not in doc:
+        return None
+    horizon = read_whole(doc["horizon"], "horizon")
+    if horizon > MAX_HORIZON:
+        raise ConfigError(f"horizon {horizon} exceeds the limit of {MAX_HORIZON} steps")
+    return horizon
+
+
 def config_from_document(text: str) -> ScenarioConfig:
     """Parse a scenario configuration document (JSON text).  Every
     malformed part is a ConfigError.  A built-in scenario's ``params``
     alpha and beta are complex numbers, and its other params whole
-    numbers."""
+    numbers.  A top-level ``horizon`` sets the number of steps of a
+    built-in scenario as of an explicit config."""
     try:
         doc = json.loads(text)
         if not isinstance(doc, Mapping):
             raise ConfigError("config must be a JSON object")
+        horizon = _horizon_from_config(doc)
         if "scenario" in doc:
             name = doc["scenario"]
             if not isinstance(name, str) or name not in SCENARIOS:
@@ -484,6 +498,8 @@ def config_from_document(text: str) -> ScenarioConfig:
                 key: _complex_from(value, key) if key in ("alpha", "beta")
                 else read_whole(value, key)
                 for key, value in params.items()})
+            if horizon is not None:
+                config = replace(config, horizon=horizon)
         else:
             lattice = read_lattice(doc["lattice"])
             initial = _initial_from_config(doc["initial"], lattice)
@@ -495,7 +511,8 @@ def config_from_document(text: str) -> ScenarioConfig:
                                       for site in read_list(e["sites"], "sites")),
                                 _gate_from_config(e["gate"]))
                 for e in entries))
-            horizon = read_whole(doc.get("horizon", sched.horizon), "horizon")
+            if horizon is None:
+                horizon = sched.horizon
             config = ScenarioConfig(str(doc.get("name", "custom")), lattice, initial,
                                     sched, horizon)
         if "analyses" in doc:

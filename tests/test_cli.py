@@ -62,6 +62,32 @@ class TestRun:
         report = json.loads((out_dir / "report.json").read_text())
         assert len(report["steps"]) == 3
 
+    # a built-in scenario's config horizon used to be ignored: 3 steps
+    # were run whatever it said
+    @pytest.mark.parametrize("horizon, extra, steps", [(5, [], 6), (0, [], 1), (2.0, [], 3),
+                                                       (5, ["--horizon", "1"], 2)])
+    def test_scenario_config_horizon(self, tmp_path, horizon, extra, steps):
+        config = write_config(tmp_path, {"scenario": "single", "params": {"n_sites": 3},
+                                         "horizon": horizon})
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", config, "--out", str(out_dir), *extra]) == 0
+        report = json.loads((out_dir / "report.json").read_text())
+        assert len(report["steps"]) == steps
+        assert report["scenario"]["horizon"] == steps - 1
+
+    @pytest.mark.parametrize("analyses, printed", [(None, "4"), (["sites", "clusters"], "?"),
+                                                   ([], "?")])
+    def test_final_branch_count_is_the_last_steps(self, tmp_path, capsys, analyses, printed):
+        doc = {"scenario": "collision"}
+        if analyses is not None:
+            doc["analyses"] = analyses
+        out_dir = tmp_path / "out"
+        assert cli.main(["run", "--config", write_config(tmp_path, doc),
+                         "--out", str(out_dir)]) == 0
+        assert f"3 steps, {printed} final branches" in capsys.readouterr().out
+        final = json.loads((out_dir / "report.json").read_text())["steps"][-1]
+        assert str(final.get("branches", {}).get("count", "?")) == printed
+
     def test_correlation_analyses_emit_csv(self, tmp_path):
         doc = {"scenario": "epr",
                "analyses": ["sites", "branches", "clusters",
@@ -140,6 +166,32 @@ class TestBadInput:
         err = self.run_fails_cleanly(tmp_path, capsys,
                                      {"scenario": name, "params": {key: 100000}})
         assert f"{key} 100000 gives a horizon of {horizon} steps" in err
+
+    @pytest.mark.parametrize("horizon", ["x", 2.7, True, None])
+    def test_scenario_config_horizon_that_is_not_whole(self, tmp_path, capsys, horizon):
+        err = self.run_fails_cleanly(tmp_path, capsys, {"scenario": "single",
+                                                        "params": {"n_sites": 3},
+                                                        "horizon": horizon})
+        assert "'horizon' must be a whole number" in err
+        assert not (tmp_path / "out").exists()
+
+    # refused before the lattice is built, even where --horizon would
+    # override it
+    @pytest.mark.parametrize("builder, doc", [
+        ("chain_lattice", {"scenario": "single", "horizon": 10 ** 12}),
+        ("read_lattice", {"lattice": [{"index": 0, "kind": "system"}],
+                          "initial": {"product": {"0": [1, 0]}}, "horizon": 10 ** 12})],
+        ids=["scenario", "explicit"])
+    @pytest.mark.parametrize("extra", [[], ["--horizon", "3"]])
+    def test_config_horizon_past_the_limit_is_refused_first(self, tmp_path, capsys, monkeypatch,
+                                                           builder, doc, extra):
+        monkeypatch.setattr(bs.schedule, builder, None)   # never reached
+        err = self.run_fails_cleanly(tmp_path, capsys, doc, *extra)
+        assert f"horizon 1000000000000 exceeds the limit of {bs.schedule.MAX_HORIZON}" in err
+
+    def test_negative_scenario_config_horizon(self, tmp_path, capsys):
+        err = self.run_fails_cleanly(tmp_path, capsys, {"scenario": "epr", "horizon": -1})
+        assert "negative horizon" in err
 
     def test_bidirectional_chain_past_the_limit(self, tmp_path, capsys, monkeypatch):
         # its horizon is 4 whatever n_right is, so n_right = 10^8 built 10^8

@@ -8,7 +8,11 @@ does once every value is rounded by `_g12` alone, down to the sign
 bit.  A streamed report must give, step by step, the text and CSV rows
 that the whole-document assembly it replaced gave: `reference_report`
 below keeps that assembly, `_site_records` its site block, and
-`entry_loop_sites` the per-entry loop before that.
+`entry_loop_sites` the per-entry loop before that.  The branch and
+cluster blocks, rendered from the branch and cluster tables by
+`_BranchRows`, must give the text of the records that the `Branch`
+objects and the per-cluster dict loop gave: `reference_branches`,
+`_branch_clusters` and `_branch_item` below keep that loop.
 """
 
 import enum
@@ -21,12 +25,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import branchsim as bs
 from branchsim import reporting
-from branchsim.analysis import BlockAnalysis, MeasurementSetting, SiteMarginals
+from branchsim.analysis import (BRANCH_TOL, BlockAnalysis, Branch, BranchClusters,
+                                BranchDecomposition, Cluster, MeasurementSetting,
+                                SiteMarginals)
 from branchsim.lattice import StateBlock, lattice_to_json, norm, terms_to_json
 from branchsim.reporting import (EMBED_TERMS_LIMIT, _g12, _render, build_report, json_text,
                                  write_report)
@@ -194,6 +200,63 @@ def _branch_item(branch) -> dict:
     }
 
 
+def reference_branches(analysed) -> list:
+    """Each state's `BranchDecomposition`, built from the block's branch
+    table one `Branch` and one dict per branch, as reports once did."""
+    owner, bits, weights, branched = analysed.branch_table
+    indices = analysed.block.lattice.indices
+    ends = np.bincount(owner, minlength=analysed.block.size).cumsum().tolist()
+    weights = weights.tolist()
+    decomps = []
+    for lo, hi, mask in zip([0] + ends, ends, branched):
+        sites = [s for s, m in zip(indices, mask.tolist()) if m]
+        support = frozenset(sites)
+        decomps.append(BranchDecomposition(tuple([
+            Branch(w, dict(zip(sites, row)), support)
+            for w, row in zip(weights[lo:hi], bits[lo:hi, mask].tolist())
+        ]), frozenset(indices) - support, analysed.tol))
+    return decomps
+
+
+def cluster_members(analysed) -> list:
+    """Each state's clusters as lists of site ids, from `cluster_sites`."""
+    indices = analysed.block.lattice.indices
+    members = [[] for _ in range(analysed.block.size)]
+    for o, mask in zip(*analysed.cluster_sites):
+        members[o].append([indices[p] for p in np.flatnonzero(mask).tolist()])
+    return members
+
+
+def _branch_clusters(members: list, decomp: BranchDecomposition, tol: float) -> BranchClusters:
+    """A state's clusters from each one's sites, with its branches: the
+    state's branches regrouped per cluster in a dict, each key's weights
+    added in branch order onto 0.0, and the keys sorted."""
+    clusters = []
+    for sites in members:
+        sites = tuple(sorted(sites))
+        local: dict = {}
+        for br in decomp.branches:
+            key = tuple([(s, br.assignment[s]) for s in sites])
+            local[key] = local.get(key, 0.0) + br.weight
+        branches = tuple([
+            Branch(w, dict(key), frozenset(sites)) for key, w in sorted(local.items())
+        ])
+        clusters.append(Cluster(sites, branches))
+    return BranchClusters(tuple(clusters), decomp.unbranched, tol)
+
+
+def branches_record(decomp: BranchDecomposition) -> dict:
+    return {"count": decomp.n_branches,
+            "unbranched": sorted(decomp.unbranched),
+            "items": [_branch_item(b) for b in decomp.branches]}
+
+
+def clusters_record(clusters: BranchClusters) -> dict:
+    return {"count": clusters.n_clusters,
+            "items": [{"sites": list(c.sites), "branches": [_branch_item(b) for b in c.branches]}
+                      for c in clusters.clusters]}
+
+
 def reference_report(config, states: list, tolerance: float) -> dict:
     """The whole report document, assembled as before reports were
     streamed: each state analysed alone, as the block of one owner, and
@@ -211,17 +274,12 @@ def reference_report(config, states: list, tolerance: float) -> dict:
         summary = BlockAnalysis(StateBlock.of([state]), tolerance)
         if "sites" in names:
             record["sites"] = _site_records(summary.marginals, summary.decohered[0])
+        decomp = reference_branches(summary)[0]
         if "branches" in names:
-            decomp = summary.branches[0]
-            record["branches"] = {"count": decomp.n_branches,
-                                  "unbranched": sorted(decomp.unbranched),
-                                  "items": [_branch_item(b) for b in decomp.branches]}
+            record["branches"] = branches_record(decomp)
         if "clusters" in names:
-            clusters = summary.clusters[0]
-            record["clusters"] = {"count": clusters.n_clusters,
-                                  "items": [{"sites": list(c.sites),
-                                             "branches": [_branch_item(b) for b in c.branches]}
-                                            for c in clusters.clusters]}
+            record["clusters"] = clusters_record(
+                _branch_clusters(cluster_members(summary)[0], decomp, tolerance))
         if settings:
             record["correlations"] = [
                 {"site_a": a.site, "site_b": b.site,
@@ -374,3 +432,216 @@ class TestStreamedSteps:
         assert max(block.size for block in blocks) > 1
         assert all(len(block.table) * n * len(pairs) <= reporting.CHUNK_CELLS
                    for block in blocks)
+
+
+#: Tolerances of the branch-row tests: at 0.3 a state of four or more
+#: equal branches keeps none.
+BRANCH_TOLERANCES = (0.0, BRANCH_TOL, 1e-2, 0.3)
+PATTERN_AMPLITUDES = st.sampled_from([1.0, -0.5, 0.3, 1e-3, 0.1]) | st.floats(0.05, 1.0)
+
+
+@st.composite
+def branch_lattices(draw):
+    """Chains of 1 to 14 sites whose indices may be negative, so that `str`
+    order and numeric order of the sites differ."""
+    n = draw(st.sampled_from([10, 12, 14]) | st.integers(1, 14))
+    start = draw(st.integers(-12, 3))
+    return bs.chain_lattice([start], range(start + 1, start + n))
+
+
+@st.composite
+def segmented_states(draw, lattice):
+    """A product of independent segments over a shuffled order of the
+    lattice's positions, with at most 64 terms.  A segment holds one to
+    four bit patterns: one of several patterns branches and clusters apart
+    from the others, and each of its cluster branches merges the branches
+    that the other segments' patterns make, so three or more when another
+    segment has three patterns or more."""
+    n = lattice.n_sites
+    order = draw(st.permutations(range(n)))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=4))) if n > 1 else []
+    factors, n_terms = [], 1
+    for lo, hi in zip([0, *cuts], [*cuts, n]):
+        width = hi - lo
+        most = min(4, 2 ** width, 64 // n_terms)
+        k = min(most, draw(st.integers(2, 4) | st.integers(1, 4)))
+        n_terms *= k
+        patterns = draw(st.lists(st.integers(0, 2 ** width - 1), min_size=k, max_size=k,
+                                 unique=True))
+        factors.append([([(pattern >> (width - 1 - j)) & 1 for j in range(width)],
+                         complex(draw(PATTERN_AMPLITUDES), draw(st.sampled_from([0.0, 0.25]))))
+                        for pattern in patterns])
+    terms = []
+    for combo in itertools.product(*factors):
+        bits, amp = [0] * n, 1.0
+        for pos, bit in zip(order, [b for segment, _ in combo for b in segment]):
+            bits[pos] = bit
+        for _, a in combo:
+            amp *= a
+        terms.append((tuple(bits), amp))
+    return bs.entangled_state(lattice, terms)
+
+
+@st.composite
+def scattered_states(draw, lattice):
+    """Up to 24 random terms with random amplitudes."""
+    n = lattice.n_sites
+    rows = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n),
+                         min_size=1, max_size=min(24, 2 ** n), unique_by=tuple))
+    amps = [complex(draw(AMPLITUDES), draw(AMPLITUDES)) for _ in rows]
+    amps[0] += 1.0
+    return bs.entangled_state(lattice, list(zip(map(tuple, rows), amps)))
+
+
+def basis_state(lattice):
+    """All sites up: no site is branched."""
+    return bs.entangled_state(lattice, [((0,) * lattice.n_sites, 1.0)])
+
+
+@st.composite
+def branch_blocks(draw):
+    lattice = draw(branch_lattices())
+    states = draw(st.lists(st.one_of(segmented_states(lattice), segmented_states(lattice),
+                                     scattered_states(lattice), st.just(basis_state(lattice))),
+                           min_size=1, max_size=4))
+    return lattice, states
+
+
+def record_text(record: dict) -> str:
+    """`json.dumps` text of a step's ``branches`` or ``clusters`` record,
+    at the indent of a step's keys."""
+    return json.dumps(record, sort_keys=True, indent=2).replace("\n", "\n" + " " * 6)
+
+
+def assert_same_branches(found: tuple, reference: tuple):
+    assert (np.float64([b.weight for b in found]).tobytes()
+            == np.float64([b.weight for b in reference]).tobytes())
+    assert [b.assignment for b in found] == [b.assignment for b in reference]
+    assert [list(b.assignment) for b in found] == [list(b.assignment) for b in reference]
+    assert [b.support for b in found] == [b.support for b in reference]
+
+
+def assert_same_clusters(found: BranchClusters, reference: BranchClusters):
+    assert [c.sites for c in found.clusters] == [c.sites for c in reference.clusters]
+    for c, r in zip(found.clusters, reference.clusters):
+        assert_same_branches(c.branches, r.branches)
+    assert (found.unbranched, found.tolerance) == (reference.unbranched, reference.tolerance)
+
+
+def check_branch_rows(lattice, states, tol, names=("branches", "clusters")) -> list:
+    """Check `_BranchRows` text against `json.dumps` of the reference
+    records, and the library objects against the reference loop; returns
+    each state's reference clusters."""
+    analysed = BlockAnalysis(StateBlock.of(states), tol)
+    rows = reporting._BranchRows(lattice, set(names)).chunk(analysed)
+    assert len(rows) == len(states)
+    found = []
+    for b, (state, decomp, members, row) in enumerate(zip(
+            states, reference_branches(analysed), cluster_members(analysed), rows)):
+        n_branches, branches, n_clusters, clusters = row
+        reference = _branch_clusters(members, decomp, tol)
+        if "branches" in names:
+            assert n_branches == decomp.n_branches
+            assert branches.text == record_text(branches_record(decomp))
+        else:
+            assert (n_branches, branches) == (None, None)
+        if "clusters" in names:
+            assert n_clusters == reference.n_clusters
+            assert clusters.text == record_text(clusters_record(reference))
+        else:
+            assert (n_clusters, clusters) == (None, None)
+        for library in (analysed.branches[b], bs.branch_decompose(state, tol)):
+            assert_same_branches(library.branches, decomp.branches)
+            assert (library.unbranched, library.tolerance) == (decomp.unbranched, tol)
+        for library in (analysed.clusters[b], bs.extended_branch_clusters(state, tol)):
+            assert_same_clusters(library, reference)
+        found.append(reference)
+    return found
+
+
+def merged_weights():
+    """A state on sites -3 .. 8 of six branches: a pair on sites -3 and 8
+    times a three-pattern pair on sites -2 and -1, so that each branch of
+    the cluster on sites -3 and 8 merges three of the state's branches."""
+    lattice = bs.chain_lattice([-3], range(-2, 9))
+    outer = [((1, 0), 0.57), ((0, 1), 0.08)]
+    inner = [((0, 0), 0.45), ((1, 0), 0.84), ((1, 1), 0.44)]
+    terms = [((a[0],) + b + (0,) * 8 + (a[1],), complex(x * y))
+             for a, x in outer for b, y in inner]
+    return lattice, bs.entangled_state(lattice, terms)
+
+
+class TestBranchRows:
+    """`_BranchRows` renders each step's ``branches`` and ``clusters``
+    objects from the branch and cluster tables; every text must equal
+    `json.dumps` of the records built from `Branch` objects and the
+    per-cluster dict loop, and `branch_decompose` and
+    `extended_branch_clusters` must return the loop's objects."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(branch_blocks(), st.sampled_from(BRANCH_TOLERANCES),
+           st.sampled_from([("branches", "clusters"), ("branches",), ("clusters",)]))
+    def test_text_and_objects_equal_the_reference(self, block, tol, names):
+        found = check_branch_rows(*block, tol, names)
+        lattice, states = block
+        if lattice.n_sites >= 10 and min(lattice.indices) < 0:
+            event("10 or more sites, some negative")
+        for state, clusters in zip(states, found):
+            decomp = bs.branch_decompose(state, tol)
+            if not decomp.branches:
+                event("no branch kept")
+            elif not decomp.branches[0].assignment:
+                event("no branched site")
+            if clusters.n_clusters > 1:
+                event("several clusters")
+            if any(3 * c.n_branches <= decomp.n_branches for c in clusters.clusters):
+                event("a cluster of 3 or more state branches per branch")
+
+    def test_sites_go_in_str_order(self):
+        # sites -3 .. 10, where "-1" < "-3" and "10" < "2" as strings
+        lattice = bs.chain_lattice([-3], range(-2, 11))
+        state = bs.entangled_state(lattice, [((0,) * 14, 1.0), ((1,) * 14, 1.0)])
+        check_branch_rows(lattice, [state], BRANCH_TOL)
+        row = reporting._BranchRows(lattice, {"branches"}).chunk(BlockAnalysis(state))[0]
+        keys = list(json.loads(row[1].text)["items"][0]["assignment"])
+        assert keys == sorted(map(str, lattice.indices))
+        assert keys[:7] == ["-1", "-2", "-3", "0", "1", "10", "2"]
+
+    def test_a_state_with_no_branched_site_has_one_empty_branch(self):
+        lattice = bs.chain_lattice([-2], range(-1, 10))
+        state = basis_state(lattice)
+        (reference,) = check_branch_rows(lattice, [state], BRANCH_TOL)
+        assert reference.n_clusters == 0
+        text = reporting._BranchRows(lattice, {"branches"}).chunk(BlockAnalysis(state))[0][1].text
+        assert '"assignment": {}' in text and '"weight": 1.0' in text
+
+    def test_a_state_whose_groups_fall_below_tol_keeps_no_branch(self):
+        lattice = bs.chain_lattice([0], range(1, 4))
+        # two Bell pairs: four branched sites and four branches of 1/4
+        state = bs.entangled_state(lattice, [((a, a, b, b), 1.0) for a in (0, 1) for b in (0, 1)])
+        analysed = BlockAnalysis(state, 0.3)
+        assert analysed.branch_table[3].sum() == 4 and analysed.branches[0].n_branches == 0
+        (reference,) = check_branch_rows(lattice, [state], 0.3)
+        assert reference.n_clusters == 0
+
+    def test_clusters_of_part_of_the_branched_sites_are_grouped(self):
+        # sites 0, 1 in one Bell pair and 2, 3 in another: two clusters of
+        # two branches, each merging two of the state's four
+        lattice = bs.chain_lattice([0], range(1, 5))
+        state = bs.entangled_state(lattice, [((a, a, b, b, 0), 1.0) for a in (0, 1)
+                                             for b in (0, 1)])
+        (reference,) = check_branch_rows(lattice, [state], BRANCH_TOL)
+        assert [c.sites for c in reference.clusters] == [(0, 1), (2, 3)]
+        assert [c.n_branches for c in reference.clusters] == [2, 2]
+
+    def test_merged_weights_are_added_in_branch_order(self):
+        lattice, state = merged_weights()
+        (reference,) = check_branch_rows(lattice, [state], BRANCH_TOL)
+        assert [c.sites for c in reference.clusters] == [(-3, 8), (-2, -1)]
+        # the state's branches go in bit order, so the cluster branch with
+        # site -3 up merges branches 3, 4 and 5, in that order
+        first, second, third = [b.weight for b in bs.branch_decompose(state).branches][3:]
+        merged = reference.clusters[0].branches[1].weight
+        assert merged == 0.0 + first + second + third
+        # ... and no other order gives those bits
+        assert merged != 0.0 + third + second + first and merged != first + (second + third)
