@@ -15,6 +15,7 @@ stopped early).
 """
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -43,7 +44,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call, built once per process: parsing
+    reads it and changes nothing in it, and each call gets a new
+    namespace filled from the defaults."""
     parser = _ArgumentParser(
         prog="branchsim",
         description="Simulate and analyse decoherence branching on a 1-D spin lattice.")

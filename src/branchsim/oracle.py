@@ -1,22 +1,24 @@
 """Dense reference engine for cross-checking the sparse one.
 
 Everything here re-derives results from full 2^n state vectors using
-plain numpy tensor algebra — reshape, moveaxis, matmul — and shares no
-gate-application or tracing code with the sparse path.  Agreement
-between the two engines on the same schedule is therefore meaningful
-evidence of correctness, not a tautology.
+plain numpy tensor algebra — a gate's sites brought to the front by
+moveaxis or a gather, then matmul — and shares no gate-application or
+tracing code with the sparse path.  Agreement between the two engines on
+the same schedule is therefore meaningful evidence of correctness, not a
+tautology.
 
 The engine works on stacks: B states of one lattice as a (B, 2^n)
-array.  `apply_stack` plays one gate per state with one batched matmul
-per set of sites, and `analyse_stack` builds the marginals and branches
-of every state at once.  Its branches take the layout of the sparse
-`branch_table`, one row per branch ordered by state and then by bits,
-so the two tables are compared row for row; the layout is shared, the
-code that fills it is not.  The single-state functions (`dense_apply`,
-`dense_rdm`, `dense_entropy`, `dense_branch_weights`, ...) are the
-B = 1 case, and give the same bits as a stack row: numpy's stacked
-matmul, QR and eigvalsh compute each item as the single call does,
-which the tests pin.
+array.  `apply_stack` plays one gate per state, wherever each state's
+gate sits, with one gather, one stacked matmul and one scatter, and
+`analyse_stack` builds the marginals and branches of every state at
+once.  Its branches take the layout of the sparse `branch_table`, one
+row per branch ordered by state and then by bits, so the two tables are
+compared row for row; the layout is shared, the code that fills it is
+not.  The single-state functions (`dense_apply`, `dense_rdm`,
+`dense_entropy`, `dense_branch_weights`, ...) are the B = 1 case, and
+give the same bits as a stack row: numpy's stacked matmul, QR and
+eigvalsh compute each item as the single call does, which the tests
+pin.
 
 Capped at 20 sites (a 2^20 vector); the sparse engine has no such cap.
 """
@@ -126,21 +128,44 @@ def _contract(vectors: np.ndarray, matrices: np.ndarray, positions: tuple) -> np
     return np.moveaxis(psi.reshape((m,) + (2,) * n), front, axes).reshape(m, dim)
 
 
+def _gather_index(positions: np.ndarray, n: int) -> np.ndarray:
+    """The flat index, in a (B, 2^n) stack, of every amplitude of
+    `_contract`'s layout, as a (B, 2^k, 2^(n-k)) array: entry [b, s, r]
+    is state b's amplitude whose gate sites, ``positions[b]`` of the
+    (B, k) ``positions``, hold the bits of s and whose other n - k sites,
+    in lattice order, hold the bits of r.  Built per call from
+    B x 2^(n-k) integers; nothing is kept between calls."""
+    b, k = positions.shape
+    bits = (n - 1) - positions                      # each slot's bit of a flat index
+    slots = (np.arange(2 ** k)[:, None] >> np.arange(k - 1, -1, -1)) & 1
+    front = (1 << bits) @ slots.T + (2 ** n) * np.arange(b)[:, None]     # (B, 2^k)
+    rest = np.arange(2 ** (n - k))
+    for bit in np.sort(bits, axis=1).T:             # open a zero at each slot's bit, lowest first
+        low = (1 << bit[:, None]) - 1
+        rest = ((rest & ~low) << 1) | (rest & low)  # (B, 2^(n-k))
+    return front[:, :, None] + rest[:, None, :]
+
+
 def apply_stack(vectors: np.ndarray, matrices: np.ndarray, positions) -> np.ndarray:
     """Apply one gate to every state of a (B, 2^n) stack; returns the new stack.
 
     ``matrices[b]`` (a (B, 2^k, 2^k) stack) acts on lattice positions
     ``positions[b]`` of state b, the first position feeding the gate's
-    most significant slot.  States whose gates share their positions are
-    contracted together, with one stacked matmul.
+    most significant slot.  One gather by `_gather_index` lays every
+    state out as `_contract`'s moveaxis would, wherever its gate sits,
+    one stacked matmul contracts them all, and one scatter puts them
+    back.  State b's matmul item has the operands and layout of
+    `_contract` on that state alone, as `dense_apply` runs it, so each
+    row has the bits of the one-state call.
     """
-    groups: dict = {}
-    for b, pos in enumerate(positions):
-        groups.setdefault(tuple(pos), []).append(b)
-    out = np.empty_like(vectors)
-    for pos, rows in groups.items():
-        out[rows] = _contract(vectors[rows], matrices[rows], pos)
-    return out
+    b, dim = vectors.shape
+    k = matrices.shape[-1].bit_length() - 1
+    index = _gather_index(np.asarray(positions, dtype=np.intp).reshape(b, k),
+                          dim.bit_length() - 1)
+    flat = vectors.reshape(-1)
+    out = np.empty_like(flat)
+    out[index] = np.matmul(matrices, flat[index])
+    return out.reshape(b, dim)
 
 
 def dense_apply(dense: DenseState, gate: Gate, sites: Iterable) -> DenseState:
@@ -303,9 +328,19 @@ def dense_branch_weights(dense: DenseState, tol: float = 1e-9) -> dict:
 # random gates
 # ---------------------------------------------------------------------------
 
+def complex_gaussians(parts: np.ndarray) -> np.ndarray:
+    """The complex (..., d, d) matrices of a (..., 2, d, d) stack of real
+    Gaussian draws: ``parts[..., 0, :, :]`` is the real part and
+    ``parts[..., 1, :, :]`` the imaginary part."""
+    return parts[..., 0, :, :] + 1j * parts[..., 1, :, :]
+
+
 def gaussian_matrix(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A complex Gaussian dim x dim matrix: real part drawn first."""
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    """A complex Gaussian dim x dim matrix, real part drawn first: the
+    `complex_gaussians` of one ``rng.normal(size=(2, dim, dim))``, which
+    reads the same numbers from the rng as a (dim, dim) draw for each
+    part, and leaves it in the same state."""
+    return complex_gaussians(rng.normal(size=(2, dim, dim)))
 
 
 def haar_unitaries(gaussians: np.ndarray) -> np.ndarray:

@@ -246,12 +246,14 @@ def _draw_trials(rng: np.random.Generator, n_trials: int, n_sites: int,
                  n_gates: int) -> tuple:
     """Draw random trials: the initial bits (B, n), the site pairs
     (B, G, 2) and each gate's number (B, G) among the block's gates: the
-    three named ones, then the random ones, whose Gaussian matrices one
-    stacked QR makes unitary.  The rng is read in the order that drawing
-    one trial at a time reads it.  Also returns the gates' (L, 4, 4)
-    matrices and their joined column actions, for the two engines."""
+    three named ones, then the random ones.  The rng is read in the order
+    that drawing one trial at a time reads it.  A random gate's draw is
+    the (2, 4, 4) real draw of `oracle.gaussian_matrix`; the block's draws
+    are made complex by one `oracle.complex_gaussians` and unitary by one
+    stacked QR.  Also returns the gates' (L, 4, 4) matrices and their
+    joined column actions, for the two engines."""
     named = [gate_by_name(name) for name in ("U_si", "U_copy", "U_swap")]
-    bits, pairs, gates, gaussians = [], [], [], []
+    bits, pairs, gates, parts = [], [], [], []
     for _ in range(n_trials):
         bits.append(rng.integers(0, 2, n_sites))
         for _ in range(n_gates):
@@ -260,10 +262,10 @@ def _draw_trials(rng: np.random.Generator, n_trials: int, n_sites: int,
             if rng.random() < 0.4:
                 gates.append(rng.integers(len(named)))
             else:
-                gates.append(len(named) + len(gaussians))
-                gaussians.append(oracle.gaussian_matrix(4, rng))
-    randoms = unitary_stack(oracle.haar_unitaries(np.array(gaussians).reshape(-1, 4, 4)),
-                            4, "random")
+                gates.append(len(named) + len(parts))
+                parts.append(rng.normal(size=(2, 4, 4)))
+    gaussians = oracle.complex_gaussians(np.array(parts).reshape(-1, 2, 4, 4))
+    randoms = unitary_stack(oracle.haar_unitaries(gaussians), 4, "random")
     return (np.array(bits, dtype=np.uint8).reshape(n_trials, n_sites),
             np.array(pairs, dtype=np.intp).reshape(n_trials, n_gates, 2),
             np.array(gates, dtype=np.intp).reshape(n_trials, n_gates),

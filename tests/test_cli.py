@@ -575,6 +575,61 @@ class TestClosedStdout:
         assert proc.stderr == ""
 
 
+class TestParserReuse:
+    """`main` builds its parser once per process; each call still gets
+    its own options and defaults, whatever the call before it gave."""
+
+    def test_the_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_run_horizon_then_none(self, tmp_path):
+        config = write_config(tmp_path, {"scenario": "single", "params": {"n_sites": 3},
+                                         "horizon": 2})
+        for extra, steps in ((["--horizon", "1"], 2), ([], 3)):
+            out_dir = tmp_path / f"out{steps}"
+            assert cli.main(["run", "--config", config, "--out", str(out_dir), *extra]) == 0
+            report = json.loads((out_dir / "report.json").read_text())
+            assert len(report["steps"]) == steps
+
+    def test_verify_quick_then_trials(self, monkeypatch, capsys):
+        calls = []
+
+        def record(**kwargs):
+            calls.append(kwargs)
+            return [bs.verify.CheckResult("recorded", True)]
+
+        monkeypatch.setattr(cli.verify, "run_verification", record)
+        assert cli.main(["verify", "--quick"]) == 0
+        assert cli.main(["verify", "--trials", "3"]) == 0
+        assert cli.main(["verify"]) == 0
+        assert [c["n_trials"] for c in calls] == [100, 3, bs.verify.DEFAULT_TRIALS]
+        for c in calls:
+            assert c["tol"] == bs.verify.DEFAULT_TOL and c["seed"] == bs.verify.DEFAULT_SEED
+            assert c["gate_overrides"] is None
+        assert capsys.readouterr().out.count("1/1 checks passed") == 3
+
+    def test_version_twice(self, capsys):
+        for _ in range(2):
+            with pytest.raises(SystemExit) as exit_info:
+                cli.main(["--version"])
+            assert exit_info.value.code == 0
+            assert capsys.readouterr().out == f"branchsim {bs.__version__}\n"
+
+    @pytest.mark.parametrize("bad", [["run", "--no-such-flag"],
+                                     ["verify", "--quick", "--trials", "5"]],
+                             ids=["unknown-flag", "exclusive-options"])
+    def test_usage_error_then_a_good_call(self, monkeypatch, capsys, bad):
+        monkeypatch.setattr(cli.verify, "run_verification",
+                            lambda **kwargs: [bs.verify.CheckResult(str(kwargs["n_trials"]), True)])
+        assert cli.main(bad) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert cli.main(["verify", "--trials", "5"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and captured.out.startswith("ok    5 ")
+        assert cli.main(["scenario", "list"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == len(bs.SCENARIOS)
+
+
 class TestVerify:
     def test_quick_suite_passes(self, capsys):
         assert cli.main(["verify", "--quick"]) == 0

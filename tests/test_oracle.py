@@ -142,6 +142,83 @@ class TestRandomUnitaries:
         b = oracle.random_unitary(4, np.random.default_rng(7))
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("dim", [2, 4])
+    def test_gaussian_matrix_reads_the_rng_as_two_draws(self, dim):
+        # one (2, d, d) draw gives the numbers of a (d, d) draw per part,
+        # and leaves the rng where the two draws leave it
+        ours, twin = np.random.default_rng(11), np.random.default_rng(11)
+        for _ in range(3):
+            got = oracle.gaussian_matrix(dim, ours)
+            want = twin.normal(size=(dim, dim)) + 1j * twin.normal(size=(dim, dim))
+            assert got.shape == (dim, dim) and got.tobytes() == want.tobytes()
+        assert ours.random() == twin.random()
+
+
+def contract_one(vector, matrix, positions):
+    """One state times one gate on lattice positions `positions`, by the
+    moveaxis / reshape / matmul formula `oracle._contract` applies to a
+    one-state stack."""
+    n, k = vector.size.bit_length() - 1, len(positions)
+    front = tuple(range(1, k + 1))
+    axes = tuple(1 + p for p in positions)
+    psi = np.moveaxis(vector.reshape((1,) + (2,) * n), axes, front)
+    psi = np.matmul(matrix[None], psi.reshape(1, 2 ** k, -1))
+    return np.moveaxis(psi.reshape((1,) + (2,) * n), front, axes).reshape(-1)
+
+
+def signed_noise(rng, shape):
+    """Complex Gaussian entries, a fifth of their parts set to +0.0 or
+    -0.0, so that a result's signs of zero are compared too."""
+    parts = rng.normal(size=(2,) + shape)
+    zeros = rng.random(parts.shape) < 0.2
+    parts[zeros] = np.where(rng.random(parts.shape) < 0.5, 0.0, -0.0)[zeros]
+    return parts[0] + 1j * parts[1]
+
+
+def assert_apply_stack_is_per_state(vectors, matrices, positions):
+    got = oracle.apply_stack(vectors, matrices, positions)
+    want = np.array([contract_one(v, m, tuple(p))
+                     for v, m, p in zip(vectors, matrices, positions)]).reshape(vectors.shape)
+    assert got.shape == vectors.shape and got.dtype == complex
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+class TestApplyStack:
+    """`apply_stack` gathers every state's gate sites to the front, runs
+    one stacked matmul and scatters back; each row must have the bits of
+    the per-state contraction, signs of zero included."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(n_states=st.integers(1, 70), n_sites=st.integers(1, 10), k=st.sampled_from([1, 2]),
+           shared=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_rows_equal_the_per_state_contraction(self, n_states, n_sites, k, shared, seed):
+        k = min(k, n_sites)
+        rng = np.random.default_rng(seed)
+        vectors = signed_noise(rng, (n_states, 2 ** n_sites))
+        matrices = signed_noise(rng, (n_states, 2 ** k, 2 ** k))
+        picks = np.argsort(rng.random((1 if shared else n_states, n_sites)), axis=1)[:, :k]
+        positions = np.broadcast_to(picks, (n_states, k))
+        assert_apply_stack_is_per_state(vectors, matrices, positions)
+
+    @pytest.mark.parametrize("n_sites", [2, 3, 8])
+    def test_both_orders_of_every_neighbour_pair(self, n_sites):
+        # a gate on (p + 1, p) feeds its most significant slot from p + 1
+        rng = np.random.default_rng(n_sites)
+        pairs = [(p, p + 1) for p in range(n_sites - 1)]
+        positions = pairs + [pair[::-1] for pair in pairs]
+        vectors = signed_noise(rng, (len(positions), 2 ** n_sites))
+        matrices = signed_noise(rng, (len(positions), 4, 4))
+        assert_apply_stack_is_per_state(vectors, matrices, positions)
+        # the same gates on the same states, one reversed pair at a time
+        for b in range(len(pairs), len(positions)):
+            assert_apply_stack_is_per_state(vectors[b:b + 1], matrices[b:b + 1],
+                                            positions[b:b + 1])
+
+    def test_an_empty_stack(self):
+        out = oracle.apply_stack(np.zeros((0, 8), dtype=complex),
+                                 np.zeros((0, 4, 4), dtype=complex), [])
+        assert out.shape == (0, 8)
+
 
 class TestVerificationSuite:
     def test_all_checks_pass(self):

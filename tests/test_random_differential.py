@@ -114,6 +114,23 @@ def phased_swap():
     return gate
 
 
+@pytest.mark.parametrize("n_trials", [1, 7, 64])
+def test_a_block_draw_is_its_one_trial_draws_concatenated(n_trials):
+    # the block keeps each random gate's raw (2, 4, 4) draw and makes the
+    # block's draws complex and unitary at once; each trial must get the
+    # bits, pairs and gate matrices of a one-trial draw, and the rng must
+    # end where the one-trial draws leave it
+    block_rng, trial_rng = np.random.default_rng(5), np.random.default_rng(5)
+    bits, pairs, numbers, matrices, _ = verify._draw_trials(block_rng, n_trials, 8, 5)
+    trials = [verify._draw_trials(trial_rng, 1, 8, 5) for _ in range(n_trials)]
+    assert bits.tobytes() == np.concatenate([t[0] for t in trials]).tobytes()
+    assert pairs.tobytes() == np.concatenate([t[1] for t in trials]).tobytes()
+    want = np.concatenate([t[3][t[2]] for t in trials])
+    assert matrices[numbers].tobytes() == want.tobytes()
+    assert len(matrices) == 3 + sum(len(t[3]) - 3 for t in trials)
+    assert block_rng.random() == trial_rng.random()
+
+
 def test_a_fault_stops_the_check_at_the_same_trial(monkeypatch):
     faulty = phased_swap()
 
