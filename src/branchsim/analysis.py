@@ -21,9 +21,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .gates import _ranges, rotation_gate, apply_gate1
-from .lattice import (PureState, TermTable, complex_product, first_appearance, ordered_sum,
-                      row_keys)
+from .gates import rotation_gate, apply_gate1
+from .lattice import (PureState, TermTable, complex_product, first_appearance, index_ranges,
+                      ordered_sum, row_keys)
 
 #: Default tolerance for calling a site decohered / a weight a branch.
 BRANCH_TOL = 1e-9
@@ -114,7 +114,7 @@ def _pair_marginals(table: TermTable, owners, regions) -> np.ndarray:
     dim = 2 ** k
     sizes = np.bincount(table.owner, minlength=owners.max(initial=0) + 1)
     counts = sizes[owners]
-    rows = _ranges(sizes.cumsum()[owners] - counts, counts)   # each pair's rows in turn
+    rows = index_ranges(sizes.cumsum()[owners] - counts, counts)   # each pair's rows in turn
     outside, index = np.take(table.bits, rows, axis=0), np.zeros(len(rows), dtype=np.intp)
     flat = outside.reshape(-1)
     for column in regions.T:   # one slot at a time, most significant first
@@ -361,7 +361,7 @@ class BlockAnalysis:
         cluster_owner, sites = self.cluster_sites
         sizes = np.bincount(owner, minlength=self.block.size)
         counts = sizes[cluster_owner]
-        rows = _ranges((sizes.cumsum() - sizes)[cluster_owner], counts)
+        rows = index_ranges((sizes.cumsum() - sizes)[cluster_owner], counts)
         tag = np.arange(len(sites)).repeat(counts)
         masked = bits[rows] * sites[tag]
         keys = row_keys(masked, tag)

@@ -31,9 +31,8 @@ entangled-qubit scenario the scan reaches the Tsirelson bound
 2*sqrt(2); for the product-state collision scenario it stays at 2.
 
 Both play the same compiled steps (`compile_schedule`) as a run of the
-config and as verification's random trials, up to the config's
-horizon.  At settings (0, 0) the records are therefore read from the
-state a run reports at its last step.
+config, up to the config's horizon.  At settings (0, 0) the records are
+therefore read from the state a run reports at its last step.
 """
 
 from dataclasses import dataclass
@@ -69,9 +68,7 @@ def _experiment_frame(config: ScenarioConfig, record_sites) -> tuple:
 def _run_one(base: TermTable, spos: tuple, compiled: list, rpos: tuple,
              action_a, action_b) -> float:
     """One experiment: rotate, evolve, read <Z Z> at the record sites."""
-    table = apply_columns(base, (spos[0],), action_a)
-    table = apply_columns(table, (spos[1],), action_b)
-    table = play_step(table, compiled)
+    table = play_step(base, [((spos[0],), action_a), ((spos[1],), action_b), *compiled])
     re, im = table.amps.real, table.amps.imag
     return ordered_sum(_record_signs(table.bits, rpos) * (re * re + im * im))
 

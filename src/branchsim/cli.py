@@ -178,7 +178,8 @@ def _cmd_chsh_scan(args) -> int:
     if args.protocol == "record":
         result = record_chsh_scan(config, (site_a, site_b), args.resolution)
     else:
-        final = config.run()[-1]
+        for final in run_steps(config.initial, config.schedule, config.horizon):
+            pass   # keep only the state at the horizon
         result = analysis.chsh_grid_max(final, site_a, site_b, args.resolution)
     elapsed = time.perf_counter() - started
 

@@ -30,12 +30,12 @@ spin axis tilted by theta in the X-Z plane.  rot(pi/2) maps Z to X
 import math
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar
 
 import numpy as np
 
-from .lattice import (PureState, TermTable, complex_product, first_appearance, owner_rows,
-                      row_keys)
+from .lattice import (PureState, TermTable, complex_product, first_appearance, index_ranges,
+                      owner_rows, row_keys)
 
 #: Gate matrices must be unitary to this tolerance.
 UNITARITY_TOL = 1e-12
@@ -66,8 +66,8 @@ class ColumnAction:
 
     Column j's ``counts[j]`` entries are ``start[j]:start[j + 1]``, in
     ascending row order: the bits of row index i (one per gate slot) in
-    `row_bits`, and the coefficient ``re + i im``.  `permutation` is set
-    when every column has exactly one entry; then entry j is column j's.
+    `row_bits`, and the coefficient ``re + i im``.  `classical` is set
+    when every column has one entry and every coefficient is exactly 1.
 
     The action of several d x d gates joined (`column_action` of a
     stack, `join_actions`, `take_actions`) is that of their block-diagonal
@@ -79,7 +79,6 @@ class ColumnAction:
     row_bits: np.ndarray
     re: np.ndarray
     im: np.ndarray
-    permutation: bool
     classical: bool
 
 
@@ -88,9 +87,7 @@ def _action(counts, row_bits, re, im) -> ColumnAction:
               re, im)
     for array in arrays:  # gates share their action with every caller
         array.setflags(write=False)
-    permutation = bool((counts == 1).all())
-    return ColumnAction(*arrays, permutation,
-                        permutation and bool(((re == 1.0) & (im == 0.0)).all()))
+    return ColumnAction(*arrays, bool((counts == 1).all() and ((re == 1.0) & (im == 0.0)).all()))
 
 
 def column_action(matrices) -> ColumnAction:
@@ -114,58 +111,41 @@ def join_actions(actions) -> ColumnAction:
                      for field in ("counts", "row_bits", "re", "im")))
 
 
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The indices starts[i] .. starts[i] + counts[i] - 1 for every i, in order."""
-    ends = counts.cumsum()
-    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts).repeat(counts)
-
-
 def take_actions(action: ColumnAction, gates: np.ndarray) -> ColumnAction:
     """The gates numbered `gates` of a joined action, joined in that order."""
     dim = 1 << action.row_bits.shape[1]
     cols = (np.asarray(gates)[:, None] * dim + np.arange(dim)).ravel()
     counts = action.counts[cols]
-    entry = _ranges(action.start[cols], counts)
+    entry = index_ranges(action.start[cols], counts)
     return _action(counts, action.row_bits[entry], action.re[entry], action.im[entry])
 
 
 @dataclass(frozen=True)
-class Gate1:
-    """A single-site unitary (2x2, checked at construction by
-    `unitary_stack`), with its `column_action` as ``action``."""
+class Gate:
+    """A unitary on `n_sites` sites (2^n_sites square, checked at
+    construction by `unitary_stack`), with its `column_action` as
+    ``action``.  Build a `Gate1` or a `Gate2`, which set `n_sites`."""
 
     name: str
     matrix: np.ndarray
+    n_sites: ClassVar[int]
 
     def __post_init__(self):
-        matrices = unitary_stack([self.matrix], 2, self.name)
+        matrices = unitary_stack([self.matrix], 1 << self.n_sites, self.name)
         object.__setattr__(self, "matrix", matrices[0])
         object.__setattr__(self, "action", column_action(matrices))
 
-    @property
-    def n_sites(self) -> int:
-        return 1
+
+class Gate1(Gate):
+    """A single-site unitary (2x2)."""
+
+    n_sites = 1
 
 
-@dataclass(frozen=True)
-class Gate2:
-    """A two-site unitary (4x4, checked at construction by
-    `unitary_stack`), with its `column_action` as ``action``."""
+class Gate2(Gate):
+    """A two-site unitary (4x4)."""
 
-    name: str
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        matrices = unitary_stack([self.matrix], 4, self.name)
-        object.__setattr__(self, "matrix", matrices[0])
-        object.__setattr__(self, "action", column_action(matrices))
-
-    @property
-    def n_sites(self) -> int:
-        return 2
-
-
-Gate = Union[Gate1, Gate2]
+    n_sites = 2
 
 
 def system_field_gate() -> Gate2:
@@ -240,13 +220,14 @@ def gate_by_name(name: str) -> Gate:
 #
 # Every gate carries its column action: the nonzero entries of each
 # column, which say where one basis state goes.  Application is then
-# array lookups on the column index of every term.  For permutation
-# gates each term moves to exactly one new basis string and no two
-# terms meet.  The classical ones, whose coefficients are all 1 (the
+# array lookups on the column index of every term: `apply_columns`
+# expands each term into one entry per nonzero of its column and adds
+# the entries that land on one basis string onto 0.0, in entry order.
+# The classical gates, permutations whose coefficients are all 1 (the
 # built-in interactions and I), move bits and leave amplitudes alone:
 # `move_bits` plays them in place on one copy of the bits, so a run of
-# them (`schedule.play_step`) costs one copy and one prune in all, where
-# `apply_columns` takes a product, a copy and a prune per gate.
+# them (`schedule.play_step`) costs one copy and one prune in all.
+# Both write the new bits through `_place`.
 
 def apply_columns(table: TermTable, positions, action: ColumnAction) -> TermTable:
     """Apply a precomputed column action at basis-string positions.
@@ -277,25 +258,19 @@ def apply_columns(table: TermTable, positions, action: ColumnAction) -> TermTabl
     col = _columns(bits, at)
     if not shared:                             # and its owner's block of columns
         col = col + owner * (1 << len(at))
-    if action.permutation:  # term t moves to row_bits[col[t]], nothing merges
-        re, im = complex_product(action.re[col], action.im[col], amps.real, amps.imag)
-        out = bits.copy()
-        _write(out, at, action.row_bits[col])
-        return TermTable.pruned(out, 0.0 + re, 0.0 + im, owner)   # 0j + U_ij * amp
-
     if not len(col):
         return table
     # one entry per nonzero U_ij of each term's column, in (term, row) order
     counts = action.counts[col]
     term = np.arange(len(col)).repeat(counts)
-    entry = _ranges(action.start[col], counts)
+    entry = index_ranges(action.start[col], counts)
     re, im = complex_product(action.re[entry], action.im[entry],
                              amps.real[term], amps.imag[term])
     expanded = bits[term]                      # each entry's output basis string
     owner = owner_rows(owner, term)
     if not shared:
         at = [(np.arange(len(term)), p[term]) for _, p in at]
-    _write(expanded, at, action.row_bits[entry])
+    _place(expanded, at, action.row_bits, entry)
     slot, source = first_appearance(row_keys(expanded, owner))
     out_re, out_im = np.zeros(len(source)), np.zeros(len(source))
     np.add.at(out_re, slot, re)                # adds in entry order, onto 0.0
@@ -309,17 +284,17 @@ def move_bits(bits: np.ndarray, positions, action: ColumnAction):
     positions on a writable (T, n) bit matrix, in place: each row's bits
     at the positions become the row bits of its column.
 
-    `apply_columns` moves the bits the same way, and its amplitudes
-    1 re - 0 im and 1 im + 0 re differ from (re, im) only in the sign of
-    a zero part, which its ``0.0 +`` clears.  So for finite amplitudes,
+    `apply_columns` moves the bits the same way and merges no rows: each
+    column has one entry, and distinct rows of an owner move to distinct
+    rows.  It adds each amplitude, 1 re - 0 im and 1 im + 0 re, onto 0.0,
+    which differs from (re, im) only in the sign of a zero part, and
+    ``0.0 +`` clears that sign too.  So for finite amplitudes,
     `TermTable.pruned` of the moved bits, ``0.0 +`` the amplitudes and
     the owners is the table that `apply_columns` gives, bit for bit,
     after one such gate or after a run of them.
     """
     at = [(slice(None), p) for p in positions]
-    col = _columns(bits, at)
-    for j, index in enumerate(at):    # slot by slot: one 1-D lookup each
-        bits[index] = action.row_bits[:, j].take(col)
+    _place(bits, at, action.row_bits, _columns(bits, at))
 
 
 def _columns(bits: np.ndarray, at: list) -> np.ndarray:
@@ -327,10 +302,11 @@ def _columns(bits: np.ndarray, at: list) -> np.ndarray:
     return bits[at[0]] if len(at) == 1 else 2 * bits[at[0]] + bits[at[1]]
 
 
-def _write(bits: np.ndarray, at: list, new: np.ndarray):
-    """bits[at[j]] = new[:, j] for each gate slot j, in place."""
+def _place(bits: np.ndarray, at: list, row_bits: np.ndarray, entry: np.ndarray):
+    """bits[at[j]] = row_bits[entry, j] for each gate slot j, in place:
+    slot by slot, one 1-D lookup each."""
     for j, index in enumerate(at):
-        bits[index] = new[:, j]
+        bits[index] = row_bits[:, j].take(entry)
 
 
 def apply_gate1(state: PureState, gate: Gate1, site: int) -> PureState:

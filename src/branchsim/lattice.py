@@ -215,6 +215,12 @@ def first_appearance(keys: np.ndarray) -> tuple:
     return group, first[order]
 
 
+def index_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The indices starts[i] .. starts[i] + counts[i] - 1 for every i, in order."""
+    ends = counts.cumsum()
+    return np.arange(ends[-1] if len(ends) else 0) + (starts - ends + counts).repeat(counts)
+
+
 #: Owner 0 for any number of rows, the owner of a one-state table's rows:
 #: a zero-stride view that holds one integer, sliced to each table's
 #: length (a slice is far cheaper than a new broadcast view).
@@ -294,21 +300,6 @@ class AmplitudeView(Mapping):
 
     def __iter__(self):
         return iter(self._map())
-
-    def __contains__(self, basis) -> bool:
-        return basis in self._map()
-
-    def get(self, basis, default=None):
-        return self._map().get(basis, default)
-
-    def keys(self):
-        return self._map().keys()
-
-    def items(self):
-        return self._map().items()
-
-    def values(self):
-        return self._map().values()
 
     def __repr__(self):
         return f"AmplitudeView({self._map()!r})"
@@ -465,8 +456,10 @@ def product_state(lattice: Lattice, site_states: Mapping) -> PureState:
     # `shift` counts the two-valued sites to its right
     two = kept.all(axis=1)
     shift = two[::-1].cumsum()[::-1] - two
-    index = np.arange(len(re))[:, None]
-    bits = np.where(two, (index >> shift) & 1, kept[:, 1]).astype(np.uint8)
+    index = np.arange(len(re))
+    bits = np.empty((len(re), len(two)), dtype=np.uint8)
+    for p, (both, one, s) in enumerate(zip(two.tolist(), kept[:, 1].tolist(), shift.tolist())):
+        bits[:, p] = (index >> s) & 1 if both else one   # column by column, in uint8
     return PureState(lattice, TermTable.pruned(bits, re, im))
 
 

@@ -127,9 +127,10 @@ def compile_schedule(schedule: Schedule, lattice: Lattice,
     ready for `apply_columns`.  Within a step, gates keep the schedule's
     order (lowest site first).  The default horizon is the schedule's
     own; a negative one, or one past `MAX_HORIZON`, is a ScheduleError.
-    Two-site gates played on non-adjacent sites give one warning.  Runs,
-    record experiments and random verification trials all play these
-    steps.
+    Two-site gates played on non-adjacent sites give one warning.  Runs
+    and record experiments play these steps; verification's random
+    trials draw their own gates and call `apply_columns` with (B, 2)
+    positions, one gate per trial.
     """
     if horizon is None:
         horizon = schedule.horizon

@@ -282,8 +282,9 @@ def random_trial_block(rng: np.random.Generator, n_trials: int,
 
     Each sequence plays one two-site gate per step.  The sparse side
     plays the block as one table, trial b as owner b, one
-    `apply_columns` per step with each owner's gate, which gives every trial the terms `run_schedule` gives it alone; the
-    dense side as one (B, 2^n) stack.  Their overlaps are compared after
+    `apply_columns` per step with each owner's gate, which gives every
+    trial the terms `run_schedule` gives it alone; the dense side as one
+    (B, 2^n) stack.  Their overlaps are compared after
     every step, and every derived quantity by one final `compare_stack`.
     """
     lattice = chain_lattice([0], range(1, n_sites))

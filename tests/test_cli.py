@@ -702,6 +702,29 @@ class TestChshScan:
         expected = json.dumps(summary, indent=2, sort_keys=True) + "\n"
         assert (out_dir / "chsh_summary.json").read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("scenario", ["epr", "collision"])
+    def test_state_protocol_keeps_only_the_last_state(self, tmp_path, capsys, monkeypatch,
+                                                      scenario):
+        # it scans the state at the horizon without listing the whole run:
+        # ScenarioConfig.run is never called, and the lines it prints are
+        # those of the scan of run()[-1]
+        config = write_config(tmp_path, {"scenario": scenario})
+        result = bs.chsh_grid_max(cli.load_config(config).run()[-1], 2, 3, 15.0)
+        degs = [math.degrees(t) for t in result.settings]
+        expected = (f"CHSH max {result.value:.9f} (protocol state, resolution 15 deg, "
+                    "sites 2,3)\n"
+                    "settings (deg): a={:.6g} a'={:.6g} b={:.6g} b'={:.6g}\n".format(*degs))
+
+        def listed(*args, **kwargs):
+            raise AssertionError("ScenarioConfig.run called")
+        monkeypatch.setattr(bs.ScenarioConfig, "run", listed)
+        assert cli.main(["chsh-scan", "--config", config, "--sites", "2", "3",
+                         "--resolution", "15", "--protocol", "state"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(expected)
+        assert out[len(expected):].startswith("wall time ")
+        assert out.count("\n") == 3
+
     def test_state_protocol_stays_classical_for_epr(self, tmp_path, capsys):
         config = write_config(tmp_path, {"scenario": "epr"})
         code = cli.main(["chsh-scan", "--config", config, "--sites", "2", "3",

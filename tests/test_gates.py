@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import branchsim as bs
+from branchsim import gates
 from conftest import random_state
 
 Z = np.diag([1.0, -1.0]).astype(complex)
@@ -105,8 +106,18 @@ class TestGateValidation:
             bs.Gate2("bad", np.ones((4, 4)))
 
     def test_wrong_shape_rejected(self):
-        with pytest.raises(bs.GateError):
+        with pytest.raises(bs.GateError, match="want a 2x2 matrix"):
             bs.Gate1("bad", np.eye(4))
+        with pytest.raises(bs.GateError, match="want a 4x4 matrix"):
+            bs.Gate2("bad", np.eye(2))
+
+    def test_one_gate_class_of_one_or_two_sites(self):
+        one, two = bs.hadamard_gate(), bs.field_swap_gate()
+        assert isinstance(one, gates.Gate) and isinstance(two, gates.Gate)
+        assert not isinstance(one, bs.Gate2) and not isinstance(two, bs.Gate1)
+        assert (one.n_sites, two.n_sites) == (1, 2)
+        assert (bs.Gate1.n_sites, bs.Gate2.n_sites) == (1, 2)
+        assert repr(bs.identity_gate()).startswith("Gate1(name='I', ")
 
     def test_same_site_pair_rejected(self):
         with pytest.raises(bs.GateError):

@@ -58,6 +58,25 @@ class TestProductState:
         state = bs.product_state(two_site_lattice(), {0: [0.6, 0.8j], 1: [0, 1]})
         assert bs.norm(state) == pytest.approx(1.0, abs=1e-12)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.sampled_from([[1, 0], [0, 1], [R2, R2], [0.6, -0.8j], [1, 1e-15],
+                                     [3e-16j, 1]]), min_size=1, max_size=12))
+    def test_bits_equal_the_int64_formula(self, vectors):
+        # the bit matrix is filled column by column in uint8; its bytes must
+        # be those of the one int64 np.where it was built with, for sites of
+        # two kept bits and of one (|0>, |1> and a dust component alike)
+        lattice = bs.chain_lattice([0], range(1, len(vectors)))
+        state = bs.product_state(lattice, dict(zip(lattice.indices, vectors)))
+        vecs = np.array(vectors, dtype=complex)
+        kept = np.hypot(vecs.real, vecs.imag) >= bs.PRUNE_EPS
+        two = kept.all(axis=1)
+        shift = two[::-1].cumsum()[::-1] - two
+        index = np.arange(1 << int(two.sum()))[:, None]
+        bits = np.where(two, (index >> shift) & 1, kept[:, 1]).astype(np.uint8)
+        assert state.table.bits.dtype == np.uint8
+        assert state.table.bits.shape == bits.shape
+        assert state.table.bits.tobytes() == bits.tobytes()
+
     def test_missing_site_rejected(self):
         with pytest.raises(bs.StateError):
             bs.product_state(two_site_lattice(), {0: [1, 0]})
