@@ -39,15 +39,33 @@ _OUTER_CHUNK = 2 ** 14
 #: 8 k^2 bytes for k angles, so 0.001 degrees would ask for about 1 TB.
 MIN_RESOLUTION_DEG = 0.1
 
-#: Setting columns b' that `max_chsh_from_grid` works on at once.
+#: `max_chsh_from_grid` bounds setting pairs (b, b') a block of whole rows
+#: b' at a time: `_CHSH_PAIRS` // k rows for k angles, but at least
+#: `_CHSH_BLOCK`, so that a temporary of floats holds max(64 KiB, 256 k
+#: bytes) at most; blocks twice as large scan no faster at 2 degrees and
+#: raise the peak RSS of repeated scans.  Unsure rows gather grid columns
+#: `_CHSH_BLOCK` at a time.
 _CHSH_BLOCK = 32
+_CHSH_PAIRS = 2 ** 13
+
+#: The fewest pairs read in one pass over the grid's rows (`_pair_maxima`).
+_CHSH_DENSE = 2 ** 10
 
 #: float64 unit roundoff.
 _UNIT_ROUNDOFF = 2.0 ** -53
 
 #: Bound in radians on how far a flank pair may miss the angle it
-#: brackets (`max_chsh_from_grid`); the steps that pick it add about 40 u.
+#: brackets (`max_chsh_from_grid`); the angles' slack and the steps that
+#: pick the pair add about 104 u.
 _FLANK_ETA = 2.0 ** -45
+
+#: How far a grid angle may lie from i step for its flanks to be read
+#: (`_flank_test`): about 64 u.
+_ANGLE_SLACK = 2.0 ** -47
+
+#: A nonzero column magnitude below this counts as this much in the
+#: rounding margin of `max_chsh_from_grid`'s bound.
+_TINY_COLUMN = 2.0 ** -200
 
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
@@ -614,35 +632,67 @@ def correlation_grid(t: np.ndarray, angles: np.ndarray) -> tuple:
     return u @ t @ u.T, np.vstack([np.zeros(len(angles)), coeffs])
 
 
+def _block_rows(k: int) -> int:
+    """Rows of a k x k array that `max_chsh_from_grid` works on at once."""
+    return max(_CHSH_BLOCK, _CHSH_PAIRS // k)
+
+
 def _column_slack(angles: np.ndarray, e_grid: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     """eps[j] for each grid column: a bound on |E[i, j] - F_j(angles[i])|
     plus the rounding of a row's sum or difference (`max_chsh_from_grid`)."""
-    w = np.stack([np.ones(len(angles)), np.cos(angles), np.sin(angles)], axis=1)
-    eps = np.empty(len(angles))
-    for lo in range(0, len(angles), _CHSH_BLOCK):
-        cols = slice(lo, lo + _CHSH_BLOCK)
-        e = e_grid[:, cols]
-        eps[cols] = (np.abs(e - w @ coeffs[:, cols]).max(axis=0)
-                     + _UNIT_ROUNDOFF * (64.0 * np.abs(coeffs[:, cols]).sum(axis=0)
-                                         + np.abs(e).max(axis=0)))
-    return eps
+    k = len(angles)
+    w = np.stack([np.ones(k), np.cos(angles), np.sin(angles)], axis=1)
+    miss = np.zeros(k)
+    size = np.zeros(k)
+    step = _block_rows(k)
+    for lo in range(0, k, step):
+        e = e_grid[lo:lo + step]
+        m = w[lo:lo + step] @ coeffs
+        np.subtract(e, m, out=m)
+        np.maximum(miss, np.abs(m, out=m).max(axis=0), out=miss)
+        np.maximum(size, np.abs(e).max(axis=0), out=size)
+    return miss + _UNIT_ROUNDOFF * (64.0 * np.abs(coeffs).sum(axis=0) + size)
 
 
-def _row_maxima(e_grid: np.ndarray, coeffs: np.ndarray, eps: np.ndarray, step: float,
-                sure: float, rows: np.ndarray, op) -> np.ndarray:
-    """M[r, j] = max_i op(E[i, j], E[i, rows[r]]) for op `np.subtract` or
-    `np.add`, read at the two flanks where that is certain
-    (`max_chsh_from_grid`)."""
-    k = len(eps)
-    c1 = op(coeffs[1], coeffs[1, rows, None])
-    c2 = op(coeffs[2], coeffs[2, rows, None])
+def _flank_test(angles: np.ndarray) -> tuple:
+    """(step, sure) for `_pair_maxima`: a row with max(|c1|, |c2|) sure >
+    eps_b + eps_b' peaks at the flanks that floor(phi / step) picks.  sure
+    is 0, so that every row is read in full, unless the k >= 3 angles are
+    i step to within `_ANGLE_SLACK` and their smallest gap, the one round
+    to 2 pi included, exceeds 2 `_FLANK_ETA` (`max_chsh_from_grid`)."""
+    k = len(angles)
+    if k < 3 or angles[0] != 0.0:
+        return 1.0, 0.0
+    step = float(angles[1])
+    half = float(np.diff(angles, append=2.0 * math.pi).min()) / 2.0 - _FLANK_ETA
+    if not half > 0.0 or np.abs(angles - step * np.arange(k)).max() > _ANGLE_SLACK:
+        return 1.0, 0.0
+    return step, math.sin(half) ** 2 / 2.0
+
+
+def _pair_maxima(e_grid: np.ndarray, coeffs: np.ndarray, eps: np.ndarray, flanks: tuple,
+                 b, bp: np.ndarray, op) -> np.ndarray:
+    """M = max_i op(E[i, b], E[i, b']) for op `np.subtract` or `np.add` and
+    column indices b, b' that broadcast together: every column b
+    (`slice(None)`) against a column of rows b', or two lists of pairs.
+    Read at the two flanks where that is certain (`max_chsh_from_grid`)."""
+    step, sure = flanks
+    c1 = op(coeffs[1, b], coeffs[1, bp])
+    c2 = op(coeffs[2, b], coeffs[2, bp])
     r_low = np.maximum(np.abs(c1), np.abs(c2))   # r >= r_low >= r / sqrt(2)
-    unsure = ~(r_low * sure > eps + eps[rows, None])
+    unsure = ~(r_low * sure > eps[b] + eps[bp])
     n_unsure = np.count_nonzero(unsure)
-    if 3 * n_unsure > unsure.size:
+    if 3 * n_unsure > unsure.size >= _CHSH_DENSE:
         # reading one unsure row from two gathered columns costs about three
-        # times its share of a pass over the grid's rows
-        return _dense_row_maxima(e_grid, rows, op)
+        # times its share of a pass over the grid's rows, and the pass makes
+        # a few numpy calls per grid row whatever the number of pairs
+        best = np.full(unsure.shape, -math.inf)
+        term = np.empty_like(best)
+        for line in e_grid:
+            np.maximum(best, op(line[b], line[bp], out=term), out=best)
+        return best
+    k = len(eps)
+    at = np.arange(k)[b]               # b as column numbers
     phi = np.arctan2(c2, c1)
     phi[phi < 0.0] += 2.0 * math.pi
     lo = np.minimum((phi / step).astype(np.intp), k - 1)
@@ -651,23 +701,53 @@ def _row_maxima(e_grid: np.ndarray, coeffs: np.ndarray, eps: np.ndarray, step: f
     flat = e_grid.reshape(-1)
     lo *= k
     hi *= k
-    at = np.arange(k)
-    best = np.maximum(op(flat[lo + at], flat[lo + rows[:, None]]),
-                      op(flat[hi + at], flat[hi + rows[:, None]]))
-    r, j = np.nonzero(unsure)
-    for part in range(0, n_unsure, _CHSH_BLOCK):
-        rr, jj = r[part:part + _CHSH_BLOCK], j[part:part + _CHSH_BLOCK]
-        best[rr, jj] = op(e_grid[:, jj], e_grid[:, rows[rr]]).max(axis=0)
+    best = np.maximum(op(flat[lo + at], flat[lo + bp]), op(flat[hi + at], flat[hi + bp]))
+    if n_unsure:
+        jj = np.broadcast_to(at, unsure.shape)[unsure]
+        jp = np.broadcast_to(bp, unsure.shape)[unsure]
+        full = np.empty(n_unsure)
+        for part in range(0, n_unsure, _CHSH_BLOCK):
+            cols = slice(part, part + _CHSH_BLOCK)
+            full[cols] = op(e_grid[:, jj[cols]], e_grid[:, jp[cols]]).max(axis=0)
+        best[unsure] = full
     return best
 
 
-def _dense_row_maxima(e_grid: np.ndarray, rows: np.ndarray, op) -> np.ndarray:
-    """M[r, j] = max_i op(E[i, j], E[i, rows[r]]), one grid row i at a time."""
-    best = np.full((len(rows), e_grid.shape[1]), -math.inf)
-    term = np.empty_like(best)
-    for line in e_grid:
-        np.maximum(best, op(line, line[rows, None], out=term), out=best)
-    return best
+def _pair_rows(e_grid: np.ndarray, j: int, jp: int) -> tuple:
+    """The full rows E[:, j] - E[:, j'] and E[:, j] + E[:, j'] of one pair."""
+    return np.subtract(e_grid[:, j], e_grid[:, jp]), np.add(e_grid[:, j], e_grid[:, jp])
+
+
+def _bound_columns(coeffs: np.ndarray, eps: np.ndarray) -> tuple:
+    """The per-column parts of `_pair_bounds`: N_j = 2 |v_j|^2, the column
+    part 2 c0_j + 2 eps_j + m_j and the row part 2 eps_j + m_j, m_j the
+    rounding margin 64 u a_j (`max_chsh_from_grid`)."""
+    v1, v2 = coeffs[1], coeffs[2]
+    size = np.abs(coeffs).sum(axis=0) + eps
+    side = 2.0 * eps + 64.0 * _UNIT_ROUNDOFF * np.where(
+        size > 0.0, np.maximum(size, _TINY_COLUMN), 0.0)
+    return 2.0 * (v1 * v1 + v2 * v2), 2.0 * coeffs[0] + side, side
+
+
+def _pair_bounds(coeffs: np.ndarray, columns: tuple, rows: np.ndarray) -> np.ndarray:
+    """U[r, j] >= the cand of (b, b') = (j, rows[r]): sqrt(N_j + N_b' +
+    sqrt((N_j - N_b')^2 + X^2)) + base[j] + side[b'] for X = 4 (v_j x v_b')
+    and `columns` = (N, base, side) from `_bound_columns`."""
+    norms, base, side = columns
+    # products, not a matmul, which raised the peak RSS of repeated scans
+    cross = np.multiply(coeffs[1], 4.0 * coeffs[2, rows, None])
+    cross -= coeffs[2] * (4.0 * coeffs[1, rows, None])
+    bound = np.subtract(norms, norms[rows, None])
+    bound *= bound
+    cross *= cross
+    bound += cross
+    np.sqrt(bound, out=bound)
+    bound += norms
+    bound += norms[rows, None]
+    np.sqrt(bound, out=bound)
+    bound += base
+    bound += side[rows, None]
+    return bound
 
 
 def max_chsh_from_grid(angles: np.ndarray, e_grid: np.ndarray, coeffs: np.ndarray) -> tuple:
@@ -678,29 +758,71 @@ def max_chsh_from_grid(angles: np.ndarray, e_grid: np.ndarray, coeffs: np.ndarra
     `angles[i]`: every grid of both scan protocols has this form, the fact
     behind Horodecki et al., Phys. Lett. A 200, 340 (1995).
 
-    For fixed (b, b') the maximum over a and a' separates:
+    For fixed (b, b') the maximum over a and a' separates: cand(b, b') =
     max_a (E[a,b] - E[a,b']) + max_a' (E[a',b] + E[a',b']).  Each of those
     two rows is c + r cos(theta - phi), (r, phi) the polar form of the
-    difference (or sum) of the columns' (c1, c2).  On any set of angles
-    such a function peaks at one of the two grid angles that flank phi,
-    so a row is read there only, and the scan costs O(k^2), not O(k^3).
+    difference (or sum) of the columns' v = (c1, c2).  A closed-form bound
+    on cand rules out most pairs (b, b') of a grid that is not flat before
+    any of their entries is read, and each pair that remains reads its rows
+    at the two grid angles that flank phi, where such a function peaks.
 
-    When the flanks are certain.  Write eps_j for `_column_slack`: the
-    largest |E[i, j] - (c0 + c1 cos + c2 sin)(angles[i])| measured over
-    the column, plus 64 u (|c0| + |c1| + |c2|) for the rounding of that
-    model and of numpy's cos and sin, plus u max_i |E[i, j]| for the
-    rounding of a row's sum or difference; u = 2^-53.  A computed row
-    then differs from its exact function by at most eps_b + eps_b'.  Let
-    g be the smallest gap between neighbouring grid angles, the gap from
-    the last angle round to 2 pi included.  The flank pair chosen by
-    floor(phi / step) brackets phi to within eta = 2^-45 rad, about 256 u:
-    the coefficients' rounding, atan2, the fold into [0, 2 pi), the floor
-    and the rounding of the grid angles add about 40 u.  If delta
-    is the distance from the bracketed angle to the nearer flank, every
-    other grid angle lies beyond a flank, at least delta + g from it and
-    so at least delta + g - eta from phi.  With k >= 3 these distances
-    stay within [0, pi], where cos falls, so every other angle scores
-    below that flank by at least
+    The bound.  Write eps_j for `_column_slack`: the largest
+    |E[i, j] - (c0 + c1 cos + c2 sin)(angles[i])| measured over the
+    column, plus 64 u (|c0| + |c1| + |c2|) for the rounding of that model
+    and of numpy's cos and sin, plus u max_i |E[i, j]| for the rounding of
+    a row's sum or difference; u = 2^-53.  A computed row then differs
+    from its exact function by at most eps_b + eps_b', at whatever angles
+    the grid holds, and |c1 cos + c2 sin| <= |v|.  So every entry of the
+    difference row is at most c0_b - c0_b' + |v_b - v_b'| + eps_b + eps_b',
+    every entry of the sum row at most c0_b + c0_b' + |v_b + v_b'| + eps_b
+    + eps_b', and the exact cand at most U = 2 c0_b + L + 2 (eps_b +
+    eps_b') with L = |v_b - v_b'| + |v_b + v_b'|.  `_pair_bounds` takes L
+    = sqrt(N_b + N_b' + sqrt((N_b - N_b')^2 + X^2)), N_j = 2 |v_j|^2 and X
+    = 4 v_b x v_b' (since |v_b -+ v_b'|^2 = q -+ 2 p for q = |v_b|^2 +
+    |v_b'|^2, p = v_b . v_b', and q^2 - 4 p^2 = (|v_b|^2 - |v_b'|^2)^2 +
+    4 (v_b x v_b')^2): a cross product and two square roots per pair.
+
+    The bound's rounding margin.  Let a_j = |c0_j| + |c1_j| + |c2_j| +
+    eps_j, so that |v_j| <= a_j and |E[i, j]| <= a_j, and S = N_b + N_b'.
+    The computed N_j is off by at most 2u N_j, X by 8u |v_b| |v_b'| <= 2u
+    S, and N_b - N_b' by 3u S.  The inner root is a Euclidean norm, which
+    passes absolute errors on unamplified, and it rounds by 2u of itself,
+    so it is off by at most 7u S; the sum under the outer root, at least
+    S, is off by at most 13u S.  The outer root divides that by 2 sqrt(S)
+    and rounds by u L <= 1.5u sqrt(S): L is off by at most 8u sqrt(S) <=
+    12u (|v_b| + |v_b'|).  Adding 2 c0_b, the eps terms and the margin
+    costs at most 15u (a_b + a_b'), and the computed cand, a rounded sum of
+    two row maxima, exceeds its exact value by at most 3u (a_b + a_b').
+    So U carries a margin of 64u (a_b + a_b') > (12 + 15 + 3)u (a_b +
+    a_b'), and the computed U is at least the computed cand of its pair.
+    The squares can underflow, which moves L by at most 2^-267; a column
+    with 0 < a_j < 2^-200 (`_TINY_COLUMN`) counts as 2^-200 in the margin,
+    which covers that.  A zero column has no margin, as nothing in it
+    rounds.
+
+    The search.  Rows b' are taken in blocks of at least `_CHSH_BLOCK`
+    and about `_CHSH_PAIRS` pairs.  The floor is the best cand so far; the
+    first block takes the cand of its pair of largest U.  Only pairs with
+    U >= floor are read, as one list in b'-major order: a pair below the
+    floor scores below the maximum, so it can neither win nor tie.  A NaN
+    bound (the norms overflow past |v| ~ 1e154) keeps its pair.  A block
+    where a third of the pairs or more survive reads all of its pairs at
+    once: a constant grid keeps them all.
+
+    When the flanks are certain.  Let g be the smallest gap between
+    neighbouring grid angles, the gap from the last angle round to 2 pi
+    included.  Flanks are read only on a grid of k >= 3 angles that
+    starts at 0 with equal steps: angles[i] within 2^-47 rad (64 u) of
+    i step, step = angles[1] (`_flank_test`).  On any other grid every
+    row is read in full, so wrong angles cost time, never the result.
+    The flank pair chosen by floor(phi / step) then brackets phi to
+    within eta = 2^-45 rad, about 256 u: the 64 u of the angles, plus the
+    coefficients' rounding, atan2, the fold into [0, 2 pi), the division
+    and the floor, about 40 u.  If delta is the distance from the
+    bracketed angle to the nearer flank, every other grid angle lies
+    beyond a flank, at least delta + g from it and so at least delta + g -
+    eta from phi.  With k >= 3 these distances stay within [0, pi], where
+    cos falls, so every other angle scores below that flank by at least
     r (cos(delta + eta) - cos(delta + g - eta))
     = 2 r sin(delta + g/2) sin(g/2 - eta) >= 2 r sin^2(g/2 - eta).
     If that margin exceeds 2 (eps_b + eps_b'), no other entry can reach
@@ -709,38 +831,51 @@ def max_chsh_from_grid(angles: np.ndarray, e_grid: np.ndarray, coeffs: np.ndarra
     and takes max(|c1|, |c2|) <= r for r: max(|c1|, |c2|)
     sin^2(g/2 - eta) / 2 > eps_b + eps_b'.  A row that fails it takes
     the full row's maximum: b = b' is exactly flat, and so is the sum of
-    two opposite columns.  Where a third of a block's rows or more fail
-    it (a constant grid fails everywhere), the block takes one pass over
-    the grid's rows instead, which costs less than gathering that many
-    rows' columns.  Wrong coefficients
-    therefore cost time, never the result.
+    two opposite columns.  Where a third of the pairs read at once or
+    more fail it (a constant grid fails everywhere), and they number at
+    least `_CHSH_DENSE`, they take one pass over the grid's rows instead,
+    which costs less than gathering that many rows' columns.  Wrong coefficients therefore cost time, never
+    the result.
 
     Ties are broken as a full scan breaks them: the winning (b, b') is
     the first in b'-major order, and a and a' are the first indices that
-    reach their rows' maxima.  Columns b' are taken `_CHSH_BLOCK` at a
-    time, so the temporaries hold O(_CHSH_BLOCK k) numbers.
+    reach their rows' maxima.
     Returns (value, (theta_a, theta_a', theta_b, theta_b')).
     """
     k = len(angles)
-    e_grid = np.ascontiguousarray(e_grid)   # `_row_maxima` reads it flat
-    gaps = np.diff(angles, append=2.0 * math.pi)
-    step = float(gaps[0])
-    half = float(gaps.min()) / 2.0 - _FLANK_ETA
-    sure = math.sin(half) ** 2 / 2.0 if k >= 3 and half > 0.0 else 0.0
+    e_grid = np.ascontiguousarray(e_grid)   # `_pair_maxima` reads it flat
     eps = _column_slack(angles, e_grid, coeffs)
+    flanks = _flank_test(angles)
+    columns = _bound_columns(coeffs, eps)
+    every = np.arange(k)
     best = -math.inf
     best_idx = (0, 0)
-    for lo in range(0, k, _CHSH_BLOCK):
-        rows = np.arange(lo, min(lo + _CHSH_BLOCK, k))
-        cand = (_row_maxima(e_grid, coeffs, eps, step, sure, rows, np.subtract)
-                + _row_maxima(e_grid, coeffs, eps, step, sure, rows, np.add))
-        at = int(cand.argmax())     # cand[r, j]: b = j, b' = rows[r]
+    step = _block_rows(k)
+    for lo in range(0, k, step):
+        rows = every[lo:lo + step]
+        bound = _pair_bounds(coeffs, columns, rows)
+        floor = best
+        if floor == -math.inf:
+            top = int(bound.argmax())
+            d, s = _pair_rows(e_grid, top % k, rows[top // k])
+            floor = float(d.max() + s.max())
+        keep = np.flatnonzero(~(bound < floor))   # a NaN bound keeps its pair
+        if 3 * len(keep) >= bound.size:
+            b, bp = slice(None), rows[:, None]   # a pass reads grid rows as views
+        elif len(keep):
+            r, b = np.divmod(keep, k)
+            bp = rows[r]
+        else:
+            continue
+        cand = (_pair_maxima(e_grid, coeffs, eps, flanks, b, bp, np.subtract)
+                + _pair_maxima(e_grid, coeffs, eps, flanks, b, bp, np.add))
+        at = int(cand.argmax())
         if cand.flat[at] > best:
             best = float(cand.flat[at])
-            best_idx = (at % k, int(rows[at // k]))
+            best_idx = (int(np.broadcast_to(every[b], cand.shape).flat[at]),
+                        int(np.broadcast_to(bp, cand.shape).flat[at]))
     j, jp = best_idx
-    d = np.subtract(e_grid[:, j], e_grid[:, jp])
-    s = np.add(e_grid[:, j], e_grid[:, jp])
+    d, s = _pair_rows(e_grid, j, jp)
     ia, iap = int(d.argmax()), int(s.argmax())
     return (float(d[ia] + s[iap]),
             (float(angles[ia]), float(angles[iap]), float(angles[j]), float(angles[jp])))

@@ -381,7 +381,10 @@ class StateBlock:
 
     @classmethod
     def of(cls, states) -> "StateBlock":
-        """The block of a non-empty sequence of states on one lattice."""
+        """The block of a non-empty sequence of states on one lattice.  The
+        block of one state holds that state's own table, arrays unchanged."""
+        if len(states) == 1:
+            return cls(states[0].lattice, states[0].table, 1)
         tables = [state.table for state in states]
         owner = np.arange(len(tables)).repeat([len(t) for t in tables])
         table = TermTable(np.concatenate([t.bits for t in tables]),

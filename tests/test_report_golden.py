@@ -16,6 +16,8 @@ indices and more than ten sites (so site keys sort as strings, not as
 numbers), 128 to 256 unembedded terms per step, and every analysis.
 The `wide_brickwork` case, recorded while clusters still grew one state
 at a time, pins the default analyses on 1,024-term states of 32 sites.
+Three cases are also run with every chunk of steps one state, whose
+block holds the state's own arrays, to the same digests.
 
 The digests are tied to the numpy/LAPACK build they were recorded with
 (numpy 2.4 on x86-64 OpenBLAS): entropies of pure sites carry eigenvalue
@@ -29,7 +31,7 @@ import json
 
 import pytest
 
-from branchsim import cli
+from branchsim import cli, reporting
 from branchsim.reporting import EMBED_TERMS_LIMIT
 
 
@@ -169,6 +171,13 @@ def test_report_bytes_match_golden(name, tmp_path):
     assert cli.main(["run", "--config", str(config), "--out", str(out_dir)]) == 0
     assert _sha256(out_dir / "report.json") == report_digest
     assert _sha256(out_dir / "timeseries.csv") == series_digest
+
+
+@pytest.mark.parametrize("name", ["epr", "wide_unembedded", "wide_brickwork"])
+def test_one_state_chunks_match_golden(name, tmp_path, monkeypatch):
+    # every chunk is one state, whose block holds the state's own arrays
+    monkeypatch.setattr(reporting, "CHUNK_CELLS", 1)
+    test_report_bytes_match_golden(name, tmp_path)
 
 
 #: epr with correlation requests: reversed pairs and nonzero angles

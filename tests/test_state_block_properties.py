@@ -7,7 +7,8 @@ bit for bit, down to the sign of zero: `run_schedule` for evolution and
 the per-state `_region_marginals`, the dict-loop partial trace
 (`test_analysis_properties.loop_rdm`) and the branch dict loop
 (`test_analysis_properties.loop_decompose`) for analysis.  A one-state
-table keeps its zero-stride owner through every gate.
+table keeps its zero-stride owner through every gate, and the block of
+one state holds that state's own table.
 A golden digest pins the first 2,048 per-trial deviations of the random
 suite.
 """
@@ -272,3 +273,12 @@ def test_random_gates_of_a_block_are_checked_in_one_stack():
     with pytest.raises(bs.GateError, match="want a 4x4 matrix"):
         bs.Gate2("stacked", good)
     assert gates.unitary_stack(good, 4, "random").shape == (1, 4, 4)
+
+
+def test_block_of_one_state_holds_its_arrays():
+    # a chunk of one state is analysed without a copy of its terms
+    state = bs.scenario_epr().run()[-1]
+    block = StateBlock.of([state])
+    assert (block.lattice, block.size) == (state.lattice, 1)
+    assert block.table is state.table
+    assert block.table.owner.strides == (0,)
