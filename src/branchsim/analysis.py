@@ -299,7 +299,7 @@ class BlockAnalysis:
     use and then kept.
 
     Arrays, each built once: `marginals`, the `decohered` flags, the
-    `branch_table` (`branch_table`'s (owner, bits, weights, branched)),
+    `branch_table` (owner, bits, weights and the branched-site masks),
     the `cluster_sites` the growth finds, and the `cluster_table` of
     every cluster's branch list.  The site marginals feed the flags and
     the branch table; the branch table and the one-site entropies feed
@@ -327,8 +327,32 @@ class BlockAnalysis:
 
     @cached_property
     def branch_table(self) -> tuple:
-        """`branch_table` of the block, from its marginals."""
-        return branch_table(self.block, self.marginals, self.tol)
+        """The bit-basis branches of every state, from the marginals: the
+        one grouping of terms into branches.  A state's branched sites are
+        those whose one-site purity is below 1 - tol.  Its terms group by
+        their bits on those sites; a group's weight is its |amp|^2 added in
+        term order, groups above `tol` are kept, and each kept weight is
+        divided by the state's total, added in order of first appearance.
+        Returns (owner, bits, weights, branched): per branch, ordered by
+        state and then by bits, its state, its (n,) bit row with zeros off
+        the state's branched sites and its weight; and the (B, n) mask of
+        each state's branched sites.
+        """
+        table = self.block.table
+        branched = self.marginals.purity.reshape(self.block.size, -1) < 1.0 - self.tol
+        masked = table.bits * branched[table.owner]
+        keys = row_keys(masked, table.owner)
+        group, first = first_appearance(keys)
+        re, im = table.amps.real, table.amps.imag
+        sums = np.zeros(first.size)
+        np.add.at(sums, group, re * re + im * im)         # in term order, onto 0.0
+        kept = first[sums > self.tol]
+        weights = sums[sums > self.tol]
+        owner = table.owner[kept]
+        totals = np.zeros(self.block.size)
+        np.add.at(totals, owner, weights)                 # in order of first appearance
+        order = keys[kept].argsort(kind="stable")
+        return owner[order], masked[kept[order]], (weights / totals[owner])[order], branched
 
     @cached_property
     def cluster_sites(self) -> tuple:
@@ -472,36 +496,6 @@ def branch_decompose(state: PureState, tol: float = BRANCH_TOL) -> BranchDecompo
     records.
     """
     return BlockAnalysis(state, tol).branches[0]
-
-
-def branch_table(block, marginals: SiteMarginals, tol: float) -> tuple:
-    """The bit-basis branches of every state of a block, from its
-    `site_marginals`: the one grouping of terms into branches.
-
-    A state's branched sites are those whose one-site purity is below
-    1 - tol.  Its terms group by their bits on those sites; a group's
-    weight is its |amp|^2 added in term order, groups above `tol` are
-    kept, and each kept weight is divided by the state's total, added in
-    order of first appearance.  Returns (owner, bits, weights, branched):
-    per branch, ordered by state and then by bits, its state, its (n,)
-    bit row with zeros off the state's branched sites and its weight;
-    and the (B, n) mask of each state's branched sites.
-    """
-    table = block.table
-    branched = marginals.purity.reshape(block.size, -1) < 1.0 - tol
-    masked = table.bits * branched[table.owner]
-    keys = row_keys(masked, table.owner)
-    group, first = first_appearance(keys)
-    re, im = table.amps.real, table.amps.imag
-    sums = np.zeros(first.size)
-    np.add.at(sums, group, re * re + im * im)         # in term order, onto 0.0
-    kept = first[sums > tol]
-    weights = sums[sums > tol]
-    owner = table.owner[kept]
-    totals = np.zeros(block.size)
-    np.add.at(totals, owner, weights)                 # in order of first appearance
-    order = keys[kept].argsort(kind="stable")
-    return owner[order], masked[kept[order]], (weights / totals[owner])[order], branched
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from . import __version__, analysis, oracle, verify
 from .bell import record_chsh_scan
 from .gates import GateError
 from .lattice import LatticeError, StateError
-from .reporting import _g12, build_report, json_text, write_report
+from .reporting import _g12, build_report, json_text, write_files, write_report
 from .schedule import SCENARIOS, ConfigError, ScheduleError, load_config, run_steps
 
 EXIT_OK = 0
@@ -190,7 +190,6 @@ def _cmd_chsh_scan(args) -> int:
     print(f"wall time {elapsed:.3f} s")
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
         summary = {
             "protocol": args.protocol,
             "sites": [site_a, site_b],
@@ -199,17 +198,17 @@ def _cmd_chsh_scan(args) -> int:
             "settings_rad": [_g12(t) for t in result.settings],
             "settings_deg": [_g12(t) for t in settings_deg],
         }
-        spath = os.path.join(args.out, "chsh_summary.json")
-        with open(spath, "w", encoding="utf-8") as fh:
-            fh.write(json_text(summary))
-        gpath = os.path.join(args.out, "chsh_grid.csv")
         degs = [f"{t:.12g}" for t in np.rad2deg(result.angles).tolist()]
-        with open(gpath, "w", encoding="utf-8", newline="") as fh:
-            fh.write("theta_a_deg,theta_b_deg,correlation\n")
-            for ta, row in zip(degs, result.e_grid.tolist()):
-                fh.write("".join([f"{ta},{tb},{e:.12g}\n" for tb, e in zip(degs, row)]))
-        print(f"wrote {spath}")
-        print(f"wrote {gpath}")
+        columns = "".join([f"\0,{tb},%.12g\n" for tb in degs])   # a grid row, less its angle
+
+        def fill(summary_out, grid_out):
+            summary_out(json_text(summary))
+            grid_out("theta_a_deg,theta_b_deg,correlation\n")
+            for ta, row in zip(degs, result.e_grid):   # a row at a time, never the whole grid
+                grid_out(columns.replace("\0", ta) % tuple(row.tolist()))
+
+        for path in write_files(args.out, ("chsh_summary.json", "chsh_grid.csv"), fill):
+            print(f"wrote {path}")
     return EXIT_OK
 
 

@@ -9,10 +9,11 @@ time is therefore *not* part of a report; the CLI prints it separately.
 steps at a time, writes each step's record to `report.json` and its
 rows to the CSV files as soon as the step is analysed, and then drops
 the step.  No whole-report document or string is ever built, so memory
-follows one chunk of steps, not the horizon.  Each file is written
-under a temporary name in the output directory and renamed over its
-final name once every file is complete; on any error the temporary
-files are removed, so no partial report is left.
+follows one chunk of steps, not the horizon.  `write_files` writes the
+files of `run` and of `chsh-scan --out`, each under a temporary name in
+the output directory, renamed over its final name once every file is
+complete; on any error the temporary files are removed, so no partial
+output is left.
 
 `report.json`'s bytes are those of ``json.dumps(doc, sort_keys=True,
 indent=2)`` and a newline for the document the run describes, written
@@ -28,6 +29,7 @@ rendered once for every embedded state.
 """
 
 import contextlib
+import functools
 import os
 from dataclasses import dataclass
 from itertools import compress
@@ -451,24 +453,20 @@ def _stream(report: Report, json_out, series_out, correlations_out=None) -> None
     json_out("\n  ]\n}\n" if report.final is not None else "]\n}\n")
 
 
-def write_report(report: Report, out_dir) -> list:
-    """Stream `report` into `out_dir`: report.json, timeseries.csv and,
-    when the run asks for correlations, correlations.csv.  Returns the
-    written paths.
-
-    Each file is written as ``<name>.tmp`` and renamed over ``<name>``
-    once all of them are complete.  On any error the temporary files are
-    removed before the error propagates, so files of an earlier report
-    in `out_dir` stay as they were.
+def write_files(out_dir, names, fill) -> list:
+    """Write the files `names` into `out_dir` by calling `fill` with each
+    one's ``write``, and return their paths.  Each is written as
+    ``<name>.tmp`` and renamed over ``<name>`` once `fill` returns.  On
+    any error the temporary files are removed before the error
+    propagates, so files of an earlier run in `out_dir` stay as they were.
     """
     os.makedirs(out_dir, exist_ok=True)
-    paths = [os.path.join(out_dir, name) for name in report.files]
+    paths = [os.path.join(out_dir, name) for name in names]
     staged = [path + ".tmp" for path in paths]
     try:
         with contextlib.ExitStack() as stack:
-            writers = [stack.enter_context(open(tmp, "w", encoding="utf-8", newline="")).write
-                       for tmp in staged]
-            _stream(report, *writers)
+            fill(*[stack.enter_context(open(tmp, "w", encoding="utf-8", newline="")).write
+                   for tmp in staged])
         for tmp, path in zip(staged, paths):
             os.replace(tmp, path)
     except BaseException:
@@ -477,3 +475,10 @@ def write_report(report: Report, out_dir) -> list:
                 os.remove(tmp)
         raise
     return paths
+
+
+def write_report(report: Report, out_dir) -> list:
+    """Stream `report` into `out_dir` through `write_files`: report.json,
+    timeseries.csv and, when the run asks for correlations,
+    correlations.csv.  Returns the written paths."""
+    return write_files(out_dir, report.files, functools.partial(_stream, report))

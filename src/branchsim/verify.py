@@ -164,9 +164,9 @@ def compare_stack(block, vectors: np.ndarray) -> np.ndarray:
     state (the block of one), from its row of a (B, 2^n) dense stack,
     across overlap, RDMs, entropies and branch weights, as a (B,) array.
 
-    Each kind comes from one call on the block: the site marginals that
-    reports print, the first two and the last two sites, and
-    `analysis.branch_table`.  The dense side is one
+    Each kind comes from one call on the block: the `BlockAnalysis`
+    marginals that reports print, the first two and the last two sites,
+    and its `branch_table`.  The dense side is one
     `oracle.analyse_stack`, whose branches have `branch_table`'s layout,
     so the two tables are compared as they are.  A state whose branched
     sites, branch count or any branch's bits differ deviates by inf;
@@ -177,19 +177,19 @@ def compare_stack(block, vectors: np.ndarray) -> np.ndarray:
     lattice, size = block.lattice, block.size
     regions = (lattice.indices[:2], lattice.indices[-2:])
     dense = oracle.analyse_stack(lattice, vectors, regions, COMPARE_TOL)
-    marginals = analysis.site_marginals(block)
+    analysed = analysis.BlockAnalysis(block, COMPARE_TOL)
     rhos = analysis.region_matrices(block, regions)
     worst = np.abs(oracle.dense_overlaps(oracle.dense_vectors(lattice, block.table, size),
                                          vectors) - 1.0)
     for sparse, dense_kind in (
-            (marginals.matrices, dense.site_rdms),
-            (marginals.entropy, dense.site_entropy),
+            (analysed.marginals.matrices, dense.site_rdms),
+            (analysed.marginals.entropy, dense.site_entropy),
             (rhos, dense.region_rdms),
             (analysis.entropies(rhos), dense.region_entropy)):
         deviation = np.abs(sparse.reshape(dense_kind.shape) - dense_kind)
         worst = np.maximum(worst, deviation.reshape(size, -1).max(1))
 
-    owner, bits, weights, branched = analysis.branch_table(block, marginals, COMPARE_TOL)
+    owner, bits, weights, branched = analysed.branch_table
     dense_owner, dense_bits, dense_weights, dense_branched = dense.branches
     bad = ((branched != dense_branched).any(1)
            | (np.bincount(owner, minlength=size) != np.bincount(dense_owner, minlength=size)))

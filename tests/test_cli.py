@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import pytest
 
 import branchsim as bs
 from branchsim import cli, reporting
+from branchsim.bell import RecordScanResult
 
 
 def write_config(tmp_path, doc) -> str:
@@ -553,6 +555,67 @@ class TestFailedRun:
         assert list(out_dir.iterdir()) == []
 
 
+class TestFailedScan:
+    """An error while a scan's files are written leaves no partial file
+    and no temporary file, and the files of an earlier scan as they were."""
+
+    @staticmethod
+    def plant(monkeypatch, rows, error):
+        """Make the scan's grid raise `error` once more than `rows` of its
+        rows are read as lists, in either protocol: after the summary and
+        `rows` rows of the grid are written, or at once when the whole grid
+        is read in one call."""
+        read = []
+
+        class Planted(np.ndarray):
+            def tolist(self):
+                read.append(len(self) if self.ndim > 1 else 1)
+                if sum(read) > rows:
+                    raise error
+                return super().tolist()
+
+        def planted(scan):
+            def wrapped(*args):
+                result = scan(*args)
+                return dataclasses.replace(result, e_grid=result.e_grid.view(Planted))
+            return wrapped
+
+        monkeypatch.setattr(cli, "record_chsh_scan", planted(cli.record_chsh_scan))
+        monkeypatch.setattr(cli.analysis, "chsh_grid_max", planted(cli.analysis.chsh_grid_max))
+
+    @staticmethod
+    def argv(config, out_dir, protocol, resolution):
+        return ["chsh-scan", "--config", config, "--sites", "2", "3", "--resolution",
+                resolution, "--protocol", protocol, "--out", str(out_dir)]
+
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "earlier-scan"])
+    @pytest.mark.parametrize("protocol", ["record", "state"])
+    def test_error_mid_grid_leaves_no_partial_file(self, tmp_path, monkeypatch, capsys,
+                                                   protocol, earlier):
+        config = write_config(tmp_path, {"scenario": "epr"})
+        out_dir = tmp_path / "out"
+        before = {}
+        if earlier:
+            assert cli.main(self.argv(config, out_dir, protocol, "15")) == 0
+            before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+            assert sorted(before) == ["chsh_grid.csv", "chsh_summary.json"]
+        capsys.readouterr()
+        self.plant(monkeypatch, 5, RuntimeError("planted"))
+        with pytest.raises(RuntimeError, match="planted"):
+            cli.main(self.argv(config, out_dir, protocol, "5"))
+        assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+        assert "wrote" not in capsys.readouterr().out
+
+    @pytest.mark.parametrize("protocol", ["record", "state"])
+    def test_handled_error_mid_grid_exits_1(self, tmp_path, monkeypatch, capsys, protocol):
+        config = write_config(tmp_path, {"scenario": "epr"})
+        out_dir = tmp_path / "out"
+        self.plant(monkeypatch, 5, OSError("planted"))
+        assert cli.main(self.argv(config, out_dir, protocol, "5")) == 1
+        assert capsys.readouterr().err == "error: planted\n"
+        assert list(out_dir.iterdir()) == []
+
+
 class TestClosedStdout:
     """A reader that closes stdout early, as ``head`` does, gets exit code
     141 (128 + SIGPIPE) and nothing on stderr, whatever the command."""
@@ -658,19 +721,32 @@ class TestChshScan:
         assert len(grid) == 1 + 24 * 24
 
     @pytest.mark.parametrize("protocol", ["record", "state"])
-    @pytest.mark.parametrize("resolution", ["15", "5"])
-    def test_grid_csv_matches_the_entry_loop(self, tmp_path, capsys, resolution, protocol):
-        # the writer formats each angle once and joins each grid row; its
-        # bytes must be those of formatting all three fields per entry
+    @pytest.mark.parametrize("resolution", ["15", "5", "crafted"])
+    def test_grid_csv_matches_the_entry_loop(self, tmp_path, capsys, monkeypatch,
+                                             resolution, protocol):
+        # the writer formats each angle once and each grid row with one %
+        # template; its bytes must be those of formatting all three fields
+        # per entry.  The crafted grid holds the values whose text is
+        # easiest to get wrong (-0.0, NaN, the infinities, a subnormal and
+        # 1e17) on angles that are not evenly spaced.
         config = write_config(tmp_path, {"scenario": "epr"})
         out_dir = tmp_path / "scan"
-        assert cli.main(["chsh-scan", "--config", config, "--sites", "2", "3",
-                         "--resolution", resolution, "--protocol", protocol,
-                         "--out", str(out_dir)]) == 0
-        if protocol == "record":
+        if resolution == "crafted":
+            angles = np.array([-0.0, 1e-9, 0.3, 0.5, math.pi / 3, 2.0])
+            e_grid = np.linspace(-1.0, 1.0, 36).reshape(6, 6) / 3.0
+            e_grid.flat[:8] = [-0.0, math.nan, math.inf, -math.inf, 5e-324, 1e17, -2.5e-7,
+                               123456789012.5]
+            result = RecordScanResult(2.5, (0.3, 0.5, 1e-9, 2.0), angles, e_grid)
+            monkeypatch.setattr(cli, "record_chsh_scan", lambda *args: result)
+            monkeypatch.setattr(cli.analysis, "chsh_grid_max", lambda *args: result)
+            resolution = "45"
+        elif protocol == "record":
             result = bs.record_chsh_scan(bs.scenario_epr(), (2, 3), float(resolution))
         else:
             result = bs.chsh_grid_max(bs.scenario_epr().run()[-1], 2, 3, float(resolution))
+        assert cli.main(["chsh-scan", "--config", config, "--sites", "2", "3",
+                         "--resolution", resolution, "--protocol", protocol,
+                         "--out", str(out_dir)]) == 0
         degs = np.rad2deg(result.angles)
         lines = ["theta_a_deg,theta_b_deg,correlation\n"]
         for i, ta in enumerate(degs):

@@ -419,7 +419,7 @@ def test_stack_branches_equal_the_sparse_branch_table(states, tol):
     vectors = oracle.dense_vectors(block.lattice, block.table, block.size)
     indices = block.lattice.indices
     dense = oracle.analyse_stack(block.lattice, vectors, [indices[:1]], tol).branches
-    sparse = analysis.branch_table(block, analysis.site_marginals(block), tol)
+    sparse = analysis.BlockAnalysis(block, tol).branch_table
     for got, want in zip(dense[:2] + dense[3:], sparse[:2] + sparse[3:]):
         assert got.dtype == want.dtype and np.array_equal(got, want)
     assert dense[2].shape == sparse[2].shape

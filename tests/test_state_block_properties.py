@@ -150,10 +150,10 @@ def test_owner_axis_marginals_equal_per_state_marginals(data):
     for state, rho in zip(states, stacked):
         assert rho.tobytes() == analysis._region_marginals(state, regions)[0].tobytes()
 
-    marginals = analysis.site_marginals(block)
+    analysed = analysis.BlockAnalysis(block, analysis.BRANCH_TOL)
+    marginals = analysed.marginals
     assert marginals.sites == lattice.indices * len(states)
-    owner, bits, weights, branched = analysis.branch_table(block, marginals,
-                                                           analysis.BRANCH_TOL)
+    owner, bits, weights, branched = analysed.branch_table
     for b, state in enumerate(states):
         alone = analysis.site_marginals(state)
         for field in ("matrices", "coherence", "purity", "entropy"):
