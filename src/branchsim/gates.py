@@ -30,7 +30,7 @@ spin axis tilted by theta in the X-Z plane.  rot(pi/2) maps Z to X
 import math
 import re
 from dataclasses import dataclass
-from typing import ClassVar
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -68,6 +68,9 @@ class ColumnAction:
     ascending row order: the bits of row index i (one per gate slot) in
     `row_bits`, and the coefficient ``re + i im``.  `classical` is set
     when every column has one entry and every coefficient is exactly 1.
+    A classical gate's ``masks`` are what `move_layer` reads: one int per
+    slot of its two-slot form (see `_slots`), whose bit c is the slot's
+    new bit in column c.  They are None for any other action.
 
     The action of several d x d gates joined (`column_action` of a
     stack, `join_actions`, `take_actions`) is that of their block-diagonal
@@ -80,6 +83,7 @@ class ColumnAction:
     re: np.ndarray
     im: np.ndarray
     classical: bool
+    masks: Optional[tuple]
 
 
 def _action(counts, row_bits, re, im) -> ColumnAction:
@@ -87,7 +91,14 @@ def _action(counts, row_bits, re, im) -> ColumnAction:
               re, im)
     for array in arrays:  # gates share their action with every caller
         array.setflags(write=False)
-    return ColumnAction(*arrays, bool((counts == 1).all() and ((re == 1.0) & (im == 0.0)).all()))
+    width = row_bits.shape[1]
+    classical = bool((counts == 1).all() and ((re == 1.0) & (im == 0.0)).all())
+    masks = None
+    if classical and len(counts) == 1 << width:   # one gate, not a joined stack
+        # a one-site gate's columns 0 and 1 are columns 0 and 3 of its two-slot form
+        column = np.array([0, 1, 2, 3] if width == 2 else [0, 3])
+        masks = tuple((row_bits[:, j] << column).sum().item() for j in (0, -1))
+    return ColumnAction(*arrays, classical, masks)
 
 
 def column_action(matrices) -> ColumnAction:
@@ -224,10 +235,17 @@ def gate_by_name(name: str) -> Gate:
 # expands each term into one entry per nonzero of its column and adds
 # the entries that land on one basis string onto 0.0, in entry order.
 # The classical gates, permutations whose coefficients are all 1 (the
-# built-in interactions and I), move bits and leave amplitudes alone:
-# `move_bits` plays them in place on one copy of the bits, so a run of
-# them (`schedule.play_step`) costs one copy and one prune in all.
-# Both write the new bits through `_place`.
+# built-in interactions and I), move bits and leave amplitudes alone.
+# `schedule.play_step` cuts a run of them into *layers*, stretches of
+# gates on pairwise disjoint positions, which commute: one brickwork step
+# is one layer.  `move_layer` plays a whole layer in one pass over the
+# bits, transposed to one row per position: it gathers the rows of the
+# gates' left and right slots, reads each term's column under every gate
+# at once as a (gates, terms) uint8 array, and looks each slot's new bits
+# up in the gates' stacked `ColumnAction.masks` by a shift and a mask,
+# then scatters them back.  A lone gate is looked up in its own row bits
+# through `_place`, the writer that `apply_columns` uses too.  The run
+# costs one copy of the bits and one prune in all.
 
 def apply_columns(table: TermTable, positions, action: ColumnAction) -> TermTable:
     """Apply a precomputed column action at basis-string positions.
@@ -279,10 +297,21 @@ def apply_columns(table: TermTable, positions, action: ColumnAction) -> TermTabl
                              owner_rows(owner, source))
 
 
-def move_bits(bits: np.ndarray, positions, action: ColumnAction):
-    """Play a classical gate (`ColumnAction.classical`) at k basis-string
-    positions on a writable (T, n) bit matrix, in place: each row's bits
-    at the positions become the row bits of its column.
+def move_layer(rows: np.ndarray, layer: list):
+    """Play a layer of classical gates (`ColumnAction.classical`) in
+    place on a writable (n, T) view `rows` of a bit matrix, whose row p
+    holds every term's bit at position p.
+
+    A layer is one or more ``(positions, action)`` pairs whose positions
+    are pairwise disjoint, so its gates commute and one pass plays them
+    all.  A lone gate reads each term's column and writes each slot's
+    bit from its row bits (`_place`).  A layer of g gates gathers the
+    rows of its left and right slots, forms every term's column under
+    every gate as one (g, T) uint8 array, and writes slot j's rows as
+    bit `col` of the gates' ``masks[j]``, every temporary in uint8.  A
+    one-site gate at p is played as a two-site one at (p, p), whose
+    columns 0 and 3 are its columns 0 and 1; both of its slots write the
+    same bits.
 
     `apply_columns` moves the bits the same way and merges no rows: each
     column has one entry, and distinct rows of an owner move to distinct
@@ -293,8 +322,25 @@ def move_bits(bits: np.ndarray, positions, action: ColumnAction):
     the owners is the table that `apply_columns` gives, bit for bit,
     after one such gate or after a run of them.
     """
-    at = [(slice(None), p) for p in positions]
-    _place(bits, at, action.row_bits, _columns(bits, at))
+    if len(layer) == 1:             # one lookup of the gate's own row bits per slot
+        (positions, action), = layer
+        _place(rows, positions, action.row_bits, _columns(rows, positions))
+        return
+    # one index array per slot, and each slot's (g, 1) masks
+    at = [np.array(slot) for slot in zip(*[_slots(p) for p, _ in layer])]
+    masks = np.array([action.masks for _, action in layer], dtype=np.uint8).T[:, :, None]
+    col = rows[at[0]]                          # (g, T): each term's column per gate
+    col <<= 1
+    col |= rows[at[1]]
+    for index, mask in zip(at, masks):
+        bit = mask >> col
+        bit &= 1
+        rows[index] = bit
+
+
+def _slots(positions) -> tuple:
+    """A classical gate's two slots: its positions, or (p, p) for one site."""
+    return (positions[0], positions[0]) if len(positions) == 1 else positions
 
 
 def _columns(bits: np.ndarray, at: list) -> np.ndarray:

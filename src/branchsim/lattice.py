@@ -26,6 +26,7 @@ PureState objects are immutable: every operation returns a new state.
 """
 
 import cmath
+import functools
 import json
 import math
 import sys
@@ -430,40 +431,63 @@ def product_state(lattice: Lattice, site_states: Mapping) -> PureState:
     complex vector (amplitudes of bit 0 and bit 1), each normalised
     within NORM_TOL.
     """
-    indices = set(lattice.indices)
-    if indices != set(site_states):
+    indices = lattice.indices
+    if set(indices) != set(site_states):
         raise StateError(f"site states must cover the lattice exactly "
-                         f"(missing {sorted(indices - set(site_states))}, "
-                         f"extra {sorted(set(site_states) - indices)})")
-    columns = []
-    for site_id in lattice.indices:
-        vec = np.asarray(site_states[site_id], dtype=complex).reshape(-1)
-        if vec.shape != (2,):
-            raise StateError(f"site {site_id}: want 2 components, got shape {vec.shape}")
-        if not abs(np.vdot(vec, vec).real - 1.0) <= NORM_TOL:   # NaN fails too
-            raise StateError(f"site {site_id}: vector not normalised "
-                             f"(|v|^2 = {float(np.vdot(vec, vec).real)!r})")
-        columns.append(vec)
+                         f"(missing {sorted(set(indices) - set(site_states))}, "
+                         f"extra {sorted(set(site_states) - set(indices))})")
+    vecs = _site_vectors([site_states[i] for i in indices])
+    if vecs is None:   # some site is malformed, or near the norm bound: check each
+        vecs = np.array([_site_vector(i, site_states[i]) for i in indices])
 
-    vecs = np.array(columns)
     kept = np.hypot(vecs.real, vecs.imag) >= PRUNE_EPS   # (n, 2): bits each site takes
     # grow the product one site at a time, as a loop over the terms would:
     # each term splits into one term per kept bit, in (old term, bit) order
     re, im = np.ones(1), np.zeros(1)
-    for p, (keep0, keep1) in enumerate(kept.tolist()):
-        part = slice(0 if keep0 else 1, 2 if keep1 else 1)   # the kept bits
-        re, im = complex_product(re[:, None], im[:, None],
-                                 vecs.real[p, part], vecs.imag[p, part])
-        re, im = re.ravel(), im.ravel()
-    # so term t's bit at a two-valued site is bit `shift` of t, where
-    # `shift` counts the two-valued sites to its right
+    for p, (vec, (keep0, keep1)) in enumerate(zip(vecs.tolist(), kept.tolist())):
+        if keep0 and keep1:
+            re, im = complex_product(re[:, None], im[:, None], vecs.real[p], vecs.imag[p])
+            re, im = re.ravel(), im.ravel()
+        else:                                            # every term times one number
+            re, im = complex_product(re, im, vec[keep1].real, vec[keep1].imag)
+    # so term t's bit at the j-th of the k two-valued sites is bit k - 1 - j
+    # of t, and a one-valued site's bit is the one it keeps
     two = kept.all(axis=1)
-    shift = two[::-1].cumsum()[::-1] - two
-    index = np.arange(len(re))
+    k = int(two.sum())
     bits = np.empty((len(re), len(two)), dtype=np.uint8)
-    for p, (both, one, s) in enumerate(zip(two.tolist(), kept[:, 1].tolist(), shift.tolist())):
-        bits[:, p] = (index >> s) & 1 if both else one   # column by column, in uint8
+    bits[:] = kept[:, 1]
+    # the big-endian bytes of each t that hold its k low bits, unpacked
+    index = np.arange(len(re), dtype=">u8").view(np.uint8).reshape(-1, 8)[:, 8 - (k + 7) // 8:]
+    bits[:, two] = np.unpackbits(index, axis=1)[:, (8 - k) % 8:]
     return PureState(lattice, TermTable.pruned(bits, re, im))
+
+
+def _site_vectors(vectors: list):
+    """The (n, 2) complex array of n site vectors when each has two
+    components and a squared norm within NORM_TOL of 1 by a margin that
+    no rounding of `_site_vector`'s test can cross; otherwise None."""
+    try:
+        vecs = np.array(vectors, dtype=complex)
+    except (TypeError, ValueError):
+        return None
+    if vecs.shape != (len(vectors), 2):
+        return None
+    squares = vecs.real * vecs.real + vecs.imag * vecs.imag
+    if not (np.abs(squares.sum(axis=1) - 1.0) <= NORM_TOL - 1e-14).all():   # NaN fails too
+        return None
+    return vecs
+
+
+def _site_vector(site_id, vec) -> np.ndarray:
+    """One site's vector as two complex components, or the StateError
+    that says what is wrong with it."""
+    vec = np.asarray(vec, dtype=complex).reshape(-1)
+    if vec.shape != (2,):
+        raise StateError(f"site {site_id}: want 2 components, got shape {vec.shape}")
+    if not abs(np.vdot(vec, vec).real - 1.0) <= NORM_TOL:   # NaN fails too
+        raise StateError(f"site {site_id}: vector not normalised "
+                         f"(|v|^2 = {float(np.vdot(vec, vec).real)!r})")
+    return vec
 
 
 def entangled_state(lattice: Lattice, terms: Iterable) -> PureState:
@@ -516,15 +540,17 @@ def _is_number(value) -> bool:
 
 def read_number(value, key: str):
     """`value`, unchanged, if it is a number; `key` names it in the error."""
-    if not _is_number(value):
-        raise StateError(f"'{key}' must be a number, got {value!r}")
-    return value
+    if type(value) is float or type(value) is int or _is_number(value):
+        return value
+    raise StateError(f"'{key}' must be a number, got {value!r}")
 
 
 def read_whole(value, key: str) -> int:
     """A whole number: an int, or a float with no fraction such as 2.0.
     Fractions, booleans and strings are errors; none is truncated, read
     as 0 or 1, or parsed."""
+    if type(value) is int:
+        return value
     if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
         raise StateError(f"'{key}' must be a whole number, got {value!r}")   # inf, NaN too
     return int(value)
@@ -539,14 +565,21 @@ def read_list(value, key: str) -> list:
 
 
 class _Entry(dict):
-    """A list entry read by `read_object`: a missing field names the list."""
+    """A list entry read by `read_object`: a missing field names the list
+    `key`.  Each list has its own subclass (`_entry_class`), so an entry
+    is made by dict's own copy, with no Python-level ``__init__``."""
 
-    def __init__(self, value, key: str):
-        super().__init__(value)
-        self.key = key
+    key = ""
 
     def __missing__(self, field):
         raise StateError(f"'{self.key}' entry {dict(self)!r} has no '{field}'")
+
+
+@functools.lru_cache(maxsize=None)
+def _entry_class(key: str) -> type:
+    """The `_Entry` subclass of the list `key`, made once: keys are the
+    few list names of the document formats, so the cache stays small."""
+    return type("_Entry", (_Entry,), {"key": key})
 
 
 def read_object(value, key: str) -> dict:
@@ -554,7 +587,7 @@ def read_object(value, key: str) -> dict:
     list in the error, and in the error for a missing field."""
     if not isinstance(value, dict):
         raise StateError(f"'{key}' entries must be objects, got {value!r}")
-    return _Entry(value, key)
+    return _entry_class(key)(value)
 
 
 def read_lattice(entries) -> Lattice:

@@ -12,8 +12,8 @@ the step.  No whole-report document or string is ever built, so memory
 follows one chunk of steps, not the horizon.  `write_files` writes the
 files of `run` and of `chsh-scan --out`, each under a temporary name in
 the output directory, renamed over its final name once every file is
-complete; on any error the temporary files are removed, so no partial
-output is left.
+complete; on any error the temporary files, and any directory it made,
+are removed, so no partial output is left.
 
 `report.json`'s bytes are those of ``json.dumps(doc, sort_keys=True,
 indent=2)`` and a newline for the document the run describes, written
@@ -292,13 +292,15 @@ def _chunks(states, cells_per_term: int) -> Iterator:
 
 def _steps(lattice: Lattice, states, tolerance: float, names: set, settings: list) -> Iterator:
     """The `Step` of each state, analysed a chunk of states at a time: one
-    `BlockAnalysis` of the chunk's `StateBlock`, read state by state."""
+    `BlockAnalysis` of the chunk's `StateBlock`, read state by state.  A
+    run that asks for no analysis and no correlation builds neither."""
     lattice_text = None  # rendered for the first embedded state
     site_rows = _SiteRows(lattice) if "sites" in names else None
     branch_rows = _BranchRows(lattice, names) if names & {"branches", "clusters"} else None
+    analyse = bool(site_rows or branch_rows or settings)
     t = 0
     for chunk in _chunks(states, lattice.n_sites * max(lattice.n_sites, len(settings))):
-        analysed = analysis.BlockAnalysis(StateBlock.of(chunk), tolerance)
+        analysed = analysis.BlockAnalysis(StateBlock.of(chunk), tolerance) if analyse else None
         rows = site_rows.chunk(analysed) if site_rows else [None] * len(chunk)
         blocks = branch_rows.chunk(analysed) if branch_rows else [(None,) * 4] * len(chunk)
         values = analysed.correlations(settings).tolist() if settings else None
@@ -457,13 +459,19 @@ def write_files(out_dir, names, fill) -> list:
     """Write the files `names` into `out_dir` by calling `fill` with each
     one's ``write``, and return their paths.  Each is written as
     ``<name>.tmp`` and renamed over ``<name>`` once `fill` returns.  On
-    any error the temporary files are removed before the error
-    propagates, so files of an earlier run in `out_dir` stay as they were.
+    any error the temporary files, and the directories this call made,
+    are removed before the error propagates, so files of an earlier run
+    in `out_dir` stay as they were and a new `out_dir` is not left behind.
     """
-    os.makedirs(out_dir, exist_ok=True)
+    made = []                       # the directories to make, deepest first
+    probe = os.path.abspath(out_dir)
+    while not os.path.exists(probe):
+        made.append(probe)
+        probe = os.path.dirname(probe)
     paths = [os.path.join(out_dir, name) for name in names]
     staged = [path + ".tmp" for path in paths]
     try:
+        os.makedirs(out_dir, exist_ok=True)
         with contextlib.ExitStack() as stack:
             fill(*[stack.enter_context(open(tmp, "w", encoding="utf-8", newline="")).write
                    for tmp in staged])
@@ -473,6 +481,9 @@ def write_files(out_dir, names, fill) -> list:
         for tmp in staged:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
+        for directory in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(directory)
         raise
     return paths
 

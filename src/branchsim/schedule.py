@@ -37,7 +37,7 @@ from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from .gates import Gate, Gate1, Gate2, GateError, apply_columns, gate_by_name, move_bits
+from .gates import Gate, Gate1, Gate2, GateError, apply_columns, gate_by_name, move_layer
 from .gates import apply_gate2  # noqa: F401 - a binding the benchmark's trace self-test checks
 from .lattice import (Lattice, PureState, TermTable, chain_lattice, entangled_state,
                       product_state, read_lattice, read_list, read_number, read_object,
@@ -72,9 +72,11 @@ class GateApplication:
     gate: Union[Gate, str]
 
     def __post_init__(self):
-        sites = tuple(self.sites)
-        object.__setattr__(self, "sites", sites)
-        if len(sites) not in (1, 2) or len(set(sites)) != len(sites):
+        sites = self.sites
+        if type(sites) is not tuple:
+            sites = tuple(sites)
+            object.__setattr__(self, "sites", sites)
+        if not (len(sites) == 1 or len(sites) == 2 and sites[0] != sites[1]):
             raise ScheduleError(f"application needs 1 or 2 distinct sites, got {sites}")
         if self.time < 0:
             raise ScheduleError(f"negative time {self.time}")
@@ -96,14 +98,14 @@ class Schedule:
     def __post_init__(self):
         apps = tuple(sorted(self.applications, key=lambda a: (a.time, min(a.sites))))
         object.__setattr__(self, "applications", apps)
-        for t, group in self.by_step().items():
-            seen: set = set()
-            for app in group:
-                clash = seen.intersection(app.sites)
-                if clash:
-                    raise ScheduleError(
-                        f"step {t}: site(s) {sorted(clash)} hit by two gates at once")
-                seen.update(app.sites)
+        t, seen = None, set()       # the sites of step t hit so far
+        for app in apps:
+            if app.time != t:
+                t, seen = app.time, set()
+            if not seen.isdisjoint(app.sites):
+                raise ScheduleError(f"step {t}: site(s) {sorted(seen.intersection(app.sites))} "
+                                    f"hit by two gates at once")
+            seen.update(app.sites)
 
     def by_step(self) -> dict:
         steps: dict = {}
@@ -140,11 +142,12 @@ def compile_schedule(schedule: Schedule, lattice: Lattice,
         raise ScheduleError(f"horizon {horizon} exceeds the limit of {MAX_HORIZON} steps")
     steps: list = [[] for _ in range(horizon)]
     local = True
+    position = lattice.position
     for app in schedule.applications:
         if app.time >= horizon:
             break  # applications are sorted by time
         action = app.resolved_gate().action
-        positions = tuple(lattice.position(s) for s in app.sites)
+        positions = tuple(map(position, app.sites))
         if len(positions) == 2 and abs(positions[0] - positions[1]) != 1:
             local = False
         steps[app.time].append((positions, action))
@@ -154,37 +157,86 @@ def compile_schedule(schedule: Schedule, lattice: Lattice,
     return steps
 
 
+#: A run of classical gates is played layer by layer once its layers hold
+#: this many gates on average.  On a 2-core host (numpy 2.4), one layer's
+#: pass and the run's two transposes cost as much as 4 gates played one at
+#: a time on tables of 8 to 64 rows, and as 4 to 6 gates at 1,024 rows; a
+#: brickwork layer of 16 gates is 2.4 times faster.  A lone gate, as on a
+#: long `single` chain, and `bell`'s flattened steps of two gates at a
+#: time are played gate by gate.
+LAYER_GATES = 4
+
+#: Terms played at a time by a layered run: each block is transposed,
+#: played and transposed back while it is in cache, and the run holds one
+#: block's transposed copy, not the whole table's.
+RUN_BLOCK = 8192
+
+
 def play_step(table: TermTable, step) -> TermTable:
     """Apply compiled ``(positions, action)`` pairs in order to a state's
     `TermTable`, or to a table of several owners; returns the new table.
 
     A run of consecutive classical pairs (`U_si`, `U_copy`, `U_swap`,
-    `I`: permutations whose coefficients are all 1) is played in place
-    on one copy of the bits by `gates.move_bits`, and the amplitudes are
-    carried over once, with ``0.0 +`` and one prune, at the end of the
-    run.  That is the table that playing the run gate by gate with
-    `apply_columns` gives, bit for bit: such a gate changes no modulus,
-    so the prune keeps the same rows, and it merges no rows, so their
-    order and owners stay.  Every other gate goes through
-    `apply_columns`.
+    `I`: permutations whose coefficients are all 1) is cut into
+    *layers*.  A layer is the longest stretch of the run whose positions
+    are pairwise disjoint: a brickwork step is one layer, and in a
+    flattened run of several steps, as `bell` plays, a gate that touches
+    a position of the layer so far starts the next one.  When the layers
+    hold `LAYER_GATES` gates or more on average, the run is played
+    `RUN_BLOCK` terms at a time on a copy of the bits transposed to one
+    row per position, each layer in one pass of `gates.move_layer`;
+    otherwise it is played gate by gate on one copy of the bits.  The
+    amplitudes are carried over once, with ``0.0 +`` and one prune, at
+    the end of the run.  That is the table that playing the run gate by
+    gate with `apply_columns` gives, bit for bit: the gates of a layer
+    commute, such a gate changes no modulus, so the prune keeps the same
+    rows, and it merges no rows, so their order and owners stay.  Every
+    other gate goes through `apply_columns`.
     """
-    bits = None                     # the copy a run of classical gates moves
+    run: list = []                  # the classical pairs since the last other gate
     for positions, action in step:
         if action.classical:
-            if bits is None:
-                bits = table.bits.copy()
-            move_bits(bits, positions, action)
+            run.append((positions, action))
             continue
-        if bits is not None:
-            table, bits = _moved(table, bits), None
+        if run:
+            table, run = _play_run(table, run), []
         table = apply_columns(table, positions, action)
-    return table if bits is None else _moved(table, bits)
+    return _play_run(table, run) if run else table
 
 
-def _moved(table: TermTable, bits: np.ndarray) -> TermTable:
-    """`table` with its rows' bits replaced by `bits`, as gates return it."""
+def _play_run(table: TermTable, run: list) -> TermTable:
+    """`table` after a run of classical pairs, played layer by layer on a
+    transposed copy of its bits, or gate by gate on a copy as it is when
+    the layers hold fewer than LAYER_GATES gates on average."""
+    layers = [run] if len(run) == 1 else list(_layers(run))
+    if len(run) < LAYER_GATES * len(layers):
+        bits = table.bits.copy()
+        rows = bits.T               # viewed by position
+        for pair in run:
+            move_layer(rows, [pair])
+    else:                           # a block of terms at a time, one row per position
+        bits = np.empty_like(table.bits)
+        for lo in range(0, len(bits), RUN_BLOCK):
+            rows = table.bits[lo:lo + RUN_BLOCK].T.copy()
+            for layer in layers:
+                move_layer(rows, layer)
+            bits[lo:lo + RUN_BLOCK] = rows.T
     amps = table.amps
     return TermTable.pruned(bits, 0.0 + amps.real, 0.0 + amps.imag, table.owner)
+
+
+def _layers(run: list) -> Iterator:
+    """The layers of a run of pairs, in order: each is as long as the
+    positions of its pairs stay pairwise disjoint."""
+    layer: list = []
+    used: set = set()
+    for positions, action in run:
+        if not used.isdisjoint(positions):
+            yield layer
+            layer, used = [], set()
+        layer.append((positions, action))
+        used.update(positions)
+    yield layer
 
 
 def run_steps(state: PureState, schedule: Schedule,
@@ -395,17 +447,25 @@ def _complex_from(value, key: str) -> complex:
     return complex(read_number(value, key))
 
 
-def _gate_from_config(entry) -> Union[str, Gate]:
+def _gate_from_config(entry, inline: dict) -> Union[str, Gate]:
+    """A schedule entry's gate: a gate name, checked and kept as the name,
+    or an inline matrix as a `Gate`.  `inline` maps the ``repr`` of each
+    inline matrix read so far from the document to its gate, so a matrix
+    that the schedule repeats is checked and compiled once."""
     if isinstance(entry, str):
         gate_by_name(entry)  # fail fast on unknown names
         return entry
     if isinstance(entry, Sequence):
-        rows = [[_complex_from(cell, "gate") for cell in row] for row in entry]
-        matrix = np.array(rows, dtype=complex)
-        try:
-            return Gate1("custom", matrix) if matrix.shape == (2, 2) else Gate2("custom", matrix)
-        except GateError as exc:
-            raise ConfigError(str(exc)) from exc
+        key = repr(entry)
+        if key not in inline:
+            rows = [[_complex_from(cell, "gate") for cell in row] for row in entry]
+            matrix = np.array(rows, dtype=complex)
+            try:
+                inline[key] = (Gate1("custom", matrix) if matrix.shape == (2, 2)
+                               else Gate2("custom", matrix))
+            except GateError as exc:
+                raise ConfigError(str(exc)) from exc
+        return inline[key]
     raise ConfigError(f"bad gate entry {entry!r}")
 
 
@@ -506,12 +566,13 @@ def config_from_document(text: str) -> ScenarioConfig:
             initial = _initial_from_config(doc["initial"], lattice)
             entries = [read_object(e, "schedule") for e in read_list(doc.get("schedule", []),
                                                                      "schedule")]
-            sched = Schedule(tuple(
+            inline: dict = {}
+            sched = Schedule(tuple([
                 GateApplication(read_whole(e["time"], "time"),
-                                tuple(read_whole(site, "sites")
-                                      for site in read_list(e["sites"], "sites")),
-                                _gate_from_config(e["gate"]))
-                for e in entries))
+                                tuple([read_whole(site, "sites")
+                                       for site in read_list(e["sites"], "sites")]),
+                                _gate_from_config(e["gate"], inline))
+                for e in entries]))
             if horizon is None:
                 horizon = sched.horizon
             config = ScenarioConfig(str(doc.get("name", "custom")), lattice, initial,

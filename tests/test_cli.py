@@ -543,7 +543,10 @@ class TestFailedRun:
         self.plant(monkeypatch, step, RuntimeError("planted"))
         with pytest.raises(RuntimeError, match="planted"):
             cli.main(argv)
-        assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+        if earlier:
+            assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+        else:   # the directory the run made is removed too
+            assert not out_dir.exists()
         assert capsys.readouterr().out == ""
 
     def test_handled_error_mid_stream_exits_1(self, tmp_path, monkeypatch, capsys):
@@ -552,7 +555,19 @@ class TestFailedRun:
         self.plant(monkeypatch, 2, bs.AnalysisError("planted"))
         assert cli.main(["run", "--config", config, "--out", str(out_dir)]) == 1
         assert capsys.readouterr().err == "error: planted\n"
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
+
+    def test_a_failed_run_removes_only_the_directories_it_made(self, tmp_path, monkeypatch,
+                                                             capsys):
+        config = write_config(tmp_path, self.DOC)
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out_dir in (kept, kept / "a" / "b" / "out"):
+            self.plant(monkeypatch, 2, bs.AnalysisError("planted"))
+            assert cli.main(["run", "--config", config, "--out", str(out_dir)]) == 1
+            assert capsys.readouterr().err == "error: planted\n"
+            assert [f.name for f in tmp_path.iterdir() if f.is_dir()] == ["kept"]
+            assert list(kept.iterdir()) == []
 
 
 class TestFailedScan:
@@ -603,7 +618,10 @@ class TestFailedScan:
         self.plant(monkeypatch, 5, RuntimeError("planted"))
         with pytest.raises(RuntimeError, match="planted"):
             cli.main(self.argv(config, out_dir, protocol, "5"))
-        assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+        if earlier:
+            assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+        else:   # the directory the scan made is removed too
+            assert not out_dir.exists()
         assert "wrote" not in capsys.readouterr().out
 
     @pytest.mark.parametrize("protocol", ["record", "state"])
@@ -613,7 +631,7 @@ class TestFailedScan:
         self.plant(monkeypatch, 5, OSError("planted"))
         assert cli.main(self.argv(config, out_dir, protocol, "5")) == 1
         assert capsys.readouterr().err == "error: planted\n"
-        assert list(out_dir.iterdir()) == []
+        assert not out_dir.exists()
 
 
 class TestClosedStdout:

@@ -220,6 +220,135 @@ class TestConfigDocuments:
             bs.config_from_document(json.dumps(doc))
 
 
+#: A well-formed explicit config that the error table breaks one part of.
+_DOC = {"lattice": [{"index": 0, "kind": "system"}, {"index": 1, "kind": "field"},
+                    {"index": 2, "kind": "field"}],
+        "initial": {"product": {"0": [[R2, 0], [R2, 0]], "1": [[1, 0], [0, 0]], "2": [1, 0]}},
+        "schedule": [{"time": 0, "sites": [0, 1], "gate": "U_si"},
+                     {"time": 1, "sites": [1, 2], "gate": "U_copy"}]}
+_ENTRY = _DOC["schedule"][1]
+
+
+def _with_entry(entry):
+    doc = json.loads(json.dumps(_DOC))
+    doc["schedule"][1] = entry
+    return doc
+
+
+def _entry_with(**fields):
+    return _with_entry(dict(_ENTRY, **fields))
+
+
+def _entry_without(field):
+    return _with_entry({k: v for k, v in _ENTRY.items() if k != field})
+
+
+def _with_product(site, vector):
+    doc = json.loads(json.dumps(_DOC))
+    doc["initial"]["product"][site] = vector
+    return doc
+
+
+class TestConfigErrors:
+    """Each malformed schedule or product entry gives one ConfigError,
+    whose text is pinned here."""
+
+    CASES = {
+        "entry-number": (_with_entry(5),
+                         "malformed config: 'schedule' entries must be objects, got 5"),
+        "entry-list": (_with_entry([1, [1, 2], "U_copy"]),
+                       "malformed config: 'schedule' entries must be objects, "
+                       "got [1, [1, 2], 'U_copy']"),
+        "schedule-object": (dict(_DOC, schedule={"time": 0}),
+                            "malformed config: 'schedule' must be a list, got {'time': 0}"),
+        "no-time": (_entry_without("time"), "malformed config: 'schedule' entry "
+                    "{'sites': [1, 2], 'gate': 'U_copy'} has no 'time'"),
+        "no-sites": (_entry_without("sites"), "malformed config: 'schedule' entry "
+                     "{'time': 1, 'gate': 'U_copy'} has no 'sites'"),
+        "no-gate": (_entry_without("gate"), "malformed config: 'schedule' entry "
+                    "{'time': 1, 'sites': [1, 2]} has no 'gate'"),
+        "bool-time": (_entry_with(time=True),
+                      "malformed config: 'time' must be a whole number, got True"),
+        "fraction-time": (_entry_with(time=2.5),
+                          "malformed config: 'time' must be a whole number, got 2.5"),
+        "string-time": (_entry_with(time="1"),
+                        "malformed config: 'time' must be a whole number, got '1'"),
+        "null-time": (_entry_with(time=None),
+                      "malformed config: 'time' must be a whole number, got None"),
+        "negative-time": (_entry_with(time=-1), "malformed config: negative time -1"),
+        "bool-site": (_entry_with(sites=[1, True]),
+                      "malformed config: 'sites' must be a whole number, got True"),
+        "list-site": (_entry_with(sites=[[1], 2]),
+                      "malformed config: 'sites' must be a whole number, got [1]"),
+        "fraction-site": (_entry_with(sites=[1, 2.5]),
+                          "malformed config: 'sites' must be a whole number, got 2.5"),
+        "string-sites": (_entry_with(sites="12"),
+                         "malformed config: 'sites' must be a list, got '12'"),
+        "three-sites": (_entry_with(sites=[0, 1, 2]), "malformed config: application needs "
+                        "1 or 2 distinct sites, got (0, 1, 2)"),
+        "no-site": (_entry_with(sites=[]),
+                    "malformed config: application needs 1 or 2 distinct sites, got ()"),
+        "repeated-site": (_entry_with(sites=[2, 2]), "malformed config: application needs "
+                          "1 or 2 distinct sites, got (2, 2)"),
+        "clash": (_entry_with(time=0, sites=[1, 2]),
+                  "malformed config: step 0: site(s) [1] hit by two gates at once"),
+        "unknown-gate": (_entry_with(gate="U_nope"),
+                         "malformed config: unknown gate name 'U_nope'"),
+        "number-gate": (_entry_with(gate=3), "bad gate entry 3"),
+        "string-cell": (_entry_with(gate=[[["a", 0], [0, 0]], [[0, 0], [1, 0]]]),
+                        "malformed config: 'gate' must be a number, got 'a'"),
+        "non-unitary": (_entry_with(gate=[[[1, 0]] * 4] * 4),
+                        "custom: matrix is not unitary within 1e-12"),
+        "product-three": (_with_product("1", [[1, 0], [0, 0], [0, 0]]),
+                          "malformed config: site 1: want 2 components, got shape (3,)"),
+        "product-one": (_with_product("1", [1]),
+                        "malformed config: site 1: want 2 components, got shape (1,)"),
+        "product-norm": (_with_product("1", [[1, 0], [1, 0]]),
+                         "malformed config: site 1: vector not normalised (|v|^2 = 2.0)"),
+        "product-nan": (_with_product("1", [float("nan"), 0]),
+                        "malformed config: site 1: vector not normalised (|v|^2 = nan)"),
+        "product-string": (_with_product("1", ["a", 0]),
+                           "malformed config: 'product 1' must be a number, got 'a'"),
+        "product-bool": (_with_product("1", [True, 0]),
+                         "malformed config: 'product 1' must be a number, got True"),
+        "product-pair-bool": (_with_product("1", [[1, False], [0, 0]]),
+                              "malformed config: 'product 1' must be a number, got False"),
+        "product-number": (_with_product("1", 5),
+                           "malformed config: 'int' object is not iterable"),
+        "product-missing": (dict(_DOC, initial={"product": {"0": [1, 0], "1": [1, 0]}}),
+                            "malformed config: site states must cover the lattice exactly "
+                            "(missing [2], extra [])"),
+        "product-extra": (_with_product("7", [1, 0]),
+                          "malformed config: site states must cover the lattice exactly "
+                          "(missing [], extra ['7'])"),
+        "product-list": (dict(_DOC, initial={"product": [[1, 0]]}),
+                         "'product' must be an object, got [[1, 0]]"),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_malformed_entry(self, name):
+        doc, text = self.CASES[name]
+        with pytest.raises(bs.ConfigError) as caught:
+            bs.config_from_document(json.dumps(doc))
+        assert str(caught.value) == text
+
+    @pytest.mark.parametrize("sites, error, text", [
+        ([1], bs.ScheduleError, "gate U_copy acts on 2 site(s), got sites (1,)"),
+        ([1, 9], bs.LatticeError, "site 9 is not on the lattice (0, 1, 2)"),
+    ], ids=["arity", "off-lattice"])
+    def test_an_entry_the_run_refuses(self, sites, error, text):
+        config = bs.config_from_document(json.dumps(_entry_with(sites=sites)))
+        with pytest.raises(error) as caught:
+            config.run()
+        assert str(caught.value) == text
+
+    def test_the_well_formed_document_reads(self):
+        config = bs.config_from_document(json.dumps(_DOC))
+        assert [(a.time, a.sites, a.gate) for a in config.schedule.applications] == [
+            (0, (0, 1), "U_si"), (1, (1, 2), "U_copy")]
+        assert config.initial.amplitude("000") == pytest.approx(R2, abs=1e-15)
+
+
 class TestLightCone:
     def test_records_spread_one_site_per_step(self):
         n = 6
