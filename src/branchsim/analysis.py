@@ -11,19 +11,30 @@ approximations beyond floating point.  Conventions:
 * Entropies are in nats (natural log), with 0 ln 0 = 0.
 * A measurement "axis" theta means the observable
   cos(theta) Z + sin(theta) X; theta = 0 is a plain bit readout.
+
+Partial traces.  A region's matrix sums, over the groups of terms that
+agree outside the region, the outer products of the groups' amplitude
+vectors; `_pair_marginals` is that sum for any regions.  Most groups are
+one term, and then the matrix is only the diagonal of |amp|^2 sums: a
+`PartnerIndex`, built once per block, knows which terms have another
+term that differs from them on one site or on two, so the one-site
+matrices and the two-site matrices without such a partner are added
+from it in closed form, bit for bit the kernel's, and only the rest go
+through the kernel, as do all those of a block too small for the index
+to pay (`_INDEX_CELLS`).
 """
 
 import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import compress
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .gates import rotation_gate, apply_gate1
-from .lattice import (PureState, TermTable, complex_product, first_appearance, index_ranges,
-                      ordered_sum, row_keys)
+from .lattice import (PureState, TermTable, complex_product, first_appearance, flipped_keys,
+                      index_ranges, ordered_sum, row_keys)
 
 #: Default tolerance for calling a site decohered / a weight a branch.
 BRANCH_TOL = 1e-9
@@ -34,6 +45,27 @@ MAX_RDM_SITES = 12
 #: Matrix entries of group outer products held at once by a partial trace
 #: (256 KiB): one call may cover a whole block of states.
 _OUTER_CHUNK = 2 ** 14
+
+#: Rows that one pass of a partial trace reads at most: `_pair_marginals`
+#: gathers the rows of its pairs this many at a time (a pair with more
+#: takes a pass of its own), and the `PartnerIndex` reads its sites and
+#: pairs in passes of this many rows.  At 32 sites the kernel's gathered
+#: bits then take 8 MiB.
+_GATHER_ROWS = 2 ** 18
+
+#: A block whose table has fewer rows times sites than this takes every
+#: partial trace from the kernel (`_traces`): below it, a `PartnerIndex`
+#: costs more numpy calls to build and read than the kernel's one pass.
+#: On the scenario, `single` chain and random-trial blocks the index
+#: paid from about 700.
+_INDEX_CELLS = 2 ** 10
+
+#: `eigvalsh` (LAPACK's heevd) scales a matrix whose largest entry lies
+#: outside about [1e-146, 1e146] and scales its eigenvalues back, which
+#: can move their last bits: `entropies` reads the spectrum of a diagonal
+#: matrix off its diagonal only when its largest entry lies within these
+#: bounds.
+_UNSCALED = (2.0 ** -480, 2.0 ** 480)
 
 #: Finest CHSH scan step in degrees: 3600 angles.  The grid alone takes
 #: 8 k^2 bytes for k angles, so 0.001 degrees would ask for about 1 TB.
@@ -119,18 +151,51 @@ def _positions(state: PureState, region: Iterable) -> tuple:
     return sites, tuple(state.lattice.position(s) for s in sites)
 
 
+def _batches(counts: np.ndarray) -> Iterator[slice]:
+    """Consecutive slices of items whose rows, `counts` of them each, add
+    up to at most `_GATHER_ROWS`, or of one item that has more."""
+    ends = np.cumsum(counts)
+    lo = 0
+    while lo < len(ends):
+        start = ends[lo] - counts[lo]
+        hi = max(lo + 1, int(ends.searchsorted(start + _GATHER_ROWS, "right")))
+        yield slice(lo, hi)
+        lo = hi
+
+
 def _pair_marginals(table: TermTable, owners, regions) -> np.ndarray:
-    """The one partial trace: the (P, d, d) reduced density matrices of P
-    (owner, region) pairs.  Pair p keeps the k lattice positions
+    """The partial-trace kernel: the (P, d, d) reduced density matrices of
+    P (owner, region) pairs.  Pair p keeps the k lattice positions
     ``regions[p]`` of the table's state ``owners[p]``; d = 2^k.  That
     state's terms are grouped by their bits *outside* the region, and the
     outer products of the groups' amplitude vectors are summed in order of
-    first appearance, so a pair's matrix is the same whatever shares the call.
+    first appearance onto 0.0, so a pair's matrix is the same whatever
+    shares the call.  The pairs' rows are gathered `_GATHER_ROWS` at a
+    time.
+
+    Each outer product is formed as ``v[:, :, None] * v.conj()[:, None, :]``
+    on the (groups, d) amplitude vectors, and any other path to these
+    matrices must form its products by that expression.  numpy's complex
+    product of an amplitude with its own conjugate leaves a rounding
+    residue of about 1e-17 in the imaginary part, which `report.json`
+    prints on the diagonal, and a plain 1-D ``amps * amps.conj()`` may
+    leave a different one (on an AVX-512 host it does past some 10^4
+    elements).
     """
     owners, regions = np.asarray(owners, dtype=np.intp), np.asarray(regions, dtype=np.intp)
+    dim = 2 ** regions.shape[1]
+    sizes = np.bincount(table.owner, minlength=owners.max(initial=0) + 1)
+    rho = np.empty((len(owners), dim, dim), dtype=complex)
+    for part in _batches(sizes[owners]):
+        rho[part] = _gathered_marginals(table, sizes, owners[part], regions[part])
+    return rho
+
+
+def _gathered_marginals(table: TermTable, sizes, owners, regions) -> np.ndarray:
+    """`_pair_marginals` of pairs whose rows are gathered at once; `sizes`
+    holds the rows of each owner."""
     n_pairs, k = regions.shape
     dim = 2 ** k
-    sizes = np.bincount(table.owner, minlength=owners.max(initial=0) + 1)
     counts = sizes[owners]
     rows = index_ranges(sizes.cumsum()[owners] - counts, counts)   # each pair's rows in turn
     outside, index = np.take(table.bits, rows, axis=0), np.zeros(len(rows), dtype=np.intp)
@@ -156,6 +221,228 @@ def _pair_marginals(table: TermTable, owners, regions) -> np.ndarray:
     return rho
 
 
+def _outer_products(vectors: np.ndarray, rows, columns) -> np.ndarray:
+    """Entries [rows, columns] of the kernel's outer product of each
+    vector of a (G, 2) stack, formed by its expression on buffers of its
+    size: shape (G,) for two indices, (G, k) for two lists of k."""
+    out = np.empty((len(vectors), *np.shape(rows)), dtype=complex)
+    step = _OUTER_CHUNK // 4
+    for lo in range(0, len(vectors), step):
+        v = vectors[lo:lo + step]
+        out[lo:lo + step] = (v[:, :, None] * v.conj()[:, None, :])[:, rows, columns]
+    return out
+
+
+def _complex(re: np.ndarray, im: np.ndarray) -> np.ndarray:
+    """The complex array of two float arrays of parts."""
+    out = np.empty(re.shape, dtype=complex)
+    out.real, out.imag = re, im
+    return out
+
+
+def _runs(array: np.ndarray, width: int) -> np.ndarray:
+    """Every run of `width` consecutive entries along the last axis of
+    `array`, as a read-only view: entry [..., s, j] is [..., s + j]."""
+    shape = (*array.shape[:-1], array.shape[-1] - width + 1, width)
+    return np.lib.stride_tricks.as_strided(array, shape, (*array.strides, array.strides[-1]),
+                                           writeable=False)
+
+
+def _group_rows(zero: np.ndarray, one: np.ndarray) -> tuple:
+    """(first, later): the rows of one-flip pairs in term order.  The
+    partial trace groups the two rows, and the group appears at the first."""
+    return np.minimum(zero, one), np.maximum(zero, one)
+
+
+class PartnerIndex:
+    """A block of states with the index of its partners: which of its
+    terms agree outside one site or outside two.
+
+    Two terms of one state are *one-flip partners* at a site when they
+    differ there and nowhere else, and *two-flip partners* at two sites
+    when they differ at both and nowhere else.  Off its diagonal, a
+    one-site matrix is nonzero only at a site with one-flip partners, and
+    a two-site matrix only where either site has them or the two sites
+    have two-flip partners.  Otherwise every group of terms that agree
+    outside the region is one term, and the kernel's matrix is the
+    diagonal of the terms' |amp|^2, added in term order onto 0.0, with
+    +0.0 off it.
+
+    Built once per block, in arrays of the table's rows: ``keys``, their
+    owner-tagged `row_keys`, with ``order`` sorting them into
+    ``sorted_keys``; ``columns``, the bits site by site; ``squares``,
+    the real and the imaginary parts of each amplitude times its
+    conjugate, formed as the kernel forms it.  A state's rows run from
+    ``starts`` to ``starts + sizes``, and so do its sorted keys.  Every
+    one-flip pair is found a pass of sites at a time, by one
+    `searchsorted` of the flipped keys of the rows with bit 0 there:
+    ``zero`` and ``one`` hold the pairs' rows with bit 0 and bit 1 at
+    their site, the pairs of site a from ``first_pair[a]`` to
+    ``first_pair[a + 1]`` in term order of their first rows, and
+    ``partnered`` (B, n) marks each state's sites that have a pair.
+    Two-flip partners are looked up for the pairs of sites asked about.
+    Like a block, the index has a ``lattice``, a ``table`` and a
+    ``size``, so `site_marginals` and `region_matrices` take it in place
+    of its block.
+    """
+
+    def __init__(self, block):
+        self.lattice, self.table, self.size = block.lattice, block.table, block.size
+        table, n, n_rows = self.table, self.lattice.n_sites, len(self.table)
+        self.keys = row_keys(table.bits, table.owner)
+        self.order = self.keys.argsort()
+        self.sorted_keys = self.keys[self.order]
+        self.columns = np.ascontiguousarray(table.bits.T)
+        self.sizes = np.bincount(table.owner, minlength=self.size)
+        self.starts = self.sizes.cumsum() - self.sizes
+        vectors = np.zeros((n_rows, 2), dtype=complex)
+        vectors[:, 0] = table.amps
+        square = _outer_products(vectors, 0, 0)
+        self.squares = np.array([square.real, square.imag])
+        del vectors, square
+        found = [self._one_flips(np.arange(n)[part]) for part in _batches(np.full(n, n_rows))]
+        self.zero, self.one, counts = (np.concatenate(arrays) for arrays in zip(*found))
+        self.first_pair = np.concatenate([[0], counts.cumsum()])
+        self.partnered = np.zeros((self.size, n), dtype=bool)
+        self.partnered[table.owner[self.zero], np.arange(n).repeat(counts)] = True
+
+    def _find(self, query: np.ndarray) -> tuple:
+        """(found, at): which keys of `query` are the table's, and where
+        each sits in ``sorted_keys``."""
+        at = self.sorted_keys.searchsorted(query)
+        # a key past the last one is compared with the last one
+        return self.sorted_keys[np.minimum(at, len(self.keys) - 1)] == query, at
+
+    def _one_flips(self, sites: np.ndarray) -> tuple:
+        """(zero, one, counts): the rows of every one-flip pair at `sites`,
+        ordered by site and then by first row, and each site's count."""
+        slot, row = np.nonzero(self.columns[sites] == 0)
+        hit, at = self._find(flipped_keys(self.keys[row], self.lattice.n_sites, sites[slot]))
+        slot, zero, one = slot[hit], row[hit], self.order[at[hit]]
+        by = (slot * len(self.keys) + _group_rows(zero, one)[0]).argsort()
+        # row numbers fit in 32 bits, and a product state has a pair per term and site
+        return (zero[by].astype(np.int32), one[by].astype(np.int32),
+                np.bincount(slot, minlength=len(sites)))
+
+    def site_matrices(self, positions) -> np.ndarray:
+        """Every state's one-site matrix at each lattice position of
+        `positions`, shape (B, S, 2, 2), bit for bit `_pair_marginals`'s.
+
+        A site's groups are single rows and its one-flip pairs, each
+        appearing at its first row.  Each row's |amp|^2 (``squares``) and
+        each pair's two off-diagonal products (`_outer_products`) are
+        added by `np.bincount`, which adds in the order given onto 0.0:
+        the rows of a site in term order with each pair's later row moved
+        to its first, and the pairs in term order of their first rows.
+        These are the kernel's sums, without its products with a zero
+        entry, which leave a sum unchanged."""
+        positions = np.asarray(positions, dtype=np.intp)
+        table, size, n_rows = self.table, self.size, len(self.keys)
+        rows = np.arange(n_rows)
+        sums = np.zeros((2, size, len(positions), 4))
+        pairs_from = self.first_pair[positions]
+        pair_counts = self.first_pair[positions + 1] - pairs_from
+        for part in _batches(np.full(len(positions), n_rows)):
+            at, counts = positions[part], pair_counts[part]
+            m = len(at)
+            pair = index_ranges(pairs_from[part], counts)
+            zero, one = self.zero[pair], self.one[pair]
+            slot = np.arange(m).repeat(counts)
+            bits, seq = self.columns[at], slice(None)
+            if len(pair):
+                # each site's rows in the order their groups first appear:
+                # a pair's later row moves to just after its first
+                first, later = _group_rows(zero, one)
+                base = n_rows * slot
+                copies = np.ones(m * n_rows, dtype=np.intp)
+                copies[base + later], copies[base + first] = 0, 2
+                seq = np.tile(rows, m).repeat(copies)
+                seq[copies.cumsum()[base + first] - 1] = later
+                seq = seq.reshape(m, n_rows)
+                bits = self.columns[at[:, None], seq]
+            slots = 2 * np.arange(m)[:, None]   # diagonal entry (owner, slot, bit)
+            if size > 1:
+                slots = slots + 2 * m * table.owner[seq]
+            bins = (bits + slots).ravel()
+            squares = self.squares[:, seq] if len(pair) else np.broadcast_to(
+                self.squares[:, None], (2, m, n_rows))
+            for c in range(2):   # entries (0, 0) and (1, 1)
+                sums[c, :, part, ::3] = np.bincount(bins, squares[c].ravel(),
+                                                    2 * size * m).reshape(size, m, 2)
+            if len(pair):
+                vectors = np.empty((len(pair), 2), dtype=complex)
+                vectors[:, 0], vectors[:, 1] = table.amps[zero], table.amps[one]
+                products = _outer_products(vectors, [0, 1], [1, 0])
+                cell = slot + table.owner[zero] * m if size > 1 else slot   # (owner, slot)
+                bins = (cell[:, None] * 4 + [1, 2]).ravel()
+                for c, parts in enumerate((products.real, products.imag)):
+                    sums[c, :, part, 1:3] = np.bincount(bins, parts.ravel(), 4 * size * m).reshape(
+                        size, m, 4)[..., 1:3]
+        return _complex(*sums).reshape(size, len(positions), 2, 2)
+
+    def pair_matrices(self, owners, regions) -> np.ndarray:
+        """The two-site matrices of (owner, region) pairs, shape (P, 4, 4),
+        bit for bit `_pair_marginals`'s; a region is two lattice
+        positions in either order.
+
+        A pair whose sites have no one-flip partners in its state is
+        looked up for two-flip partners: the keys of the state's rows
+        with bit 0 at its first site, both sites flipped.  A pair with
+        neither gets the diagonal of its rows' ``squares``, added by
+        `np.bincount` in term order onto 0.0; the rest go to
+        `_pair_marginals` in one call.  A state's rows are read as runs
+        of as many rows as the largest state asked about has."""
+        owners, regions = np.asarray(owners, dtype=np.intp), np.asarray(regions, dtype=np.intp)
+        first, second = regions.T
+        rho = np.zeros((len(owners), 16), dtype=complex)
+        busy = self.partnered[owners, first] | self.partnered[owners, second]
+        free = np.flatnonzero(~busy & (self.sizes[owners] > 0))   # no rows: a zero matrix
+        counts = self.sizes[owners[free]]
+        width = int(counts.max(initial=0))
+        start = np.minimum(self.starts[owners[free]], len(self.keys) - width)
+        offset = np.arange(width) - (self.starts[owners[free]] - start)[:, None]
+        valid = (offset >= 0) & (offset < counts[:, None])   # the rows of each pair's state
+        bits, keys, squares = (_runs(a, width) for a in (self.columns, self.keys, self.squares))
+        for part in _batches(np.full(len(free), width)):
+            p, s, mine = free[part], start[part], valid[part]
+            low, high = bits[first[p], s], bits[second[p], s]
+            tag, j = np.nonzero(mine & (low == 0))
+            hit, _ = self._find(flipped_keys(keys[s[tag], j], self.lattice.n_sites,
+                                             first[p][tag], second[p][tag]))
+            busy[p[tag[hit]]] = True
+            bins = (16 * np.arange(len(p))[:, None] + 5 * (2 * low + high)).ravel()
+            rho[p] = _complex(*(np.bincount(bins, np.where(mine, w[s], 0.0).ravel(), 16 * len(p))
+                                for w in squares)).reshape(-1, 16)
+        busy = np.flatnonzero(busy)
+        if len(busy):
+            rho[busy] = _pair_marginals(self.table, owners[busy], regions[busy]).reshape(-1, 16)
+        return rho.reshape(-1, 4, 4)
+
+
+class _KernelTraces:
+    """The partial traces of a small block, all by `_pair_marginals`: a
+    `PartnerIndex`'s two methods without its index (`_INDEX_CELLS`)."""
+
+    def __init__(self, block):
+        self.lattice, self.table, self.size = block.lattice, block.table, block.size
+
+    def site_matrices(self, positions) -> np.ndarray:
+        return _region_marginals(self, np.asarray(positions, dtype=np.intp)[:, None])
+
+    def pair_matrices(self, owners, regions) -> np.ndarray:
+        return _pair_marginals(self.table, owners, regions)
+
+
+def _traces(block):
+    """`block` itself if it is a `PartnerIndex` or `_KernelTraces`, and
+    otherwise the block's `PartnerIndex`, or its `_KernelTraces` when its
+    table has fewer than `_INDEX_CELLS` rows times sites."""
+    if isinstance(block, (PartnerIndex, _KernelTraces)):
+        return block
+    small = len(block.table) * block.lattice.n_sites < _INDEX_CELLS
+    return (_KernelTraces if small else PartnerIndex)(block)
+
+
 def _region_marginals(block, regions) -> np.ndarray:
     """`_pair_marginals` of equal-size regions of every state of a
     `StateBlock`, or of a state (the block of one), shape (B, R, d, d)."""
@@ -170,10 +457,11 @@ def reduced_density_matrix(state: PureState, keep: Iterable) -> DensityMatrix:
 
     Works directly on the sparse amplitude map: terms are grouped by
     their bits *outside* the region, and each group contributes one
-    outer product.  Cost follows the number of terms, not 2^n, for the
-    branchy states this model produces.  Reports do not call this per
-    site: `site_marginals` builds every one-site matrix of a block of
-    states in one pass, bit for bit equal to this function's, and
+    outer product (`_pair_marginals`).  Cost follows the number of
+    terms, not 2^n, for the branchy states this model produces.  Reports
+    do not call this per site: `site_marginals` builds every one-site
+    matrix of a block of states at once, from its `PartnerIndex` unless
+    the block is small, bit for bit equal to this function's, and
     `BlockAnalysis` shares them between all of a block's analyses.
     """
     sites, kpos = _positions(state, keep)
@@ -183,8 +471,18 @@ def reduced_density_matrix(state: PureState, keep: Iterable) -> DensityMatrix:
 def region_matrices(block, regions: Iterable) -> np.ndarray:
     """`reduced_density_matrix` of several equal-size regions of every
     state of a `StateBlock`, or of a state, bit for bit, as one
-    (B, R, d, d) stack built in one pass over the terms."""
-    return _region_marginals(block, [_positions(block, r)[1] for r in regions])
+    (B, R, d, d) stack.  Regions of one or two sites are read off the
+    block's `_traces`, which may be given in place of the block; larger
+    ones take one `_pair_marginals` call."""
+    positions = np.array([_positions(block, r)[1] for r in regions], dtype=np.intp)
+    if positions.shape[1] > 2:
+        return _region_marginals(block, positions)
+    traces = _traces(block)
+    if positions.shape[1] == 1:
+        return traces.site_matrices(positions[:, 0])
+    rho = traces.pair_matrices(np.arange(block.size).repeat(len(positions)),
+                               np.tile(positions, (block.size, 1)))
+    return rho.reshape(block.size, len(positions), 4, 4)
 
 
 def change_basis(rho: DensityMatrix, rotations: Mapping) -> DensityMatrix:
@@ -211,8 +509,25 @@ def _purities(matrices: np.ndarray) -> np.ndarray:
 
 
 def entropies(matrices: np.ndarray) -> np.ndarray:
-    """`entropy_of` each matrix of a (..., d, d) stack, by one eigvalsh."""
-    w = np.linalg.eigvalsh(matrices)
+    """`entropy_of` each matrix of a (..., d, d) stack.
+
+    The spectrum of a matrix whose entries off the diagonal are all
+    exactly 0 is its real diagonal, sorted.  `eigvalsh` returns just that
+    for such a matrix, bit for bit, unless it scales the matrix first
+    (`_UNSCALED`): its Householder reduction leaves a diagonal matrix as
+    it is, and its tridiagonal solver splits it into 1 x 1 blocks and
+    sorts them.  Every other matrix takes one `eigvalsh` for the stack.
+    """
+    d = matrices.shape[-1]
+    flat = matrices.reshape(-1, d * d)
+    w = np.sort(flat[:, ::d + 1].real, axis=1)
+    top = np.maximum(-w[:, 0], w[:, -1])   # the largest |entry| of a diagonal matrix
+    # the d - 1 runs of d entries between one diagonal entry and the next
+    coherent = flat[:, 1:].reshape(-1, d - 1, d + 1)[:, :, :d].any((1, 2))
+    solve = coherent | ~((top >= _UNSCALED[0]) & (top <= _UNSCALED[1]))
+    if solve.any():
+        w[solve] = np.linalg.eigvalsh(matrices.reshape(-1, d, d)[solve])
+    w = w.reshape(matrices.shape[:-1])
     positive = w > 0.0
     terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
     return np.where(positive.any(-1), -terms.sum(-1), 0.0)
@@ -286,24 +601,31 @@ class SiteMarginals:
 
 def site_marginals(block) -> SiteMarginals:
     """The B n one-site marginals of every state of a `StateBlock`, or the
-    n of a state, in one pass over the terms: entry b n + i is site i of
-    state b."""
-    n = block.lattice.n_sites
-    rho = _region_marginals(block, [(p,) for p in range(n)]).reshape(-1, 2, 2)
-    return SiteMarginals(block.lattice.indices * block.size, rho, _coherences(rho),
-                         _purities(rho), entropies(rho))
+    n of a state, from the block's `_traces`, which may be given in place
+    of the block: entry b n + i is site i of state b.  A block's marginals
+    repeat (the 1,089 of a 33-site `single` run hold 4 distinct ones), so
+    the scalars are computed once per distinct matrix; each is a function
+    of its matrix's bytes alone."""
+    rho = _traces(block).site_matrices(np.arange(block.lattice.n_sites)).reshape(-1, 2, 2)
+    codes = rho.reshape(len(rho), 4).view(np.dtype((np.void, 64))).ravel()
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    distinct = rho[first]
+    return SiteMarginals(block.lattice.indices * block.size, rho, _coherences(distinct)[inverse],
+                         _purities(distinct)[inverse], entropies(distinct)[inverse])
 
 
 class BlockAnalysis:
     """The analyses of every state of a `StateBlock`, each built on first
     use and then kept.
 
-    Arrays, each built once: `marginals`, the `decohered` flags, the
-    `branch_table` (owner, bits, weights and the branched-site masks),
-    the `cluster_sites` the growth finds, and the `cluster_table` of
-    every cluster's branch list.  The site marginals feed the flags and
-    the branch table; the branch table and the one-site entropies feed
-    the clusters.  `branches` and `clusters` are the library's
+    Arrays, each built once: the block's `traces` (its `PartnerIndex`,
+    or `_KernelTraces` for a small block), its `marginals`, the
+    `decohered` flags, the `branch_table` (owner, bits, weights and the
+    branched-site masks), the `cluster_sites` the growth finds, and the
+    `cluster_table` of every cluster's branch list.  The traces feed the
+    marginals, the growth's two-site matrices and the correlations; the
+    site marginals feed the flags and the branch table; the branch table
+    and the one-site entropies feed the clusters.  `branches` and `clusters` are the library's
     `BranchDecomposition` and `BranchClusters` of each state, built from
     these arrays only when asked for; reports render the arrays instead.
     Nothing is computed until a result is asked for.  A `PureState` is
@@ -316,8 +638,12 @@ class BlockAnalysis:
         self.tol = tol
 
     @cached_property
+    def traces(self):
+        return _traces(self.block)
+
+    @cached_property
     def marginals(self) -> SiteMarginals:
-        return site_marginals(self.block)
+        return site_marginals(self.traces)
 
     @cached_property
     def decohered(self) -> np.ndarray:
@@ -360,8 +686,9 @@ class BlockAnalysis:
         sites), each cluster's state and (n,) mask of its sites, ordered by
         state and then by lowest site.  Each round pairs every state's
         frontier (the sites that joined last) with its unplaced branched
-        sites, none if it kept no branch, in one call; a state with an
-        empty frontier first starts a cluster at its lowest unplaced site."""
+        sites, none if it kept no branch, in one `pair_matrices` call on
+        the block's `traces`; a state with an empty frontier first starts a
+        cluster at its lowest unplaced site."""
         size = self.block.size
         owner, _, _, branched = self.branch_table
         entropy = self.marginals.entropy.reshape(size, -1)
@@ -379,7 +706,7 @@ class BlockAnalysis:
             if not owner.size:
                 break
             low, high = np.minimum(a, b), np.maximum(a, b)
-            rho = _pair_marginals(self.block.table, owner, np.stack([low, high], axis=1))
+            rho = self.traces.pair_matrices(owner, np.stack([low, high], axis=1))
             linked = entropy[owner, low] + entropy[owner, high] - entropies(rho) > self.tol
             frontier[:] = False
             frontier[owner[linked], b[linked]] = True
@@ -445,8 +772,9 @@ class BlockAnalysis:
     def correlations(self, settings: Sequence) -> np.ndarray:
         """`correlation` of each (a, b) pair of `MeasurementSetting`s for
         every state, bit for bit, as a (B, len(settings)) array; every
-        pair's two-site matrices come from one partial-trace pass."""
-        t = _correlators(region_matrices(self.block, [(a.site, b.site) for a, b in settings]))
+        pair's two-site matrices come from one `region_matrices` call on
+        the block's `traces`."""
+        t = _correlators(region_matrices(self.traces, [(a.site, b.site) for a, b in settings]))
         units = [(_units(a.theta), _units(b.theta)) for a, b in settings]
         return np.array([[float(ua @ m @ ub) for (ua, ub), m in zip(units, matrices)]
                          for matrices in t])

@@ -198,6 +198,24 @@ def row_keys(bits: np.ndarray, owner=None) -> np.ndarray:
     return packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
 
 
+def flipped_keys(keys: np.ndarray, n: int, *positions) -> np.ndarray:
+    """The `row_keys` of the same rows of n sites, same owners, with the
+    bit at each of `positions` flipped: each is a lattice position, or an
+    array of one position per key.  Among the keys that agree at those
+    positions, flipping keeps their order."""
+    if keys.dtype == np.uint64:
+        bit = np.left_shift(np.uint64(1), np.arange(n - 1, -1, -1, dtype=np.uint64))
+        for p in positions:
+            keys = keys ^ bit[p]
+        return keys
+    raw = keys.view(np.uint8).reshape(len(keys), keys.dtype.itemsize).copy()
+    lead = raw.shape[1] - (n + 7) // 8   # the owner bytes before the row's
+    rows = np.arange(len(keys))
+    for p in positions:
+        raw[rows, lead + p // 8] ^= np.right_shift(0x80, p % 8).astype(np.uint8)
+    return raw.view(keys.dtype).ravel()
+
+
 def first_appearance(keys: np.ndarray) -> tuple:
     """Group equal entries of a key vector, numbering the groups in order
     of first appearance.  Returns (group of each entry, index of each

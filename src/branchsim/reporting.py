@@ -48,9 +48,9 @@ EMBED_TERMS_LIMIT = 64
 
 #: A chunk of steps is analysed as one block of states until its terms
 #: times sites times the larger of sites and correlation settings reach
-#: this: the bytes of the outside bits that the partial trace
-#: (`analysis._pair_marginals`) gathers for the block's one-site
-#: marginals or for its two-site correlation matrices.
+#: this: the (owner, region) rows of the block's one-site marginals or
+#: two-site correlation matrices, which bounds the arrays its analyses
+#: hold at once.
 CHUNK_CELLS = 2 ** 22
 
 _SERIES_HEADER = "step,site,coherence,purity,entropy,branch_count,cluster_count\n"

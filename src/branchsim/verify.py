@@ -165,20 +165,20 @@ def compare_stack(block, vectors: np.ndarray) -> np.ndarray:
     across overlap, RDMs, entropies and branch weights, as a (B,) array.
 
     Each kind comes from one call on the block: the `BlockAnalysis`
-    marginals that reports print, the first two and the last two sites,
-    and its `branch_table`.  The dense side is one
-    `oracle.analyse_stack`, whose branches have `branch_table`'s layout,
-    so the two tables are compared as they are.  A state whose branched
-    sites, branch count or any branch's bits differ deviates by inf;
-    otherwise by its largest weight difference.  Each kind is folded in
-    with `np.maximum`, which keeps a NaN; a row depends on its own state
-    only.
+    marginals that reports print, the first two and the last two sites
+    (read off the same analysis's `traces`), and its `branch_table`.
+    The dense side is one `oracle.analyse_stack`, whose branches have
+    `branch_table`'s layout, so the two tables are compared as they are.
+    A state whose branched sites, branch count or any branch's bits
+    differ deviates by inf; otherwise by its largest weight difference.
+    Each kind is folded in with `np.maximum`, which keeps a NaN; a row
+    depends on its own state only.
     """
     lattice, size = block.lattice, block.size
     regions = (lattice.indices[:2], lattice.indices[-2:])
     dense = oracle.analyse_stack(lattice, vectors, regions, COMPARE_TOL)
     analysed = analysis.BlockAnalysis(block, COMPARE_TOL)
-    rhos = analysis.region_matrices(block, regions)
+    rhos = analysis.region_matrices(analysed.traces, regions)
     worst = np.abs(oracle.dense_overlaps(oracle.dense_vectors(lattice, block.table, size),
                                          vectors) - 1.0)
     for sparse, dense_kind in (

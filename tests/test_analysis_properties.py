@@ -6,8 +6,10 @@ with the one-region functions, that the branches of a state, alone or
 in a block, equal the per-state dict loop kept here as the reference,
 that the clusters of every state of a block, grown together, equal the
 components of that state's all-pairs graph, that `entropy_of` and
-`correlation` agree with their textbook formulas, and that every
-density matrix built on the way is a valid one.
+`correlation` agree with their textbook formulas, that `entropies`
+reads the spectrum of an exactly diagonal matrix off its diagonal bit
+for bit as `eigvalsh` would, and that every density matrix built on the
+way is a valid one.
 """
 
 import itertools
@@ -140,6 +142,60 @@ def kron_correlation(state, a, b):
 
 
 angles = st.floats(-2 * math.pi, 2 * math.pi, allow_nan=False)
+
+
+def eigvalsh_entropies(matrices):
+    """`entropies` with every matrix's spectrum from one eigvalsh."""
+    w = np.linalg.eigvalsh(matrices)
+    positive = w > 0.0
+    terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
+    return np.where(positive.any(-1), -terms.sum(-1), 0.0)
+
+
+tiny = bs.PRUNE_EPS ** 2
+diagonal_entries = st.one_of(
+    st.sampled_from([0.0, 0.5, 0.25, 1.0, tiny, 1.0 - tiny, 2.0 * tiny, tiny / 3.0]),
+    st.floats(0.0, 1.0).map(lambda x: x * tiny), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 4]), st.data())
+def test_diagonal_spectra_equal_eigvalsh_bit_for_bit(d, data):
+    # exactly diagonal stacks, imaginary residues on the diagonal as the
+    # partial trace leaves them; zeros, equal entries and entries near
+    # PRUNE_EPS^2
+    n = data.draw(st.integers(1, 12))
+    stack = np.zeros((n, d, d), dtype=complex)
+    for m in stack:
+        same = data.draw(st.booleans())
+        first = data.draw(diagonal_entries)
+        for i in range(d):
+            m[i, i] = complex(first if same else data.draw(diagonal_entries),
+                              data.draw(st.sampled_from([0.0, -0.0, 1e-17, -3e-18])))
+    diag = np.sort(stack.diagonal(axis1=1, axis2=2).real, axis=1)
+    top = diag[:, -1]
+    unscaled = (top == 0.0) | (top >= 2.0 ** -480)   # eigvalsh scales the rest
+    assert diag[unscaled].tobytes() == np.linalg.eigvalsh(stack[unscaled]).tobytes()
+    assert analysis.entropies(stack).tobytes() == eigvalsh_entropies(stack).tobytes()
+
+
+def test_entropies_of_mixed_stacks_take_one_eigvalsh_for_the_rest(monkeypatch):
+    # a single off-diagonal entry of 1e-300 makes a matrix coherent, and
+    # eigvalsh scales a matrix whose largest entry is 5e-247 or 1e200
+    stack = np.zeros((6, 4, 4), dtype=complex)
+    stack[:, [0, 1, 2, 3], [0, 1, 2, 3]] = [0.25, 0.25, 0.5, 0.0]
+    stack[1, 0, 2] = stack[1, 2, 0] = 1e-300
+    stack[3, 1, 3] = 0.1j
+    stack[3, 3, 1] = -0.1j
+    stack[4, [0, 1, 2, 3], [0, 1, 2, 3]] = [0.0, 4.877390071377493e-247, 1e-250, 0.0]
+    stack[5, 2, 2] = 1e200
+    seen, original = [], np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: seen.append(a.copy()) or original(a))
+    ours = analysis.entropies(stack)
+    assert len(seen) == 1 and seen[0].tobytes() == stack[[1, 3, 4, 5]].tobytes()
+    monkeypatch.undo()
+    assert ours.tobytes() == eigvalsh_entropies(stack).tobytes()
+    assert analysis.entropies(stack.reshape(3, 2, 4, 4)).tobytes() == ours.tobytes()
 
 
 @settings(max_examples=300, deadline=None)

@@ -2,7 +2,9 @@
 
 `FAULTS` plants one fault for each of the checks `run_verification`
 reports, by monkeypatching, and the named check must fail under it.
-The clean suite passes all of them.  The NaN cases below show that a
+The clean suite passes all of them.  Two faults planted in the partner
+index must fail its byte-for-byte comparison with the partial-trace
+kernel.  The NaN cases below show that a
 NaN fails each place that folds or tests a deviation: a Python
 ``min``/``max`` over floats drops a NaN, and ``worst > tol`` is false
 for one, so each of these used to pass.
@@ -16,6 +18,8 @@ import pytest
 
 import branchsim as bs
 from branchsim import analysis, cli, gates, oracle, verify
+from branchsim.lattice import TermTable
+from test_state_block_properties import assert_index_equals_kernel
 
 #: Random trials the suite runs here: one block, in which the phased
 #: swap below shows.
@@ -307,3 +311,53 @@ def test_a_nan_deviation_fails_run_verify(monkeypatch, tmp_path, capsys):
     assert code == cli.EXIT_VERIFY
     assert "verification FAILED: engines deviate by nan" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+# ---------------------------------------------------------------------------
+# faults of the partner index fail its comparison with the kernel
+# ---------------------------------------------------------------------------
+
+def dropped_two_flips(monkeypatch):
+    """The index flips only the first of two sites, so it finds no
+    two-flip partner and calls every such pair partner-free."""
+    original = analysis.flipped_keys
+    monkeypatch.setattr(analysis, "flipped_keys",
+                        lambda keys, n, *positions: original(keys, n, *positions[:1]))
+
+
+def later_member_first(monkeypatch):
+    """The index orders a one-flip pair's group by its later row."""
+    original = analysis._group_rows
+    monkeypatch.setattr(analysis, "_group_rows", lambda zero, one: original(zero, one)[::-1])
+
+
+def two_flip_state():
+    """0000 and 0110 differ at sites 1 and 2 alone; no site has a
+    one-flip partner."""
+    lattice = bs.chain_lattice([0], [1, 2, 3])
+    return bs.entangled_state(lattice, [("0000", 0.6), ("0110", 0.8j), ("1011", 0.3)])
+
+
+def crossed_pair_state():
+    """Site 0's one-flip pair (010, 110) has a row between its two rows
+    with the later row's bit, and the later row's |amp|^2 joins that
+    site's diagonal in a different order if it is placed at itself."""
+    lattice = bs.chain_lattice([0], [1, 2])
+    bits = np.array([[1, 0, 0], [0, 1, 0], [1, 1, 1], [1, 1, 0]], dtype=np.uint8)
+    return bs.PureState(lattice, TermTable(bits, np.array([0.1, 0.5, 0.1, 0.3], dtype=complex)))
+
+
+#: Fault -> (the planting function, the state it must show on).
+INDEX_FAULTS = {
+    "dropped two-flip partners": (dropped_two_flips, two_flip_state),
+    "group at its later member": (later_member_first, crossed_pair_state),
+}
+
+
+@pytest.mark.parametrize("name", list(INDEX_FAULTS))
+def test_a_planted_index_fault_fails_the_kernel_comparison(monkeypatch, name):
+    plant, state = INDEX_FAULTS[name]
+    assert_index_equals_kernel(state())
+    plant(monkeypatch)
+    with pytest.raises(AssertionError):
+        assert_index_equals_kernel(state())

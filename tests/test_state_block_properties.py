@@ -9,6 +9,12 @@ the per-state `_region_marginals`, the dict-loop partial trace
 (`test_analysis_properties.loop_decompose`) for analysis.  A one-state
 table keeps its zero-stride owner through every gate, and the block of
 one state holds that state's own table.
+The partner index must give the kernel's one-site and two-site matrices
+byte for byte, on blocks whose owners share rows, with one-flip and
+two-flip partners on some sites only, past 64 sites and on a table of
+32,768 rows, and a block's analyses must not depend on which of the two
+traced it; the kernel must give the same matrices however few rows it
+gathers at once.
 A golden digest pins the first 2,048 per-trial deviations of the random
 suite.
 """
@@ -191,6 +197,36 @@ def test_the_kernel_equals_the_loop_on_shuffled_pairs(data):
         assert m.tobytes() == loop_rdm(states[-1], region).tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 12))
+def test_a_bounded_gather_changes_no_matrix(data, limit):
+    # with at most `limit` rows per gather, the kernel splits its pairs
+    # over several calls, each within the limit or of one pair, and the
+    # partner index reads its sites and pairs in as many passes; every
+    # matrix keeps its bytes
+    n_sites = data.draw(st.integers(2, 6))
+    lattice = bs.chain_lattice([0], range(1, n_sites))
+    block = StateBlock.of(data.draw(st.lists(states_on(lattice), min_size=1, max_size=4)))
+    pairs = data.draw(st.lists(st.tuples(
+        st.integers(0, block.size - 1),
+        st.permutations(range(n_sites)).map(lambda p: tuple(p[:2]))), min_size=1, max_size=10))
+    owners = np.array([owner for owner, _ in pairs])
+    regions = np.array([region for _, region in pairs])
+    whole = analysis._pair_marginals(block.table, owners, regions)
+    sites = analysis.PartnerIndex(block).site_matrices(np.arange(n_sites))
+    gathered, original = [], analysis._gathered_marginals
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_GATHER_ROWS", limit)
+        patch.setattr(analysis, "_gathered_marginals", lambda table, sizes, owners, regions: (
+            gathered.append(sizes[owners].tolist()) or original(table, sizes, owners, regions)))
+        assert analysis._pair_marginals(block.table, owners, regions).tobytes() == whole.tobytes()
+        assert all(sum(rows) <= limit or len(rows) == 1 for rows in gathered)
+        assert sum(map(len, gathered)) == len(pairs)
+        assert analysis.PartnerIndex(block).site_matrices(np.arange(n_sites)).tobytes() == \
+            sites.tobytes()
+        assert_index_equals_kernel(block, [(o, a, b) for o, (a, b) in pairs])
+
+
 def owned(table):
     """The table with its owner 0 held as a real array, one word per row."""
     return TermTable(table.bits, table.amps, np.zeros(len(table), dtype=np.intp))
@@ -244,6 +280,148 @@ def test_row_keys_sort_like_owner_then_bits():
     for width in (2, 80):
         padded = np.pad(bits, ((0, 0), (0, width - 2)))
         assert row_keys(padded, owner).argsort(kind="stable").tolist() == [0, 3, 1, 2]
+
+
+# ---------------------------------------------------------------------------
+# the partner index against the kernel
+# ---------------------------------------------------------------------------
+
+def assert_index_equals_kernel(block, pairs=None):
+    """Every one-site matrix of every state of `block`, and the two-site
+    matrix of each (owner, position, position) triple of `pairs` (every
+    ordered pair of distinct sites of every state if None), read off the
+    block's `PartnerIndex` equal `_pair_marginals`'s byte for byte."""
+    n = block.lattice.n_sites
+    index = analysis.PartnerIndex(block)
+    kernel = analysis._region_marginals(block, [(p,) for p in range(n)])
+    assert index.site_matrices(np.arange(n)).tobytes() == kernel.tobytes()
+    if pairs is None:
+        a, b = np.nonzero(~np.eye(n, dtype=bool))
+        pairs = np.stack([np.arange(block.size).repeat(len(a)),
+                          np.tile(a, block.size), np.tile(b, block.size)], axis=1)
+    pairs = np.asarray(pairs, dtype=np.intp).reshape(-1, 3)
+    ours = index.pair_matrices(pairs[:, 0], pairs[:, 1:])
+    assert ours.tobytes() == analysis._pair_marginals(block.table, pairs[:, 0],
+                                                      pairs[:, 1:]).tobytes()
+
+
+@st.composite
+def partnered_blocks(draw):
+    """(block, flips): states whose rows are a few base rows and those
+    rows with one or two sites flipped, so that they have one-flip and
+    two-flip partners on some sites only; several states hold the same
+    rows in other orders, and amplitude parts include signed zeros.  Up
+    to 12 sites, or 60 to 80, where row keys are byte strings."""
+    n = draw(st.one_of(st.integers(2, 12), st.integers(60, 80)))
+    lattice = bs.chain_lattice([0], range(1, n))
+    bases = draw(st.lists(st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tuple),
+                          min_size=1, max_size=4))
+    flips = draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=2, unique=True),
+                          max_size=4))
+    pool = list(dict.fromkeys(bases + [tuple(bit ^ (p in flip) for p, bit in enumerate(base))
+                                       for base in bases for flip in flips]))
+    states = []
+    for _ in range(draw(st.integers(1, 4))):
+        rows = draw(st.permutations(pool))[:draw(st.integers(1, len(pool)))]
+        amps = [complex(draw(components), draw(components)) for _ in rows]
+        if sum(abs(a) for a in amps) < 1e-3:
+            amps[0] = 1.0
+        states.append(bs.entangled_state(lattice, list(zip(rows, amps))))
+    return StateBlock.of(states), flips
+
+
+@settings(max_examples=150, deadline=None)
+@given(partnered_blocks(), st.data())
+def test_the_index_equals_the_kernel_on_partnered_blocks(drawn, data):
+    block, flips = drawn
+    n, size = block.lattice.n_sites, block.size
+    # the flipped sites in both orders, each flipped site against another,
+    # and any pairs of sites
+    picked = [pair for flip in flips if len(flip) == 2 for pair in (flip, flip[::-1])]
+    picked += [(flip[0], (flip[0] + 1) % n) for flip in flips]
+    picked += data.draw(st.lists(st.permutations(range(n)).map(lambda p: tuple(p[:2])),
+                                 max_size=6))
+    pairs = [(owner, a, b) for owner in range(size) for a, b in picked]
+    if n <= 12:
+        pairs = None   # every pair of sites of every state
+    assert_index_equals_kernel(block, pairs)
+    for k in range(1, min(3, n) + 1):   # site ids are lattice positions here
+        regions = [tuple(range(k)), tuple(range(n - k, n))[::-1]]
+        assert analysis.region_matrices(block, regions).tobytes() == \
+            analysis._region_marginals(block, regions).tobytes()
+
+
+def analysed_with(block, index_cells, settings):
+    """Every array of a `BlockAnalysis` of `block` and its correlations of
+    `settings`, with blocks of fewer than `index_cells` table rows times
+    sites traced by the kernel alone."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(analysis, "_INDEX_CELLS", index_cells)
+        analysed = analysis.BlockAnalysis(block, 1e-3)
+        m = analysed.marginals
+        arrays = [m.matrices, m.coherence, m.purity, m.entropy, *analysed.branch_table,
+                  *analysed.cluster_sites, *analysed.cluster_table,
+                  analysed.correlations(settings)]
+    return [a.tobytes() for a in arrays]
+
+
+@settings(max_examples=100, deadline=None)
+@given(partnered_blocks(), st.lists(st.tuples(st.integers(0, 79), st.integers(0, 79)),
+                                    max_size=3), st.floats(-3.0, 3.0))
+def test_a_block_analyses_alike_from_the_index_and_the_kernel(drawn, picks, theta):
+    # correlations on the flipped pairs, in both orders, and on any pairs
+    block, flips = drawn
+    n = block.lattice.n_sites
+    pairs = [pair for flip in flips if len(flip) == 2 for pair in (flip, flip[::-1])]
+    pairs += [(a % n, b % n) for a, b in picks if a % n != b % n] or [(0, 1)]
+    settings = [(analysis.MeasurementSetting(a, theta), analysis.MeasurementSetting(b, 0.7))
+                for a, b in pairs]
+    assert analysed_with(block, 0, settings) == analysed_with(block, 2 ** 62, settings)
+
+
+def test_two_flip_partners_send_their_pair_to_the_kernel(monkeypatch):
+    # 0000 and 0110 differ at sites 1 and 2 only: no site has a one-flip
+    # partner, and the pair (1, 2) has off-diagonal entries
+    lattice = bs.chain_lattice([0], [1, 2, 3])
+    state = bs.entangled_state(lattice, [("0000", 0.6), ("0110", 0.8j), ("1011", -0.0 + 0.3j)])
+    index = analysis.PartnerIndex(state)
+    assert not index.partnered.any()
+    calls, original = [], analysis._pair_marginals
+
+    def recorded(table, owners, regions):
+        calls.append(regions.tolist())
+        return original(table, owners, regions)
+
+    monkeypatch.setattr(analysis, "_pair_marginals", recorded)
+    rho = index.pair_matrices([0, 0, 0], [[1, 2], [2, 1], [0, 3]])
+    assert calls == [[[1, 2], [2, 1]]]
+    assert rho[0, 0, 3] != 0 and rho[1, 0, 3] != 0
+    assert not rho[2][~np.eye(4, dtype=bool)].any()
+    monkeypatch.undo()
+    assert_index_equals_kernel(state)
+
+
+def test_the_index_equals_the_kernel_on_a_table_of_32768_rows():
+    # 15 |+> sites with random phases on 18, and copies onto two of the
+    # up sites: one-flip partners at 13 sites, two-flip partners at the
+    # copied pairs.  Past some 2 * 10^4 elements a 1-D ``amps * amps.conj()``
+    # can leave another imaginary residue than the kernel's product.
+    rng = np.random.default_rng(3)
+    lattice = bs.chain_lattice([0], range(1, 18))
+    r = 0.7071067811865475
+    state = bs.product_state(lattice, {
+        s: ([r, r * complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))] if s < 15 else [1.0, 0.0])
+        for s in range(18)})
+    state = bs.apply_gate2(state, bs.field_copy_gate(), (3, 15))
+    state = bs.apply_gate2(state, bs.field_copy_gate(), (8, 16))
+    assert state.n_terms == 2 ** 15
+    index = analysis.PartnerIndex(state)
+    assert 0 < index.partnered.sum() < 18
+    pairs = [(0, a, b) for a, b in [(3, 15), (15, 3), (8, 16), (16, 8), (3, 8), (15, 16),
+                                    (0, 17), (17, 1), (2, 3)]]
+    assert_index_equals_kernel(state, pairs)
+    kernel = analysis._region_marginals(state, [(p,) for p in range(18)])
+    assert kernel[..., [0, 1], [0, 1]].imag.any()   # the rounding residue is there
 
 
 # ---------------------------------------------------------------------------
