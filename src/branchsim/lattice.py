@@ -462,12 +462,22 @@ def product_state(lattice: Lattice, site_states: Mapping) -> PureState:
     # grow the product one site at a time, as a loop over the terms would:
     # each term splits into one term per kept bit, in (old term, bit) order
     re, im = np.ones(1), np.zeros(1)
+    signed_zero = False           # whether some part of re, im is -0.0; None: not known
     for p, (vec, (keep0, keep1)) in enumerate(zip(vecs.tolist(), kept.tolist())):
         if keep0 and keep1:
             re, im = complex_product(re[:, None], im[:, None], vecs.real[p], vecs.imag[p])
             re, im = re.ravel(), im.ravel()
         else:                                            # every term times one number
-            re, im = complex_product(re, im, vec[keep1].real, vec[keep1].imag)
+            factor = vec[keep1]
+            # times 1 + 0j, re - im * 0 and re * 0 + im are re and im unless
+            # a part is -0.0, so such a factor is skipped while none is
+            if factor == 1.0 and math.copysign(1.0, factor.imag) > 0.0:
+                if signed_zero is None:
+                    signed_zero = _has_negative_zero(re) or _has_negative_zero(im)
+                if not signed_zero:
+                    continue
+            re, im = complex_product(re, im, factor.real, factor.imag)
+        signed_zero = None
     # so term t's bit at the j-th of the k two-valued sites is bit k - 1 - j
     # of t, and a one-valued site's bit is the one it keeps
     two = kept.all(axis=1)
@@ -478,6 +488,10 @@ def product_state(lattice: Lattice, site_states: Mapping) -> PureState:
     index = np.arange(len(re), dtype=">u8").view(np.uint8).reshape(-1, 8)[:, 8 - (k + 7) // 8:]
     bits[:, two] = np.unpackbits(index, axis=1)[:, (8 - k) % 8:]
     return PureState(lattice, TermTable.pruned(bits, re, im))
+
+
+def _has_negative_zero(values: np.ndarray) -> bool:
+    return bool(np.signbit(values[values == 0.0]).any())
 
 
 def _site_vectors(vectors: list):

@@ -292,8 +292,13 @@ def dense_norm(dense: DenseState) -> float:
 
 
 def dense_overlaps(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """|<a_i|b_i>| for the rows of two (B, 2^n) stacks, one `vdot` each."""
-    return np.array([abs(np.vdot(x, y)) for x, y in zip(a, b)])
+    """|<a_i|b_i>| for the rows of two (B, 2^n) stacks, with the bits of
+    one ``abs(np.vdot(a_i, b_i))`` each: one stacked matmul of the rows
+    of conj(a) by those of b, whose items are `vdot`'s sums, and the
+    `np.hypot` of their parts, which is the scalar `abs`.  (`np.abs` of a
+    complex array can round otherwise.)"""
+    products = np.matmul(a.conj()[:, None, :], b[:, :, None])[:, 0, 0]
+    return np.hypot(products.real, products.imag)
 
 
 def dense_overlap(a: DenseState, b: DenseState) -> float:

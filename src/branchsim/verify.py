@@ -154,8 +154,9 @@ COMPARE_TOL = 1e-6
 #: little, and the oracle's copies of a larger stack cost memory and time.
 STACK_AMPLITUDES = 2 ** 14
 
-#: Random trials drawn, played and analysed together.  Larger blocks
-#: batch little more of the dense work, and hold more states and stacks.
+#: Random trials drawn, played and analysed together; `_draw_trials`
+#: draws them a chunk of this many at a time.  Larger blocks batch
+#: little more of the dense work, and hold more states and stacks.
 TRIAL_BLOCK = 64
 
 
@@ -244,53 +245,61 @@ def check_scenario_differential(tol: float = DEFAULT_TOL) -> list:
 
 def _draw_trials(rng: np.random.Generator, n_trials: int, n_sites: int,
                  n_gates: int) -> tuple:
-    """Draw random trials: the initial bits (B, n), the site pairs
-    (B, G, 2) and each gate's number (B, G) among the block's gates: the
-    three named ones, then the random ones.  The rng is read in the order
-    that drawing one trial at a time reads it.  A random gate's draw is
-    the (2, 4, 4) real draw of `oracle.gaussian_matrix`; the block's draws
-    are made complex by one `oracle.complex_gaussians` and unitary by one
-    stacked QR.  Also returns the gates' (L, 4, 4) matrices and their
-    joined column actions, for the two engines."""
-    named = [gate_by_name(name) for name in ("U_si", "U_copy", "U_swap")]
-    bits, pairs, gates, parts = [], [], [], []
-    for _ in range(n_trials):
-        bits.append(rng.integers(0, 2, n_sites))
-        for _ in range(n_gates):
-            left = int(rng.integers(0, n_sites - 1))
-            pairs.append((left, left + 1) if rng.random() < 0.5 else (left + 1, left))
-            if rng.random() < 0.4:
-                gates.append(rng.integers(len(named)))
-            else:
-                gates.append(len(named) + len(parts))
-                parts.append(rng.normal(size=(2, 4, 4)))
-    gaussians = oracle.complex_gaussians(np.array(parts).reshape(-1, 2, 4, 4))
-    randoms = unitary_stack(oracle.haar_unitaries(gaussians), 4, "random")
-    return (np.array(bits, dtype=np.uint8).reshape(n_trials, n_sites),
-            np.array(pairs, dtype=np.intp).reshape(n_trials, n_gates, 2),
-            np.array(gates, dtype=np.intp).reshape(n_trials, n_gates),
-            np.concatenate([[gate.matrix for gate in named], randoms]),
-            join_actions([gate.action for gate in named] + [column_action(randoms)]))
+    """Draw `n_trials` (at least one) random sequences of `n_gates`
+    two-site gates on `n_sites` sites: the initial bits (B, n), the site
+    pairs (B, G, 2), each gate's number (B, G) and the (R, 2, 4, 4) real
+    draws of the R random gates.  Gates 0 .. 2 are the named ones, and
+    gate 3 + k is the one of the k-th random draw, trial by trial.
 
-
-def random_trial_block(rng: np.random.Generator, n_trials: int,
-                       n_sites: int = 8, n_gates: int = 5) -> np.ndarray:
-    """Worst deviations of `n_trials` random gate sequences, played as
-    one block, as a (B,) array; entry i is what the i-th of `n_trials`
-    one-trial calls of `random_differential_trial` on the same rng
-    returns.
-
-    Each sequence plays one two-site gate per step.  The sparse side
-    plays the block as one table, trial b as owner b, one
-    `apply_columns` per step with each owner's gate, which gives every
-    trial the terms `run_schedule` gives it alone; the dense side as one
-    (B, 2^n) stack.  Their overlaps are compared after
-    every step, and every derived quantity by one final `compare_stack`.
+    Trials are drawn a chunk of TRIAL_BLOCK at a time, and a chunk is
+    always drawn whole: a call draws every chunk its trials touch and
+    keeps the first `n_trials`, so trial i comes from chunk
+    i // TRIAL_BLOCK however a run is split into calls.  A chunk reads
+    the rng once per kind: its bits, its left sites, one array of
+    uniforms (whether each pair is in site order, and whether its gate
+    is named, with chance 0.4), its named-gate numbers, and the
+    (2, 4, 4) draws of its random gates.
     """
+    chunks = []
+    for _ in range(-(-n_trials // TRIAL_BLOCK)):
+        bits = rng.integers(0, 2, (TRIAL_BLOCK, n_sites), dtype=np.uint8)
+        left = rng.integers(0, n_sites - 1, (TRIAL_BLOCK, n_gates))
+        uniforms = rng.random((2, TRIAL_BLOCK, n_gates))
+        named = rng.integers(0, 3, (TRIAL_BLOCK, n_gates))
+        random = uniforms[1] >= 0.4
+        parts = rng.normal(size=(int(random.sum()), 2, 4, 4))
+        chunks.append((bits, left, uniforms[0] < 0.5, random, named, parts))
+    *trials, parts = (np.concatenate(kind) for kind in zip(*chunks))
+    bits, left, forward, random, named = (kind[:n_trials] for kind in trials)
+    pairs = np.stack([left + ~forward, left + forward], axis=-1)
+    gates = np.where(random, 2 + np.cumsum(random).reshape(random.shape), named)
+    return bits, pairs, gates, parts[:random.sum()]
+
+
+def play_trials(bits: np.ndarray, pairs: np.ndarray, gates: np.ndarray,
+                parts: np.ndarray) -> np.ndarray:
+    """Worst deviations of drawn trials, played as one block, as a (B,)
+    array: the initial bits (B, n), site pairs (B, G, 2), gate numbers
+    (B, G) and random draws (R, 2, 4, 4) of `_draw_trials`.
+
+    The draws are made complex by one `oracle.complex_gaussians` and
+    unitary by one stacked QR, and the three named gates go in front of
+    them: their matrices for the dense side and their joined column
+    actions for the sparse side.  Each sequence plays one two-site gate
+    per step.  The sparse side plays the block as one table, trial b as
+    owner b, one `apply_columns` per step with each owner's gate, which
+    gives every trial the terms `run_schedule` gives it alone; the dense
+    side as one (B, 2^n) stack.  Their overlaps are compared after
+    every step, and every derived quantity by one final `compare_stack`.
+    A row depends on its own trial only.
+    """
+    n_trials, n_sites = bits.shape
+    n_gates = gates.shape[1]
+    named = [gate_by_name(name) for name in ("U_si", "U_copy", "U_swap")]
+    randoms = unitary_stack(oracle.haar_unitaries(oracle.complex_gaussians(parts)), 4, "random")
+    matrices = np.concatenate([[gate.matrix for gate in named], randoms])
+    actions = join_actions([gate.action for gate in named] + [column_action(randoms)])
     lattice = chain_lattice([0], range(1, n_sites))
-    bits, pairs, gates, matrices, actions = _draw_trials(rng, n_trials, n_sites, n_gates)
-    if not n_trials:
-        return np.zeros(0)
     # sites 0 .. n-1 sit at lattice positions 0 .. n-1
     table = TermTable(bits, np.ones(n_trials, dtype=complex), np.arange(n_trials))
     vectors = oracle.dense_vectors(lattice, table, n_trials)
@@ -307,10 +316,24 @@ def random_trial_block(rng: np.random.Generator, n_trials: int,
     return np.maximum(worst, compare_stack(StateBlock(lattice, table, n_trials), vectors))
 
 
+def random_trial_block(rng: np.random.Generator, n_trials: int,
+                       n_sites: int = 8, n_gates: int = 5) -> np.ndarray:
+    """Worst deviations of `n_trials` random gate sequences on a chain of
+    `n_sites`, as a (B,) array: `play_trials` of `_draw_trials`.  A call
+    draws whole chunks of TRIAL_BLOCK trials and keeps its first
+    `n_trials`, so its rows are the first rows of any longer call on the
+    same rng; 0 trials draw nothing."""
+    if not n_trials:
+        return np.zeros(0)
+    return play_trials(*_draw_trials(rng, n_trials, n_sites, n_gates))
+
+
 def random_differential_trial(rng: np.random.Generator,
                               n_sites: int = 8, n_gates: int = 5) -> float:
     """Run one random gate sequence through both engines; worst deviation.
-    The one-trial case of `random_trial_block`."""
+    The one-trial `random_trial_block`: it draws a whole chunk of
+    TRIAL_BLOCK trials and plays the first, so consecutive calls do not
+    give the trials of one block."""
     return float(random_trial_block(rng, 1, n_sites, n_gates)[0])
 
 
@@ -318,10 +341,12 @@ def check_random_differential(n_trials: int = DEFAULT_TRIALS, tol: float = DEFAU
                               seed: int = DEFAULT_SEED) -> CheckResult:
     """Randomized 8-site gate sequences agree across both engines.
 
-    The trials are drawn, played and analysed TRIAL_BLOCK at a time.
-    The check stops at the first trial whose running worst deviation is
-    not within `tol` (a NaN is not), and draws no later block; the
-    detail is the worst deviation up to that trial."""
+    The trials are drawn, played and analysed TRIAL_BLOCK at a time;
+    the last block may be shorter, but draws a whole chunk, so the
+    deviations of n trials are the first n of any longer run at the
+    same seed.  The check stops at the first trial whose running worst
+    deviation is not within `tol` (a NaN is not), and draws no later
+    block; the detail is the worst deviation up to that trial."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for start in range(0, n_trials, TRIAL_BLOCK):

@@ -410,6 +410,21 @@ def test_stack_rows_equal_the_single_state_functions(n_states, n_sites, region_s
         assert_same_weights(rows, want)
 
 
+@pytest.mark.parametrize("n_states, n_sites", [(1, 2), (1, 8), (64, 8), (64, 3), (5, 14)])
+def test_stacked_overlaps_equal_the_vdot_loop(n_states, n_sites):
+    # a matmul item sums as `vdot` does, and `np.hypot` of its parts is
+    # the scalar `abs`; overlaps near 1 are what the random suite compares
+    rng = np.random.default_rng(10 * n_states + n_sites)
+    a = random_vectors(rng, n_states, n_sites)
+    near = a * np.exp(1j * rng.uniform(0, 6.3, (n_states, 1))) \
+        + 1e-15 * (rng.normal(size=a.shape) + 1j * rng.normal(size=a.shape))
+    for b in (random_vectors(rng, n_states, n_sites), near, a):
+        loop = np.array([abs(np.vdot(x, y)) for x, y in zip(a, b)])
+        assert oracle.dense_overlaps(a, b).tobytes() == loop.tobytes()
+    one = oracle.DenseState(bs.chain_lattice([0], range(1, n_sites)), a[0])
+    assert oracle.dense_overlap(one, one) == abs(np.vdot(a[0], a[0]))
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(1, 8).flatmap(lambda n: st.lists(sparse_states(n), min_size=1, max_size=5)),
        st.sampled_from([verify.COMPARE_TOL, 1e-2]))

@@ -1,13 +1,21 @@
 """The batched random differential suite against the sequential trial loop.
 
-`verify.random_trial_block` draws a block of trials first, plays the
-dense oracle on one stack and analyses the final dense states together.
-`reference_trial` below is the one-trial-at-a-time loop it replaced,
-kept as the reference: every per-trial deviation must match it bit for
-bit, and a fault must stop the check at the same trial with the same
-detail.
+`verify._draw_trials` draws random trials a chunk of `TRIAL_BLOCK` at a
+time, one rng call per kind, and `verify.play_trials` plays a block of
+them on one dense stack and one sparse table and analyses the final
+states together.  `reference_trial` below is the one-trial-at-a-time
+loop the player replaced, kept as the reference: it plays one drawn
+trial, and every per-trial deviation must match it bit for bit.  A
+fault must stop the check at the same trial with the same detail.
+
+`reference_draw` is the scalar drawer the suite used before chunks,
+which read the rng one trial at a time.  The chunked drawer reads
+another stream, so each kind of draw is held to the scalar one's
+distribution, and the parent stream's pinned deviations still hold when
+its draws go through the player (`test_state_block_properties`).
 """
 
+import math
 import sys
 
 import numpy as np
@@ -21,24 +29,56 @@ from branchsim.schedule import GateApplication, Schedule, run_schedule
 SEEDS = (20260825, 7)
 #: Longest run compared; not a multiple of the block, so its last block is partial.
 MANY = 1000
+NAMED = ("U_si", "U_copy", "U_swap")
 
 
-def reference_trial(rng, n_sites=8, n_gates=5):
-    """One random gate sequence through both engines, as the suite played
-    it before blocks: a sparse run, a dense run, a compare per step."""
+def reference_draw(rng, n_trials, n_sites=8, n_gates=5):
+    """`verify._draw_trials` as it was before chunks: the rng read one
+    trial at a time, three or four scalar calls per gate, in the layout
+    that `verify.play_trials` takes."""
+    bits, pairs, numbers, parts = [], [], [], []
+    for _ in range(n_trials):
+        bits.append(rng.integers(0, 2, n_sites))
+        for _ in range(n_gates):
+            left = int(rng.integers(0, n_sites - 1))
+            pairs.append((left, left + 1) if rng.random() < 0.5 else (left + 1, left))
+            if rng.random() < 0.4:
+                numbers.append(rng.integers(len(NAMED)))
+            else:
+                numbers.append(len(NAMED) + len(parts))
+                parts.append(rng.normal(size=(2, 4, 4)))
+    return (np.array(bits, dtype=np.uint8).reshape(n_trials, n_sites),
+            np.array(pairs, dtype=np.intp).reshape(n_trials, n_gates, 2),
+            np.array(numbers, dtype=np.intp).reshape(n_trials, n_gates),
+            np.array(parts).reshape(-1, 2, 4, 4))
+
+
+def drawn_trials(draw):
+    """Each trial of a draw as (bits, pairs, gates): a gate is its named
+    gate's number, or its own raw (2, 4, 4) draw."""
+    bits, pairs, numbers, parts = draw
+    for b in range(len(bits)):
+        yield bits[b], pairs[b], [n if n < len(NAMED) else parts[n - len(NAMED)]
+                                  for n in numbers[b].tolist()]
+
+
+def reference_trial(bits, pairs, draws):
+    """One drawn random gate sequence through both engines, as the suite
+    played it before blocks: a sparse run, a dense run, a compare per
+    step.  A random gate is made unitary from its raw draw by
+    `oracle.random_unitary`'s formula."""
+    n_sites = len(bits)
     lattice = bs.chain_lattice([0], range(1, n_sites))
     amps = np.zeros((n_sites, 2))
-    amps[range(n_sites), rng.integers(0, 2, n_sites)] = 1.0
+    amps[range(n_sites), bits] = 1.0
     state = bs.product_state(lattice, dict(enumerate(amps)))
 
-    named = [gate_by_name(name) for name in ("U_si", "U_copy", "U_swap")]
+    named = [gate_by_name(name) for name in NAMED]
     apps = []
-    for t in range(n_gates):
-        left = int(rng.integers(0, n_sites - 1))
-        pair = (left, left + 1) if rng.random() < 0.5 else (left + 1, left)
-        gate = named[rng.integers(len(named))] if rng.random() < 0.4 \
-            else oracle.random_gate2(rng)
-        apps.append(GateApplication(t, pair, gate))
+    for t, (pair, draw) in enumerate(zip(pairs.tolist(), draws)):
+        gate = named[draw] if np.ndim(draw) == 0 else \
+            bs.Gate2("random", oracle.haar_unitaries(oracle.complex_gaussians(draw)))
+        apps.append(GateApplication(t, tuple(pair), gate))
     schedule = Schedule(tuple(apps))
     states = run_schedule(state, schedule)
     dense_states = oracle.dense_run(oracle.densify(state), schedule)
@@ -47,9 +87,9 @@ def reference_trial(rng, n_sites=8, n_gates=5):
     return max(worst, verify.compare_states(states[-1], dense_states[-1]))
 
 
-def reference_deviations(n_trials, seed):
-    rng = np.random.default_rng(seed)
-    return [reference_trial(rng) for _ in range(n_trials)]
+def reference_deviations(n_trials, seed, n_sites=8, n_gates=5):
+    draw = verify._draw_trials(np.random.default_rng(seed), n_trials, n_sites, n_gates)
+    return [reference_trial(*trial) for trial in drawn_trials(draw)]
 
 
 def reference_detail(deviations, tol=1e-10):
@@ -66,14 +106,8 @@ def bits(values):
     return np.array(values, dtype=np.float64).tobytes()
 
 
-@pytest.fixture(scope="module")
-def references():
-    return {seed: reference_deviations(MANY, seed) for seed in SEEDS}
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("n_trials", [0, 1, verify.TRIAL_BLOCK, verify.TRIAL_BLOCK + 1, MANY])
-def test_deviations_match_the_sequential_loop(monkeypatch, references, seed, n_trials):
+def recorded_check(monkeypatch, n_trials, seed):
+    """The check of `n_trials` at `seed`, and the deviations of its blocks."""
     batched, original = [], verify.random_trial_block
 
     def recorded(*args):
@@ -83,24 +117,101 @@ def test_deviations_match_the_sequential_loop(monkeypatch, references, seed, n_t
 
     monkeypatch.setattr(verify, "random_trial_block", recorded)
     check = verify.check_random_differential(n_trials, 1e-10, seed)
+    monkeypatch.undo()
+    return check, batched
+
+
+@pytest.fixture(scope="module")
+def references():
+    return {seed: reference_deviations(MANY, seed) for seed in SEEDS}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("n_trials", [0, 1, verify.TRIAL_BLOCK, verify.TRIAL_BLOCK + 1, MANY])
+def test_deviations_match_the_sequential_loop(monkeypatch, references, seed, n_trials):
+    check, batched = recorded_check(monkeypatch, n_trials, seed)
     assert bits(batched) == bits(references[seed][:n_trials])
     assert check.passed
     assert check.detail == reference_detail(references[seed][:n_trials])
 
 
-def test_one_trial_calls_match_a_block():
-    rng_a, rng_b = np.random.default_rng(3), np.random.default_rng(3)
-    one_by_one = [verify.random_differential_trial(rng_a) for _ in range(5)]
-    assert bits(one_by_one) == bits(verify.random_trial_block(rng_b, 5))
-    # both rngs have read the same draws
-    assert rng_a.random() == rng_b.random()
-
-
 @pytest.mark.parametrize("n_sites, n_gates", [(2, 0), (3, 1), (5, 7)])
 def test_other_shapes_match_the_sequential_loop(n_sites, n_gates):
-    rng_a, rng_b = np.random.default_rng(11), np.random.default_rng(11)
-    reference = [reference_trial(rng_a, n_sites, n_gates) for _ in range(20)]
-    assert bits(verify.random_trial_block(rng_b, 20, n_sites, n_gates)) == bits(reference)
+    reference = reference_deviations(20, 11, n_sites, n_gates)
+    assert bits(verify.random_trial_block(np.random.default_rng(11), 20, n_sites, n_gates)) \
+        == bits(reference)
+
+
+@pytest.fixture(scope="module")
+def long_run():
+    """The deviations of a 1,000-trial check at the default seed, and
+    one 1,000-trial block at that seed."""
+    monkeypatch = pytest.MonkeyPatch()
+    _, run = recorded_check(monkeypatch, MANY, verify.DEFAULT_SEED)
+    block = verify.random_trial_block(np.random.default_rng(verify.DEFAULT_SEED), MANY)
+    return run, block
+
+
+@pytest.mark.parametrize("n_trials", [0, 1, 63, 64, 65, 100])
+def test_a_short_run_is_the_head_of_a_long_run(monkeypatch, long_run, n_trials):
+    # a call draws whole chunks, so trial i comes from chunk i // 64
+    # however the trials are split into blocks
+    run, block = long_run
+    assert len(run) == len(block) == MANY
+    _, short = recorded_check(monkeypatch, n_trials, verify.DEFAULT_SEED)
+    assert bits(short) == bits(run[:n_trials]) == bits(block[:n_trials])
+    rng = np.random.default_rng(verify.DEFAULT_SEED)
+    assert bits([verify.random_differential_trial(rng)]) == bits(run[:1])
+
+
+def test_a_block_draws_whole_chunks():
+    # a tail block of 36 trials reads a whole chunk, so the rng ends where
+    # a full block leaves it; a block of none reads nothing
+    rngs = [np.random.default_rng(5) for _ in range(3)]
+    verify.random_trial_block(rngs[0], 36)
+    verify.random_trial_block(rngs[1], verify.TRIAL_BLOCK)
+    verify.random_trial_block(rngs[2], 0)
+    assert rngs[0].random() == rngs[1].random()
+    assert rngs[2].random() == np.random.default_rng(5).random()
+
+
+def assert_shares_agree(counts_a, counts_b, n_a, n_b, expected):
+    """Each category's share in two samples equals the other sample's,
+    and its expected share, within 5 binomial sigma."""
+    for a, b, p in zip(counts_a, counts_b, expected):
+        for count, n in ((a, n_a), (b, n_b)):
+            assert abs(count / n - p) <= 5 * math.sqrt(p * (1 - p) / n)
+        pooled = (a + b) / (n_a + n_b)
+        assert abs(a / n_a - b / n_b) <= 5 * math.sqrt(pooled * (1 - pooled) * (1 / n_a + 1 / n_b))
+
+
+def test_the_chunked_draws_have_the_scalar_draws_distribution():
+    n_trials, n_sites, n_gates = 10_000, 8, 5
+    old = reference_draw(np.random.default_rng(1), n_trials, n_sites, n_gates)
+    new = verify._draw_trials(np.random.default_rng(1), n_trials, n_sites, n_gates)
+    samples = []
+    for start_bits, pairs, numbers, parts in (old, new):
+        left = pairs.min(-1)
+        named = numbers < len(NAMED)
+        assert (np.abs(pairs[..., 1] - pairs[..., 0]) == 1).all()
+        assert parts.shape == (int((~named).sum()), 2, 4, 4)
+        # random gates are numbered in draw order, trial by trial
+        assert (numbers[~named] == np.arange(len(parts)) + len(NAMED)).all()
+        samples.append({
+            "bits": ([start_bits.sum()], start_bits.size, [0.5]),
+            "left": (np.bincount(left.ravel(), minlength=n_sites - 1), left.size,
+                     [1 / (n_sites - 1)] * (n_sites - 1)),
+            "in order": ([(pairs[..., 0] < pairs[..., 1]).sum()], pairs[..., 0].size, [0.5]),
+            "named": ([named.sum()], named.size, [0.4]),
+            "which": (np.bincount(numbers[named], minlength=3), named.sum(), [1 / 3] * 3)})
+        # |U_ij|^2 of a Haar unitary of dimension 4 is Beta(1, 3): mean 1/4,
+        # variance 3/80
+        squares = np.abs(oracle.haar_unitaries(oracle.complex_gaussians(parts))) ** 2
+        sigma = math.sqrt(3 / 80 / len(parts))
+        assert (np.abs(squares.mean(0) - 0.25) <= 5 * sigma).all()
+    for kind in samples[0]:
+        (counts_a, n_a, expected), (counts_b, n_b, _) = samples[0][kind], samples[1][kind]
+        assert_shares_agree(counts_a, counts_b, n_a, n_b, expected)
 
 
 def phased_swap():
@@ -112,23 +223,6 @@ def phased_swap():
     gate = gates.Gate2("U_swap", matrix)
     object.__setattr__(gate, "action", gates.field_swap_gate().action)
     return gate
-
-
-@pytest.mark.parametrize("n_trials", [1, 7, 64])
-def test_a_block_draw_is_its_one_trial_draws_concatenated(n_trials):
-    # the block keeps each random gate's raw (2, 4, 4) draw and makes the
-    # block's draws complex and unitary at once; each trial must get the
-    # bits, pairs and gate matrices of a one-trial draw, and the rng must
-    # end where the one-trial draws leave it
-    block_rng, trial_rng = np.random.default_rng(5), np.random.default_rng(5)
-    bits, pairs, numbers, matrices, _ = verify._draw_trials(block_rng, n_trials, 8, 5)
-    trials = [verify._draw_trials(trial_rng, 1, 8, 5) for _ in range(n_trials)]
-    assert bits.tobytes() == np.concatenate([t[0] for t in trials]).tobytes()
-    assert pairs.tobytes() == np.concatenate([t[1] for t in trials]).tobytes()
-    want = np.concatenate([t[3][t[2]] for t in trials])
-    assert matrices[numbers].tobytes() == want.tobytes()
-    assert len(matrices) == 3 + sum(len(t[3]) - 3 for t in trials)
-    assert block_rng.random() == trial_rng.random()
 
 
 def test_a_fault_stops_the_check_at_the_same_trial(monkeypatch):

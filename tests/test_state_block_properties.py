@@ -16,7 +16,8 @@ two-flip partners on some sites only, past 64 sites and on a table of
 traced it; the kernel must give the same matrices however few rows it
 gathers at once.
 A golden digest pins the first 2,048 per-trial deviations of the random
-suite.
+suite, and another those of the scalar drawer it replaced, played by
+the same player.
 """
 
 import hashlib
@@ -31,6 +32,7 @@ from branchsim import analysis, gates, oracle, verify
 from branchsim.lattice import StateBlock, TermTable, first_appearance, row_keys
 from branchsim.schedule import GateApplication, Schedule, run_schedule
 from test_analysis_properties import loop_decompose, loop_rdm
+from test_random_differential import reference_draw
 
 components = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -0.5]),
                        st.floats(-1.0, 1.0, allow_nan=False))
@@ -429,9 +431,24 @@ def test_the_index_equals_the_kernel_on_a_table_of_32768_rows():
 # ---------------------------------------------------------------------------
 
 #: sha256 of the float64 bytes of the first 2,048 per-trial deviations at
-#: the suite's default seed, recorded before the suite played blocks as
-#: one tagged table.
-GOLDEN_DEVIATIONS = "f7118b8bb5d32f3437e2896c3efe811f8b79cf1ec5a6cac29cae1b61cfeb9230"
+#: the suite's default seed, recorded when the suite began to draw its
+#: trials a chunk at a time.
+GOLDEN_DEVIATIONS = "831f79c427256288881cdfa94a94d7c84c42b071553530dbada442369a583859"
+
+#: The same digest of the trials of the scalar drawer, which read the rng
+#: one trial at a time, recorded before the suite played blocks as one
+#: tagged table.
+SCALAR_DRAW_DEVIATIONS = "f7118b8bb5d32f3437e2896c3efe811f8b79cf1ec5a6cac29cae1b61cfeb9230"
+
+
+def pinned_digest(draw):
+    """sha256 of the deviations of 2,048 trials at the default seed, drawn
+    a block at a time by ``draw(rng, TRIAL_BLOCK)``."""
+    rng = np.random.default_rng(verify.DEFAULT_SEED)
+    deviations = np.concatenate([verify.play_trials(*draw(rng, verify.TRIAL_BLOCK))
+                                 for _ in range(2048 // verify.TRIAL_BLOCK)])
+    assert len(deviations) == 2048 and deviations.max() <= verify.DEFAULT_TOL
+    return hashlib.sha256(deviations.astype(np.float64).tobytes()).hexdigest()
 
 
 def test_random_suite_deviations_are_pinned():
@@ -441,6 +458,13 @@ def test_random_suite_deviations_are_pinned():
     assert len(deviations) == 2048 and deviations.max() <= verify.DEFAULT_TOL
     assert hashlib.sha256(deviations.astype(np.float64).tobytes()).hexdigest() \
         == GOLDEN_DEVIATIONS
+    assert pinned_digest(lambda rng, n: verify._draw_trials(rng, n, 8, 5)) == GOLDEN_DEVIATIONS
+
+
+def test_the_scalar_draws_keep_their_pinned_deviations():
+    # the player plays and compares the scalar drawer's trials bit for bit
+    # as the suite did before it drew chunks
+    assert pinned_digest(reference_draw) == SCALAR_DRAW_DEVIATIONS
 
 
 def test_random_gates_of_a_block_are_checked_in_one_stack():

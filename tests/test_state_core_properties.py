@@ -7,6 +7,7 @@ and `dict_product_state` are the old loops.  Every result must equal the
 reference term for term, in order and value, down to the sign of zero.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 import branchsim as bs
 from branchsim import bell, gates, oracle
-from branchsim.lattice import PRUNE_EPS
+from branchsim.lattice import PRUNE_EPS, TermTable, complex_product
 
 NAMED_GATE2 = ("U_si", "U_copy", "U_swap")
 
@@ -170,6 +171,77 @@ def test_product_state_equals_dict_loop(case):
     reference = dict_product_state(lattice, site_states)
     assert_same_terms(state, dict(reference.amplitudes))
     assert state.table.bits.shape == (state.n_terms, lattice.n_sites)
+
+
+def loop_product_table(lattice, site_states):
+    """`product_state`'s table as its loop built it before it skipped
+    unit factors: every one-valued site multiplies every term."""
+    vecs = np.array([site_states[i] for i in lattice.indices], dtype=complex)
+    kept = np.hypot(vecs.real, vecs.imag) >= PRUNE_EPS
+    re, im, rows = np.ones(1), np.zeros(1), np.zeros((1, 0), dtype=np.uint8)
+    for p, vec in enumerate(vecs):
+        bits = np.flatnonzero(kept[p])
+        if len(bits) == 2:
+            re, im = complex_product(re[:, None], im[:, None], vec.real, vec.imag)
+            re, im = re.ravel(), im.ravel()
+        else:
+            re, im = complex_product(re, im, vec[bits[0]].real, vec[bits[0]].imag)
+        rows = np.column_stack([np.repeat(rows, len(bits), axis=0),
+                                np.tile(bits, len(rows)).astype(np.uint8)])
+    return TermTable.pruned(rows, re, im)
+
+
+#: One-valued site vectors whose factor is +-1, +-i or 1 with either
+#: signed zero, |+>, |->, and phases: products of them carry -0.0 parts.
+SIGNED_SITES = ([1, 0], [complex(1, -0.0), 0], [0, 1], [0, complex(1, -0.0)],
+                [-1, 0], [0, complex(-1, 0.0)], [1j, 0], [-1j, 0], [0, complex(-0.0, 1)],
+                [0, complex(0, -1)], [complex(-0.0, -1), 0])
+
+
+@st.composite
+def signed_site_lists(draw):
+    n_sites = draw(st.integers(1, 24))
+    r = 0.7071067811865475
+    signed = st.sampled_from(SIGNED_SITES)
+    kinds = st.one_of(signed, signed, signed,
+                      st.sampled_from([[r, r], [r, -r], [r, complex(0, r)], [complex(-0.0, r), r]]),
+                      st.floats(0.0, 6.3).map(lambda phi: [0, complex(np.exp(1j * phi))]),
+                      st.floats(0.0, 6.3).map(lambda phi: [complex(np.exp(1j * phi)), 0]))
+    sites = draw(st.lists(kinds, min_size=n_sites, max_size=n_sites))
+    superposed = [i for i, vec in enumerate(sites) if all(abs(c) > 0 for c in vec)]
+    for i in superposed[6:]:       # at most 2^6 terms
+        sites[i] = [1, 0]
+    return sites
+
+
+@settings(max_examples=300, deadline=None)
+@given(signed_site_lists())
+def test_product_state_skips_unit_factors_exactly(sites):
+    # every prefix of the list, so that a signed zero met early is also
+    # checked before later factors can cover it
+    for n_sites in range(1, len(sites) + 1):
+        lattice = bs.chain_lattice([0], range(1, n_sites))
+        site_states = dict(enumerate(sites[:n_sites]))
+        table = bs.product_state(lattice, site_states).table
+        reference = loop_product_table(lattice, site_states)
+        assert table.bits.tobytes() == reference.bits.tobytes()
+        assert table.amps.tobytes() == reference.amps.tobytes()
+
+
+def test_product_state_skips_unit_factors_exactly_on_every_triple():
+    lattice = bs.chain_lattice([0], [1, 2])
+    for sites in itertools.product(SIGNED_SITES, repeat=3):
+        table = bs.product_state(lattice, dict(enumerate(sites))).table
+        reference = loop_product_table(lattice, dict(enumerate(sites)))
+        assert table.amps.tobytes() == reference.amps.tobytes(), sites
+
+
+def test_a_unit_factor_after_a_signed_zero_is_multiplied():
+    # (-1)(+i) = -0 - i: times 1 + 0j the real part becomes +0.0
+    lattice = bs.chain_lattice([0], [1, 2])
+    state = bs.product_state(lattice, {0: [-1, 0], 1: [1j, 0], 2: [1, 0]})
+    (amp,) = state.table.amps
+    assert math.copysign(1.0, amp.real) == 1.0 and amp.imag == -1.0
 
 
 @settings(max_examples=400, deadline=None)
