@@ -590,6 +590,10 @@ class SiteMarginals:
     ``reduced_density_matrix(state, [site]).matrix`` bit for bit, and
     each scalar is `coherence`, `purity` or `entropy_of` of it by one formula.
     The marginals of a `StateBlock` list its states one after another.
+    `first` and `inverse` group the entries by the bytes of their
+    matrices: entry i has the matrix and scalars of entry
+    ``first[inverse[i]]``, so a function of an entry's values need only
+    be computed once per group.
     """
 
     sites: tuple
@@ -597,6 +601,8 @@ class SiteMarginals:
     coherence: np.ndarray  # (n,), or (B n,)
     purity: np.ndarray     # (n,), or (B n,)
     entropy: np.ndarray    # (n,), or (B n,)
+    first: np.ndarray      # (groups,): each group's first entry
+    inverse: np.ndarray    # (n,), or (B n,): each entry's group
 
 
 def site_marginals(block) -> SiteMarginals:
@@ -611,7 +617,22 @@ def site_marginals(block) -> SiteMarginals:
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     distinct = rho[first]
     return SiteMarginals(block.lattice.indices * block.size, rho, _coherences(distinct)[inverse],
-                         _purities(distinct)[inverse], entropies(distinct)[inverse])
+                         _purities(distinct)[inverse], entropies(distinct)[inverse],
+                         first, inverse)
+
+
+def frontier_pairs(frontier: np.ndarray, unplaced: np.ndarray) -> tuple:
+    """(owner, a, b) of every owner's frontier site a and unplaced site b,
+    as ``np.nonzero(frontier[:, :, None] & unplaced[:, None, :])`` gives
+    them (by owner, then a, then b), from the positions of the two (B, n)
+    masks: each frontier site of an owner takes the owner's run of
+    unplaced sites."""
+    owner, a = np.nonzero(frontier)
+    holder, b = np.nonzero(unplaced)
+    sizes = np.bincount(holder, minlength=len(unplaced))
+    counts = sizes[owner]
+    return (owner.repeat(counts), a.repeat(counts),
+            b[index_ranges((sizes.cumsum() - sizes)[owner], counts)])
 
 
 class BlockAnalysis:
@@ -682,13 +703,16 @@ class BlockAnalysis:
 
     @cached_property
     def cluster_sites(self) -> tuple:
-        """Every state's clusters, grown for all states at once: (owner,
-        sites), each cluster's state and (n,) mask of its sites, ordered by
-        state and then by lowest site.  Each round pairs every state's
+        """Every state's clusters, grown for all states at once (a report
+        grows them once per chunk of steps): (owner, sites), each
+        cluster's state and (n,) mask of its sites, ordered by state and
+        then by lowest site.  Each round pairs every state's
         frontier (the sites that joined last) with its unplaced branched
         sites, none if it kept no branch, in one `pair_matrices` call on
         the block's `traces`; a state with an empty frontier first starts a
-        cluster at its lowest unplaced site."""
+        cluster at its lowest unplaced site.  A round's pairs come from the
+        frontier's and the unplaced sites' positions (`frontier_pairs`), so
+        it costs the block's B n sites and its pairs, not B n^2."""
         size = self.block.size
         owner, _, _, branched = self.branch_table
         entropy = self.marginals.entropy.reshape(size, -1)
@@ -702,7 +726,7 @@ class BlockAnalysis:
             frontier[idle, start], unplaced[idle, start] = True, False
             label[idle, start] = count[idle]
             count[idle] += 1
-            owner, a, b = np.nonzero(frontier[:, :, None] & unplaced[:, None, :])
+            owner, a, b = frontier_pairs(frontier, unplaced)
             if not owner.size:
                 break
             low, high = np.minimum(a, b), np.maximum(a, b)

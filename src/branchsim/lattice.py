@@ -651,20 +651,6 @@ def lattice_to_json(lattice: Lattice) -> list:
     return [{"index": s.index, "kind": s.kind.value} for s in lattice.sites]
 
 
-def _loaded(x: float):
-    """What `json.loads` reads back from the `.17g` text of `x`: an int
-    when `x` is integral and below 1e17 in magnitude (`.17g` then writes
-    no exponent or point, and -0.0 as ``-0``), otherwise `x` itself."""
-    return int(x) if x.is_integer() and abs(x) < 1e17 else x
-
-
-def terms_to_json(state: PureState) -> list:
-    """The "terms" list that `json.loads` reads from
-    `state_to_document(state)`, built without the text."""
-    return [{"basis": "".join(map(str, bits)), "re": _loaded(amp.real), "im": _loaded(amp.imag)}
-            for bits, amp in state.terms()]
-
-
 def state_to_document(state: PureState) -> str:
     """Serialise to JSON text (sorted terms; bit-exact round trip)."""
     lattice_json = json.dumps(lattice_to_json(state.lattice))

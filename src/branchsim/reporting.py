@@ -20,12 +20,16 @@ indent=2)`` and a newline for the document the run describes, written
 without the pure-Python encoder that ``indent`` selects (`json_text` is
 that writer).  The document's top-level keys sort as ``engine``,
 ``scenario``, ``steps``, so its head goes first and each step follows
-as it is analysed.  A step's site, branch and cluster blocks are
-spliced in as text rendered from arrays: the site block once per
-distinct site row (`_SiteRows`), the branch and cluster blocks from the
-analysed block's branch and cluster tables (`_BranchRows`), with no
-`analysis.Branch` object in between.  The scenario lattice's text is
-rendered once for every embedded state.
+as it is analysed.  A step's site, branch and cluster blocks and its
+embedded state are spliced in as text rendered from a chunk's arrays,
+each once per chunk of steps: the site rows once per distinct marginal
+matrix, grouped as `analysis.site_marginals` grouped them (`_SiteRows`);
+the branch and cluster blocks from the analysed block's branch and
+cluster tables, each table's assignment codes gathered in one call
+(`_BranchRows`), with no `analysis.Branch` object in between; and the
+embedded states from one sort of the block's table (`_state_texts`),
+with no dict per term.  The scenario lattice's text is rendered once
+for every embedded state.
 """
 
 import contextlib
@@ -40,7 +44,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis
-from .lattice import Lattice, StateBlock, lattice_to_json, norm, terms_to_json
+from .lattice import Lattice, StateBlock, lattice_to_json, norm, owner_rows, row_keys
 from .schedule import ScenarioConfig
 
 #: States up to this many terms are embedded verbatim in the report.
@@ -99,16 +103,15 @@ class _SiteRows:
     def chunk(self, analysed: analysis.BlockAnalysis) -> list:
         """The rows of each state of an analysed block, in lattice order,
         as (JSON object, CSV fields) text pairs, from its marginals and
-        decohered flags."""
+        decohered flags.  A row is a function of its matrix, so the
+        marginals' own grouping of the matrices gives the distinct rows."""
         m = analysed.marginals
-        decohered = analysed.decohered.reshape(-1)
+        first, inverse = m.first, m.inverse
         values = np.concatenate([
-            np.stack([m.matrices.real, m.matrices.imag], axis=-1).reshape(-1, 8),
-            np.stack([m.coherence, m.purity, m.entropy], axis=1)], axis=1)
-        codes = values.view(np.dtype((np.void, 8 * 11))).ravel()
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+            np.stack([m.matrices.real[first], m.matrices.imag[first]], axis=-1).reshape(-1, 8),
+            np.stack([m.coherence[first], m.purity[first], m.entropy[first]], axis=1)], axis=1)
         texts = []
-        for row, flag in zip(values[first].tolist(), decohered[first].tolist()):
+        for row, flag in zip(values.tolist(), analysed.decohered.reshape(-1)[first].tolist()):
             r = [_g12(x) for x in row]
             texts.append((_render({"rdm": [r[0:2], r[2:4], r[4:6], r[6:8]], "coherence": r[8],
                                    "purity": r[9], "entropy": r[10], "decohered": flag},
@@ -136,9 +139,14 @@ class _BranchRows:
     A branch is written as its ``assignment`` object and its weight.  The
     ``"<site>": <bit>`` texts of every site are made once per run, at the
     indent of an assignment in a step's branch list (depth 0) and in a
-    cluster's (depth 1), and an assignment's sites go in `str` order, as
-    `json` sorts keys ("-1" before "-2", "10" before "2").  Weights are
-    rounded by `_g12` and written as `float.__repr__` writes them.
+    cluster's (depth 1), each at index ``2 p + bit`` for lattice position
+    p, and an assignment's sites go in `str` order, as `json` sorts keys
+    ("-1" before "-2", "10" before "2").  Weights are rounded by `_g12`
+    and written as `float.__repr__` writes them.  Once per chunk, and not
+    per state, each table gives every row's codes on its owner's sites in
+    `str` order (one gather and one `tolist`), its weights' texts, and its
+    owners' site masks as lists; the branch lists are then joined from
+    those lists alone.
 
     A cluster whose sites are all of its state's branched sites has one
     branch in each of its groups, added onto 0.0 alone and in the same
@@ -151,24 +159,45 @@ class _BranchRows:
         self.branches, self.clusters = "branches" in names, "clusters" in names
         keys = [str(site) for site in lattice.indices]
         self.order = np.array(sorted(range(len(keys)), key=keys.__getitem__), dtype=np.intp)
+        self.base = 2 * self.order   # the code of bit 0 at each position, in `str` order
         # per depth, at 2 p + bit: position p's key and that bit
         self.keys = [[f"{_INNER_PAD}{' ' * (6 + 4 * depth)}{_quote(key)}: {bit}"
                       for key in keys for bit in (0, 1)] for depth in (0, 1)]
         self.unbranched = [f"{_INNER_PAD}  {_leaf_text(site)}" for site in lattice.indices]
         self.sites = [f"{_INNER_PAD}      {_leaf_text(site)}" for site in lattice.indices]
 
-    def _items(self, depth: int, mask: np.ndarray, bits: np.ndarray, weights: list) -> str:
-        """A branch list at `depth`: one branch per row of `bits`, on the
-        positions `mask` marks, and its weight's text."""
+    def _lists(self, depth: int, owner: np.ndarray, bits: np.ndarray, weights: np.ndarray,
+               masks: np.ndarray, wanted=None) -> list:
+        """The branch list at `depth` of each row of `masks`, from a table
+        whose rows, grouped by `owner`, are its branches: each branch's
+        assignment on the positions its owner's mask marks and its weight.
+        Owners that `wanted` (a list of flags) leaves out get None."""
+        marked = masks[:, self.order]
+        codes = (bits[:, self.order] + self.base)[marked[owner]].tolist()
+        texts = [_float_text(_g12(w)) for w in weights.tolist()]
+        counts = np.bincount(owner, minlength=len(masks)).tolist()
+        widths = np.count_nonzero(marked, axis=1).tolist()
+        lists, lo, at = [], 0, 0
+        for g, (count, width) in enumerate(zip(counts, widths)):
+            if wanted is None or wanted[g]:
+                lists.append(self._items(depth, codes, at, width, texts[lo:lo + count]))
+            else:
+                lists.append(None)
+            lo, at = lo + count, at + count * width
+        return lists
+
+    def _items(self, depth: int, codes: list, at: int, width: int, weights: list) -> str:
+        """A branch list at `depth`: one branch per weight text, whose
+        assignment is the next `width` codes of `codes` from index `at`."""
         if not weights:
             return "[]"
         pad = _INNER_PAD + " " * (4 * depth)   # the list's indent
         item, key = pad + "  ", pad + "    "
-        positions = self.order[mask[self.order]]
-        if positions.size:
+        if width:
             texts = self.keys[depth]
-            assignments = ["{\n" + ",\n".join(map(texts.__getitem__, row)) + f"\n{key}}}"
-                           for row in (bits[:, positions] + 2 * positions).tolist()]
+            assignments = ["{\n" + ",\n".join(map(texts.__getitem__, codes[i:i + width]))
+                           + f"\n{key}}}"
+                           for i in range(at, at + width * len(weights), width)]
         else:
             assignments = ["{}"] * len(weights)
         return f"[\n{item}" + f",\n{item}".join([
@@ -181,34 +210,27 @@ class _BranchRows:
         unless the run asks for branches and the cluster pair None unless
         it asks for clusters."""
         owner, bits, weights, branched = analysed.branch_table
-        counts = np.bincount(owner, minlength=analysed.block.size)
-        ends = counts.cumsum().tolist()
-        texts = [_float_text(_g12(w)) for w in weights.tolist()]
-        lists = [self._items(0, mask, bits[lo:hi], texts[lo:hi])
-                 for lo, hi, mask in zip([0] + ends, ends, branched)]
+        counts = np.bincount(owner, minlength=analysed.block.size).tolist()
+        lists = self._lists(0, owner, bits, weights, branched)
         found = [[] for _ in lists]
         if self.clusters:
             cluster_owner, sites = analysed.cluster_sites
-            full = sites.sum(1) == branched.sum(1)[cluster_owner]
-            if not full.all():   # the grouping is needed
+            full = (sites.sum(1) == branched.sum(1)[cluster_owner]).tolist()
+            if not all(full):   # the grouping is needed
                 cluster, cluster_bits, cluster_weights = analysed.cluster_table
-                cluster_ends = np.bincount(cluster, minlength=len(sites)).cumsum().tolist()
-                cluster_texts = [_float_text(_g12(w)) for w in cluster_weights.tolist()]
-            for c, (o, mask) in enumerate(zip(cluster_owner.tolist(), sites)):
-                if full[c]:
-                    items = lists[o].replace("\n", "\n    ")
-                else:
-                    lo, hi = cluster_ends[c - 1] if c else 0, cluster_ends[c]
-                    items = self._items(1, mask, cluster_bits[lo:hi], cluster_texts[lo:hi])
-                members = ",\n".join(compress(self.sites, mask.tolist()))
+                grouped = self._lists(1, cluster, cluster_bits, cluster_weights, sites,
+                                      [not f for f in full])
+            for c, (o, mask) in enumerate(zip(cluster_owner.tolist(), sites.tolist())):
+                items = lists[o].replace("\n", "\n    ") if full[c] else grouped[c]
+                members = ",\n".join(compress(self.sites, mask))
                 found[o].append(f'{{\n{_INNER_PAD}    "branches": {items},\n'
                                 f'{_INNER_PAD}    "sites": [\n{members}\n'
                                 f'{_INNER_PAD}    ]\n{_INNER_PAD}  }}')
         rows = []
-        for count, items, mask, state in zip(counts.tolist(), lists, branched, found):
+        for count, items, mask, state in zip(counts, lists, (~branched).tolist(), found):
             branches = clusters = None
             if self.branches:
-                unbranched = ",\n".join(compress(self.unbranched, (~mask).tolist()))
+                unbranched = ",\n".join(compress(self.unbranched, mask))
                 unbranched = f"[\n{unbranched}\n{_INNER_PAD}]" if unbranched else "[]"
                 branches = Rendered(
                     f'{{\n{_INNER_PAD}"count": {count},\n{_INNER_PAD}"items": {items},'
@@ -290,30 +312,83 @@ def _chunks(states, cells_per_term: int) -> Iterator:
         yield chunk
 
 
+def _part_texts(x: np.ndarray) -> list:
+    """The text of each float of `x` as `json.dumps` writes what
+    `json.loads` reads from its ``.17g`` text: an int when the float is
+    integral and below 1e17 in magnitude (``.17g`` then writes no point
+    or exponent, and -0.0 as ``-0``, which reads back as 0), otherwise the
+    float itself."""
+    texts = list(map(_float_text, x.tolist()))
+    whole = np.flatnonzero((np.floor(x) == x) & (np.abs(x) < 1e17))
+    for i, value in zip(whole.tolist(), x[whole].astype(np.int64).tolist()):
+        texts[i] = int.__repr__(value)
+    return texts
+
+
+def _state_texts(block: StateBlock, embedded: list, lattice_text: str) -> list:
+    """The ``state`` object of each state of a block that `embedded` flags,
+    and None for the others: the object that `json.loads` reads from its
+    `state_to_document` text, rendered at the indent of a step's keys, with
+    the scenario lattice's `lattice_text`.  One pass over the block's
+    table renders every flagged state: one sort of its rows by owner and
+    basis string (the order of `PureState.terms`), the basis strings from
+    one byte view of the bits, and the amplitude parts by `_part_texts`."""
+    table = block.table
+    bits, amps, owner = table.bits, table.amps, table.owner
+    if not all(embedded):
+        rows = np.flatnonzero(np.array(embedded)[owner])
+        bits, amps, owner = bits[rows], amps[rows], owner_rows(owner, rows)
+    order = row_keys(bits, owner).argsort()
+    n = bits.shape[1]
+    basis = np.ascontiguousarray(bits[order] + 48).view(f"S{n}").astype(f"U{n}").ravel().tolist()
+    parts = _part_texts(amps[order].view(np.float64))   # each term's re, then its im
+    pad, inner = _INNER_PAD + "  ", _INNER_PAD + "    "
+    terms = [f'{{\n{inner}"basis": "{b}",\n{inner}"im": {i},\n{inner}"re": {r}\n{pad}}}'
+             for b, r, i in zip(basis, parts[0::2], parts[1::2])]
+    texts, lo = [], 0
+    for flag, count in zip(embedded, np.bincount(owner, minlength=block.size).tolist()):
+        if not flag:
+            texts.append(None)
+            continue
+        listed = (f"[\n{pad}" + f",\n{pad}".join(terms[lo:lo + count])
+                  + f"\n{_INNER_PAD}]") if count else "[]"
+        texts.append(Rendered(f'{{\n{_INNER_PAD}"lattice": {lattice_text},'
+                              f'\n{_INNER_PAD}"terms": {listed}\n{_STEP_PAD}  }}'))
+        lo += count
+    return texts
+
+
 def _steps(lattice: Lattice, states, tolerance: float, names: set, settings: list) -> Iterator:
     """The `Step` of each state, analysed a chunk of states at a time: one
-    `BlockAnalysis` of the chunk's `StateBlock`, read state by state.  A
-    run that asks for no analysis and no correlation builds neither."""
+    `BlockAnalysis` of the chunk's `StateBlock`, read state by state, and
+    the chunk's embedded states rendered from the same block.  A chunk
+    that needs no analysis, no correlation and no embedded state builds
+    neither."""
     lattice_text = None  # rendered for the first embedded state
     site_rows = _SiteRows(lattice) if "sites" in names else None
     branch_rows = _BranchRows(lattice, names) if names & {"branches", "clusters"} else None
     analyse = bool(site_rows or branch_rows or settings)
     t = 0
     for chunk in _chunks(states, lattice.n_sites * max(lattice.n_sites, len(settings))):
-        analysed = analysis.BlockAnalysis(StateBlock.of(chunk), tolerance) if analyse else None
+        embedded = [state.n_terms <= EMBED_TERMS_LIMIT for state in chunk]
+        block = StateBlock.of(chunk) if analyse or any(embedded) else None
+        embeds = [None] * len(chunk)
+        if any(embedded):
+            if lattice_text is None:
+                lattice_text = _render(lattice_to_json(lattice), _INNER_PAD)
+            embeds = _state_texts(block, embedded, lattice_text)
+        analysed = analysis.BlockAnalysis(block, tolerance) if analyse else None
         rows = site_rows.chunk(analysed) if site_rows else [None] * len(chunk)
         blocks = branch_rows.chunk(analysed) if branch_rows else [(None,) * 4] * len(chunk)
         values = analysed.correlations(settings).tolist() if settings else None
-        for i, (state, step_rows) in enumerate(zip(chunk, rows)):
+        for i, (state, step_rows, embed) in enumerate(zip(chunk, rows, embeds)):
             record = {
                 "step": t,
                 "norm": _g12(norm(state)),
                 "n_terms": state.n_terms,
             }
-            if state.n_terms <= EMBED_TERMS_LIMIT:
-                if lattice_text is None:
-                    lattice_text = Rendered(_render(lattice_to_json(lattice), _INNER_PAD))
-                record["state"] = {"lattice": lattice_text, "terms": terms_to_json(state)}
+            if embed is not None:
+                record["state"] = embed
 
             n_branches, branches, n_clusters, clusters = blocks[i]
             if branches is not None:

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, example, given, settings
 from hypothesis import strategies as st
 
 import branchsim as bs
@@ -520,14 +520,75 @@ def test_a_block_takes_the_calls_of_its_slowest_owner(monkeypatch, tol):
         assert alone[:2] == [2, 4]
 
 
-@settings(max_examples=150, deadline=None)
+#: The fixed states by number of sites, with the |+>|+> and Bell states
+#: of five sites: and_chain needs two growth rounds, the five-qubit code
+#: has five clusters, and at tol 0.3 both keep no branch of their five
+#: branched sites.
+FIXED_BY_SITES = {3: [parity_state()],
+                  5: [and_chain_state(), five_qubit_code_state(),
+                      two_plus_state(bs.chain_lattice([0], [1, 2, 3, 4])),
+                      bell_state(bs.chain_lattice([0], [1, 2, 3, 4]))]}
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.data(), st.sampled_from(TOLERANCES + (0.3,)))
 def test_block_clusters_equal_each_states_all_pairs_clusters(data, tol):
     n_sites = data.draw(st.integers(1, 6))
     lattice = bs.chain_lattice([0], range(1, n_sites))
+    kinds = [sparse_states(n_sites), function_states(n_sites)]
+    if n_sites in FIXED_BY_SITES:
+        kinds.append(st.sampled_from(FIXED_BY_SITES[n_sites]))
     states = [bs.PureState(lattice, state.table) for state in data.draw(st.lists(
-        st.one_of(sparse_states(n_sites), function_states(n_sites)), min_size=1, max_size=5))]
-    found = analysis.BlockAnalysis(StateBlock.of(states), tol).clusters
+        st.one_of(*kinds), min_size=1, max_size=5))]
+    analysed = analysis.BlockAnalysis(StateBlock.of(states), tol)
+    found = analysed.clusters
     assert len(found) == len(states)
     for state, clusters in zip(states, found):
         assert_clusters_match_all_pairs(state, clusters, tol)
+    for clusters, decomp in zip(found, analysed.branches):
+        if clusters.n_clusters > 1:
+            event("several clusters")
+        if any(len(c.sites) > 2 for c in clusters.clusters):
+            event("a cluster of three or more sites")
+        if not decomp.branches and len(decomp.unbranched) < n_sites:
+            event("branched sites but no kept branch")
+
+
+def cube_pairs(frontier, unplaced):
+    """The (owner, a, b) of every frontier and unplaced site pair of an
+    owner, from the (B, n, n) cube of all of them."""
+    return np.nonzero(frontier[:, :, None] & unplaced[:, None, :])
+
+
+masks = st.integers(1, 6).flatmap(lambda size: st.integers(1, 9).flatmap(
+    lambda n: st.tuples(*[st.lists(st.lists(st.booleans(), min_size=n, max_size=n)
+                                   | st.just([False] * n), min_size=size, max_size=size)
+                          for _ in range(2)])))
+
+
+def random_masks(size, n, density, seed=5) -> tuple:
+    """A frontier and an unplaced (size, n) mask at `density`, with every
+    third row's frontier and every fourth row's unplaced sites empty."""
+    frontier, unplaced = np.random.default_rng(seed).random((2, size, n)) < density
+    frontier[::3] = False
+    unplaced[1::4] = False
+    return frontier.tolist(), unplaced.tolist()
+
+
+@settings(max_examples=300, deadline=None)
+@given(masks)
+@example(([[False]], [[False]]))
+@example(([[True]], [[True]]))
+@example(([[True, False, True]], [[False, True, True]]))
+@example(([[False] * 4, [True] * 4, [False] * 4], [[True] * 4, [False] * 4, [True] * 4]))
+@example(random_masks(1, 33, 0.3))
+@example(random_masks(64, 33, 0.1))
+@example(random_masks(7, 128, 0.05))
+@example(random_masks(200, 1, 0.5))
+@example(random_masks(16, 12, 0.9))
+def test_frontier_pairs_equal_the_cube(pair):
+    frontier, unplaced = (np.array(m, dtype=bool) for m in pair)
+    found = analysis.frontier_pairs(frontier, unplaced)
+    assert len(found) == 3
+    for got, want in zip(found, cube_pairs(frontier, unplaced)):
+        assert got.tolist() == want.tolist()

@@ -9,8 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import branchsim as bs
-from branchsim.lattice import lattice_to_json, terms_to_json
-from conftest import random_state
+from branchsim.lattice import lattice_to_json
+from conftest import random_state, terms_to_json
 
 R2 = 1 / math.sqrt(2)
 

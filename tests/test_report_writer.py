@@ -12,7 +12,9 @@ below keeps that assembly, `_site_records` its site block, and
 cluster blocks, rendered from the branch and cluster tables by
 `_BranchRows`, must give the text of the records that the `Branch`
 objects and the per-cluster dict loop gave: `reference_branches`,
-`_branch_clusters` and `_branch_item` below keep that loop.
+`_branch_clusters` and `_branch_item` below keep that loop.  Embedded
+states, rendered a chunk at a time by `_state_texts`, must give the
+text of the dict per term that `conftest.terms_to_json` builds.
 """
 
 import enum
@@ -33,9 +35,10 @@ from branchsim import reporting
 from branchsim.analysis import (BRANCH_TOL, BlockAnalysis, Branch, BranchClusters,
                                 BranchDecomposition, Cluster, MeasurementSetting,
                                 SiteMarginals)
-from branchsim.lattice import StateBlock, lattice_to_json, norm, terms_to_json
+from branchsim.lattice import StateBlock, lattice_to_json, norm
 from branchsim.reporting import (EMBED_TERMS_LIMIT, _g12, _render, build_report, json_text,
                                  write_report)
+from conftest import terms_to_json
 
 
 def reference_text(doc) -> str:
@@ -121,12 +124,16 @@ EDGE_FLOATS = (0.0, -0.0, math.nan, -math.nan, from_bits(0x7FF8000000000123),
 
 def site_rows_of(values: np.ndarray, flags: np.ndarray, size: int) -> list:
     """`_SiteRows.chunk` of `size` states whose site rows are the rows of
-    `values`, an (size n, 11) float64 array, with decohered `flags`."""
+    `values`, an (size n, 11) float64 array, with decohered `flags`, a
+    function of the row.  The rows are grouped by the bytes of all 11
+    values, since here the scalars need not follow from the matrix."""
     n = len(values) // size
     matrices = np.empty((len(values), 4), dtype=complex)
     matrices.real, matrices.imag = values[:, 0:8:2], values[:, 1:8:2]   # bit for bit
+    codes = values.view(np.dtype((np.void, 8 * 11))).ravel()
+    _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
     marginals = SiteMarginals(tuple(range(n)) * size, matrices.reshape(-1, 2, 2),
-                              values[:, 8], values[:, 9], values[:, 10])
+                              values[:, 8], values[:, 9], values[:, 10], first, inverse)
     analysed = SimpleNamespace(marginals=marginals, decohered=flags.reshape(size, n),
                                block=SimpleNamespace(size=size))
     return reporting._SiteRows(bs.chain_lattice([0], range(1, n))).chunk(analysed)
@@ -381,13 +388,56 @@ def runs(draw):
                              config.horizon, tuple(analyses)), states
 
 
+#: Amplitude parts at the edges of the embedded-state text: integral
+#: parts (written as ints), signed zeros (-0.0 is written as 0), 1e17 and
+#: the floats one ulp either side of it (the largest integral part
+#: written as an int is the one below), and parts that are not integral.
+EMBED_PARTS = (0.0, -0.0, 1.0, -1.0, 2.0, -3.0, 0.5, -0.25, 1e16, -1e16, 2.0 ** 53,
+               2.0 ** 53 + 2, 123456789.0, 1e17, -1e17, float(np.nextafter(1e17, 0.0)),
+               float(np.nextafter(-1e17, 0.0)), float(np.nextafter(1e17, 2e17)),
+               float(np.nextafter(-1e17, -2e17)), 1e22, 1e-7, 5e-324, 0.1, 0.7071067811865476)
+
+
+def edge_run(analyses=()) -> tuple:
+    """A config and its states on three sites, one to eight terms each,
+    whose amplitude parts run through `EMBED_PARTS`."""
+    lattice = bs.chain_lattice([0], range(1, 3))
+    k = len(EMBED_PARTS)
+    states = [bs.PureState(lattice, {format(j, "03b"): complex(EMBED_PARTS[(i + j) % k],
+                                                               EMBED_PARTS[(3 * i + j) % k])
+                                     for j in range(1 + i % 8)})
+              for i in range(k)]
+    return bs.ScenarioConfig("edges", lattice, states[0], bs.Schedule(()), len(states) - 1,
+                             analyses), states
+
+
+def limit_run(analyses=()) -> tuple:
+    """A config and states of 1, EMBED_TERMS_LIMIT, EMBED_TERMS_LIMIT + 1
+    and 1 terms on seven sites, so a chunk mixes embedded and unembedded
+    states."""
+    lattice = bs.chain_lattice([-3], range(-2, 4))
+    states = [bs.entangled_state(lattice, [(format(5 * i % 128, "07b"),
+                                            complex((-1) ** i, -0.0 if i % 3 else 1.0))
+                                           for i in range(count)])
+              for count in (1, EMBED_TERMS_LIMIT, EMBED_TERMS_LIMIT + 1, 1)]
+    return bs.ScenarioConfig("limit", lattice, states[0], bs.Schedule(()), len(states) - 1,
+                             analyses), states
+
+
 class TestStreamedSteps:
     """Each streamed step against `json_text` of the step record that
-    `reference_report` builds, with chunks of one to all steps and a
-    run's site rows rendered once per distinct row of a chunk."""
+    `reference_report` builds, with chunks of one to all steps, a run's
+    site rows rendered once per distinct row of a chunk, and its embedded
+    states rendered a chunk at a time, among them states of exactly
+    EMBED_TERMS_LIMIT and EMBED_TERMS_LIMIT + 1 terms."""
 
     @settings(max_examples=100, deadline=None)
     @given(runs(), st.integers(1, 2 ** 14))
+    @example(limit_run(), 1)
+    @example(limit_run(), 2 ** 22)
+    @example(limit_run(ANALYSES), 1)
+    @example(limit_run(ANALYSES), 2 ** 22)
+    @example(edge_run(), 2 ** 22)
     def test_each_step_matches_the_reference(self, run, chunk_cells):
         config, states = run
         doc = reference_report(config, states, 1e-9)
@@ -432,6 +482,43 @@ class TestStreamedSteps:
         assert max(block.size for block in blocks) > 1
         assert all(len(block.table) * n * len(pairs) <= reporting.CHUNK_CELLS
                    for block in blocks)
+
+
+@st.composite
+def edge_states(draw, lattice):
+    """Up to 70 terms whose amplitude parts come from `EMBED_PARTS` or any
+    float; terms below PRUNE_EPS are pruned, so a state may have none."""
+    n = lattice.n_sites
+    rows = draw(st.lists(st.integers(0, 2 ** n - 1), min_size=1, max_size=min(70, 2 ** n),
+                         unique=True)) if draw(st.integers(0, 9)) else []
+    parts = st.sampled_from(EMBED_PARTS) | st.floats(-1e30, 1e30)
+    return bs.PureState(lattice, {format(row, f"0{n}b"): complex(draw(parts), draw(parts))
+                                  for row in rows})
+
+
+class TestEmbeddedStates:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda n: st.lists(
+               edge_states(bs.chain_lattice([-2], range(-1, n - 2))), min_size=1, max_size=4)),
+           st.data())
+    @example(edge_run()[1], None)
+    def test_each_flagged_state_renders_as_its_terms(self, states, data):
+        """`_state_texts` renders the flagged states of a block, and only
+        those, as `_render` renders the dict per term of `terms_to_json`."""
+        flags = (data.draw(st.lists(st.booleans(), min_size=len(states), max_size=len(states)))
+                 if data is not None else [True] * len(states))
+        lattice = lattice_to_json(states[0].lattice)
+        texts = reporting._state_texts(StateBlock.of(states), flags,
+                                       _render(lattice, " " * 8))
+        assert len(texts) == len(states)
+        for state, flag, text in zip(states, flags, texts):
+            if flag:
+                reference = {"lattice": lattice, "terms": terms_to_json(state)}
+                assert text.text == _render(reference, " " * 6)
+            else:
+                assert text is None
+            if state.n_terms == 0:
+                event("a state with no term")
 
 
 #: Tolerances of the branch-row tests: at 0.3 a state of four or more
