@@ -20,8 +20,7 @@ one term, and then the matrix is only the diagonal of |amp|^2 sums: a
 term that differs from them on one site or on two, so the one-site
 matrices and the two-site matrices without such a partner are added
 from it in closed form, bit for bit the kernel's, and only the rest go
-through the kernel, as do all those of a block too small for the index
-to pay (`_INDEX_CELLS`).
+through the kernel.  Spectra take one `eigvalsh` per stack (`entropies`).
 """
 
 import math
@@ -52,20 +51,6 @@ _OUTER_CHUNK = 2 ** 14
 #: pairs in passes of this many rows.  At 32 sites the kernel's gathered
 #: bits then take 8 MiB.
 _GATHER_ROWS = 2 ** 18
-
-#: A block whose table has fewer rows times sites than this takes every
-#: partial trace from the kernel (`_traces`): below it, a `PartnerIndex`
-#: costs more numpy calls to build and read than the kernel's one pass.
-#: On the scenario, `single` chain and random-trial blocks the index
-#: paid from about 700.
-_INDEX_CELLS = 2 ** 10
-
-#: `eigvalsh` (LAPACK's heevd) scales a matrix whose largest entry lies
-#: outside about [1e-146, 1e146] and scales its eigenvalues back, which
-#: can move their last bits: `entropies` reads the spectrum of a diagonal
-#: matrix off its diagonal only when its largest entry lies within these
-#: bounds.
-_UNSCALED = (2.0 ** -480, 2.0 ** 480)
 
 #: Finest CHSH scan step in degrees: 3600 angles.  The grid alone takes
 #: 8 k^2 bytes for k angles, so 0.001 degrees would ask for about 1 TB.
@@ -419,28 +404,10 @@ class PartnerIndex:
         return rho.reshape(-1, 4, 4)
 
 
-class _KernelTraces:
-    """The partial traces of a small block, all by `_pair_marginals`: a
-    `PartnerIndex`'s two methods without its index (`_INDEX_CELLS`)."""
-
-    def __init__(self, block):
-        self.lattice, self.table, self.size = block.lattice, block.table, block.size
-
-    def site_matrices(self, positions) -> np.ndarray:
-        return _region_marginals(self, np.asarray(positions, dtype=np.intp)[:, None])
-
-    def pair_matrices(self, owners, regions) -> np.ndarray:
-        return _pair_marginals(self.table, owners, regions)
-
-
 def _traces(block):
-    """`block` itself if it is a `PartnerIndex` or `_KernelTraces`, and
-    otherwise the block's `PartnerIndex`, or its `_KernelTraces` when its
-    table has fewer than `_INDEX_CELLS` rows times sites."""
-    if isinstance(block, (PartnerIndex, _KernelTraces)):
-        return block
-    small = len(block.table) * block.lattice.n_sites < _INDEX_CELLS
-    return (_KernelTraces if small else PartnerIndex)(block)
+    """`block` itself if it is a `PartnerIndex`, and otherwise the
+    block's `PartnerIndex`."""
+    return block if isinstance(block, PartnerIndex) else PartnerIndex(block)
 
 
 def _region_marginals(block, regions) -> np.ndarray:
@@ -460,9 +427,9 @@ def reduced_density_matrix(state: PureState, keep: Iterable) -> DensityMatrix:
     outer product (`_pair_marginals`).  Cost follows the number of
     terms, not 2^n, for the branchy states this model produces.  Reports
     do not call this per site: `site_marginals` builds every one-site
-    matrix of a block of states at once, from its `PartnerIndex` unless
-    the block is small, bit for bit equal to this function's, and
-    `BlockAnalysis` shares them between all of a block's analyses.
+    matrix of a block of states at once, from its `PartnerIndex`, bit
+    for bit equal to this function's, and `BlockAnalysis` shares them
+    between all of a block's analyses.
     """
     sites, kpos = _positions(state, keep)
     return DensityMatrix(sites, _region_marginals(state, [kpos])[0, 0])
@@ -472,8 +439,8 @@ def region_matrices(block, regions: Iterable) -> np.ndarray:
     """`reduced_density_matrix` of several equal-size regions of every
     state of a `StateBlock`, or of a state, bit for bit, as one
     (B, R, d, d) stack.  Regions of one or two sites are read off the
-    block's `_traces`, which may be given in place of the block; larger
-    ones take one `_pair_marginals` call."""
+    block's `PartnerIndex`, which may be given in place of the block;
+    larger ones take one `_pair_marginals` call."""
     positions = np.array([_positions(block, r)[1] for r in regions], dtype=np.intp)
     if positions.shape[1] > 2:
         return _region_marginals(block, positions)
@@ -509,25 +476,9 @@ def _purities(matrices: np.ndarray) -> np.ndarray:
 
 
 def entropies(matrices: np.ndarray) -> np.ndarray:
-    """`entropy_of` each matrix of a (..., d, d) stack.
-
-    The spectrum of a matrix whose entries off the diagonal are all
-    exactly 0 is its real diagonal, sorted.  `eigvalsh` returns just that
-    for such a matrix, bit for bit, unless it scales the matrix first
-    (`_UNSCALED`): its Householder reduction leaves a diagonal matrix as
-    it is, and its tridiagonal solver splits it into 1 x 1 blocks and
-    sorts them.  Every other matrix takes one `eigvalsh` for the stack.
-    """
-    d = matrices.shape[-1]
-    flat = matrices.reshape(-1, d * d)
-    w = np.sort(flat[:, ::d + 1].real, axis=1)
-    top = np.maximum(-w[:, 0], w[:, -1])   # the largest |entry| of a diagonal matrix
-    # the d - 1 runs of d entries between one diagonal entry and the next
-    coherent = flat[:, 1:].reshape(-1, d - 1, d + 1)[:, :, :d].any((1, 2))
-    solve = coherent | ~((top >= _UNSCALED[0]) & (top <= _UNSCALED[1]))
-    if solve.any():
-        w[solve] = np.linalg.eigvalsh(matrices.reshape(-1, d, d)[solve])
-    w = w.reshape(matrices.shape[:-1])
+    """`entropy_of` each matrix of a (..., d, d) stack, from one
+    `eigvalsh` of the whole stack."""
+    w = np.linalg.eigvalsh(matrices)
     positive = w > 0.0
     terms = np.where(positive, w * np.log(np.where(positive, w, 1.0)), 0.0)
     return np.where(positive.any(-1), -terms.sum(-1), 0.0)
@@ -607,11 +558,11 @@ class SiteMarginals:
 
 def site_marginals(block) -> SiteMarginals:
     """The B n one-site marginals of every state of a `StateBlock`, or the
-    n of a state, from the block's `_traces`, which may be given in place
-    of the block: entry b n + i is site i of state b.  A block's marginals
-    repeat (the 1,089 of a 33-site `single` run hold 4 distinct ones), so
-    the scalars are computed once per distinct matrix; each is a function
-    of its matrix's bytes alone."""
+    n of a state, from the block's `PartnerIndex`, which may be given in
+    place of the block: entry b n + i is site i of state b.  A block's
+    marginals repeat (the 1,089 of a 33-site `single` run hold 4 distinct
+    ones), so the scalars are computed once per distinct matrix; each is
+    a function of its matrix's bytes alone."""
     rho = _traces(block).site_matrices(np.arange(block.lattice.n_sites)).reshape(-1, 2, 2)
     codes = rho.reshape(len(rho), 4).view(np.dtype((np.void, 64))).ravel()
     _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
@@ -639,16 +590,16 @@ class BlockAnalysis:
     """The analyses of every state of a `StateBlock`, each built on first
     use and then kept.
 
-    Arrays, each built once: the block's `traces` (its `PartnerIndex`,
-    or `_KernelTraces` for a small block), its `marginals`, the
-    `decohered` flags, the `branch_table` (owner, bits, weights and the
-    branched-site masks), the `cluster_sites` the growth finds, and the
-    `cluster_table` of every cluster's branch list.  The traces feed the
-    marginals, the growth's two-site matrices and the correlations; the
-    site marginals feed the flags and the branch table; the branch table
-    and the one-site entropies feed the clusters.  `branches` and `clusters` are the library's
-    `BranchDecomposition` and `BranchClusters` of each state, built from
-    these arrays only when asked for; reports render the arrays instead.
+    Arrays, each built once: the block's `traces` (its `PartnerIndex`),
+    its `marginals`, the `decohered` flags, the `branch_table` (owner,
+    bits, weights and the branched-site masks), the `cluster_sites` the
+    growth finds, and the `cluster_table` of every cluster's branch list.
+    The traces feed the marginals, the growth's two-site matrices and the
+    correlations; the site marginals feed the flags and the branch table;
+    the branch table and the one-site entropies feed the clusters.
+    `branches` and `clusters` are the library's `BranchDecomposition` and
+    `BranchClusters` of each state, built from these arrays only when
+    asked for; reports render the arrays instead.
     Nothing is computed until a result is asked for.  A `PureState` is
     the block of one and is taken as it is; a state's results are bit for
     bit the same in any block.

@@ -504,7 +504,8 @@ def _site_vectors(vectors: list):
         return None
     if vecs.shape != (len(vectors), 2):
         return None
-    squares = vecs.real * vecs.real + vecs.imag * vecs.imag
+    with np.errstate(over="ignore"):   # a square past the float range fails the test as inf
+        squares = vecs.real * vecs.real + vecs.imag * vecs.imag
     if not (np.abs(squares.sum(axis=1) - 1.0) <= NORM_TOL - 1e-14).all():   # NaN fails too
         return None
     return vecs
@@ -668,5 +669,7 @@ def state_from_document(text: str) -> PureState:
     try:
         doc = json.loads(text)
         return PureState(read_lattice(doc["lattice"]), read_terms(doc["terms"]))
+    except RecursionError as exc:   # json.loads of arrays or objects nested too deeply
+        raise StateError("state document is nested too deeply to read") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StateError(f"malformed state document: {exc}") from exc

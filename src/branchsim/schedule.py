@@ -33,6 +33,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
+from decimal import Context, Decimal
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -56,6 +57,13 @@ class ScheduleError(ValueError):
 
 class ConfigError(ValueError):
     """Malformed scenario configuration document."""
+
+
+def _whole_text(n: int) -> str:
+    """A whole number for an error text: in full up to 20 digits, and to
+    6 significant digits past that, so that a size or horizon read from
+    1e308 prints as 1e+308, not as its 309 digits."""
+    return str(n) if abs(n) < 10 ** 20 else format(Decimal(n).normalize(Context(prec=6)), "g")
 
 
 @dataclass(frozen=True)
@@ -137,9 +145,10 @@ def compile_schedule(schedule: Schedule, lattice: Lattice,
     if horizon is None:
         horizon = schedule.horizon
     if horizon < 0:
-        raise ScheduleError(f"negative horizon {horizon}")
+        raise ScheduleError(f"negative horizon {_whole_text(horizon)}")
     if horizon > MAX_HORIZON:
-        raise ScheduleError(f"horizon {horizon} exceeds the limit of {MAX_HORIZON} steps")
+        raise ScheduleError(f"horizon {_whole_text(horizon)} exceeds the limit of "
+                            f"{MAX_HORIZON} steps")
     steps: list = [[] for _ in range(horizon)]
     local = True
     position = lattice.position
@@ -299,8 +308,8 @@ def _check_horizon(key: str, size: int, horizon: int):
     its lattice, state and schedule are built when that horizon is past
     MAX_HORIZON, which `compile_schedule` would refuse after them."""
     if horizon > MAX_HORIZON:
-        raise ConfigError(f"{key} {size} gives a horizon of {horizon} steps, "
-                          f"past the limit of {MAX_HORIZON}")
+        raise ConfigError(f"{key} {_whole_text(size)} gives a horizon of "
+                          f"{_whole_text(horizon)} steps, past the limit of {MAX_HORIZON}")
 
 
 def _up() -> np.ndarray:
@@ -339,7 +348,8 @@ def scenario_bidirectional(n_right: int = 4) -> ScenarioConfig:
         raise ConfigError("need at least three field sites on the right")
     if n_right > MAX_HORIZON:
         # the horizon stays 4, so bound the chain as `single`'s is bounded
-        raise ConfigError(f"n_right {n_right} is past the limit of {MAX_HORIZON} sites")
+        raise ConfigError(f"n_right {_whole_text(n_right)} is past the limit of "
+                          f"{MAX_HORIZON} sites")
     lattice = chain_lattice([0], [-1, *range(1, n_right + 1)])
     site_states: dict = {0: np.array([1, 1], dtype=complex) / math.sqrt(2), -1: _up()}
     site_states.update({i: _up() for i in range(1, n_right + 1)})
@@ -512,7 +522,7 @@ def _analyses_from_config(entry, lattice: Lattice) -> tuple:
             item[key] = read_whole(item.get(key), key)
             if item[key] not in lattice.indices:
                 raise ConfigError(f"correlation {key} must be an integer lattice site, "
-                                  f"got {item[key]!r}")
+                                  f"got {_whole_text(item[key])}")
         if item["site_a"] == item["site_b"]:
             raise ConfigError(f"correlation needs two different sites, "
                               f"got {item['site_a']!r} twice")
@@ -532,7 +542,8 @@ def _horizon_from_config(doc: Mapping) -> Optional[int]:
         return None
     horizon = read_whole(doc["horizon"], "horizon")
     if horizon > MAX_HORIZON:
-        raise ConfigError(f"horizon {horizon} exceeds the limit of {MAX_HORIZON} steps")
+        raise ConfigError(f"horizon {_whole_text(horizon)} exceeds the limit of "
+                          f"{MAX_HORIZON} steps")
     return horizon
 
 
@@ -585,6 +596,8 @@ def config_from_document(text: str) -> ScenarioConfig:
         raise
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError as exc:   # json.loads of arrays or objects nested too deeply
+        raise ConfigError("config is nested too deeply to read") from exc
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"malformed config: {exc}") from exc
 
@@ -596,4 +609,6 @@ def load_config(path) -> ScenarioConfig:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     return config_from_document(text)

@@ -122,7 +122,12 @@ class TestBadInput:
 
     @staticmethod
     def run_fails_cleanly(tmp_path, capsys, doc, *extra):
-        config = write_config(tmp_path, doc)
+        """`doc` is a JSON document, or the bytes of the config file."""
+        if isinstance(doc, bytes):
+            (tmp_path / "config.json").write_bytes(doc)
+            config = str(tmp_path / "config.json")
+        else:
+            config = write_config(tmp_path, doc)
         code = cli.main(["run", "--config", config, "--out", str(tmp_path / "out"),
                          *extra])
         err = capsys.readouterr().err
@@ -448,6 +453,52 @@ class TestBadInput:
         doc = dict(self.EXPLICIT, initial={"product": {"0": [1, 1], "1": [1, 0]}})
         err = self.run_fails_cleanly(tmp_path, capsys, doc)
         assert "site 0: vector not normalised (|v|^2 = 2.0)" in err
+
+    # each of these ended in a traceback: a UnicodeDecodeError from reading
+    # the file, a RecursionError from json.loads, and, with RuntimeWarnings
+    # as errors, numpy's overflow warning from squaring the components
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        err = self.run_fails_cleanly(tmp_path, capsys, b"\xff\xfe{}")
+        assert "is not UTF-8 text" in err
+
+    def test_config_nested_past_the_recursion_limit(self, tmp_path, capsys):
+        err = self.run_fails_cleanly(tmp_path, capsys, b"[" * 100000 + b"]" * 100000)
+        assert "config is nested too deeply to read" in err
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("vector", [[1e308, 0], [[0, 1e308], [0, 0]], [[1e200, 0], [1, 1]]])
+    def test_product_vector_whose_square_overflows(self, tmp_path, capsys, vector):
+        doc = dict(self.EXPLICIT, initial={"product": {"0": vector, "1": [1, 0]}})
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        assert "site 0: vector not normalised (|v|^2 = inf)" in err
+
+    # these printed every digit: 309 of them for 1e308
+    @pytest.mark.parametrize("doc, extra, text", [
+        ({"scenario": "collision", "params": {"n_field": 1e308}}, [],
+         "n_field 1e+308 gives a horizon of 5e+307 steps, past the limit of 10000"),
+        ({"scenario": "single", "params": {"n_sites": 12345678901234567890123}}, [],
+         "n_sites 1.23457e+22 gives a horizon of 1.23457e+22 steps"),
+        ({"scenario": "single", "params": {"n_sites": 10 ** 400}}, [],   # past float range
+         "n_sites 1e+400 gives a horizon of 1e+400 steps"),
+        ({"scenario": "bidirectional", "params": {"n_right": 1e308}}, [],
+         "n_right 1e+308 is past the limit of 10000 sites"),
+        ({"scenario": "single", "horizon": 1e308}, [],
+         "horizon 1e+308 exceeds the limit of 10000 steps"),
+        (dict(EXPLICIT, schedule=[{"time": 1e308, "sites": [0, 1], "gate": "U_si"}]), [],
+         "horizon 1e+308 exceeds the limit of 10000 steps"),
+        ({"scenario": "epr", "analyses": [{"type": "correlation", "site_a": 1e308,
+                                           "site_b": 3}]}, [],
+         "correlation site_a must be an integer lattice site, got 1e+308"),
+        ({"scenario": "single"}, ["--horizon", str(10 ** 40)],
+         "horizon 1e+40 exceeds the limit of 10000 steps"),
+        ({"scenario": "single"}, ["--horizon", str(-10 ** 40)], "negative horizon -1e+40"),
+        ({"scenario": "single"}, ["--horizon", str(10 ** 20 - 1)],
+         "horizon 99999999999999999999 exceeds the limit"),   # 20 digits: in full
+    ], ids=["n_field", "n_sites", "n_sites_past_float", "n_right", "horizon", "time",
+            "site_a", "option", "negative", "20-digit"])
+    def test_huge_whole_numbers_print_six_digits(self, tmp_path, capsys, doc, extra, text):
+        err = self.run_fails_cleanly(tmp_path, capsys, doc, *extra)
+        assert text in err and len(err) < 200
 
     @pytest.mark.parametrize("whole, written", [
         ({"scenario": "single", "params": {"n_sites": 3}},

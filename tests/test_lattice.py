@@ -324,3 +324,8 @@ class TestSerialisation:
     def test_malformed_document_rejected(self):
         with pytest.raises(bs.StateError):
             bs.state_from_document('{"lattice": [], "terms": "nope"}')
+
+    def test_document_nested_past_the_recursion_limit_rejected(self):
+        # json.loads raised a RecursionError
+        with pytest.raises(bs.StateError, match="nested too deeply"):
+            bs.state_from_document("[" * 100000 + "]" * 100000)

@@ -196,6 +196,14 @@ class TestConfigDocuments:
         with pytest.raises(bs.ConfigError):
             bs.config_from_document("{not json")
 
+    @pytest.mark.parametrize("text", ["[" * 100000 + "]" * 100000,
+                                      '{"a": ' * 100000 + "1" + "}" * 100000],
+                             ids=["arrays", "objects"])
+    def test_nesting_past_the_recursion_limit_rejected(self, text):
+        # json.loads raised a RecursionError
+        with pytest.raises(bs.ConfigError, match="nested too deeply"):
+            bs.config_from_document(text)
+
     def test_unknown_scenario_rejected(self):
         with pytest.raises(bs.ConfigError):
             bs.config_from_document('{"scenario": "quantum_gravity"}')

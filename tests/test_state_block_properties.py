@@ -353,12 +353,27 @@ def test_the_index_equals_the_kernel_on_partnered_blocks(drawn, data):
             analysis._region_marginals(block, regions).tobytes()
 
 
-def analysed_with(block, index_cells, settings):
+class KernelTraces:
+    """A `PartnerIndex`'s two methods with no index: every partial trace
+    by the kernel, `_pair_marginals`."""
+
+    def __init__(self, block):
+        self.lattice, self.table, self.size = block.lattice, block.table, block.size
+
+    def site_matrices(self, positions):
+        return analysis._region_marginals(self, np.asarray(positions, dtype=np.intp)[:, None])
+
+    def pair_matrices(self, owners, regions):
+        return analysis._pair_marginals(self.table, owners, regions)
+
+
+def analysed_with(block, kernel, settings):
     """Every array of a `BlockAnalysis` of `block` and its correlations of
-    `settings`, with blocks of fewer than `index_cells` table rows times
-    sites traced by the kernel alone."""
+    `settings`, with every partial trace by the kernel if `kernel`."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(analysis, "_INDEX_CELLS", index_cells)
+        if kernel:
+            patch.setattr(analysis, "_traces", lambda block: block if isinstance(
+                block, KernelTraces) else KernelTraces(block))
         analysed = analysis.BlockAnalysis(block, 1e-3)
         m = analysed.marginals
         arrays = [m.matrices, m.coherence, m.purity, m.entropy, *analysed.branch_table,
@@ -378,7 +393,7 @@ def test_a_block_analyses_alike_from_the_index_and_the_kernel(drawn, picks, thet
     pairs += [(a % n, b % n) for a, b in picks if a % n != b % n] or [(0, 1)]
     settings = [(analysis.MeasurementSetting(a, theta), analysis.MeasurementSetting(b, 0.7))
                 for a, b in pairs]
-    assert analysed_with(block, 0, settings) == analysed_with(block, 2 ** 62, settings)
+    assert analysed_with(block, False, settings) == analysed_with(block, True, settings)
 
 
 def test_two_flip_partners_send_their_pair_to_the_kernel(monkeypatch):
