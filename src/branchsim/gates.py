@@ -52,9 +52,11 @@ def unitary_stack(matrices, dim: int, name: str) -> np.ndarray:
     m = np.array(matrices, dtype=complex)
     if m.ndim != 3 or m.shape[1:] != (dim, dim):
         raise GateError(f"{name}: want a {dim}x{dim} matrix, got shape {m.shape[1:]}")
-    # a NaN or inf entry is rejected first, before the product could warn about it
-    if not (np.isfinite(m).all() and np.abs(m.conj().swapaxes(1, 2) @ m - np.eye(dim))
-            .max(initial=0.0) <= UNITARITY_TOL):
+    # a unitary's parts lie in [-1, 1], so a NaN or inf part, or one such as
+    # 1e308 whose products would overflow, is refused before the product warns
+    if not (np.abs(m.view(float)).max(initial=0.0) <= 2.0
+            and np.abs(m.conj().swapaxes(1, 2) @ m - np.eye(dim)).max(initial=0.0)
+            <= UNITARITY_TOL):
         raise GateError(f"{name}: matrix is not unitary within {UNITARITY_TOL}")
     m.setflags(write=False)
     return m

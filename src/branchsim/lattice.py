@@ -32,6 +32,7 @@ import math
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass
+from decimal import Context, Decimal
 from enum import Enum
 from typing import Iterable
 
@@ -52,6 +53,26 @@ class LatticeError(ValueError):
 
 class StateError(ValueError):
     """Malformed state construction (bad basis string, zero norm, ...)."""
+
+
+def _whole_text(n: int) -> str:
+    """A whole number for an error text: in full up to 20 digits, and to
+    6 significant digits past that, so that a size, horizon or site read
+    from 1e308 prints as 1e+308, not as its 309 digits."""
+    return str(n) if abs(n) < 10 ** 20 else format(Decimal(n).normalize(Context(prec=6)), "g")
+
+
+def _id_text(site_id) -> str:
+    """A site id for an error text: its str, or an int by `_whole_text`."""
+    return _whole_text(site_id) if type(site_id) is int else str(site_id)
+
+
+def _ids_text(ids) -> str:
+    """A list or tuple of site ids as its repr, each int by `_whole_text`."""
+    parts = [_whole_text(i) if type(i) is int else repr(i) for i in ids]
+    if type(ids) is tuple:
+        return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
+    return f"[{', '.join(parts)}]"
 
 
 class SiteKind(Enum):
@@ -83,10 +104,12 @@ class Lattice:
         object.__setattr__(self, "sites", sites)
         if not sites:
             raise LatticeError("lattice needs at least one site")
-        indices = [s.index for s in sites]
+        indices = tuple([s.index for s in sites])
         if any(b <= a for a, b in zip(indices, indices[1:])):
-            raise LatticeError(f"site indices must strictly increase, got {indices}")
-        object.__setattr__(self, "_pos", {s.index: p for p, s in enumerate(sites)})
+            raise LatticeError(f"site indices must strictly increase, "
+                               f"got {_ids_text(list(indices))}")
+        object.__setattr__(self, "_indices", indices)
+        object.__setattr__(self, "_pos", {i: p for p, i in enumerate(indices)})
 
     @property
     def n_sites(self) -> int:
@@ -94,7 +117,8 @@ class Lattice:
 
     @property
     def indices(self) -> tuple:
-        return tuple(s.index for s in self.sites)
+        """The site ids in lattice order, one tuple made at construction."""
+        return self._indices
 
     @property
     def system_sites(self) -> tuple:
@@ -109,7 +133,8 @@ class Lattice:
         try:
             return self._pos[site_id]
         except KeyError:
-            raise LatticeError(f"site {site_id} is not on the lattice {self.indices}") from None
+            raise LatticeError(f"site {_id_text(site_id)} is not on the lattice "
+                               f"{_ids_text(self.indices)}") from None
 
     def kind(self, site_id: int) -> SiteKind:
         return self.sites[self.position(site_id)].kind
@@ -452,21 +477,24 @@ def product_state(lattice: Lattice, site_states: Mapping) -> PureState:
     indices = lattice.indices
     if set(indices) != set(site_states):
         raise StateError(f"site states must cover the lattice exactly "
-                         f"(missing {sorted(set(indices) - set(site_states))}, "
-                         f"extra {sorted(set(site_states) - set(indices))})")
+                         f"(missing {_ids_text(sorted(set(indices) - set(site_states)))}, "
+                         f"extra {_ids_text(sorted(set(site_states) - set(indices)))})")
     vecs = _site_vectors([site_states[i] for i in indices])
     if vecs is None:   # some site is malformed, or near the norm bound: check each
         vecs = np.array([_site_vector(i, site_states[i]) for i in indices])
 
     kept = np.hypot(vecs.real, vecs.imag) >= PRUNE_EPS   # (n, 2): bits each site takes
+    # a site whose parts are all real with no sign bit set keeps a product
+    # of such sites real and non-negative: its parts hold no -0.0
+    plain = ~(np.signbit(vecs.view(float)).any(axis=1) | vecs.imag.any(axis=1))
     # grow the product one site at a time, as a loop over the terms would:
     # each term splits into one term per kept bit, in (old term, bit) order
-    re, im = np.ones(1), np.zeros(1)
+    re, im = np.ones(1), None     # im None: every factor so far is plain, so im is 0.0
     signed_zero = False           # whether some part of re, im is -0.0; None: not known
-    for p, (vec, (keep0, keep1)) in enumerate(zip(vecs.tolist(), kept.tolist())):
+    for p, (vec, (keep0, keep1), plain_p) in enumerate(zip(vecs.tolist(), kept.tolist(),
+                                                            plain.tolist())):
         if keep0 and keep1:
-            re, im = complex_product(re[:, None], im[:, None], vecs.real[p], vecs.imag[p])
-            re, im = re.ravel(), im.ravel()
+            fr, fi = vecs.real[p], vecs.imag[p]
         else:                                            # every term times one number
             factor = vec[keep1]
             # times 1 + 0j, re - im * 0 and re * 0 + im are re and im unless
@@ -476,14 +504,22 @@ def product_state(lattice: Lattice, site_states: Mapping) -> PureState:
                     signed_zero = _has_negative_zero(re) or _has_negative_zero(im)
                 if not signed_zero:
                     continue
-            re, im = complex_product(re, im, factor.real, factor.imag)
+            fr, fi = factor.real, factor.imag
+        if im is None and plain_p:                  # re fr - 0 * 0 is re fr; re 0 + 0 fr is 0
+            re = (re[:, None] * fr).ravel()
+            continue
+        if im is None:
+            im = np.zeros(len(re))
+        re, im = complex_product(re[:, None], im[:, None], fr, fi)
+        re, im = re.ravel(), im.ravel()
         signed_zero = None
+    if im is None:
+        im = np.zeros(len(re))
     # so term t's bit at the j-th of the k two-valued sites is bit k - 1 - j
     # of t, and a one-valued site's bit is the one it keeps
     two = kept.all(axis=1)
     k = int(two.sum())
-    bits = np.empty((len(re), len(two)), dtype=np.uint8)
-    bits[:] = kept[:, 1]
+    bits = np.repeat(kept[None, :, 1].view(np.uint8), len(re), axis=0)
     # the big-endian bytes of each t that hold its k low bits, unpacked
     index = np.arange(len(re), dtype=">u8").view(np.uint8).reshape(-1, 8)[:, 8 - (k + 7) // 8:]
     bits[:, two] = np.unpackbits(index, axis=1)[:, (8 - k) % 8:]
@@ -516,9 +552,9 @@ def _site_vector(site_id, vec) -> np.ndarray:
     that says what is wrong with it."""
     vec = np.asarray(vec, dtype=complex).reshape(-1)
     if vec.shape != (2,):
-        raise StateError(f"site {site_id}: want 2 components, got shape {vec.shape}")
+        raise StateError(f"site {_id_text(site_id)}: want 2 components, got shape {vec.shape}")
     if not abs(np.vdot(vec, vec).real - 1.0) <= NORM_TOL:   # NaN fails too
-        raise StateError(f"site {site_id}: vector not normalised "
+        raise StateError(f"site {_id_text(site_id)}: vector not normalised "
                          f"(|v|^2 = {float(np.vdot(vec, vec).real)!r})")
     return vec
 
@@ -564,6 +600,9 @@ def entangled_state(lattice: Lattice, terms: Iterable) -> PureState:
 # are read by `read_lattice` and `read_terms`, every list in either goes
 # through `read_list`, every entry of a list of objects through
 # `read_object`, and every number through `read_number` or `read_whole`.
+# A config's lattice, product vectors and schedule are first read by
+# exact-type tests alone (an int is an int, not a bool or 2.0); a part
+# that fails one is read again by those readers, which word its error.
 
 def _is_number(value) -> bool:
     """A JSON number is an int or a float, never a boolean (which Python
@@ -623,9 +662,27 @@ def read_object(value, key: str) -> dict:
     return _entry_class(key)(value)
 
 
+#: The site kinds by their names in documents.
+_KINDS = {kind.value: kind for kind in SiteKind}
+
+
 def read_lattice(entries) -> Lattice:
     """A lattice from a list of {"index": whole number, "kind": "system"
-    or "field"} objects, in index order."""
+    or "field"} objects, in index order.  A list of objects whose every
+    index is an int and kind a kind's name is read by those exact-type
+    tests alone; any other is read again by the checking readers, which
+    accept an index of 2.0 and word every error."""
+    if type(entries) is list:
+        sites = []
+        for s in entries:
+            if type(s) is not dict:
+                break
+            index, kind = s.get("index"), s.get("kind")
+            if type(index) is not int or type(kind) is not str or kind not in _KINDS:
+                break
+            sites.append(Site(index, _KINDS[kind]))
+        else:
+            return Lattice(tuple(sites))
     sites = [read_object(s, "lattice") for s in read_list(entries, "lattice")]
     return Lattice(tuple(Site(read_whole(s["index"], "index"), SiteKind(s["kind"]))
                          for s in sites))

@@ -33,16 +33,15 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass, replace
-from decimal import Context, Decimal
 from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
 from .gates import Gate, Gate1, Gate2, GateError, apply_columns, gate_by_name, move_layer
 from .gates import apply_gate2  # noqa: F401 - a binding the benchmark's trace self-test checks
-from .lattice import (Lattice, PureState, TermTable, chain_lattice, entangled_state,
-                      product_state, read_lattice, read_list, read_number, read_object,
-                      read_terms, read_whole)
+from .lattice import (Lattice, PureState, TermTable, _ids_text, _whole_text, chain_lattice,
+                      entangled_state, product_state, read_lattice, read_list, read_number,
+                      read_object, read_terms, read_whole)
 
 
 #: Longest horizon a schedule is played to: 40 times the 256-site chain's
@@ -57,13 +56,6 @@ class ScheduleError(ValueError):
 
 class ConfigError(ValueError):
     """Malformed scenario configuration document."""
-
-
-def _whole_text(n: int) -> str:
-    """A whole number for an error text: in full up to 20 digits, and to
-    6 significant digits past that, so that a size or horizon read from
-    1e308 prints as 1e+308, not as its 309 digits."""
-    return str(n) if abs(n) < 10 ** 20 else format(Decimal(n).normalize(Context(prec=6)), "g")
 
 
 @dataclass(frozen=True)
@@ -85,15 +77,16 @@ class GateApplication:
             sites = tuple(sites)
             object.__setattr__(self, "sites", sites)
         if not (len(sites) == 1 or len(sites) == 2 and sites[0] != sites[1]):
-            raise ScheduleError(f"application needs 1 or 2 distinct sites, got {sites}")
+            raise ScheduleError(f"application needs 1 or 2 distinct sites, "
+                                f"got {_ids_text(sites)}")
         if self.time < 0:
-            raise ScheduleError(f"negative time {self.time}")
+            raise ScheduleError(f"negative time {_whole_text(self.time)}")
 
     def resolved_gate(self) -> Gate:
         gate = gate_by_name(self.gate) if isinstance(self.gate, str) else self.gate
         if gate.n_sites != len(self.sites):
-            raise ScheduleError(
-                f"gate {gate.name} acts on {gate.n_sites} site(s), got sites {self.sites}")
+            raise ScheduleError(f"gate {gate.name} acts on {gate.n_sites} site(s), "
+                                f"got sites {_ids_text(self.sites)}")
         return gate
 
 
@@ -111,9 +104,18 @@ class Schedule:
             if app.time != t:
                 t, seen = app.time, set()
             if not seen.isdisjoint(app.sites):
-                raise ScheduleError(f"step {t}: site(s) {sorted(seen.intersection(app.sites))} "
+                raise ScheduleError(f"step {_whole_text(t)}: site(s) "
+                                    f"{_ids_text(sorted(seen.intersection(app.sites)))} "
                                     f"hit by two gates at once")
             seen.update(app.sites)
+
+    @classmethod
+    def _ordered(cls, apps: tuple) -> "Schedule":
+        """The schedule of `apps`, already in order with the sites of each
+        step disjoint, made without `__post_init__`."""
+        schedule = object.__new__(cls)
+        object.__setattr__(schedule, "applications", apps)
+        return schedule
 
     def by_step(self) -> dict:
         steps: dict = {}
@@ -124,7 +126,7 @@ class Schedule:
     @property
     def horizon(self) -> int:
         """Number of steps needed to play every scheduled gate."""
-        return 1 + max((a.time for a in self.applications), default=-1)
+        return 1 + self.applications[-1].time if self.applications else 0
 
 
 def compile_schedule(schedule: Schedule, lattice: Lattice,
@@ -152,13 +154,21 @@ def compile_schedule(schedule: Schedule, lattice: Lattice,
     steps: list = [[] for _ in range(horizon)]
     local = True
     position = lattice.position
+    actions: dict = {}              # (gate name or id, site count) -> its action
+    placed: dict = {}               # sites -> their positions
     for app in schedule.applications:
         if app.time >= horizon:
             break  # applications are sorted by time
-        action = app.resolved_gate().action
-        positions = tuple(map(position, app.sites))
-        if len(positions) == 2 and abs(positions[0] - positions[1]) != 1:
-            local = False
+        sites = app.sites
+        key = app.gate if type(app.gate) is str else id(app.gate), len(sites)
+        action = actions.get(key)
+        if action is None:          # the first application of this gate on this many sites
+            action = actions[key] = app.resolved_gate().action
+        positions = placed.get(sites)
+        if positions is None:
+            positions = placed[sites] = tuple(map(position, sites))
+            if len(positions) == 2 and abs(positions[0] - positions[1]) != 1:
+                local = False
         steps[app.time].append((positions, action))
     if not local:
         warnings.warn("schedule applies two-site gates to non-adjacent sites; "
@@ -479,17 +489,118 @@ def _gate_from_config(entry, inline: dict) -> Union[str, Gate]:
     raise ConfigError(f"bad gate entry {entry!r}")
 
 
+def _schedule_from_config(entries) -> Schedule:
+    """The schedule of a config's ``schedule`` list.  A list whose values
+    all pass `_plain_applications`' exact-type tests is read by them
+    alone; any other is read again by the checking readers, which accept
+    a time of 2.0 or an inline matrix and word every error."""
+    plain = _plain_applications(entries)
+    if plain is not None:
+        apps, ordered = plain
+        return Schedule._ordered(apps) if ordered else Schedule(apps)
+    entries = [read_object(e, "schedule") for e in read_list(entries, "schedule")]
+    inline: dict = {}
+    return Schedule(tuple([
+        GateApplication(read_whole(e["time"], "time"),
+                        tuple([read_whole(site, "sites")
+                               for site in read_list(e["sites"], "sites")]),
+                        _gate_from_config(e["gate"], inline))
+        for e in entries]))
+
+
+def _plain_applications(entries) -> Optional[tuple]:
+    """The applications of a schedule list of objects that each hold an
+    int ``time`` >= 0, a list of one int site or two different ones, and
+    a known gate name, made without `GateApplication`'s own checks, which
+    these tests include, and whether they are in `Schedule` order with
+    each step's sites disjoint; None when some value is anything else."""
+    if type(entries) is not list:
+        return None
+    apps = []
+    names = set()                   # gate names known good
+    new = object.__new__
+    t, low, seen, ordered = -1, 0, set(), True   # the step so far, its last lowest site, its sites
+    for e in entries:
+        if type(e) is not dict:
+            return None
+        try:
+            time, sites, gate = e["time"], e["sites"], e["gate"]
+        except KeyError:
+            return None
+        if type(time) is not int or time < 0 or type(sites) is not list \
+                or type(gate) is not str:
+            return None
+        if len(sites) == 2:
+            a, b = sites
+            if type(a) is not int or type(b) is not int or a == b:
+                return None
+            sites, first = (a, b), a if a < b else b
+        elif len(sites) == 1 and type(sites[0]) is int:
+            sites, first = (sites[0],), sites[0]
+        else:
+            return None
+        if gate not in names:
+            try:
+                gate_by_name(gate)
+            except GateError:
+                return None
+            names.add(gate)
+        if ordered:
+            if time != t:
+                ordered, t, seen = time > t, time, set(sites)
+            elif first < low or not seen.isdisjoint(sites):
+                ordered = False
+            else:
+                seen.update(sites)
+            low = first
+        app = new(GateApplication)
+        fields = app.__dict__
+        fields["time"], fields["sites"], fields["gate"] = time, sites, gate
+        apps.append(app)
+    return tuple(apps), ordered
+
+
+#: The exact types of a JSON number.
+_NUMBERS = (int, float)
+
+
+def _plain_vectors(product: Mapping, sites: dict) -> Optional[dict]:
+    """Site id -> list of complex components of a ``product`` object whose
+    every key is the str of a lattice site and every vector a list of
+    components that are each an int or float or an [re, im] pair of them,
+    tested by their exact types: the values `_complex_from` gives them.
+    None when some key or value is anything else."""
+    states = {}
+    for key, vec in product.items():
+        site = sites.get(key)
+        if site is None or type(vec) is not list:
+            return None
+        components = []
+        for c in vec:
+            if type(c) is list and len(c) == 2 and type(c[0]) in _NUMBERS \
+                    and type(c[1]) in _NUMBERS:
+                components.append(complex(c[0], c[1]))
+            elif type(c) in _NUMBERS:
+                components.append(complex(c))
+            else:
+                return None
+        states[site] = components
+    return states
+
+
 def _initial_from_config(entry, lattice: Lattice) -> PureState:
     if not isinstance(entry, Mapping):
         raise ConfigError("'initial' must be an object with 'product' or 'terms'")
     if "product" in entry:
         if not isinstance(entry["product"], Mapping):
             raise ConfigError(f"'product' must be an object, got {entry['product']!r}")
-        # a key that is no index's str, such as "01", stays a string, which
-        # product_state reports as an extra site
         sites = {str(i): i for i in lattice.indices}
-        site_states = {sites.get(key, key): [_complex_from(c, f"product {key}") for c in vec]
-                       for key, vec in entry["product"].items()}
+        site_states = _plain_vectors(entry["product"], sites)
+        if site_states is None:
+            # a key that is no index's str, such as "01", stays a string,
+            # which product_state reports as an extra site
+            site_states = {sites.get(key, key): [_complex_from(c, f"product {key}") for c in vec]
+                           for key, vec in entry["product"].items()}
         return product_state(lattice, site_states)
     if "terms" in entry:
         return entangled_state(lattice, read_terms(entry["terms"]).items())
@@ -575,15 +686,7 @@ def config_from_document(text: str) -> ScenarioConfig:
         else:
             lattice = read_lattice(doc["lattice"])
             initial = _initial_from_config(doc["initial"], lattice)
-            entries = [read_object(e, "schedule") for e in read_list(doc.get("schedule", []),
-                                                                     "schedule")]
-            inline: dict = {}
-            sched = Schedule(tuple([
-                GateApplication(read_whole(e["time"], "time"),
-                                tuple([read_whole(site, "sites")
-                                       for site in read_list(e["sites"], "sites")]),
-                                _gate_from_config(e["gate"], inline))
-                for e in entries]))
+            sched = _schedule_from_config(doc.get("schedule", []))
             if horizon is None:
                 horizon = sched.horizon
             config = ScenarioConfig(str(doc.get("name", "custom")), lattice, initial,

@@ -494,8 +494,13 @@ class TestBadInput:
         ({"scenario": "single"}, ["--horizon", str(-10 ** 40)], "negative horizon -1e+40"),
         ({"scenario": "single"}, ["--horizon", str(10 ** 20 - 1)],
          "horizon 99999999999999999999 exceeds the limit"),   # 20 digits: in full
+        (dict(EXPLICIT, schedule=[{"time": 0, "sites": [0, 1e308], "gate": "U_si"}]), [],
+         "site 1e+308 is not on the lattice (0, 1)"),
+        (dict(EXPLICIT, lattice=[{"index": 0, "kind": "system"},
+                                 {"index": 1e308, "kind": "field"}]), [],
+         "site states must cover the lattice exactly (missing [1e+308], extra ['1'])"),
     ], ids=["n_field", "n_sites", "n_sites_past_float", "n_right", "horizon", "time",
-            "site_a", "option", "negative", "20-digit"])
+            "site_a", "option", "negative", "20-digit", "schedule-site", "lattice-index"])
     def test_huge_whole_numbers_print_six_digits(self, tmp_path, capsys, doc, extra, text):
         err = self.run_fails_cleanly(tmp_path, capsys, doc, *extra)
         assert text in err and len(err) < 200

@@ -128,10 +128,12 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             gate.matrix[0, 0] = 5.0
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e-11])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e-11, 1e308,
+                                     complex(-1.7e308, 1.7e308)])
     def test_nan_inf_and_near_unitary_rejected(self, bad):
         # the check is |U^dag U - 1| <= UNITARITY_TOL entry by entry; a NaN
-        # or inf entry fails it, and so does a deviation of 1e-11
+        # or inf entry fails it, and so does a deviation of 1e-11; 1e308
+        # made the product overflow and warn
         m = np.eye(4, dtype=complex)
         m[1, 2] = bad
         with warnings.catch_warnings():

@@ -236,6 +236,27 @@ def test_product_state_skips_unit_factors_exactly_on_every_triple():
         assert table.amps.tobytes() == reference.amps.tobytes(), sites
 
 
+#: Site vectors whose parts are all real with no sign bit: products of them
+#: stay real and need no imaginary parts until another factor comes.  The
+#: last two are one-valued (their dust bit is dropped) with a factor not 1.
+PLAIN_SITES = ([0.7071067811865475, 0.7071067811865475], [0.6, 0.8], [0.8, 0.6],
+               [1.0, 0.0], [0.0, 1.0], [0.9999999999999999, 1e-15], [1e-15, 0.9999999999999999])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.sampled_from(PLAIN_SITES), st.sampled_from(PLAIN_SITES),
+                          st.sampled_from(SIGNED_SITES)), min_size=1, max_size=16))
+def test_product_state_of_plain_sites_equals_the_loop(sites):
+    superposed = [i for i, vec in enumerate(sites) if all(abs(c) >= PRUNE_EPS for c in vec)]
+    for i in superposed[6:]:       # at most 2^6 terms
+        sites[i] = [1.0, 0.0]
+    lattice = bs.chain_lattice([0], range(1, len(sites)))
+    table = bs.product_state(lattice, dict(enumerate(sites))).table
+    reference = loop_product_table(lattice, dict(enumerate(sites)))
+    assert table.bits.tobytes() == reference.bits.tobytes()
+    assert table.amps.tobytes() == reference.amps.tobytes()
+
+
 def test_a_unit_factor_after_a_signed_zero_is_multiplied():
     # (-1)(+i) = -0 - i: times 1 + 0j the real part becomes +0.0
     lattice = bs.chain_lattice([0], [1, 2])
