@@ -68,8 +68,13 @@ def _id_text(site_id) -> str:
 
 
 def _ids_text(ids) -> str:
-    """A list or tuple of site ids as its repr, each int by `_whole_text`."""
-    parts = [_whole_text(i) if type(i) is int else repr(i) for i in ids]
+    """A list or tuple of site ids as its repr, each int by `_whole_text`.
+    One of more than 64 ids prints its first 8, ``...`` and its length,
+    so that an error names a 10,000-site lattice in a short line."""
+    parts = [_whole_text(i) if type(i) is int else repr(i)
+             for i in (ids if len(ids) <= 64 else ids[:8])]
+    if len(ids) > 64:
+        parts.append(f"... {len(ids)} sites")
     if type(ids) is tuple:
         return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
     return f"[{', '.join(parts)}]"
@@ -599,10 +604,12 @@ def entangled_state(lattice: Lattice, terms: Iterable) -> PureState:
 # config spells a lattice and an initial superposition; both documents
 # are read by `read_lattice` and `read_terms`, every list in either goes
 # through `read_list`, every entry of a list of objects through
-# `read_object`, and every number through `read_number` or `read_whole`.
-# A config's lattice, product vectors and schedule are first read by
-# exact-type tests alone (an int is an int, not a bool or 2.0); a part
-# that fails one is read again by those readers, which word its error.
+# `read_object` or `read_objects`, and every number through `read_number`
+# or `read_whole`.  The readers of a config's lattice, product vectors and
+# schedule read each value once: a value of the exact type JSON gives a
+# plain one (an int, not a bool or 2.0) is taken as it is, and any other
+# goes to its checking reader right there, which reads it or words its
+# error.
 
 def _is_number(value) -> bool:
     """A JSON number is an int or a float, never a boolean (which Python
@@ -662,30 +669,37 @@ def read_object(value, key: str) -> dict:
     return _entry_class(key)(value)
 
 
+def read_objects(value, key: str) -> list:
+    """`value`, unchanged, if it is a JSON list of objects; `key` names the
+    list in the error for the first entry that is not one."""
+    for entry in read_list(value, key):
+        if type(entry) is not dict:
+            read_object(entry, key)     # words the error
+    return value
+
+
 #: The site kinds by their names in documents.
 _KINDS = {kind.value: kind for kind in SiteKind}
 
 
 def read_lattice(entries) -> Lattice:
     """A lattice from a list of {"index": whole number, "kind": "system"
-    or "field"} objects, in index order.  A list of objects whose every
-    index is an int and kind a kind's name is read by those exact-type
-    tests alone; any other is read again by the checking readers, which
-    accept an index of 2.0 and word every error."""
-    if type(entries) is list:
-        sites = []
-        for s in entries:
-            if type(s) is not dict:
-                break
-            index, kind = s.get("index"), s.get("kind")
-            if type(index) is not int or type(kind) is not str or kind not in _KINDS:
-                break
-            sites.append(Site(index, _KINDS[kind]))
-        else:
-            return Lattice(tuple(sites))
-    sites = [read_object(s, "lattice") for s in read_list(entries, "lattice")]
-    return Lattice(tuple(Site(read_whole(s["index"], "index"), SiteKind(s["kind"]))
-                         for s in sites))
+    or "field"} objects, in index order, read in one pass.  Every entry
+    must be an object; then each entry's index and kind are read in turn.
+    An int index and a kind's name are taken as they are, and any other
+    value goes to `read_whole` or `SiteKind`, which read an index of 2.0
+    and word every error."""
+    sites = []
+    for s in read_objects(entries, "lattice"):
+        if not ("index" in s and "kind" in s):
+            s = read_object(s, "lattice")   # words a missing field's error where it is read
+        index = s["index"]
+        if type(index) is not int:
+            index = read_whole(index, "index")
+        kind = s["kind"]
+        sites.append(Site(index, _KINDS[kind] if type(kind) is str and kind in _KINDS
+                          else SiteKind(kind)))
+    return Lattice(tuple(sites))
 
 
 def read_terms(entries) -> dict:

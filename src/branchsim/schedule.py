@@ -41,7 +41,7 @@ from .gates import Gate, Gate1, Gate2, GateError, apply_columns, gate_by_name, m
 from .gates import apply_gate2  # noqa: F401 - a binding the benchmark's trace self-test checks
 from .lattice import (Lattice, PureState, TermTable, _ids_text, _whole_text, chain_lattice,
                       entangled_state, product_state, read_lattice, read_list, read_number,
-                      read_object, read_terms, read_whole)
+                      read_object, read_objects, read_terms, read_whole)
 
 
 #: Longest horizon a schedule is played to: 40 times the 256-site chain's
@@ -92,30 +92,31 @@ class GateApplication:
 
 @dataclass(frozen=True)
 class Schedule:
-    """An immutable collection of gate applications grouped by time."""
+    """An immutable collection of gate applications grouped by time.
+
+    The applications are kept in order of time, then of lowest site, and
+    the sites of one step must be disjoint.  Applications given in order,
+    each above every site of its step so far, as a brickwork lists them,
+    are kept after one scan; any others are sorted (stably) and checked
+    for two gates of a step on one site.
+    """
 
     applications: tuple
 
     def __post_init__(self):
-        apps = tuple(sorted(self.applications, key=lambda a: (a.time, min(a.sites))))
+        apps = tuple(self.applications)
+        if not _ordered_apart(apps):
+            apps = tuple(sorted(apps, key=lambda a: (a.time, min(a.sites))))
+            t, seen = None, set()       # the sites of step t hit so far
+            for app in apps:
+                if app.time != t:
+                    t, seen = app.time, set()
+                if not seen.isdisjoint(app.sites):
+                    raise ScheduleError(f"step {_whole_text(t)}: site(s) "
+                                        f"{_ids_text(sorted(seen.intersection(app.sites)))} "
+                                        f"hit by two gates at once")
+                seen.update(app.sites)
         object.__setattr__(self, "applications", apps)
-        t, seen = None, set()       # the sites of step t hit so far
-        for app in apps:
-            if app.time != t:
-                t, seen = app.time, set()
-            if not seen.isdisjoint(app.sites):
-                raise ScheduleError(f"step {_whole_text(t)}: site(s) "
-                                    f"{_ids_text(sorted(seen.intersection(app.sites)))} "
-                                    f"hit by two gates at once")
-            seen.update(app.sites)
-
-    @classmethod
-    def _ordered(cls, apps: tuple) -> "Schedule":
-        """The schedule of `apps`, already in order with the sites of each
-        step disjoint, made without `__post_init__`."""
-        schedule = object.__new__(cls)
-        object.__setattr__(schedule, "applications", apps)
-        return schedule
 
     def by_step(self) -> dict:
         steps: dict = {}
@@ -127,6 +128,25 @@ class Schedule:
     def horizon(self) -> int:
         """Number of steps needed to play every scheduled gate."""
         return 1 + self.applications[-1].time if self.applications else 0
+
+
+def _ordered_apart(apps: tuple) -> bool:
+    """Whether `apps` run in order of time and, within a step, each lies
+    wholly above the sites of the step's earlier ones: then they are in
+    `Schedule` order with each step's sites disjoint.  Times are never
+    negative, and an application has one site or two."""
+    t, high = -1, None              # the step so far, its highest site
+    for app in apps:
+        time, sites = app.time, app.sites
+        a, b = sites[0], sites[-1]
+        if time != t:
+            if time < t:
+                return False
+            t = time
+        elif (a if a < b else b) <= high:
+            return False
+        high = a if a > b else b
+    return True
 
 
 def compile_schedule(schedule: Schedule, lattice: Lattice,
@@ -490,102 +510,47 @@ def _gate_from_config(entry, inline: dict) -> Union[str, Gate]:
 
 
 def _schedule_from_config(entries) -> Schedule:
-    """The schedule of a config's ``schedule`` list.  A list whose values
-    all pass `_plain_applications`' exact-type tests is read by them
-    alone; any other is read again by the checking readers, which accept
-    a time of 2.0 or an inline matrix and word every error."""
-    plain = _plain_applications(entries)
-    if plain is not None:
-        apps, ordered = plain
-        return Schedule._ordered(apps) if ordered else Schedule(apps)
-    entries = [read_object(e, "schedule") for e in read_list(entries, "schedule")]
-    inline: dict = {}
-    return Schedule(tuple([
-        GateApplication(read_whole(e["time"], "time"),
-                        tuple([read_whole(site, "sites")
-                               for site in read_list(e["sites"], "sites")]),
-                        _gate_from_config(e["gate"], inline))
-        for e in entries]))
+    """The schedule of a config's ``schedule`` list, read in one pass.
 
-
-def _plain_applications(entries) -> Optional[tuple]:
-    """The applications of a schedule list of objects that each hold an
-    int ``time`` >= 0, a list of one int site or two different ones, and
-    a known gate name, made without `GateApplication`'s own checks, which
-    these tests include, and whether they are in `Schedule` order with
-    each step's sites disjoint; None when some value is anything else."""
-    if type(entries) is not list:
-        return None
+    Every entry must be an object; then each entry's time, sites and gate
+    are read in turn, and `GateApplication`'s checks run on them.  An int
+    time, a list of one or two int sites and a gate name met before are
+    taken as they are; any other value goes to its checking reader right
+    there (`read_whole`, `read_list`, `_gate_from_config`), which reads a
+    time of 2.0 or an inline matrix and words every error.  An
+    application that fails a check is handed to `GateApplication`, which
+    words that error.  Then `Schedule` checks that no two gates of a step
+    share a site.
+    """
     apps = []
-    names = set()                   # gate names known good
+    inline: dict = {}
+    names = set()                   # gate names met so far
     new = object.__new__
-    t, low, seen, ordered = -1, 0, set(), True   # the step so far, its last lowest site, its sites
-    for e in entries:
-        if type(e) is not dict:
-            return None
-        try:
-            time, sites, gate = e["time"], e["sites"], e["gate"]
-        except KeyError:
-            return None
-        if type(time) is not int or time < 0 or type(sites) is not list \
-                or type(gate) is not str:
-            return None
-        if len(sites) == 2:
-            a, b = sites
-            if type(a) is not int or type(b) is not int or a == b:
-                return None
-            sites, first = (a, b), a if a < b else b
-        elif len(sites) == 1 and type(sites[0]) is int:
-            sites, first = (sites[0],), sites[0]
+    for e in read_objects(entries, "schedule"):
+        if not ("time" in e and "sites" in e and "gate" in e):
+            e = read_object(e, "schedule")  # words a missing field's error where it is read
+        time = e["time"]
+        if type(time) is not int:
+            time = read_whole(time, "time")
+        sites = e["sites"]
+        if type(sites) is list and 0 < len(sites) <= 2 and type(sites[0]) is int \
+                and type(sites[-1]) is int:
+            sites = tuple(sites)
         else:
-            return None
-        if gate not in names:
-            try:
-                gate_by_name(gate)
-            except GateError:
-                return None
-            names.add(gate)
-        if ordered:
-            if time != t:
-                ordered, t, seen = time > t, time, set(sites)
-            elif first < low or not seen.isdisjoint(sites):
-                ordered = False
-            else:
-                seen.update(sites)
-            low = first
-        app = new(GateApplication)
-        fields = app.__dict__
-        fields["time"], fields["sites"], fields["gate"] = time, sites, gate
+            sites = tuple([read_whole(site, "sites") for site in read_list(sites, "sites")])
+        gate = e["gate"]
+        if type(gate) is not str or gate not in names:
+            gate = _gate_from_config(gate, inline)
+            if type(gate) is str:
+                names.add(gate)
+        if time >= 0 and (len(sites) == 1 or len(sites) == 2 and sites[0] != sites[1]):
+            app = new(GateApplication)      # the checks of its __post_init__ hold
+            fields = app.__dict__
+            fields["time"], fields["sites"], fields["gate"] = time, sites, gate
+        else:
+            app = GateApplication(time, sites, gate)    # words the error
         apps.append(app)
-    return tuple(apps), ordered
-
-
-#: The exact types of a JSON number.
-_NUMBERS = (int, float)
-
-
-def _plain_vectors(product: Mapping, sites: dict) -> Optional[dict]:
-    """Site id -> list of complex components of a ``product`` object whose
-    every key is the str of a lattice site and every vector a list of
-    components that are each an int or float or an [re, im] pair of them,
-    tested by their exact types: the values `_complex_from` gives them.
-    None when some key or value is anything else."""
-    states = {}
-    for key, vec in product.items():
-        site = sites.get(key)
-        if site is None or type(vec) is not list:
-            return None
-        components = []
-        for c in vec:
-            if type(c) is list and len(c) == 2 and type(c[0]) in _NUMBERS \
-                    and type(c[1]) in _NUMBERS:
-                components.append(complex(c[0], c[1]))
-            elif type(c) in _NUMBERS:
-                components.append(complex(c))
-            else:
-                return None
-        states[site] = components
-    return states
+    return Schedule(tuple(apps))
 
 
 def _initial_from_config(entry, lattice: Lattice) -> PureState:
@@ -594,13 +559,11 @@ def _initial_from_config(entry, lattice: Lattice) -> PureState:
     if "product" in entry:
         if not isinstance(entry["product"], Mapping):
             raise ConfigError(f"'product' must be an object, got {entry['product']!r}")
+        # a key that is no index's str, such as "01", stays a string,
+        # which product_state reports as an extra site
         sites = {str(i): i for i in lattice.indices}
-        site_states = _plain_vectors(entry["product"], sites)
-        if site_states is None:
-            # a key that is no index's str, such as "01", stays a string,
-            # which product_state reports as an extra site
-            site_states = {sites.get(key, key): [_complex_from(c, f"product {key}") for c in vec]
-                           for key, vec in entry["product"].items()}
+        site_states = {sites.get(key, key): [_complex_from(c, f"product {key}") for c in vec]
+                       for key, vec in entry["product"].items()}
         return product_state(lattice, site_states)
     if "terms" in entry:
         return entangled_state(lattice, read_terms(entry["terms"]).items())

@@ -505,6 +505,23 @@ class TestBadInput:
         err = self.run_fails_cleanly(tmp_path, capsys, doc, *extra)
         assert text in err and len(err) < 200
 
+    # each printed every index of the lattice: 58,923 and 58,949 bytes
+    @pytest.mark.parametrize("fault, text", [
+        ("schedule-site", "site 10005 is not on the lattice (0, 1, 2, 3, 4, 5, 6, 7, ... "
+                          "10000 sites)"),
+        ("indices-out-of-order", "site indices must strictly increase, got [0, 1, 2, 3, 4, "
+                                 "5, 6, 7, ... 10000 sites]"),
+    ], ids=["schedule-site", "indices-out-of-order"])
+    def test_long_lattice_errors_print_a_few_ids(self, tmp_path, capsys, fault, text):
+        indices = list(range(10_000))
+        if fault == "indices-out-of-order":
+            indices[5000], indices[5001] = indices[5001], indices[5000]
+        doc = {"lattice": [{"index": i, "kind": "field"} for i in indices],
+               "initial": {"product": {str(i): [1, 0] for i in indices}},
+               "schedule": [{"time": 0, "sites": [10005], "gate": "H"}]}
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        assert text in err and len(err.encode()) < 300
+
     @pytest.mark.parametrize("whole, written", [
         ({"scenario": "single", "params": {"n_sites": 3}},
          {"scenario": "single", "params": {"n_sites": 3.0}}),

@@ -10,6 +10,8 @@ initial-table bits and amplitude bytes, applications, horizon and
 analyses, and the steps `compile_schedule` makes of them with any
 warning, or else the exception's class and text.  A reader rewritten for
 speed must give every document the same outcome, so the same digest.
+The checking-only reader that the one-pass readers replaced is kept here
+as `reference_outcome`, and each document's outcome must equal it.
 """
 
 import copy
@@ -17,11 +19,18 @@ import hashlib
 import json
 import random
 import warnings
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import branchsim as bs
-from branchsim.schedule import compile_schedule
+from branchsim import schedule
+from branchsim.lattice import (Lattice, Site, SiteKind, _ids_text, _whole_text, read_list,
+                               read_object, read_whole)
+from branchsim.schedule import (GateApplication, Schedule, ScheduleError, _complex_from,
+                                _gate_from_config, compile_schedule)
 
 R = 0.7071067811865475
 
@@ -255,6 +264,66 @@ def digest(texts) -> str:
     return h.hexdigest()
 
 
+# ---------------------------------------------------------------------------
+# the checking-only reader: every value through its checking reader, and
+# every schedule sorted before its clash check
+# ---------------------------------------------------------------------------
+
+def reference_lattice(entries) -> Lattice:
+    sites = [read_object(s, "lattice") for s in read_list(entries, "lattice")]
+    return Lattice(tuple(Site(read_whole(s["index"], "index"), SiteKind(s["kind"]))
+                         for s in sites))
+
+
+def reference_product(product: dict, lattice: Lattice) -> dict:
+    sites = {str(i): i for i in lattice.indices}
+    return {sites.get(key, key): [_complex_from(c, f"product {key}") for c in vec]
+            for key, vec in product.items()}
+
+
+def reference_applications(apps) -> tuple:
+    """`apps` sorted by time and lowest site, with each step's sites
+    checked to be disjoint in that order."""
+    apps = tuple(sorted(apps, key=lambda a: (a.time, min(a.sites))))
+    t, seen = None, set()
+    for app in apps:
+        if app.time != t:
+            t, seen = app.time, set()
+        if not seen.isdisjoint(app.sites):
+            raise ScheduleError(f"step {_whole_text(t)}: site(s) "
+                                f"{_ids_text(sorted(seen.intersection(app.sites)))} "
+                                f"hit by two gates at once")
+        seen.update(app.sites)
+    return apps
+
+
+def reference_schedule(entries) -> Schedule:
+    entries = [read_object(e, "schedule") for e in read_list(entries, "schedule")]
+    inline: dict = {}
+    return Schedule(reference_applications([
+        GateApplication(read_whole(e["time"], "time"),
+                        tuple([read_whole(site, "sites")
+                               for site in read_list(e["sites"], "sites")]),
+                        _gate_from_config(e["gate"], inline))
+        for e in entries]))
+
+
+def reference_outcome(text: str) -> str:
+    """`outcome` of `text` read by the checking-only lattice, product and
+    schedule readers in place of the one-pass ones."""
+    real_initial = schedule._initial_from_config
+
+    def initial(entry, lattice):
+        if isinstance(entry, dict) and isinstance(entry.get("product"), dict):
+            return bs.product_state(lattice, reference_product(entry["product"], lattice))
+        return real_initial(entry, lattice)
+
+    with mock.patch.multiple(schedule, read_lattice=reference_lattice,
+                             _initial_from_config=initial,
+                             _schedule_from_config=reference_schedule):
+        return outcome(text)
+
+
 DOCUMENTS = 1000
 
 #: Recorded from the reader that checked every value through `read_whole`,
@@ -285,3 +354,79 @@ def test_the_documents_reach_every_kind_of_outcome():
                     "negative time", "must cover the lattice", "not normalised",
                     "must strictly increase", "not unitary"):
         assert any(mention in o for o in failed), mention
+
+
+def test_each_document_reads_as_the_checking_only_reader_reads_it():
+    for i, text in enumerate(documents(DOCUMENTS)):
+        assert outcome(text) == reference_outcome(text), f"document {i}: {text}"
+
+
+def explicit(schedule_entries) -> str:
+    return json.dumps({
+        "lattice": [{"index": s, "kind": "system" if s == 0 else "field"} for s in range(4)],
+        "initial": {"product": {str(s): [1, 0] for s in range(4)}},
+        "schedule": schedule_entries})
+
+
+def plain(time, sites, gate="U_copy") -> dict:
+    return {"time": time, "sites": sites, "gate": gate}
+
+
+@pytest.mark.parametrize("entries, text", [
+    # every entry is an object before any entry's time is read
+    ([plain(2.5, [0, 1])] + [plain(t, [1, 2]) for t in range(1, 5)] + [[0, 1]],
+     "'schedule' entries must be objects, got [0, 1]"),
+    # an entry's time is read before its gate is looked up
+    ([plain(0, [0, 1]), {"time": 2.5, "sites": [1, 2]}],
+     "'time' must be a whole number, got 2.5"),
+    ([plain(0, [0, 1]), {"sites": [1, 2], "gate": [[0]]}], "has no 'time'"),
+    ([plain(0, [0, 1]), plain(-1, [0, 1, 2.5])], "'sites' must be a whole number, got 2.5"),
+    ([plain(0, [0, 1]), plain(-1, [1, 1], "U_nope")], "unknown gate name 'U_nope'"),
+    ([plain(0, [0, 1]), plain(-1, [1, 1])], "application needs 1 or 2 distinct sites"),
+    ([plain(0, [0, 1]), plain(-1, [1, 2])], "negative time -1"),
+    # a clash is the first met in schedule order, not in the list's
+    ([plain(0, [1, 2]), plain(0, [2, 3]), plain(0, [0, 1])],
+     "step 0: site(s) [1] hit by two gates at once"),
+], ids=["object-first", "time-before-gate", "missing-time", "sites-before-gate",
+        "gate-before-application", "sites-before-time", "negative-time", "clash-in-order"])
+def test_errors_come_in_the_checking_only_order(entries, text):
+    read = outcome(explicit(entries))
+    assert read == reference_outcome(explicit(entries))
+    assert read.startswith("ConfigError: ") and text in read
+
+
+def test_a_whole_float_time_among_ints_reads_as_the_all_int_schedule():
+    entries = [plain(t, [a, a + 1]) for t in range(3) for a in range(t % 2, 3, 2)]
+    floated = copy.deepcopy(entries)
+    floated[3]["time"] = 2.0
+    assert outcome(explicit(floated)) == outcome(explicit(entries)) \
+        == reference_outcome(explicit(floated))
+    assert "\n" in outcome(explicit(entries))
+
+
+def test_entries_out_of_time_order_read_sorted():
+    entries = [plain(2, [0, 1]), plain(0, [2, 3]), plain(1, [1, 2]), plain(0, [0, 1])]
+    config = bs.config_from_document(explicit(entries))
+    assert [(a.time, a.sites) for a in config.schedule.applications] == [
+        (0, (0, 1)), (0, (2, 3)), (1, (1, 2)), (2, (0, 1))]
+    assert outcome(explicit(entries)) == reference_outcome(explicit(entries))
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 9), st.integers(-1, 9)),
+                max_size=10), st.booleans())
+def test_schedule_equals_sorting_then_checking(draws, ordered):
+    # (time, site, other site or -1 for a one-site gate): in any order or
+    # in schedule order, with or without a clash
+    apps = [GateApplication(t, (a,) if b < 0 or b == a else (a, b), "I" if b < 0 or b == a
+                            else "U_swap")
+            for t, a, b in draws]
+    if ordered:
+        apps.sort(key=lambda a: (a.time, min(a.sites)))
+    try:
+        expected = reference_applications(apps)
+    except ScheduleError as exc:
+        with pytest.raises(ScheduleError) as caught:
+            Schedule(tuple(apps))
+        assert str(caught.value) == str(exc)
+    else:
+        assert Schedule(tuple(apps)).applications == expected
