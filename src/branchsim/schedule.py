@@ -499,6 +499,10 @@ def _gate_from_config(entry, inline: dict) -> Union[str, Gate]:
         key = repr(entry)
         if key not in inline:
             rows = [[_complex_from(cell, "gate") for cell in row] for row in entry]
+            for i, row in enumerate(rows):
+                if len(row) != len(rows[0]):    # numpy's own text differs between versions
+                    raise ConfigError(f"gate matrix row {i} has {len(row)} cell(s), "
+                                      f"but row 0 has {len(rows[0])}")
             matrix = np.array(rows, dtype=complex)
             try:
                 inline[key] = (Gate1("custom", matrix) if matrix.shape == (2, 2)

@@ -227,6 +227,25 @@ class TestConfigDocuments:
         with pytest.raises(bs.ConfigError):
             bs.config_from_document(json.dumps(doc))
 
+    # a short or long row was refused with numpy's own text, which differs
+    # between numpy versions; a number row fails as its cells are read
+    @pytest.mark.parametrize("size", [2, 4])
+    @pytest.mark.parametrize("fault", ["short", "long", "number"])
+    def test_ragged_inline_matrix_rejected_in_words(self, size, fault):
+        rows = [[[1.0 if i == j else 0.0, 0.0] for j in range(size)] for i in range(size)]
+        rows[1] = {"short": rows[1][:-1], "long": rows[1] + [[0.0, 0.0]], "number": 2.0}[fault]
+        doc = {
+            "lattice": [{"index": 0, "kind": "field"}, {"index": 1, "kind": "field"}],
+            "initial": {"terms": [{"basis": "00", "re": 1.0}]},
+            "schedule": [{"time": 0, "sites": [0, 1][:size // 2], "gate": rows}],
+        }
+        with pytest.raises(bs.ConfigError) as caught:
+            bs.config_from_document(json.dumps(doc))
+        assert str(caught.value) == {
+            "short": f"gate matrix row 1 has {size - 1} cell(s), but row 0 has {size}",
+            "long": f"gate matrix row 1 has {size + 1} cell(s), but row 0 has {size}",
+            "number": "malformed config: 'float' object is not iterable"}[fault]
+
 
 #: A well-formed explicit config that the error table breaks one part of.
 _DOC = {"lattice": [{"index": 0, "kind": "system"}, {"index": 1, "kind": "field"},
