@@ -16,6 +16,7 @@ stopped early).
 
 import argparse
 import functools
+import json
 import math
 import os
 import sys
@@ -27,7 +28,7 @@ from . import __version__, analysis, oracle, verify
 from .bell import record_chsh_scan
 from .gates import GateError
 from .lattice import LatticeError, StateError
-from .reporting import _g12, build_report, json_text, write_files, write_report
+from .reporting import _g12, build_report, write_files, write_report
 from .schedule import SCENARIOS, ConfigError, ScheduleError, load_config, run_steps
 
 EXIT_OK = 0
@@ -202,7 +203,7 @@ def _cmd_chsh_scan(args) -> int:
         columns = "".join([f"\0,{tb},%.12g\n" for tb in degs])   # a grid row, less its angle
 
         def fill(summary_out, grid_out):
-            summary_out(json_text(summary))
+            summary_out(json.dumps(summary, sort_keys=True, indent=2) + "\n")
             grid_out("theta_a_deg,theta_b_deg,correlation\n")
             for ta, row in zip(degs, result.e_grid):   # a row at a time, never the whole grid
                 grid_out(columns.replace("\0", ta) % tuple(row.tolist()))

@@ -34,8 +34,8 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .lattice import (PureState, TermTable, complex_product, first_appearance, index_ranges,
-                      owner_rows, row_keys)
+from .lattice import (PureState, TermTable, _value_text, complex_product, first_appearance,
+                      index_ranges, owner_rows, row_keys)
 
 #: Gate matrices must be unitary to this tolerance.
 UNITARITY_TOL = 1e-12
@@ -224,7 +224,7 @@ def gate_by_name(name: str) -> Gate:
             return rotation_gate(float(m.group(1)))
         except ValueError:
             pass
-    raise GateError(f"unknown gate name {name!r}")
+    raise GateError(f"unknown gate name {_value_text(name)}")
 
 
 # ---------------------------------------------------------------------------

@@ -62,17 +62,29 @@ def _whole_text(n: int) -> str:
     return str(n) if abs(n) < 10 ** 20 else format(Decimal(n).normalize(Context(prec=6)), "g")
 
 
+def _cut(text: str) -> str:
+    """`text` for an error text: as it is up to 64 characters, and past
+    that its first 48 and its length."""
+    return text if len(text) <= 64 else f"{text[:48]}... ({len(text)} characters)"
+
+
+def _value_text(value) -> str:
+    """A value read from a document, for an error text: an int by
+    `_whole_text`, and anything else by its repr, cut by `_cut`, so that
+    an error line stays short whatever the document holds."""
+    return _whole_text(value) if type(value) is int else _cut(repr(value))
+
+
 def _id_text(site_id) -> str:
     """A site id for an error text: its str, or an int by `_whole_text`."""
-    return _whole_text(site_id) if type(site_id) is int else str(site_id)
+    return _whole_text(site_id) if type(site_id) is int else _cut(str(site_id))
 
 
 def _ids_text(ids) -> str:
-    """A list or tuple of site ids as its repr, each int by `_whole_text`.
+    """A list or tuple of site ids as its repr, each by `_value_text`.
     One of more than 64 ids prints its first 8, ``...`` and its length,
     so that an error names a 10,000-site lattice in a short line."""
-    parts = [_whole_text(i) if type(i) is int else repr(i)
-             for i in (ids if len(ids) <= 64 else ids[:8])]
+    parts = [_value_text(i) for i in (ids if len(ids) <= 64 else ids[:8])]
     if len(ids) > 64:
         parts.append(f"... {len(ids)} sites")
     if type(ids) is tuple:
@@ -168,7 +180,7 @@ def _as_bits(basis, n_sites: int) -> BasisString:
     except (KeyError, TypeError):   # a foreign item, or one that cannot be a key
         bits = ()                   # no lattice is empty
     if len(bits) != n_sites:
-        raise StateError(f"basis string {basis!r} is not {n_sites} bits of 0/1")
+        raise StateError(f"basis string {_value_text(basis)} is not {n_sites} bits of 0/1")
     return bits
 
 
@@ -177,9 +189,9 @@ def _amplitude(basis, amp) -> complex:
     float range (where ``abs`` raises OverflowError), is a StateError."""
     amp = complex(amp)
     if not cmath.isfinite(amp):
-        raise StateError(f"basis string {basis!r}: amplitude {amp!r} is not finite")
+        raise StateError(f"basis string {_value_text(basis)}: amplitude {amp!r} is not finite")
     if math.hypot(amp.real, amp.imag) == math.inf:
-        raise StateError(f"basis string {basis!r}: amplitude {amp!r} has a modulus "
+        raise StateError(f"basis string {_value_text(basis)}: amplitude {amp!r} has a modulus "
                          f"past the float range")
     return amp
 
@@ -384,7 +396,7 @@ class PureState:
             for basis, amp in table.items():
                 bits = _as_bits(basis, n)
                 if bits in given:   # the same basis string in two spellings
-                    raise StateError(f"duplicate basis string {basis!r}")
+                    raise StateError(f"duplicate basis string {_value_text(basis)}")
                 given[bits] = _amplitude(basis, amp)
             checked = {bits: amp for bits, amp in given.items() if abs(amp) >= PRUNE_EPS}
             table = TermTable(
@@ -576,7 +588,7 @@ def entangled_state(lattice: Lattice, terms: Iterable) -> PureState:
     for basis, amp in terms:
         bits = _as_bits(basis, n)
         if bits in amps:
-            raise StateError(f"duplicate basis string {basis!r}")
+            raise StateError(f"duplicate basis string {_value_text(basis)}")
         amps[bits] = _amplitude(basis, amp)
     # left to right, so the bits do not depend on the Python version
     # (`sum` of floats is compensated from Python 3.12)
@@ -621,7 +633,7 @@ def read_number(value, key: str):
     """`value`, unchanged, if it is a number; `key` names it in the error."""
     if type(value) is float or type(value) is int or _is_number(value):
         return value
-    raise StateError(f"'{key}' must be a number, got {value!r}")
+    raise StateError(f"'{_cut(key)}' must be a number, got {_value_text(value)}")
 
 
 def read_whole(value, key: str) -> int:
@@ -631,7 +643,8 @@ def read_whole(value, key: str) -> int:
     if type(value) is int:
         return value
     if not _is_number(value) or (isinstance(value, float) and not value.is_integer()):
-        raise StateError(f"'{key}' must be a whole number, got {value!r}")   # inf, NaN too
+        raise StateError(f"'{_cut(key)}' must be a whole number, "    # inf, NaN too
+                         f"got {_value_text(value)}")
     return int(value)
 
 
@@ -639,7 +652,7 @@ def read_list(value, key: str) -> list:
     """`value`, unchanged, if it is a JSON list; `key` names it in the
     error (an object would otherwise be read as its list of keys)."""
     if not isinstance(value, list):
-        raise StateError(f"'{key}' must be a list, got {value!r}")
+        raise StateError(f"'{_cut(key)}' must be a list, got {_value_text(value)}")
     return value
 
 
@@ -651,7 +664,7 @@ class _Entry(dict):
     key = ""
 
     def __missing__(self, field):
-        raise StateError(f"'{self.key}' entry {dict(self)!r} has no '{field}'")
+        raise StateError(f"'{self.key}' entry {_value_text(dict(self))} has no '{field}'")
 
 
 @functools.lru_cache(maxsize=None)
@@ -665,7 +678,7 @@ def read_object(value, key: str) -> dict:
     """An entry of the list `key`, if it is a JSON object; `key` names the
     list in the error, and in the error for a missing field."""
     if not isinstance(value, dict):
-        raise StateError(f"'{key}' entries must be objects, got {value!r}")
+        raise StateError(f"'{key}' entries must be objects, got {_value_text(value)}")
     return _entry_class(key)(value)
 
 
@@ -686,9 +699,9 @@ def read_lattice(entries) -> Lattice:
     """A lattice from a list of {"index": whole number, "kind": "system"
     or "field"} objects, in index order, read in one pass.  Every entry
     must be an object; then each entry's index and kind are read in turn.
-    An int index and a kind's name are taken as they are, and any other
-    value goes to `read_whole` or `SiteKind`, which read an index of 2.0
-    and word every error."""
+    An int index is taken as it is, and any other value goes to
+    `read_whole`, which reads an index of 2.0 and words every error; a
+    kind must be one of the kinds' names."""
     sites = []
     for s in read_objects(entries, "lattice"):
         if not ("index" in s and "kind" in s):
@@ -697,8 +710,9 @@ def read_lattice(entries) -> Lattice:
         if type(index) is not int:
             index = read_whole(index, "index")
         kind = s["kind"]
-        sites.append(Site(index, _KINDS[kind] if type(kind) is str and kind in _KINDS
-                          else SiteKind(kind)))
+        if type(kind) is not str or kind not in _KINDS:
+            raise StateError(f"{_value_text(kind)} is not a valid SiteKind")
+        sites.append(Site(index, _KINDS[kind]))
     return Lattice(tuple(sites))
 
 
@@ -711,9 +725,9 @@ def read_terms(entries) -> dict:
         t = read_object(t, "terms")
         basis = t["basis"]
         if not isinstance(basis, str):
-            raise StateError(f"basis {basis!r} is not a string")
+            raise StateError(f"basis {_value_text(basis)} is not a string")
         if basis in amps:
-            raise StateError(f"duplicate basis string {basis!r}")
+            raise StateError(f"duplicate basis string {_value_text(basis)}")
         amps[basis] = complex(read_number(t["re"], "re"), read_number(t.get("im", 0.0), "im"))
     return amps
 

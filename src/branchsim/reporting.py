@@ -16,24 +16,27 @@ complete; on any error the temporary files, and any directory it made,
 are removed, so no partial output is left.
 
 `report.json`'s bytes are those of ``json.dumps(doc, sort_keys=True,
-indent=2)`` and a newline for the document the run describes, written
-without the pure-Python encoder that ``indent`` selects (`json_text` is
-that writer).  The document's top-level keys sort as ``engine``,
-``scenario``, ``steps``, so its head goes first and each step follows
-as it is analysed.  A step's site, branch and cluster blocks and its
-embedded state are spliced in as text rendered from a chunk's arrays,
-each once per chunk of steps: the site rows once per distinct marginal
-matrix, grouped as `analysis.site_marginals` grouped them (`_SiteRows`);
-the branch and cluster blocks from the analysed block's branch and
-cluster tables, each table's assignment codes gathered in one call
-(`_BranchRows`), with no `analysis.Branch` object in between; and the
-embedded states from one sort of the block's table (`_state_texts`),
-with no dict per term.  The scenario lattice's text is rendered once
-for every embedded state.
+indent=2)`` and a newline for the document the run describes.  Every
+part of fixed shape is written by a template at the indent where it
+goes: the head's ``engine`` and ``scenario`` objects, the lattice list
+(rendered once, for the head and every embedded state), and each step's
+record, whose sorted keys `_steps` joins itself.  Only the config's
+``analyses`` list, whose correlation objects keep any extra keys, goes
+through ``json.dumps`` itself, re-indented.  A step's parts are rendered
+from a chunk's arrays, each once per chunk of steps: the site rows once
+per distinct marginal matrix, grouped as `analysis.site_marginals`
+grouped them (`_SiteRows`); the branch and cluster blocks from the
+analysed block's branch and cluster tables, each table's assignment
+codes gathered in one call (`_BranchRows`), with no `analysis.Branch`
+object in between; the correlation rows from one matrix of values per
+chunk, each setting's keys rendered once per run; and the embedded
+states from one sort of the block's table (`_state_texts`), with no
+dict per term.
 """
 
 import contextlib
 import functools
+import json
 import os
 from dataclasses import dataclass
 from itertools import compress
@@ -44,7 +47,7 @@ import numpy as np
 
 from . import __version__
 from . import analysis
-from .lattice import Lattice, StateBlock, lattice_to_json, norm, owner_rows, row_keys
+from .lattice import Lattice, StateBlock, norm, owner_rows, row_keys
 from .schedule import ScenarioConfig
 
 #: States up to this many terms are embedded verbatim in the report.
@@ -61,7 +64,7 @@ _SERIES_HEADER = "step,site,coherence,purity,entropy,branch_count,cluster_count\
 _CORRELATIONS_HEADER = "step,site_a,site_b,theta_a,theta_b,value\n"
 
 #: Indent of a step's record within `report.json`, and of the objects
-#: inside its site block and embedded state.
+#: inside its site block, correlation list and embedded state.
 _STEP_PAD = " " * 4
 _INNER_PAD = " " * 8
 
@@ -70,14 +73,31 @@ def _g12(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-class Rendered:
-    """A value's JSON text, which `_write` emits as it is.  It must have
-    been rendered (`_render`) at the indent where it is written."""
+#: How `json` spells the non-finite floats.
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
-    __slots__ = ("text",)
 
-    def __init__(self, text: str):
-        self.text = text
+def _float_text(x: float) -> str:
+    text = float.__repr__(x)
+    return _NONFINITE.get(text, text)
+
+
+def _listed(items: list, pad: str) -> str:
+    """The JSON list of the texts `items`, written at indent `pad + 2`,
+    with its brackets at indent `pad`."""
+    if not items:
+        return "[]"
+    inner = pad + "  "
+    return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+
+
+def _lattice_text(lattice: Lattice) -> str:
+    """The scenario's ``lattice`` list at the indent of the head's
+    scenario keys.  No text in it holds a newline, so it moves to a
+    deeper indent by replacing each newline."""
+    return _listed([f'{{\n{_INNER_PAD}"index": {site.index},\n{_INNER_PAD}"kind": '
+                    f'{_quote(site.kind.value)}\n{_STEP_PAD}  }}' for site in lattice.sites],
+                   _STEP_PAD)
 
 
 class _SiteRows:
@@ -88,8 +108,8 @@ class _SiteRows:
     follows from the coherence and purity at the run's tolerance.  Each
     distinct row of a chunk of steps, told apart by the bit patterns of
     its values (so -0.0 is not 0.0), is rounded and rendered once, as its
-    JSON object at the indent of a step's site block and as its
-    timeseries.csv fields.  Sites go in `str` order in the JSON, as
+    JSON object at the indent of a step's site block (`_site_text`) and
+    as its timeseries.csv fields.  Sites go in `str` order in the JSON, as
     `json` sorts keys ("-1" before "-2", "10" before "2"), and in
     lattice order in the CSV.
     """
@@ -113,23 +133,33 @@ class _SiteRows:
         texts = []
         for row, flag in zip(values.tolist(), analysed.decohered.reshape(-1)[first].tolist()):
             r = [_g12(x) for x in row]
-            texts.append((_render({"rdm": [r[0:2], r[2:4], r[4:6], r[6:8]], "coherence": r[8],
-                                   "purity": r[9], "entropy": r[10], "decohered": flag},
-                                  _INNER_PAD),
+            texts.append((_site_text([_float_text(x) for x in r], flag),
                           f"{r[8]:.12g},{r[9]:.12g},{r[10]:.12g},"))
         n = len(inverse) // analysed.block.size
         return [[texts[i] for i in inverse[lo:lo + n].tolist()]
                 for lo in range(0, len(inverse), n)]
 
-    def block(self, rows: list) -> Rendered:
+    def block(self, rows: list) -> str:
         """A step's ``sites`` object, from its rows."""
         items = ",\n".join([lead + rows[i][0] for lead, i in zip(self.leads, self.order)])
-        return Rendered(f"{{\n{items}\n{_STEP_PAD}  }}")
+        return f"{{\n{items}\n{_STEP_PAD}  }}"
 
     def series(self, rows: list, step: int, counts: str) -> str:
         """A step's timeseries.csv lines, from its rows and the branch and
         cluster count fields that end each line."""
         return "".join([f"{step}{lead}{row[1]}{counts}" for lead, row in zip(self.fields, rows)])
+
+
+def _site_text(r: list, decohered: bool) -> str:
+    """A site's object at the indent of a step's site block, from the
+    texts `r` of its matrix's four [re, im] pairs, coherence, purity and
+    entropy."""
+    key, cell = _INNER_PAD + "  ", _INNER_PAD + "      "
+    rdm = ",\n".join([f"{key}  [\n{cell}{r[i]},\n{cell}{r[i + 1]}\n{key}  ]"
+                      for i in range(0, 8, 2)])
+    return (f'{{\n{key}"coherence": {r[8]},\n{key}"decohered": {"true" if decohered else "false"},'
+            f'\n{key}"entropy": {r[10]},\n{key}"purity": {r[9]},\n{key}"rdm": [\n{rdm}\n{key}]'
+            f'\n{_INNER_PAD}}}')
 
 
 class _BranchRows:
@@ -163,8 +193,7 @@ class _BranchRows:
         # per depth, at 2 p + bit: position p's key and that bit
         self.keys = [[f"{_INNER_PAD}{' ' * (6 + 4 * depth)}{_quote(key)}: {bit}"
                       for key in keys for bit in (0, 1)] for depth in (0, 1)]
-        self.unbranched = [f"{_INNER_PAD}  {_leaf_text(site)}" for site in lattice.indices]
-        self.sites = [f"{_INNER_PAD}      {_leaf_text(site)}" for site in lattice.indices]
+        self.ids = [str(site) for site in lattice.indices]
 
     def _lists(self, depth: int, owner: np.ndarray, bits: np.ndarray, weights: np.ndarray,
                masks: np.ndarray, wanted=None) -> list:
@@ -222,37 +251,34 @@ class _BranchRows:
                                       [not f for f in full])
             for c, (o, mask) in enumerate(zip(cluster_owner.tolist(), sites.tolist())):
                 items = lists[o].replace("\n", "\n    ") if full[c] else grouped[c]
-                members = ",\n".join(compress(self.sites, mask))
+                members = _listed(list(compress(self.ids, mask)), _INNER_PAD + "    ")
                 found[o].append(f'{{\n{_INNER_PAD}    "branches": {items},\n'
-                                f'{_INNER_PAD}    "sites": [\n{members}\n'
-                                f'{_INNER_PAD}    ]\n{_INNER_PAD}  }}')
+                                f'{_INNER_PAD}    "sites": {members}\n{_INNER_PAD}  }}')
         rows = []
         for count, items, mask, state in zip(counts, lists, (~branched).tolist(), found):
             branches = clusters = None
             if self.branches:
-                unbranched = ",\n".join(compress(self.unbranched, mask))
-                unbranched = f"[\n{unbranched}\n{_INNER_PAD}]" if unbranched else "[]"
-                branches = Rendered(
+                unbranched = _listed(list(compress(self.ids, mask)), _INNER_PAD)
+                branches = (
                     f'{{\n{_INNER_PAD}"count": {count},\n{_INNER_PAD}"items": {items},'
                     f'\n{_INNER_PAD}"unbranched": {unbranched}\n{_STEP_PAD}  }}')
             if self.clusters:
-                listed = (f"[\n{_INNER_PAD}  " + f",\n{_INNER_PAD}  ".join(state)
-                          + f"\n{_INNER_PAD}]") if state else "[]"
-                clusters = Rendered(f'{{\n{_INNER_PAD}"count": {len(state)},'
-                                    f'\n{_INNER_PAD}"items": {listed}\n{_STEP_PAD}  }}')
+                clusters = (f'{{\n{_INNER_PAD}"count": {len(state)},'
+                            f'\n{_INNER_PAD}"items": {_listed(state, _INNER_PAD)}\n{_STEP_PAD}  }}')
             rows.append((count if self.branches else None, branches,
                          len(state) if self.clusters else None, clusters))
         return rows
 
 
 class Step(NamedTuple):
-    """One step of a report: its record in `report.json`, whose site,
-    branch and cluster blocks are pre-rendered, its lines of
-    timeseries.csv, and its branch count, None unless the run asks for
-    branches."""
+    """One step of a report: its record's text in `report.json`, at the
+    indent of the ``steps`` list's items, its lines of timeseries.csv and
+    of correlations.csv, and its branch count, None unless the run asks
+    for branches."""
 
-    record: dict
+    text: str
     series: str
+    correlations: str
     n_branches: Optional[int]
 
 
@@ -260,13 +286,14 @@ class Step(NamedTuple):
 class Report:
     """A run's report as `write_report` streams it.
 
-    `head` holds the document's ``engine`` and ``scenario`` objects,
-    `steps` yields each `Step` once, analysing its state as it goes, and
-    `files` names the files the report fills.  `final` is the last
-    `Step` written.
+    `head` is the text of `report.json` up to its first step: the
+    document's ``engine`` and ``scenario`` objects and the opening of its
+    ``steps`` list.  `steps` yields each `Step` once, analysing its state
+    as it goes, and `files` names the files the report fills.  `final` is
+    the last `Step` written.
     """
 
-    head: dict
+    head: str
     steps: Iterator
     files: tuple
     final: Optional[Step] = None
@@ -278,24 +305,26 @@ def build_report(config: ScenarioConfig, states, tolerance: float, horizon: int)
 
     Each state of at most EMBED_TERMS_LIMIT terms is embedded as the
     object `json.loads` reads from its `state_to_document` text; every
-    embedded state shares the scenario's lattice text.
+    embedded state shares the scenario's lattice text.  The head prints
+    each correlation angle as the config gives it; the analysis reads it
+    as a float, so an int angle past the int64 range is its float too.
     """
     names = {a for a in config.analyses if isinstance(a, str)}
-    settings = [(analysis.MeasurementSetting(a["site_a"], a.get("theta_a", 0.0)),
-                 analysis.MeasurementSetting(a["site_b"], a.get("theta_b", 0.0)))
+    settings = [(analysis.MeasurementSetting(a["site_a"], float(a.get("theta_a", 0.0))),
+                 analysis.MeasurementSetting(a["site_b"], float(a.get("theta_b", 0.0))))
                 for a in config.analyses
                 if isinstance(a, Mapping) and a.get("type") == "correlation"]
-    head = {
-        "engine": {"name": "branchsim", "version": __version__, "tolerance": _g12(tolerance)},
-        "scenario": {
-            "name": config.name,
-            "horizon": horizon,
-            "lattice": lattice_to_json(config.lattice),
-            "analyses": list(config.analyses),
-        },
-    }
+    lattice_text = _lattice_text(config.lattice)
+    analyses = json.dumps(list(config.analyses), sort_keys=True, indent=2).replace("\n", "\n    ")
+    head = (f'{{\n  "engine": {{\n    "name": "branchsim",\n'
+            f'    "tolerance": {_float_text(_g12(tolerance))},\n'
+            f'    "version": {_quote(__version__)}\n  }},\n'
+            f'  "scenario": {{\n    "analyses": {analyses},\n    "horizon": {horizon},\n'
+            f'    "lattice": {lattice_text},\n    "name": {_quote(config.name)}\n  }},\n'
+            f'  "steps": [')
     files = ("report.json", "timeseries.csv") + (("correlations.csv",) if settings else ())
-    return Report(head, _steps(config.lattice, states, tolerance, names, settings), files)
+    return Report(head, _steps(config.lattice, lattice_text.replace("\n", "\n    "), states,
+                               tolerance, names, settings), files)
 
 
 def _chunks(states, cells_per_term: int) -> Iterator:
@@ -350,182 +379,88 @@ def _state_texts(block: StateBlock, embedded: list, lattice_text: str) -> list:
         if not flag:
             texts.append(None)
             continue
-        listed = (f"[\n{pad}" + f",\n{pad}".join(terms[lo:lo + count])
-                  + f"\n{_INNER_PAD}]") if count else "[]"
-        texts.append(Rendered(f'{{\n{_INNER_PAD}"lattice": {lattice_text},'
-                              f'\n{_INNER_PAD}"terms": {listed}\n{_STEP_PAD}  }}'))
+        texts.append(f'{{\n{_INNER_PAD}"lattice": {lattice_text},'
+                     f'\n{_INNER_PAD}"terms": {_listed(terms[lo:lo + count], _INNER_PAD)}'
+                     f'\n{_STEP_PAD}  }}')
         lo += count
     return texts
 
 
-def _steps(lattice: Lattice, states, tolerance: float, names: set, settings: list) -> Iterator:
+def _steps(lattice: Lattice, lattice_text: str, states, tolerance: float, names: set,
+           settings: list) -> Iterator:
     """The `Step` of each state, analysed a chunk of states at a time: one
     `BlockAnalysis` of the chunk's `StateBlock`, read state by state, and
-    the chunk's embedded states rendered from the same block.  A chunk
-    that needs no analysis, no correlation and no embedded state builds
-    neither."""
-    lattice_text = None  # rendered for the first embedded state
+    the chunk's embedded states rendered from the same block, with the
+    lattice's `lattice_text` at the indent of an embedded state's keys.  A
+    chunk that needs no analysis, no correlation and no embedded state
+    builds neither.  A record's keys are joined in sorted order:
+    ``branches``, ``clusters``, ``correlations``, ``n_terms``, ``norm``,
+    ``sites``, ``state``, ``step``."""
     site_rows = _SiteRows(lattice) if "sites" in names else None
     branch_rows = _BranchRows(lattice, names) if names & {"branches", "clusters"} else None
     analyse = bool(site_rows or branch_rows or settings)
+    # each setting's keys up to its value, and its correlations.csv fields up to the value
+    key = _INNER_PAD + "  "
+    leads = [f'{{\n{key}"site_a": {a.site},\n{key}"site_b": {b.site},\n'
+             f'{key}"theta_a": {_float_text(_g12(a.theta))},\n'
+             f'{key}"theta_b": {_float_text(_g12(b.theta))},\n{key}"value": '
+             for a, b in settings]
+    fields = [f",{a.site},{b.site},{a.theta:.12g},{b.theta:.12g}," for a, b in settings]
     t = 0
     for chunk in _chunks(states, lattice.n_sites * max(lattice.n_sites, len(settings))):
         embedded = [state.n_terms <= EMBED_TERMS_LIMIT for state in chunk]
         block = StateBlock.of(chunk) if analyse or any(embedded) else None
-        embeds = [None] * len(chunk)
-        if any(embedded):
-            if lattice_text is None:
-                lattice_text = _render(lattice_to_json(lattice), _INNER_PAD)
-            embeds = _state_texts(block, embedded, lattice_text)
+        embeds = ([None] * len(chunk) if not any(embedded)
+                  else _state_texts(block, embedded, lattice_text))
         analysed = analysis.BlockAnalysis(block, tolerance) if analyse else None
         rows = site_rows.chunk(analysed) if site_rows else [None] * len(chunk)
         blocks = branch_rows.chunk(analysed) if branch_rows else [(None,) * 4] * len(chunk)
-        values = analysed.correlations(settings).tolist() if settings else None
-        for i, (state, step_rows, embed) in enumerate(zip(chunk, rows, embeds)):
-            record = {
-                "step": t,
-                "norm": _g12(norm(state)),
-                "n_terms": state.n_terms,
-            }
-            if embed is not None:
-                record["state"] = embed
-
-            n_branches, branches, n_clusters, clusters = blocks[i]
+        values = analysed.correlations(settings).tolist() if settings else [()] * len(chunk)
+        for state, step_rows, embed, (n_branches, branches, n_clusters, clusters), step_values \
+                in zip(chunk, rows, embeds, blocks, values):
+            parts = []
             if branches is not None:
-                record["branches"] = branches
+                parts.append(f'"branches": {branches}')
             if clusters is not None:
-                record["clusters"] = clusters
-
+                parts.append(f'"clusters": {clusters}')
+            correlations = ""
             if settings:
-                record["correlations"] = [
-                    {"site_a": a.site, "site_b": b.site,
-                     "theta_a": _g12(a.theta), "theta_b": _g12(b.theta), "value": _g12(value)}
-                    for (a, b), value in zip(settings, values[i])
-                ]
-
+                rounded = [_g12(value) for value in step_values]
+                items = [f"{lead}{_float_text(value)}\n{_INNER_PAD}}}"
+                         for lead, value in zip(leads, rounded)]
+                parts.append(f'"correlations": {_listed(items, _STEP_PAD + "  ")}')
+                correlations = "".join([f"{t}{middle}{value:.12g}\n"
+                                        for middle, value in zip(fields, rounded)])
+            parts.append(f'"n_terms": {state.n_terms}')
+            parts.append(f'"norm": {_float_text(_g12(norm(state)))}')
             series = ""
             if site_rows:
-                record["sites"] = site_rows.block(step_rows)
+                parts.append(f'"sites": {site_rows.block(step_rows)}')
                 counts = (f'{"" if n_branches is None else n_branches},'
                           f'{"" if n_clusters is None else n_clusters}\n')
                 series = site_rows.series(step_rows, t, counts)
-            yield Step(record, series, n_branches)
+            if embed is not None:
+                parts.append(f'"state": {embed}')
+            parts.append(f'"step": {t}')
+            text = f"{{\n{_STEP_PAD}  " + f",\n{_STEP_PAD}  ".join(parts) + f"\n{_STEP_PAD}}}"
+            yield Step(text, series, correlations, n_branches)
             t += 1
-
-
-#: How `json` spells the non-finite floats.
-_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _float_text(x: float) -> str:
-    text = float.__repr__(x)
-    return _NONFINITE.get(text, text)
-
-
-def _leaf_text(value) -> str:
-    """The text of a scalar, tested in `json`'s order: booleans before
-    ints, and subclasses such as numpy floats or enum ints by isinstance."""
-    if isinstance(value, Rendered):
-        return value.text
-    if isinstance(value, str):
-        return _quote(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        return _float_text(value)
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
-
-
-#: Scalar writers by exact type, so the common leaves skip `_leaf_text`'s tests.
-_LEAVES = {float: _float_text, str: _quote, int: int.__repr__,
-           bool: _leaf_text, type(None): _leaf_text, Rendered: _leaf_text}
-
-
-def _write(value, pad: str, out) -> None:
-    """Pass the text of `value`, indented by `pad`, to `out` in pieces."""
-    if isinstance(value, (list, tuple)):
-        if not value:
-            out("[]")
-            return
-        inner = pad + "  "
-        lead = "[\n" + inner
-        for item in value:
-            leaf = _LEAVES.get(type(item))
-            if leaf is None:
-                out(lead)
-                _write(item, inner, out)
-            else:
-                out(lead + leaf(item))
-            lead = ",\n" + inner
-        out("\n" + pad + "]")
-    elif isinstance(value, dict):
-        if not value:
-            out("{}")
-            return
-        inner = pad + "  "
-        lead = "{\n" + inner
-        for key in sorted(value):
-            item = value[key]
-            leaf = _LEAVES.get(type(item))
-            if leaf is None:
-                out(lead + _quote(key) + ": ")
-                _write(item, inner, out)
-            else:
-                out(lead + _quote(key) + ": " + leaf(item))
-            lead = ",\n" + inner
-        out("\n" + pad + "}")
-    else:
-        out(_leaf_text(value))
-
-
-def _render(value, pad: str) -> str:
-    """The text of `value` as `_write` gives it at indent `pad`."""
-    chunks: list = []
-    _write(value, pad, chunks.append)
-    return "".join(chunks)
-
-
-def json_text(doc) -> str:
-    """The text of ``json.dumps(doc, sort_keys=True, indent=2)`` and a
-    newline, byte for byte.
-
-    `doc` holds dicts with string keys, lists, tuples, strings, ints,
-    floats, booleans and None.  Strings are ASCII-escaped, floats print
-    as `float.__repr__` (NaN and the infinities as ``NaN``, ``Infinity``
-    and ``-Infinity``), and booleans are tested before ints, as `json`
-    does.  A `Rendered` value is written as its text.
-    """
-    return _render(doc, "") + "\n"
 
 
 def _stream(report: Report, json_out, series_out, correlations_out=None) -> None:
     """Pass the text of each of a report's files to its writer, one step
     at a time."""
-    lead = "{\n  "
-    for key in sorted(report.head):  # "engine" and "scenario" sort before "steps"
-        json_out(f"{lead}{_quote(key)}: {_render(report.head[key], '  ')}")
-        lead = ",\n  "
-    json_out(f'{lead}"steps": [')
+    json_out(report.head)
     series_out(_SERIES_HEADER)
     if correlations_out:
         correlations_out(_CORRELATIONS_HEADER)
     lead = "\n" + _STEP_PAD
     for step in report.steps:
-        json_out(lead + _render(step.record, _STEP_PAD))
+        json_out(lead + step.text)
         lead = ",\n" + _STEP_PAD
         series_out(step.series)
         if correlations_out:
-            t = step.record["step"]
-            correlations_out("".join([
-                f'{t},{c["site_a"]},{c["site_b"]},{c["theta_a"]:.12g},'
-                f'{c["theta_b"]:.12g},{c["value"]:.12g}\n'
-                for c in step.record["correlations"]]))
+            correlations_out(step.correlations)
         report.final = step
     json_out("\n  ]\n}\n" if report.final is not None else "]\n}\n")
 

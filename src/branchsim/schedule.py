@@ -28,6 +28,7 @@ Built-in scenarios
                    travelling records end up entangled with each other.
 """
 
+import inspect
 import json
 import math
 import sys
@@ -39,9 +40,9 @@ import numpy as np
 
 from .gates import Gate, Gate1, Gate2, GateError, apply_columns, gate_by_name, move_layer
 from .gates import apply_gate2  # noqa: F401 - a binding the benchmark's trace self-test checks
-from .lattice import (Lattice, PureState, TermTable, _ids_text, _whole_text, chain_lattice,
-                      entangled_state, product_state, read_lattice, read_list, read_number,
-                      read_object, read_objects, read_terms, read_whole)
+from .lattice import (Lattice, PureState, TermTable, _ids_text, _value_text, _whole_text,
+                      chain_lattice, entangled_state, product_state, read_lattice, read_list,
+                      read_number, read_object, read_objects, read_terms, read_whole)
 
 
 #: Longest horizon a schedule is played to: 40 times the 256-site chain's
@@ -498,7 +499,8 @@ def _gate_from_config(entry, inline: dict) -> Union[str, Gate]:
     if isinstance(entry, Sequence):
         key = repr(entry)
         if key not in inline:
-            rows = [[_complex_from(cell, "gate") for cell in row] for row in entry]
+            rows = [[_complex_from(cell, "gate") for cell in read_list(row, f"gate matrix row {i}")]
+                    for i, row in enumerate(entry)]
             for i, row in enumerate(rows):
                 if len(row) != len(rows[0]):    # numpy's own text differs between versions
                     raise ConfigError(f"gate matrix row {i} has {len(row)} cell(s), "
@@ -510,7 +512,7 @@ def _gate_from_config(entry, inline: dict) -> Union[str, Gate]:
             except GateError as exc:
                 raise ConfigError(str(exc)) from exc
         return inline[key]
-    raise ConfigError(f"bad gate entry {entry!r}")
+    raise ConfigError(f"bad gate entry {_value_text(entry)}")
 
 
 def _schedule_from_config(entries) -> Schedule:
@@ -562,11 +564,12 @@ def _initial_from_config(entry, lattice: Lattice) -> PureState:
         raise ConfigError("'initial' must be an object with 'product' or 'terms'")
     if "product" in entry:
         if not isinstance(entry["product"], Mapping):
-            raise ConfigError(f"'product' must be an object, got {entry['product']!r}")
+            raise ConfigError(f"'product' must be an object, got {_value_text(entry['product'])}")
         # a key that is no index's str, such as "01", stays a string,
         # which product_state reports as an extra site
         sites = {str(i): i for i in lattice.indices}
-        site_states = {sites.get(key, key): [_complex_from(c, f"product {key}") for c in vec]
+        site_states = {sites.get(key, key): [_complex_from(c, f"product {key}")
+                                             for c in read_list(vec, f"product {key}")]
                        for key, vec in entry["product"].items()}
         return product_state(lattice, site_states)
     if "terms" in entry:
@@ -584,17 +587,18 @@ def _analyses_from_config(entry, lattice: Lattice) -> tuple:
     different whole-number lattice sites, stored as ints, and optional
     finite ``theta_a`` / ``theta_b``, kept as given."""
     if not isinstance(entry, list):
-        raise ConfigError(f"'analyses' must be a list, got {entry!r}")
+        raise ConfigError(f"'analyses' must be a list, got {_value_text(entry)}")
     analyses = []
     for item in entry:
         if isinstance(item, str):
             if item not in ANALYSIS_NAMES:
-                raise ConfigError(f"unknown analysis {item!r}; "
+                raise ConfigError(f"unknown analysis {_value_text(item)}; "
                                   f"available: {', '.join(ANALYSIS_NAMES)}, correlation")
             analyses.append(item)
             continue
         if not isinstance(item, Mapping) or item.get("type") != "correlation":
-            raise ConfigError(f"bad analysis {item!r}: want a name or a correlation object")
+            raise ConfigError(f"bad analysis {_value_text(item)}: "
+                              "want a name or a correlation object")
         item = dict(item)
         for key in ("site_a", "site_b"):
             item[key] = read_whole(item.get(key), key)
@@ -603,12 +607,13 @@ def _analyses_from_config(entry, lattice: Lattice) -> tuple:
                                   f"got {_whole_text(item[key])}")
         if item["site_a"] == item["site_b"]:
             raise ConfigError(f"correlation needs two different sites, "
-                              f"got {item['site_a']!r} twice")
+                              f"got {_whole_text(item['site_a'])} twice")
         for key in ("theta_a", "theta_b"):
             theta = read_number(item.get(key, 0.0), key)
             # NaN, infinities and integers past the float range all fail
             if not abs(theta) <= sys.float_info.max:
-                raise ConfigError(f"correlation {key} must be a finite number, got {theta!r}")
+                raise ConfigError(f"correlation {key} must be a finite number, "
+                                  f"got {_value_text(theta)}")
         analyses.append(item)
     return tuple(analyses)
 
@@ -639,12 +644,18 @@ def config_from_document(text: str) -> ScenarioConfig:
         if "scenario" in doc:
             name = doc["scenario"]
             if not isinstance(name, str) or name not in SCENARIOS:
-                raise ConfigError(f"unknown scenario {name!r}; "
+                raise ConfigError(f"unknown scenario {_value_text(name)}; "
                                   f"available: {', '.join(sorted(SCENARIOS))}")
             params = doc.get("params", {})
             if not isinstance(params, Mapping):
-                raise ConfigError(f"'params' must be an object, got {params!r}")
-            config = SCENARIOS[name](**{
+                raise ConfigError(f"'params' must be an object, got {_value_text(params)}")
+            factory = SCENARIOS[name]
+            known = inspect.signature(factory).parameters if params else {}
+            for key in params:
+                if key not in known:
+                    raise ConfigError(f"unknown param {_value_text(key)} of scenario {name}; "
+                                      f"available: {', '.join(known)}")
+            config = factory(**{
                 key: _complex_from(value, key) if key in ("alpha", "beta")
                 else read_whole(value, key)
                 for key, value in params.items()})

@@ -101,6 +101,23 @@ class TestRun:
         assert rows[0] == "step,site_a,site_b,theta_a,theta_b,value"
         assert rows[-1] == "3,2,3,0,0,-1"
 
+    def test_integer_angle_past_int64_reads_as_its_float(self, tmp_path):
+        # 2**64 is inside the float range, so the config reader keeps it;
+        # the analysis handed the int to np.cos, which ended the run in a
+        # TypeError traceback
+        outputs = []
+        for name, theta in (("int", 2 ** 64), ("float", float(2 ** 64))):
+            config = write_config(tmp_path, {"scenario": "epr", "analyses": [
+                {"type": "correlation", "site_a": 2, "site_b": 3, "theta_a": theta}]})
+            out_dir = tmp_path / name
+            assert cli.main(["run", "--config", config, "--out", str(out_dir)]) == 0
+            outputs.append((out_dir / "correlations.csv").read_text())
+            report = json.loads((out_dir / "report.json").read_text())
+            assert report["scenario"]["analyses"][0]["theta_a"] == theta   # as given
+            assert report["steps"][0]["correlations"][0]["theta_a"] == 1.84467440737e+19
+        assert outputs[0] == outputs[1]
+        assert outputs[0].splitlines()[1].startswith("0,2,3,1.84467440737e+19,0,")
+
     def test_missing_config_is_config_error(self, tmp_path):
         assert cli.main(["run", "--config", str(tmp_path / "nope.json"),
                          "--out", str(tmp_path / "out")]) == 1
@@ -521,6 +538,53 @@ class TestBadInput:
                "schedule": [{"time": 0, "sites": [10005], "gate": "H"}]}
         err = self.run_fails_cleanly(tmp_path, capsys, doc)
         assert text in err and len(err.encode()) < 300
+
+    # each echoed a value in full: 100,000-byte lines, or 10**400 as its 401 digits
+    @pytest.mark.parametrize("doc, text", [
+        (dict(EXPLICIT, schedule=[{"time": 0, "sites": [0], "gate": "U" * 100_000}]),
+         "unknown gate name 'UUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUUU... "
+         "(100002 characters)"),
+        ({"lattice": {"0": "x" * 100_000}, "initial": {}},
+         "'lattice' must be a list, got {'0': '" + "x" * 41 + "... (100009 characters)"),
+        (dict(EXPLICIT, initial={"product": {"0": [1, 0], "1": [1, 0], "y" * 100_000: [1, 0]}}),
+         "(missing [], extra ['yyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyyy... "
+         "(100002 characters)])"),
+        (dict(EXPLICIT, lattice=[{"index": 0, "kind": "k" * 100_000}]),
+         "'kkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkkk... (100002 characters) "
+         "is not a valid SiteKind"),
+        ({"scenario": "single", "params": 10 ** 400}, "'params' must be an object, got 1e+400"),
+        ({"scenario": "single", "params": {"z" * 100_000: 3}},
+         "unknown param 'zzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzzz... (100002 characters) "
+         "of scenario single"),
+        (dict(EXPLICIT, schedule=[{"time": 0, "sites": 10 ** 400, "gate": "H"}]),
+         "'sites' must be a list, got 1e+400"),
+    ], ids=["gate-name", "lattice-object", "product-key", "kind", "params", "param-name",
+            "sites"])
+    def test_long_values_print_cut(self, tmp_path, capsys, doc, text):
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        assert text in err and len(err.encode()) < 300
+
+    # a number where a list of cells or amplitudes belongs gave Python's
+    # "'float' object is not iterable", which named neither the row nor the site
+    @pytest.mark.parametrize("doc, text", [
+        (dict(EXPLICIT, schedule=[{"time": 0, "sites": [0],
+                                   "gate": [[[1, 0], [0, 0]], 2.0]}]),
+         "'gate matrix row 1' must be a list, got 2.0"),
+        (dict(EXPLICIT, schedule=[{"time": 0, "sites": [0], "gate": [1, 2]}]),
+         "'gate matrix row 0' must be a list, got 1"),
+        (dict(EXPLICIT, schedule=[{"time": 0, "sites": [0], "gate": ["U_si"]}]),
+         "'gate matrix row 0' must be a list, got 'U_si'"),
+        (dict(EXPLICIT, initial={"product": {"0": 2.0, "1": [1, 0]}}),
+         "'product 0' must be a list, got 2.0"),
+        (dict(EXPLICIT, initial={"product": {"0": [1, 0], "1": 10 ** 400}}),
+         "'product 1' must be a list, got 1e+400"),
+        ({"scenario": "single", "params": {"n_site": 3}},
+         "unknown param 'n_site' of scenario single; available: alpha, beta, n_sites"),
+    ], ids=["float-row", "int-row", "string-row", "float-vector", "int-vector",
+            "unknown-param"])
+    def test_values_of_the_wrong_kind_are_named(self, tmp_path, capsys, doc, text):
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        assert text in err
 
     @pytest.mark.parametrize("whole, written", [
         ({"scenario": "single", "params": {"n_sites": 3}},

@@ -228,7 +228,8 @@ class TestConfigDocuments:
             bs.config_from_document(json.dumps(doc))
 
     # a short or long row was refused with numpy's own text, which differs
-    # between numpy versions; a number row fails as its cells are read
+    # between numpy versions; a number row gave "'float' object is not
+    # iterable", which named neither the gate nor the row
     @pytest.mark.parametrize("size", [2, 4])
     @pytest.mark.parametrize("fault", ["short", "long", "number"])
     def test_ragged_inline_matrix_rejected_in_words(self, size, fault):
@@ -244,7 +245,7 @@ class TestConfigDocuments:
         assert str(caught.value) == {
             "short": f"gate matrix row 1 has {size - 1} cell(s), but row 0 has {size}",
             "long": f"gate matrix row 1 has {size + 1} cell(s), but row 0 has {size}",
-            "number": "malformed config: 'float' object is not iterable"}[fault]
+            "number": "malformed config: 'gate matrix row 1' must be a list, got 2.0"}[fault]
 
 
 #: A well-formed explicit config that the error table breaks one part of.
@@ -340,8 +341,8 @@ class TestConfigErrors:
                          "malformed config: 'product 1' must be a number, got True"),
         "product-pair-bool": (_with_product("1", [[1, False], [0, 0]]),
                               "malformed config: 'product 1' must be a number, got False"),
-        "product-number": (_with_product("1", 5),
-                           "malformed config: 'int' object is not iterable"),
+        "product-number": (_with_product("1", 5),   # was "'int' object is not iterable"
+                           "malformed config: 'product 1' must be a list, got 5"),
         "product-missing": (dict(_DOC, initial={"product": {"0": [1, 0], "1": [1, 0]}}),
                             "malformed config: site states must cover the lattice exactly "
                             "(missing [2], extra [])"),
