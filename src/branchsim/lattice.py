@@ -82,11 +82,17 @@ def _id_text(site_id) -> str:
 
 def _ids_text(ids) -> str:
     """A list or tuple of site ids as its repr, each by `_value_text`.
-    One of more than 64 ids prints its first 8, ``...`` and its length,
-    so that an error names a 10,000-site lattice in a short line."""
-    parts = [_value_text(i) for i in (ids if len(ids) <= 64 else ids[:8])]
-    if len(ids) > 64:
-        parts.append(f"... {len(ids)} sites")
+    One whose text reaches 200 characters before its last id prints the
+    first ids that fit in those 200, at most 8, ``...`` and its length,
+    so that an error names a 10,000-site lattice, 64 ids of 20 digits or
+    8 long keys in a short line."""
+    parts, size = [], 0
+    for i in ids:
+        parts.append(_value_text(i))
+        size += len(parts[-1]) + 2
+        if size >= 200 and len(parts) < len(ids):
+            parts[min(len(parts) - 1, 8):] = [f"... {len(ids)} sites"]
+            break
     if type(ids) is tuple:
         return f"({', '.join(parts)}{',' if len(parts) == 1 else ''})"
     return f"[{', '.join(parts)}]"
@@ -636,6 +642,16 @@ def read_number(value, key: str):
     raise StateError(f"'{_cut(key)}' must be a number, got {_value_text(value)}")
 
 
+def read_float(value, key: str) -> float:
+    """A number as a float; `key` names it in the error.  An int past the
+    float range is refused in words, not by ``float``'s OverflowError."""
+    try:
+        return float(read_number(value, key))
+    except OverflowError:
+        raise StateError(f"'{_cut(key)}' must be a number within the float range, "
+                         f"got {_value_text(value)}") from None
+
+
 def read_whole(value, key: str) -> int:
     """A whole number: an int, or a float with no fraction such as 2.0.
     Fractions, booleans and strings are errors; none is truncated, read
@@ -728,7 +744,7 @@ def read_terms(entries) -> dict:
             raise StateError(f"basis {_value_text(basis)} is not a string")
         if basis in amps:
             raise StateError(f"duplicate basis string {_value_text(basis)}")
-        amps[basis] = complex(read_number(t["re"], "re"), read_number(t.get("im", 0.0), "im"))
+        amps[basis] = complex(read_float(t["re"], "re"), read_float(t.get("im", 0.0), "im"))
     return amps
 
 

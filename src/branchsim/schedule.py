@@ -42,7 +42,8 @@ from .gates import Gate, Gate1, Gate2, GateError, apply_columns, gate_by_name, m
 from .gates import apply_gate2  # noqa: F401 - a binding the benchmark's trace self-test checks
 from .lattice import (Lattice, PureState, TermTable, _ids_text, _value_text, _whole_text,
                       chain_lattice, entangled_state, product_state, read_lattice, read_list,
-                      read_number, read_object, read_objects, read_terms, read_whole)
+                      read_float, read_number, read_object, read_objects, read_terms,
+                      read_whole)
 
 
 #: Longest horizon a schedule is played to: 40 times the 256-site chain's
@@ -484,8 +485,8 @@ SCENARIOS = {
 def _complex_from(value, key: str) -> complex:
     """A number, or an [re, im] pair of numbers; `key` names it in errors."""
     if isinstance(value, list) and len(value) == 2:
-        return complex(read_number(value[0], key), read_number(value[1], key))
-    return complex(read_number(value, key))
+        return complex(read_float(value[0], key), read_float(value[1], key))
+    return complex(read_float(value, key))
 
 
 def _gate_from_config(entry, inline: dict) -> Union[str, Gate]:

@@ -159,6 +159,13 @@ STACK_AMPLITUDES = 2 ** 14
 #: little more of the dense work, and hold more states and stacks.
 TRIAL_BLOCK = 64
 
+#: Fewest random trials for which `run_verification` runs the fixed checks
+#: in a forked child beside them.  The child costs about 7-9 ms on a
+#: 2-core host (the fork, its copy-on-write page faults and the pipe),
+#: which 32 trials (about 6 ms) just repay; the fixed checks take about
+#: 10 ms in process.
+FORK_TRIALS = 32
+
 
 def compare_stack(block, vectors: np.ndarray) -> np.ndarray:
     """Worst deviation of each state of a sparse `StateBlock`, or of a
@@ -360,14 +367,74 @@ def check_random_differential(n_trials: int = DEFAULT_TRIALS, tol: float = DEFAU
                    f"worst deviation {worst:.3g}")
 
 
+def _beside(first, second, fork: bool) -> tuple:
+    """``(first(), second())``.  If `fork` is true, `os.fork` exists and
+    this process may run on 2 CPUs or more, `first` runs in a forked
+    child while this process runs `second`; `first` must then be a pure
+    function of what the child inherits, monkeypatches included, and
+    return a value that pickles.
+
+    The child writes nothing to stdout or stderr.  It sends its pickled
+    result through a pipe, or nothing if `first` raised or showed a
+    warning, and it always ends by `os._exit`.  With no result from the
+    child, `first` runs here after `second`.  If `second` raises, the
+    child is killed, and for an Exception `first` runs here before it is
+    raised again.  So the results, exceptions and warnings are those of
+    the two calls made in order.  The child is reaped before this
+    returns or raises.
+    """
+    import os
+    import pickle
+    import warnings
+
+    if not (fork and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2):
+        return first(), second()
+    read_end, write_end = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:
+            os.close(read_end)
+            with warnings.catch_warnings(record=True) as shown:
+                data = pickle.dumps(first())
+            if not shown:
+                with os.fdopen(write_end, "wb") as pipe:
+                    pipe.write(data)
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as pipe:
+        try:
+            later = second()
+            data = pipe.read()
+        except BaseException as exc:
+            import signal          # not loaded at start-up; needed only here
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            if isinstance(exc, Exception):
+                first()
+            raise
+        _, status = os.waitpid(pid, 0)
+    return (pickle.loads(data) if data and status == 0 else first()), later
+
+
+def _fixed_checks(tol: float, gate_overrides: Optional[dict]) -> list:
+    """Every check but the random suite: pure functions of their arguments."""
+    return (check_gate_unitarity(gate_overrides=gate_overrides)
+            + check_reference_sequences(tol)
+            + check_known_values(tol)
+            + check_scenario_differential(tol))
+
+
 def run_verification(tol: float = DEFAULT_TOL, n_trials: int = DEFAULT_TRIALS,
                      seed: int = DEFAULT_SEED,
                      gate_overrides: Optional[dict] = None) -> list:
-    """The full verification suite; returns one CheckResult per check."""
-    results = []
-    results += check_gate_unitarity(gate_overrides=gate_overrides)
-    results += check_reference_sequences(tol)
-    results += check_known_values(tol)
-    results += check_scenario_differential(tol)
-    results.append(check_random_differential(n_trials, tol, seed))
-    return results
+    """The full verification suite; returns one CheckResult per check.
+
+    From FORK_TRIALS random trials on, the fixed checks run in a forked
+    child beside the random suite (`_beside`); their results are the
+    same either way, and come first."""
+    fixed, random = _beside(lambda: _fixed_checks(tol, gate_overrides),
+                            lambda: check_random_differential(n_trials, tol, seed),
+                            n_trials >= FORK_TRIALS)
+    return fixed + [random]

@@ -539,6 +539,40 @@ class TestBadInput:
         err = self.run_fails_cleanly(tmp_path, capsys, doc)
         assert text in err and len(err.encode()) < 300
 
+    # 64 ids of 20 digits fell under the count of 64 and printed in full: 1,437 bytes
+    def test_a_lattice_of_long_ids_prints_a_few(self, tmp_path, capsys):
+        ids = [10 ** 19 + i for i in range(64)]
+        doc = {"lattice": [{"index": i, "kind": "field"} for i in ids],
+               "initial": {"product": {str(i): [1, 0] for i in ids}},
+               "schedule": [{"time": 0, "sites": [5], "gate": "H"}]}
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        first = ", ".join(str(i) for i in ids[:8])
+        assert f"site 5 is not on the lattice ({first}, ... 64 sites)" in err
+        assert len(err.encode()) < 300
+
+    # each key prints cut to its first 48 characters, but all 8 made 665 bytes
+    def test_many_long_product_keys_print_a_few(self, tmp_path, capsys):
+        product = dict(self.EXPLICIT["initial"]["product"])
+        product.update({chr(ord("a") + k) * 100_000: [1, 0] for k in range(8)})
+        err = self.run_fails_cleanly(tmp_path, capsys, dict(self.EXPLICIT,
+                                                            initial={"product": product}))
+        assert "'bbb" in err and "'ccc" not in err and "... 8 sites])" in err
+        assert len(err.encode()) < 300
+
+    # each gave "int too large to convert to float", which named no key
+    @pytest.mark.parametrize("doc, key, value", [
+        ({"scenario": "single", "params": {"alpha": 10 ** 400}}, "alpha", "1e+400"),
+        ({"scenario": "single", "params": {"beta": [0, -10 ** 400]}}, "beta", "-1e+400"),
+        (dict(EXPLICIT, initial={"product": {"0": [1, 0], "1": [[10 ** 400, 0], 0]}}),
+         "product 1", "1e+400"),
+        (dict(EXPLICIT, schedule=[{"time": 0, "sites": [0],
+                                   "gate": [[1, 0], [0, [0, 10 ** 400]]]}]), "gate", "1e+400"),
+        (dict(EXPLICIT, initial={"terms": [{"basis": "00", "re": 10 ** 400}]}), "re", "1e+400"),
+    ], ids=["alpha", "beta", "product", "gate-cell", "term"])
+    def test_an_int_past_the_float_range_is_named(self, tmp_path, capsys, doc, key, value):
+        err = self.run_fails_cleanly(tmp_path, capsys, doc)
+        assert f"'{key}' must be a number within the float range, got {value}" in err
+
     # each echoed a value in full: 100,000-byte lines, or 10**400 as its 401 digits
     @pytest.mark.parametrize("doc, text", [
         (dict(EXPLICIT, schedule=[{"time": 0, "sites": [0], "gate": "U" * 100_000}]),
